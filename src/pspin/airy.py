@@ -35,12 +35,20 @@ class AiryFamily:
     def __post_init__(self):
         if self.p < 3:
             raise UsageError("AiryFamily needs integer p >= 3")
-        if self.kernel_mode not in (CONTOUR, REAL):
-            raise UsageError(f"unknown kernel_mode {self.kernel_mode!r}")
+        mode_constant(self.kernel_mode)
 
     @property
     def ode_constant(self) -> Fraction:
-        return Fraction(0) if self.kernel_mode == CONTOUR else Fraction(1)
+        return mode_constant(self.kernel_mode)
+
+
+def mode_constant(kernel_mode: str) -> Fraction:
+    """Rewrite constant c0 in phi^{(p-1)} = y phi + c0 for a kernel mode."""
+    if kernel_mode == CONTOUR:
+        return Fraction(0)
+    if kernel_mode == REAL:
+        return Fraction(1)
+    raise UsageError(f"unknown kernel_mode {kernel_mode!r}")
 
 
 def _moment(p: int, k: int) -> ExactScalar:
@@ -119,7 +127,9 @@ def phi_eval(fam: AiryFamily, y: float, tol: float = 1e-10, deriv: int = 0) -> f
     if fam.kernel_mode == CONTOUR:
         if fam.p != 3:
             raise DomainError("contour-mode numeric evaluation available for p=3 only")
-        return _airy_deriv(y, deriv)
+        from .oracle import ai_deriv
+
+        return float(ai_deriv(y, deriv))
     import numpy as np
     from scipy.integrate import quad
 
@@ -130,29 +140,9 @@ def phi_eval(fam: AiryFamily, y: float, tol: float = 1e-10, deriv: int = 0) -> f
     def integrand(u):
         return u**deriv * np.exp(-(u**p) / p + y * u)
 
-    # the integrand peaks near u* with u*^(p-1) ~ y for y > 0
-    peak = max(1.0, (max(y, 0.0)) ** (1.0 / (p - 1)) if y > 0 else 1.0)
     val, err = quad(integrand, 0.0, np.inf, epsabs=tol / 4, epsrel=tol / 4,
                     points=None, limit=200)
     if err > max(tol, 1e-13 * abs(val)):
         raise ArithmeticError(f"quadrature error {err} exceeds tol {tol}")
     return float(val)
 
-
-def _airy_deriv(y: float, deriv: int) -> float:
-    """Ai^{(k)}(y) via scipy values and the rewrite Ai'' = y Ai."""
-    from scipy.special import airy
-
-    ai, aip, _, _ = airy(y)
-    if deriv == 0:
-        return float(ai)
-    if deriv == 1:
-        return float(aip)
-    # reduce with Ai^{(m+2)} = d^m/dy^m (y Ai): table up to the needed order
-    vals = [float(ai), float(aip)]
-    for k in range(2, deriv + 1):
-        m = k - 2
-        # d^m/dy^m (y Ai) = y Ai^{(m)} + m Ai^{(m-1)}
-        v = y * vals[m] + (m * vals[m - 1] if m >= 1 else 0.0)
-        vals.append(v)
-    return vals[deriv]

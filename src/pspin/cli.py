@@ -190,7 +190,11 @@ def _verify_mc(args) -> tuple[bool, dict]:
     cfg = McConfig(args.n, eigs, tuple(args.s), sample_count=args.samples, rng_seed=args.seed)
     mean, se = mc_trace_moments(cfg)
     exact = finite_n_evaluate(FiniteNSource(args.n, eigs), list(args.s))
-    z = abs(mean - exact) / se if se else 0.0
+    if se:
+        z = abs(mean - exact) / se
+    else:
+        # only the all-zero-s shortcut is exact; any other zero spread is no evidence
+        z = 0.0 if mean == exact else float("inf")
     ok = z <= 3.0
     print(
         f"mc: estimate {mean:.8f} +- {se:.8f}, exact {exact:.8f}, |z| = {z:.2f} "
@@ -208,6 +212,8 @@ def _verify_mc(args) -> tuple[bool, dict]:
 
 
 def _verify_binet(args) -> tuple[bool, dict]:
+    if not args.z > 0:
+        raise UsageError("--z must be positive (digamma integral needs z > 0)")
     lhs, rhs, diff = density_mod.binet_check(args.z)
     ok = diff <= args.tol
     print(f"binet z={args.z}: lhs={lhs:.12f} rhs={rhs:.12f} |diff|={diff:.3e} "
@@ -263,6 +269,8 @@ def cmd_density(args) -> int:
         return EXIT_OK
     if args.e_min <= 0:
         raise UsageError("--e-min must be positive (density has a pole at E=0)")
+    if not args.e_max > args.e_min:
+        raise UsageError("--e-max must be greater than --e-min")
     cfg = density_mod.DensityConfig.linspace(args.e_min, args.e_max, args.samples)
     report = density_mod.blackhole_density_compare(cfg)
     print(report.render())

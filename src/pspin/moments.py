@@ -569,6 +569,14 @@ def combine_contributions(
 ) -> tuple[dict[Atom, object], ExactScalar]:
     """Reduce and sum contributions; returns (atom vector over Q(a), unit).
 
+    Contributions are grouped by moment symbol first: each one's weight
+    a^k * (scalar / unit) is summed per symbol as exact {k: Fraction}
+    coefficients, so every distinct symbol is reduced once and its vector
+    is scaled once by a single Q(a) polynomial.  (1+a^p)^{l-1} expands into
+    l terms on the same symbol, which is what the grouping saves.  A symbol
+    whose weights sum to zero is still reduced, so a degenerate rewrite
+    cycle raises ReductionCycleError either way.
+
     Every irreducible cross-term coefficient must cancel identically as a
     rational function of a; a nonzero residue raises CancellationError with
     the offending coefficients.
@@ -579,15 +587,19 @@ def combine_contributions(
     if len(ps) != 1:
         raise UsageError("mixed p in one grade")
     unit = contributions[0][0]
-    acc: dict[Atom, object] = {}
+    weights: dict[MomentSymbol, dict[int, Fraction]] = {}
     for scalar, a_pow, sym in contributions:
         ratio = scalar.proportional_ratio(unit)
         if ratio is None:
             raise UsageError(
                 f"contribution scalar {scalar} not proportional to grade unit {unit}"
             )
+        w = weights.setdefault(sym, {})
+        w[a_pow] = w.get(a_pow, Fraction(0)) + ratio
+    acc: dict[Atom, object] = {}
+    for sym, w in weights.items():
         red = reduce_moment(sym, ode_constant, strategy)
-        weight = (_A**a_pow) * _to_qq(ratio)
+        weight = sum((_A**e * _to_qq(c) for e, c in w.items()), _FIELD_A.zero)
         _vec_add(acc, red.as_vector(), weight)
     residues = {rest[0]: coeff for (kind, *rest), coeff in acc.items()
                 if kind == "irr" and coeff}

@@ -22,40 +22,42 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exact import DomainError, RatP, UsageError
+from .exact import DomainError, LaurentP, RatP, UsageError
 from .twopoint import _deformation_multisets
-
-
-def binomial_tail_ratp(r: int) -> RatP:
-    """g_r as a rational function of symbolic p."""
-    p = RatP.var()
-    out = RatP.const(Fraction(1, factorial(2 * r + 1) * 4**r))
-    for t in range(2 * r):
-        out = out * (p - RatP.const(t))
-    return out
 
 
 @lru_cache(maxsize=None)
 def genus_coefficient(g: int) -> RatP:
-    """C_g(p): coefficient of y^g Gamma(1-(2g-1)/p) in the kernel expansion."""
+    """C_g(p): coefficient of y^g Gamma(1-(2g-1)/p) in the kernel expansion.
+
+    Each g_r is a polynomial in p and each Gamma-shift factor
+    i - (2g-1)/p is a Laurent polynomial, so the whole sum is accumulated
+    in LaurentP, where no step needs a gcd, and is converted to RatP once.
+    """
     if g < 0:
         raise UsageError("genus must be >= 0")
     if g == 0:
         return RatP.const(1)
-    p = RatP.var()
-    total = RatP.const(0)
+    neg_tail: dict[int, LaurentP] = {}  # r -> -g_r
+    for r in range(1, g + 1):
+        g_r = LaurentP.const(Fraction(1, factorial(2 * r + 1) * 4**r))
+        for t in range(2 * r):
+            g_r = g_r * LaurentP({1: 1, 0: -t})
+        neg_tail[r] = -g_r
+    total = LaurentP()
     for multi in _deformation_multisets(g, g):
-        term = RatP.const(1)
+        term = LaurentP.const(1)
         K = 0
         for r, k in multi.items():
-            term = term * (-binomial_tail_ratp(r)) ** k
-            term = term.scale(Fraction(1, factorial(k)))
+            for _ in range(k):
+                term = term * neg_tail[r]
+            term = term * LaurentP.const(Fraction(1, factorial(k)))
             K += k
         for i in range(1, K):
             # Gamma(K + (1-2g)/p) = Gamma(1+(1-2g)/p) prod_{i=1}^{K-1} (i + (1-2g)/p)
-            term = term * (RatP.const(i) - RatP.const(2 * g - 1) / p)
+            term = term * LaurentP({0: i, -1: 1 - 2 * g})
         total = total + term
-    return total
+    return RatP.from_laurent(total)
 
 
 @dataclass(frozen=True)

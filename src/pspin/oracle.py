@@ -24,8 +24,12 @@ class NumericError(ArithmeticError):
     """Requested tolerance could not be certified."""
 
 
-def _ai_deriv(y: np.ndarray | float, order: int):
-    """Ai^{(order)}(y) from scipy Ai, Ai' and the rewrite Ai'' = y Ai."""
+def ai_deriv(y: np.ndarray | float, order: int):
+    """Ai^{(order)}(y) from scipy Ai, Ai' and the rewrite Ai'' = y Ai.
+
+    Works elementwise on arrays; Ai^{(m+2)} = d^m/dy^m (y Ai)
+    = y Ai^{(m)} + m Ai^{(m-1)} builds the table up to the needed order.
+    """
     ai, aip, _, _ = airy(y)
     if order == 0:
         return ai
@@ -53,7 +57,7 @@ def quad_moment(n: int, b: int, c: int, a: float, tol: float = 1e-9) -> float:
         raise DomainError("a > 0 required")
 
     def integrand(y):
-        return y**n * _ai_deriv(y, b) * _ai_deriv(-a * y, c)
+        return y**n * ai_deriv(y, b) * ai_deriv(-a * y, c)
 
     # Ai(y) ~ exp(-2/3 y^{3/2}): the tail beyond Y is negligible at double
     # precision once 2/3 Y^{3/2} >> log(1/tol); Y = 40 is ample
@@ -89,6 +93,8 @@ class McConfig:
             raise UsageError("need exactly N source eigenvalues")
         if not 1 <= len(self.s_values) <= 2:
             raise UsageError("one or two insertions supported")
+        if self.sample_count < 2:
+            raise UsageError("need at least 2 samples for a standard error")
 
 
 _DRAWS_PER_SAMPLE = 4096  # Philox counter stride per sample index

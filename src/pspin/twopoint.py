@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .airy import phi_deriv_zero
+from .airy import CONTOUR, REAL, mode_constant, phi_deriv_zero  # kernel modes re-exported
 from .exact import ExactScalar, ExactSum, FractionalSeries, Monomial, UsageError
 from .moments import (
     AssembledGrade,
@@ -33,18 +33,6 @@ from .moments import (
     assemble_grade,
 )
 from .numbers import falling
-
-REAL = "real"
-CONTOUR = "contour"
-
-
-def _mode_constant(kernel_mode: str) -> Fraction:
-    if kernel_mode == CONTOUR:
-        return Fraction(0)
-    if kernel_mode == REAL:
-        return Fraction(1)
-    raise UsageError(f"unknown kernel_mode {kernel_mode!r}")
-
 
 def expansion_boundary_value(p: int, k: int, kernel_mode: str) -> ExactScalar:
     """Boundary value phi^{(k)}(0) in the expansion normalization.
@@ -59,7 +47,7 @@ def expansion_boundary_value(p: int, k: int, kernel_mode: str) -> ExactScalar:
         return phi_deriv_zero(p, k, REAL)
     m = k - (p - 1)
     if m == 0:
-        return ExactScalar.from_fraction(_mode_constant(kernel_mode))
+        return ExactScalar.from_fraction(mode_constant(kernel_mode))
     return expansion_boundary_value(p, m - 1, kernel_mode).scale(m)
 
 
@@ -130,7 +118,7 @@ def two_point_grade(
 ) -> AssembledGrade:
     """Assembled genus-g grade; raises CancellationError on a T-type residue."""
     contribs = grade_contributions(p, g)
-    return assemble_grade(contribs, _mode_constant(kernel_mode), strategy)
+    return assemble_grade(contribs, mode_constant(kernel_mode), strategy)
 
 
 def grade_monomial(p: int, g: int, m: int) -> Monomial | None:
@@ -231,7 +219,7 @@ def two_point_low_orders(
     """
     if m_max >= p:
         raise UsageError("small-a route restricted to a-powers below a^p")
-    c0 = _mode_constant(kernel_mode)
+    c0 = mode_constant(kernel_mode)
     eng = _engine(p, c0, "side1")
     p_scalar = ExactScalar.from_fraction(p)
     sums: dict[int, ExactSum] = {}

@@ -86,6 +86,23 @@ class TestVerify:
                    "--s", "0.3", "--samples", "4000") == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_mc_too_few_samples_usage_error(self):
+        for samples in ("1", "0", "-5"):
+            assert run("verify", "mc", "--samples", samples) == 2, samples
+
+    def test_mc_zero_stderr_is_no_pass(self, monkeypatch, capsys):
+        # a zero spread away from the exact value is a failure, not |z| = 0
+        monkeypatch.setattr("pspin.cli.mc_trace_moments", lambda cfg: (1.27, 0.0))
+        assert run("verify", "mc", "--samples", "2") == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_mc_all_zero_s_exact(self, capsys):
+        assert run("verify", "mc", "--s", "0", "--samples", "2") == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_binet_nonpositive_z_usage_error(self):
+        assert run("verify", "binet", "--z", "0") == 2
+
     def test_report_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PSPIN_OUTPUT_DIR", str(tmp_path))
         assert run("verify", "dilaton", "--p", "4", "--genus", "2",
@@ -111,6 +128,9 @@ class TestDensity:
 
     def test_pole_usage_error(self):
         assert run("density", "--e-min", "0", "--e-max", "10", "--samples", "5") == 2
+
+    def test_reversed_range_usage_error(self):
+        assert run("density", "--e-min", "5", "--e-max", "1") == 2
 
 
 def test_console_entry_point():

@@ -426,3 +426,28 @@ def test_p12_exact_table_matches_closed_forms():
     assert t[(2, ((0, 4), (3, 10)))] == (
         (2 * p**3 + 13 * p**2 - 158 * p + 215) / (5760 * p**2)
     )
+
+
+def _genus_coefficient_field_route(g):
+    """C_g(p) summed term by term in RatP field arithmetic."""
+    from pspin.twopoint import _deformation_multisets
+
+    total = C(0)
+    for multi in _deformation_multisets(g, g):
+        term = C(1)
+        K = 0
+        for r, k in multi.items():
+            g_r = C(F(1, math.factorial(2 * r + 1) * 4**r))
+            for t in range(2 * r):
+                g_r = g_r * (P - C(t))
+            term = (term * (-g_r) ** k).scale(F(1, math.factorial(k)))
+            K += k
+        for i in range(1, K):
+            term = term * (C(i) - C(2 * g - 1) / P)
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("g", range(1, 8))
+def test_genus_coefficient_matches_field_route(g):
+    assert genus_coefficient(g) == _genus_coefficient_field_route(g)

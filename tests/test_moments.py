@@ -261,3 +261,71 @@ def test_confluence_larger_p_smoke(p):
         r1 = M(n, b, c, p=p, c0=c0, strategy="side1")
         r2 = M(n, b, c, p=p, c0=c0, strategy="side2")
         assert vec(r1) == vec(r2), (p, n, b, c, c0)
+
+
+class TestGroupedCombine:
+    """combine_contributions groups by symbol; the sum must not change."""
+
+    @staticmethod
+    def per_contribution_sum(contributions, c0):
+        # the ungrouped route: reduce and scale every contribution on its own
+        unit = contributions[0][0]
+        acc = {}
+        for scalar, a_pow, sym in contributions:
+            ratio = scalar.proportional_ratio(unit)
+            weight = a**a_pow * ratio.numerator / ratio.denominator
+            for atom, coeff in M(sym.n, sym.b, sym.c, sym.p, c0).as_vector().items():
+                acc[atom] = acc.get(atom, _FIELD_A.zero) + coeff * weight
+        return {atom: coeff for atom, coeff in acc.items() if coeff}
+
+    @pytest.mark.parametrize("c0", [1, 0])
+    @pytest.mark.parametrize("p,g", [(3, 3), (4, 2), (5, 2)])
+    def test_equals_per_contribution_sum(self, p, g, c0):
+        from pspin.moments import combine_contributions
+        from pspin.twopoint import grade_contributions
+
+        contribs = grade_contributions(p, g)
+        acc, unit = combine_contributions(contribs, F(c0))
+        assert unit == contribs[0][0]
+        assert acc == self.per_contribution_sum(contribs, c0)
+
+    def test_each_symbol_reduced_once(self, monkeypatch):
+        from collections import Counter
+
+        from pspin import moments
+        from pspin.twopoint import grade_contributions
+
+        calls = Counter()
+        reduce = moments.reduce_moment
+
+        def counting(sym, *args, **kwargs):
+            calls[sym] += 1
+            return reduce(sym, *args, **kwargs)
+
+        monkeypatch.setattr(moments, "reduce_moment", counting)
+        contribs = grade_contributions(3, 4)
+        moments.combine_contributions(contribs, F(1))
+        distinct = {sym for _, _, sym in contribs}
+        assert len(contribs) > len(distinct)
+        assert set(calls) == distinct
+        assert set(calls.values()) == {1}
+
+    def test_zero_weight_symbol_on_degenerate_cycle_raises(self, monkeypatch):
+        from pspin import moments
+        from pspin.exact import ExactScalar
+
+        loop = ("M", 2, 1, 1)
+
+        class LoopEngine(moments.MomentEngine):
+            def rule(self, node):
+                # X = X: the cycle's linear system is singular
+                return [(one, loop)] if node == loop else super().rule(node)
+
+        engine = LoopEngine(3, F(0))
+        monkeypatch.setattr(moments, "_engine", lambda p, c0, strategy: engine)
+        sym = MomentSymbol(2, 1, 1, 3)
+        unit = ExactScalar.one()
+        # the two weights cancel, yet the symbol must still be reduced
+        contribs = [(unit, 4, sym), (unit.scale(-1), 4, sym)]
+        with pytest.raises(moments.ReductionCycleError):
+            moments.combine_contributions(contribs, F(0))

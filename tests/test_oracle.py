@@ -7,7 +7,7 @@ import pytest
 from scipy.special import airy
 
 from pspin.correlators import FiniteNSource, finite_n_evaluate
-from pspin.exact import DomainError, ExactScalar
+from pspin.exact import DomainError, ExactScalar, UsageError
 from pspin.oracle import (
     McConfig,
     mc_trace_moments,
@@ -73,6 +73,11 @@ class TestMonteCarlo:
     def test_s_zero_exact(self):
         cfg = McConfig(4, (1.0, -1.0, 2.0, -2.0), (0.0,), sample_count=10)
         assert mc_trace_moments(cfg) == (1.0, 0.0)
+
+    def test_too_few_samples_rejected(self):
+        for count in (1, 0, -5):
+            with pytest.raises(UsageError):
+                McConfig(2, (0.5, -0.5), (0.3,), sample_count=count)
 
     def test_scalar_mgf(self):
         # N=1 Gaussian: <e^{0.5 m}> = e^{0.125}
