@@ -7,7 +7,7 @@ reduction, tautological-equation verification, continuation in p, and
 numerical cross-checks, with a command-line front end (``pspin``).
 """
 
-from .airy import CONTOUR, REAL, AiryFamily, ode_rewrite, phi_deriv_zero, phi_eval
+from .airy import CONTOUR, REAL, AiryFamily, phi_deriv_zero, phi_eval
 from .correlators import (
     CalibrationError,
     DegreeInsufficientError,
@@ -51,7 +51,6 @@ from .moments import (
     MomentSymbol,
     ReductionResult,
     assemble_grade,
-    k2_closed_form,
     reduce_moment,
 )
 from .onepoint import one_point_series, one_point_value

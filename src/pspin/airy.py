@@ -37,10 +37,6 @@ class AiryFamily:
             raise UsageError("AiryFamily needs integer p >= 3")
         mode_constant(self.kernel_mode)
 
-    @property
-    def ode_constant(self) -> Fraction:
-        return mode_constant(self.kernel_mode)
-
 
 def mode_constant(kernel_mode: str) -> Fraction:
     """Rewrite constant c0 in phi^{(p-1)} = y phi + c0 for a kernel mode."""
@@ -57,63 +53,43 @@ def _moment(p: int, k: int) -> ExactScalar:
     return ExactScalar.rational_power(p, e) * ExactScalar.gamma(Fraction(k + 1, p))
 
 
-def phi_deriv_zero(p: int, k: int, kernel_mode: str = REAL) -> ExactScalar:
-    """Exact phi^{(k)}(0) for the family (p, kernel_mode), any k >= 0.
+def reduce_order_at_zero(p: int, k: int) -> tuple[int, int | None]:
+    """phi^{(k)}(0) as (mult, order): mult * phi^{(order)}(0) with order <= p-2,
+    or mult * c0 (order None) when the reduction ends on the rewrite constant.
 
-    Orders k >= p-1 are reduced through the derivative rewrite:
-    phi^{(p-1+m)}(0) = m phi^{(m-1)}(0) + [m = 0] * ode_constant.
+    At zero the rewrite phi^{(p-1)} = y phi + c0 gives
+    phi^{(p-1+m)}(0) = m phi^{(m-1)}(0) + [m = 0] c0; each step lowers the
+    order by p, so the loop ends.
     """
     if k < 0:
         raise DomainError("derivative order must be >= 0")
-    fam = AiryFamily(p, kernel_mode)
-    if k <= p - 2:
-        base = _moment(p, k)
-        if kernel_mode == CONTOUR and p == 3:
-            # classical Ai: Ai^{(k)}(0) = (-1)^k sqrt(3)/(2 pi) * moment
-            phase = ExactScalar.sqrt(3).scale(Fraction((-1) ** k, 2)) * ExactScalar.pi(-1)
-            return base * phase
-        return base
-    m = k - (p - 1)
-    if m == 0:
-        return ExactScalar.from_fraction(fam.ode_constant)
-    return phi_deriv_zero(p, m - 1, kernel_mode).scale(m)
+    if p < 3:
+        raise UsageError("derivative rewrite needs integer p >= 3")
+    mult = 1
+    while k >= p - 1:
+        m = k - (p - 1)
+        if m == 0:
+            return mult, None
+        mult *= m
+        k = m - 1
+    return mult, k
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    """phi^{(b)}(y) -> sum of terms (y_power, rational, order) + constant."""
+def phi_deriv_zero(p: int, k: int, kernel_mode: str = REAL) -> ExactScalar:
+    """Exact phi^{(k)}(0) for the family (p, kernel_mode), any k >= 0.
 
-    b: int
-    terms: tuple[tuple[int, Fraction, int], ...]
-    constant: Fraction
-
-    def render(self) -> str:
-        bits = []
-        for y_pow, c, order in self.terms:
-            mono = "" if y_pow == 0 else ("y*" if y_pow == 1 else f"y^{y_pow}*")
-            coeff = "" if c == 1 else f"{c}*"
-            bits.append(f"{coeff}{mono}phi^({order})")
-        if self.constant:
-            bits.append(str(self.constant))
-        return f"phi^({self.b}) -> " + " + ".join(bits)
-
-
-def ode_rewrite(fam: AiryFamily, b: int) -> RewriteRule | None:
-    """One Leibniz step of the derivative rewrite; None when b < p-1 (no-op).
-
-    Differentiating phi^{(p-1)} = y phi + c0 exactly (b-p+1) times gives
-    phi^{(b)} = y phi^{(b-p+1)} + (b-p+1) phi^{(b-p)} + [b = p-1] c0.
+    Orders k >= p-1 are reduced through ``reduce_order_at_zero``.
     """
-    p = fam.p
-    if b < p - 1:
-        return None
-    m = b - (p - 1)
-    terms: list[tuple[int, Fraction, int]] = []
-    if m > 0:
-        terms.append((0, Fraction(m), m - 1))
-    terms.append((1, Fraction(1), m))
-    constant = fam.ode_constant if m == 0 else Fraction(0)
-    return RewriteRule(b, tuple(terms), constant)
+    mult, order = reduce_order_at_zero(p, k)
+    c0 = mode_constant(kernel_mode)  # also rejects an unknown mode
+    if order is None:
+        return ExactScalar.from_fraction(c0 * mult)
+    base = _moment(p, order)
+    if kernel_mode == CONTOUR and p == 3:
+        # classical Ai: Ai^{(j)}(0) = (-1)^j sqrt(3)/(2 pi) * moment, j <= p-2
+        phase = ExactScalar.sqrt(3).scale(Fraction((-1) ** order, 2)) * ExactScalar.pi(-1)
+        base = base * phase
+    return base.scale(mult)
 
 
 def phi_eval(fam: AiryFamily, y: float, tol: float = 1e-10, deriv: int = 0) -> float:

@@ -66,6 +66,8 @@ def _parse_p(raw: str):
 
 def cmd_intersect(args) -> int:
     p = _parse_p(args.p)
+    if args.genus < 0:
+        raise UsageError("--genus must be >= 0")
     if args.points == 2:
         if not isinstance(p, int) or p < 3:
             raise UsageError("two-point tables need an integer p >= 3")
@@ -155,6 +157,8 @@ def _verify_airy_quad(args) -> tuple[bool, dict]:
     from .airy import phi_deriv_zero
     from .moments import MomentSymbol, reduce_moment, reduction_numeric
 
+    if not all(a > 0 for a in args.a_values):
+        raise UsageError("--a-values must be positive ratios a = (s1/s2)^(1/p)")
     tol = args.tol
     bvals = {
         0: float(phi_deriv_zero(3, 0, "contour").numeric(30)),
@@ -253,7 +257,13 @@ _VERIFY_DISPATCH = {
 }
 
 
+# checks that run over genera 1..--genus
+_GENUS_CHECKS = {"string", "dilaton", "selection", "cancellation", "largep"}
+
+
 def cmd_verify(args) -> int:
+    if args.check in _GENUS_CHECKS and args.genus < 1:
+        raise UsageError(f"verify {args.check} needs --genus >= 1")
     ok, payload = _VERIFY_DISPATCH[args.check](args)
     if args.output:
         path = _out_dir() / args.output

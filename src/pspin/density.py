@@ -154,7 +154,7 @@ class DensityConfig:
         if e_min <= 0:
             raise DomainError("E grid must be strictly positive (pole at E=0)")
         if n < 2:
-            return DensityConfig((float(e_min),))
+            raise UsageError("density grid needs at least 2 samples")
         step = (e_max - e_min) / (n - 1)
         return DensityConfig(tuple(e_min + i * step for i in range(n)))
 

@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Hashable
 
+from .airy import reduce_order_at_zero
 from .exact import A_VAR, _FIELD_A, DomainError, ExactScalar, UsageError, _from_qq, _to_qq
 
 _ONE = _FIELD_A.one
@@ -122,7 +123,6 @@ class MomentEngine:
         self.strategy = strategy
         self._memo: dict[Node, dict[Atom, object]] = {}
         self._s_memo: dict[Node, dict[Atom, object]] = {}
-        self._steps = 0
 
     # -- single-factor reduction (acyclic) ----------------------------------
 
@@ -249,14 +249,8 @@ class MomentEngine:
             if not coeff:
                 continue
             if atom[0] == "bdry":
-                # phi^{(i)}(0) phi^{(j)}(0) does not depend on the side order
-                key = (min(atom[1], atom[2]), max(atom[1], atom[2]))
-                cur = res.boundary_terms.get(key)
-                total = coeff if cur is None else cur + coeff
-                if total:
-                    res.boundary_terms[key] = total
-                elif cur is not None:
-                    del res.boundary_terms[key]
+                # _bdry_vector emits every product with sorted indices (i <= j)
+                res.boundary_terms[atom[1:]] = coeff
             elif atom[0] == "irr":
                 res.irreducible_terms[atom[1]] = coeff
             else:
@@ -282,46 +276,25 @@ class MomentEngine:
             return self._bdry_vector(succ[1], succ[2])
         return {succ: _ONE}
 
-    def _sing_vector(self, k: int, scale) -> dict[Atom, object]:
-        """Canonical form of a single boundary value phi^{(k)}(0).
-
-        Orders >= p-1 reduce through the rewrite at zero:
-        phi^{(p-1+m)}(0) = m phi^{(m-1)}(0) + [m=0] c0.
-        The result lives in the constant sector (these terms always carry one
-        rewrite-constant power already).
-        """
-        while k >= self.p - 1:
-            m = k - (self.p - 1)
-            if m == 0:
-                if not self.c0:
-                    return {}
-                return {("const",): scale * _to_qq(self.c0)}
-            scale = scale * m
-            k = m - 1
-        return {("sing", k): scale}
-
     def _bdry_vector(self, i: int, j: int) -> dict[Atom, object]:
         """Canonical form of a boundary product phi^{(i)}(0) phi^{(j)}(0).
 
-        Indices >= p-1 are rewrite-constant values; reducing them keeps the
-        atom basis independent, which is what makes different rule orders
-        land on literally identical fixed points.
+        Each index >= p-1 is reduced at zero; reducing them keeps the atom
+        basis independent, which is what makes different rule orders land on
+        literally identical fixed points.  A factor that reduces to the
+        rewrite constant moves the product to the constant sector: ('sing', k)
+        for one such factor, ('const',) for two.
         """
-        p = self.p
-        scale = _ONE
-        for _ in range(64):
-            if i > j:
-                i, j = j, i
-            if j < p - 1:
-                return {("bdry", i, j): scale}
-            m = j - (p - 1)
-            if m == 0:
-                if not self.c0:
-                    return {}
-                return self._sing_vector(i, scale * _to_qq(self.c0))
-            scale = scale * m
-            j = m - 1
-        raise ReductionCycleError(f"boundary index reduction stuck at ({i}, {j})")
+        mi, oi = reduce_order_at_zero(self.p, i)
+        mj, oj = reduce_order_at_zero(self.p, j)
+        scale = _ONE * (mi * mj)
+        orders = sorted(o for o in (oi, oj) if o is not None)
+        if len(orders) == 2:
+            return {("bdry", *orders): scale}
+        if not self.c0:
+            return {}
+        scale = scale * _to_qq(self.c0) ** (2 - len(orders))
+        return {("sing", *orders) if orders else ("const",): scale}
 
     def _reduce_node(self, root: Node) -> dict[Atom, object]:
         hit = self._memo.get(root)
@@ -336,7 +309,6 @@ class MomentEngine:
                 continue
             succs = self.rule(node)
             edges[node] = succs
-            self._steps += len(succs)
             if len(edges) > 200000:
                 raise ReductionCycleError(f"closure from {root} exceeds bound")
             for _, succ in succs:
@@ -528,24 +500,8 @@ def poly_coeffs(coeff, allow_negative: bool = False) -> dict[int, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# closed-form fixtures and grade assembly
+# grade assembly
 # ---------------------------------------------------------------------------
-
-
-def k2_closed_form(p: int = 3) -> dict[str, ReductionResult]:
-    """Closed forms of K1 = int phi'' phi(-ay) and K2 = int phi' phi'(-ay), p=3.
-
-    K1 = -(1+a)/(1+a^3) * phi(0) phi'(0)
-    K2 = (a^2-1)/(1+a^3) * phi(0) phi'(0)
-    and they satisfy K1 = -phi(0) phi'(0) + a K2 (one integration by parts).
-    """
-    if p != 3:
-        raise UsageError("closed forms are tabulated for p=3")
-    one = _ONE
-    a = _A
-    k1 = ReductionResult(boundary_terms={(0, 1): -(one + a) / (one + a**3)})
-    k2 = ReductionResult(boundary_terms={(0, 1): (a**2 - one) / (one + a**3)})
-    return {"K1": k1, "K2": k2}
 
 
 @dataclass

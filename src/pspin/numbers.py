@@ -58,10 +58,3 @@ def zeta_even_rational_part(n: int) -> Fraction:
         raise ValueError("need n >= 1")
     return Fraction(2 ** (2 * n)) * bernoulli_abs(n) / (2 * factorial(2 * n))
 
-
-def falling(x: Fraction | int, k: int) -> Fraction:
-    """Falling factorial x(x-1)...(x-k+1) as an exact Fraction."""
-    out = Fraction(1)
-    for i in range(k):
-        out *= Fraction(x) - i
-    return out

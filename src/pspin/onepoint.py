@@ -23,27 +23,23 @@ from functools import lru_cache
 from math import factorial
 
 from .exact import DomainError, LaurentP, RatP, UsageError
-from .twopoint import _deformation_multisets
+from .twopoint import _deformation_multisets, binomial_tail_coefficient
 
 
 @lru_cache(maxsize=None)
 def genus_coefficient(g: int) -> RatP:
     """C_g(p): coefficient of y^g Gamma(1-(2g-1)/p) in the kernel expansion.
 
-    Each g_r is a polynomial in p and each Gamma-shift factor
-    i - (2g-1)/p is a Laurent polynomial, so the whole sum is accumulated
-    in LaurentP, where no step needs a gcd, and is converted to RatP once.
+    Each g_r (``binomial_tail_coefficient``) is a polynomial in p and each
+    Gamma-shift factor i - (2g-1)/p is a Laurent polynomial, so the whole sum
+    is accumulated in LaurentP, where no step needs a gcd, and is converted
+    to RatP once.
     """
     if g < 0:
         raise UsageError("genus must be >= 0")
     if g == 0:
         return RatP.const(1)
-    neg_tail: dict[int, LaurentP] = {}  # r -> -g_r
-    for r in range(1, g + 1):
-        g_r = LaurentP.const(Fraction(1, factorial(2 * r + 1) * 4**r))
-        for t in range(2 * r):
-            g_r = g_r * LaurentP({1: 1, 0: -t})
-        neg_tail[r] = -g_r
+    neg_tail = {r: -binomial_tail_coefficient(r) for r in range(1, g + 1)}
     total = LaurentP()
     for multi in _deformation_multisets(g, g):
         term = LaurentP.const(1)

@@ -23,16 +23,18 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .airy import CONTOUR, REAL, mode_constant, phi_deriv_zero  # kernel modes re-exported
-from .exact import ExactScalar, ExactSum, FractionalSeries, Monomial, UsageError
+from .airy import CONTOUR, REAL  # kernel modes re-exported
+from .airy import mode_constant, phi_deriv_zero, reduce_order_at_zero
+from .exact import ExactScalar, ExactSum, FractionalSeries, LaurentP, Monomial, UsageError
 from .moments import (
     AssembledGrade,
     CancellationError,
     MomentSymbol,
     _engine,
     assemble_grade,
+    poly_coeffs,
 )
-from .numbers import falling
+
 
 def expansion_boundary_value(p: int, k: int, kernel_mode: str) -> ExactScalar:
     """Boundary value phi^{(k)}(0) in the expansion normalization.
@@ -43,17 +45,17 @@ def expansion_boundary_value(p: int, k: int, kernel_mode: str) -> ExactScalar:
     calibration constant serves all p and both modes.  The mode enters only
     through the rewrite constant at order p-1.
     """
-    if k <= p - 2:
-        return phi_deriv_zero(p, k, REAL)
-    m = k - (p - 1)
-    if m == 0:
-        return ExactScalar.from_fraction(mode_constant(kernel_mode))
-    return expansion_boundary_value(p, m - 1, kernel_mode).scale(m)
+    _, order = reduce_order_at_zero(p, k)
+    return phi_deriv_zero(p, k, kernel_mode if order is None else REAL)
 
 
-def binomial_tail_coefficient(p, r: int) -> Fraction:
-    """g_r = p(p-1)...(p-2r+1) / ((2r+1)! 4^r) from the binomial expansion."""
-    return falling(Fraction(p), 2 * r) / (factorial(2 * r + 1) * 4**r)
+@lru_cache(maxsize=None)
+def binomial_tail_coefficient(r: int) -> LaurentP:
+    """g_r(p) = p(p-1)...(p-2r+1) / ((2r+1)! 4^r) from the binomial expansion."""
+    g_r = LaurentP.const(Fraction(1, factorial(2 * r + 1) * 4**r))
+    for t in range(2 * r):
+        g_r = g_r * LaurentP({1: 1, 0: -t})
+    return g_r
 
 
 def _deformation_multisets(rho: int, rmax: int):
@@ -83,11 +85,33 @@ def _side_terms(p: int, rho: int) -> tuple[tuple[Fraction, int, int], ...]:
         K = 0
         D = 0
         for r, k in multi.items():
-            coeff *= (-binomial_tail_coefficient(p, r)) ** k / factorial(k)
+            coeff *= (-binomial_tail_coefficient(r).eval(p)) ** k / factorial(k)
             K += k
             D += k * (p - 2 * r)
         out.append((coeff, K, D))
     return tuple(out)
+
+
+def _grade_terms(p: int, g: int, a_max: int | None = None):
+    """Expansion terms at genus g: (base scalar, a0, moment symbol).
+
+    a0 is the a-power of the term before the (1+a^p)^{l-1} factor of the
+    hyperbolic sine order l = 2(g - rho) + 1 is expanded.  Terms with
+    a0 > a_max are skipped before their scalars are built.
+    """
+    for rho in range(g + 1):
+        l = 2 * (g - rho) + 1
+        sinh_rational = Fraction(1, 2 ** (l - 1) * factorial(l))
+        for rho1 in range(rho + 1):
+            a0 = l + 2 * rho1 * (p + 1)
+            if a_max is not None and a0 > a_max:
+                break  # a0 grows with rho1
+            rho2 = rho - rho1
+            for c1, k1, d1 in _side_terms(p, rho1):
+                for c2, k2, d2 in _side_terms(p, rho2):
+                    base = ExactScalar.rational_power(p, Fraction(2 * g, p) - k1 - k2)
+                    base = base.scale(sinh_rational * c1 * c2)
+                    yield base, a0, MomentSymbol(l, d1, d2, p)
 
 
 def grade_contributions(p: int, g: int) -> list[tuple[ExactScalar, int, MomentSymbol]]:
@@ -95,20 +119,10 @@ def grade_contributions(p: int, g: int) -> list[tuple[ExactScalar, int, MomentSy
     if g < 1:
         return []
     out: list[tuple[ExactScalar, int, MomentSymbol]] = []
-    for rho in range(g + 1):
-        l = 2 * (g - rho) + 1
-        sinh_rational = Fraction(1, 2 ** (l - 1) * factorial(l))
-        for rho1 in range(rho + 1):
-            rho2 = rho - rho1
-            for c1, k1, d1 in _side_terms(p, rho1):
-                for c2, k2, d2 in _side_terms(p, rho2):
-                    K = k1 + k2
-                    base = ExactScalar.rational_power(p, Fraction(2 * g, p) - K)
-                    base = base.scale(sinh_rational * c1 * c2)
-                    sym = MomentSymbol(l, d1, d2, p)
-                    a0 = l + 2 * rho1 * (p + 1)
-                    for k in range(l):  # (1+a^p)^{l-1}
-                        out.append((base.scale(comb(l - 1, k)), a0 + p * k, sym))
+    for base, a0, sym in _grade_terms(p, g):
+        l = sym.n
+        for k in range(l):  # (1+a^p)^{l-1}
+            out.append((base.scale(comb(l - 1, k)), a0 + p * k, sym))
     return out
 
 
@@ -219,51 +233,33 @@ def two_point_low_orders(
     """
     if m_max >= p:
         raise UsageError("small-a route restricted to a-powers below a^p")
-    c0 = mode_constant(kernel_mode)
-    eng = _engine(p, c0, "side1")
+    eng = _engine(p, mode_constant(kernel_mode), "side1")
     p_scalar = ExactScalar.from_fraction(p)
     sums: dict[int, ExactSum] = {}
     residues: dict[tuple[tuple, int], ExactSum] = {}
-    for rho in range(g + 1):
-        l = 2 * (g - rho) + 1
-        if l > m_max:
-            continue
-        sinh_rational = Fraction(1, 2 ** (l - 1) * factorial(l))
-        for rho1 in range(rho + 1):
-            if rho1 and l + 2 * rho1 * (p + 1) > m_max:
-                continue
-            rho2 = rho - rho1
-            for c1, k1, d1 in _side_terms(p, rho1):
-                for c2, k2, d2 in _side_terms(p, rho2):
-                    K = k1 + k2
-                    base = ExactScalar.rational_power(p, Fraction(2 * g, p) - K)
-                    base = base.scale(sinh_rational * c1 * c2)
-                    a0 = l + 2 * rho1 * (p + 1)
-                    for t in range(0, m_max - a0 + 1):
-                        m = a0 + t
-                        taylor = Fraction((-1) ** t, factorial(t))
-                        outer = expansion_boundary_value(p, d2 + t, kernel_mode)
-                        single = eng.reduce_single(1, l + t, d1)
-                        for atom, coeff in single.items():
-                            for shift, cf in _laurent_fractions(coeff).items():
-                                mm = m + shift
-                                if mm > m_max or mm < 0:
-                                    continue
-                                if grade_monomial(p, g, mm) is None:
-                                    continue
-                                scalar = base.scale(taylor * cf) * outer * p_scalar
-                                if atom[0] == "sing":
-                                    scalar = scalar * expansion_boundary_value(p, atom[1], kernel_mode)
-                                    sums.setdefault(mm, ExactSum()).add(scalar)
-                                elif atom[0] == "zdiv":
-                                    # scaleless int y^k dy: zero under the scaling
-                                    # regularization this route uses (the exact-in-a
-                                    # route keeps them and confines them to the
-                                    # discarded sectors; extractable output agrees)
-                                    continue
-                                else:
-                                    acc = residues.setdefault((atom, mm), ExactSum())
-                                    acc.add(scalar)
+    for base, a0, sym in _grade_terms(p, g, m_max):
+        for t in range(0, m_max - a0 + 1):
+            taylor = Fraction((-1) ** t, factorial(t))
+            outer = expansion_boundary_value(p, sym.c + t, kernel_mode)
+            single = eng.reduce_single(1, sym.n + t, sym.b)
+            for atom, coeff in single.items():
+                for shift, cf in poly_coeffs(coeff, allow_negative=True).items():
+                    m = a0 + t + shift
+                    if not 0 <= m <= m_max or grade_monomial(p, g, m) is None:
+                        continue
+                    scalar = base.scale(taylor * cf) * outer * p_scalar
+                    if atom[0] == "sing":
+                        scalar = scalar * expansion_boundary_value(p, atom[1], kernel_mode)
+                        sums.setdefault(m, ExactSum()).add(scalar)
+                    elif atom[0] == "zdiv":
+                        # scaleless int y^k dy: zero under the scaling
+                        # regularization this route uses (the exact-in-a
+                        # route keeps them and confines them to the
+                        # discarded sectors; extractable output agrees)
+                        continue
+                    else:
+                        acc = residues.setdefault((atom, m), ExactSum())
+                        acc.add(scalar)
     leftover = {k: v for k, v in residues.items() if not v.is_zero}
     if leftover:
         raise CancellationError(
@@ -272,9 +268,3 @@ def two_point_low_orders(
             leftover,
         )
     return {m: s for m, s in sums.items() if not s.is_zero}
-
-
-def _laurent_fractions(coeff) -> dict[int, Fraction]:
-    from .moments import poly_coeffs
-
-    return poly_coeffs(coeff, allow_negative=True)

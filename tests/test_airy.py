@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import airy
 
-from pspin.airy import CONTOUR, REAL, AiryFamily, ode_rewrite, phi_deriv_zero, phi_eval
+from pspin.airy import CONTOUR, REAL, AiryFamily, phi_deriv_zero, phi_eval, reduce_order_at_zero
 from pspin.exact import DomainError, ExactScalar as ES, UsageError
 
 
@@ -68,27 +68,23 @@ class TestDerivZero:
 
 
 class TestOdeRewrite:
-    def test_p3_contour_rules(self):
-        fam = AiryFamily(3, CONTOUR)
-        rule = ode_rewrite(fam, 2)
-        assert rule.terms == ((1, F(1), 0),) and rule.constant == 0
-        rule3 = ode_rewrite(fam, 3)
-        assert rule3.terms == ((0, F(1), 0), (1, F(1), 1)) and rule3.constant == 0
-
-    def test_p4_real_boundary_constant(self):
-        fam = AiryFamily(4, REAL)
-        rule = ode_rewrite(fam, 3)
-        assert rule.terms == ((1, F(1), 0),)
-        assert rule.constant == 1
-        # one integration by parts of the defining integral shows the constant:
-        # int_0^inf v^3 e^{-v^4/4 + vx} dv = 1 + x int e^{-v^4/4+vx} dv at x=0
-        import numpy as np
-
-        lhs, _ = quad(lambda v: v**3 * np.exp(-(v**4) / 4), 0, np.inf)
-        assert abs(lhs - 1.0) < 1e-10
-
-    def test_noop_below_order(self):
-        assert ode_rewrite(AiryFamily(5, REAL), 3) is None
+    def test_reduce_order_at_zero(self):
+        # phi^{(p-1+m)}(0) = m phi^{(m-1)}(0) + [m = 0] c0, one step per p orders
+        assert reduce_order_at_zero(3, 1) == (1, 1)
+        assert reduce_order_at_zero(3, 2) == (1, None)
+        assert reduce_order_at_zero(3, 4) == (2, 1)
+        assert reduce_order_at_zero(3, 5) == (3, None)
+        assert reduce_order_at_zero(3, 7) == (5 * 2, 1)
+        assert reduce_order_at_zero(4, 10) == (7 * 3, 2)
+        assert reduce_order_at_zero(4, 11) == (8 * 4, None)
+        for p in (3, 4, 5, 6):
+            for k in range(4 * p):
+                mult, order = reduce_order_at_zero(p, k)
+                assert mult >= 1 and (order is None or 0 <= order <= p - 2)
+        with pytest.raises(UsageError):
+            reduce_order_at_zero(2, 1)
+        with pytest.raises(DomainError):
+            reduce_order_at_zero(3, -1)
 
     def test_invalid_family(self):
         with pytest.raises(UsageError):

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from pspin.cli import main
 
 
@@ -62,6 +64,11 @@ class TestIntersect:
         assert run("intersect", "--p", "2", "--genus", "1", "--points", "2") == 2
         assert run("intersect", "--p", "x", "--genus", "1", "--points", "2") == 2
 
+    def test_negative_genus_usage_error(self, capsys):
+        for points in ("1", "2"):
+            assert run("intersect", "--p", "3", "--genus", "-1", "--points", points) == 2
+        assert "computed" not in capsys.readouterr().out
+
 
 class TestVerify:
     def test_string_pass(self, capsys):
@@ -103,6 +110,20 @@ class TestVerify:
     def test_binet_nonpositive_z_usage_error(self):
         assert run("verify", "binet", "--z", "0") == 2
 
+    def test_airy_quad_nonpositive_ratio_usage_error(self, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran before the ratios were checked")
+
+        monkeypatch.setattr("pspin.cli.quad_moment", no_quadrature)
+        for values in (["0"], ["-0.5"], ["0.5", "0"]):
+            assert run("verify", "airy-quad", "--a-values", *values) == 2, values
+
+    @pytest.mark.parametrize("check", ["string", "dilaton", "selection", "cancellation", "largep"])
+    def test_genus_below_one_usage_error(self, check, capsys):
+        for genus in ("0", "-1"):
+            assert run("verify", check, "--genus", genus) == 2, genus
+        assert "PASS" not in capsys.readouterr().out
+
     def test_report_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PSPIN_OUTPUT_DIR", str(tmp_path))
         assert run("verify", "dilaton", "--p", "4", "--genus", "2",
@@ -131,6 +152,10 @@ class TestDensity:
 
     def test_reversed_range_usage_error(self):
         assert run("density", "--e-min", "5", "--e-max", "1") == 2
+
+    def test_too_few_samples_usage_error(self):
+        for samples in ("1", "0"):
+            assert run("density", "--samples", samples) == 2, samples
 
 
 def test_console_entry_point():

@@ -5,12 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from pspin.exact import A_VAR as a, _FIELD_A
+from pspin.airy import CONTOUR, REAL, mode_constant, phi_deriv_zero
+from pspin.exact import A_VAR as a, ExactScalar as ES, _FIELD_A
 from pspin.moments import (
     CancellationError,
     MomentSymbol,
+    _engine,
     assemble_grade,
-    k2_closed_form,
+    poly_coeffs,
     reduce_moment,
 )
 from pspin.twopoint import two_point_grade
@@ -55,9 +57,6 @@ class TestClosedForms:
         k2 = M(0, 1, 1).boundary_terms[(0, 1)]
         assert k2 == (a**2 - one) / (one + a**3)
         assert k1 == -one + a * k2
-        fixtures = k2_closed_form(3)
-        assert fixtures["K1"].boundary_terms[(0, 1)] == k1
-        assert fixtures["K2"].boundary_terms[(0, 1)] == k2
 
     def test_k2_vanishes_at_unit_ratio(self):
         k2 = M(0, 1, 1).boundary_terms[(0, 1)]
@@ -329,3 +328,23 @@ class TestGroupedCombine:
         contribs = [(unit, 4, sym), (unit.scale(-1), 4, sym)]
         with pytest.raises(moments.ReductionCycleError):
             moments.combine_contributions(contribs, F(0))
+
+
+class TestBoundaryAtoms:
+    """The engine's boundary atoms agree with airy's derivatives at zero."""
+
+    @pytest.mark.parametrize("mode", [REAL, CONTOUR])
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_bdry_vector_matches_phi_deriv_zero(self, p, mode):
+        eng = _engine(p, mode_constant(mode), "side1")
+        for i in range(2 * p + 2):
+            for j in range(2 * p + 2):
+                value = ES.zero()
+                for (kind, *orders), coeff in eng._bdry_vector(i, j).items():
+                    assert kind in ("bdry", "sing", "const")
+                    atom = ES.one()
+                    for k in orders:
+                        atom = atom * phi_deriv_zero(p, k, mode)
+                    value = value + atom.scale(poly_coeffs(coeff)[0])
+                want = phi_deriv_zero(p, i, mode) * phi_deriv_zero(p, j, mode)
+                assert value == want, (i, j)
