@@ -34,6 +34,7 @@ from .density import (
     rho_density,
 )
 from .exact import (
+    CycloA,
     DomainError,
     ExactScalar,
     ExactSum,
@@ -41,7 +42,6 @@ from .exact import (
     LaurentP,
     Monomial,
     PoleError,
-    RatP,
     UsageError,
     gamma_normalize,
 )

@@ -153,12 +153,18 @@ def _verify_cancellation(args) -> tuple[bool, dict]:
         return False, {"p": args.p, "g_max": args.genus, "pass": False}
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0:  # also rejects NaN
+        raise UsageError(f"--tol must be positive, got {tol}")
+
+
 def _verify_airy_quad(args) -> tuple[bool, dict]:
     from .airy import phi_deriv_zero
     from .moments import MomentSymbol, reduce_moment, reduction_numeric
 
     if not all(a > 0 for a in args.a_values):
         raise UsageError("--a-values must be positive ratios a = (s1/s2)^(1/p)")
+    _check_tol(args.tol)
     tol = args.tol
     bvals = {
         0: float(phi_deriv_zero(3, 0, "contour").numeric(30)),
@@ -218,6 +224,7 @@ def _verify_mc(args) -> tuple[bool, dict]:
 def _verify_binet(args) -> tuple[bool, dict]:
     if not args.z > 0:
         raise UsageError("--z must be positive (digamma integral needs z > 0)")
+    _check_tol(args.tol)
     lhs, rhs, diff = density_mod.binet_check(args.z)
     ok = diff <= args.tol
     print(f"binet z={args.z}: lhs={lhs:.12f} rhs={rhs:.12f} |diff|={diff:.3e} "

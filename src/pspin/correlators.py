@@ -25,7 +25,6 @@ from .exact import (
     ExactScalar,
     FractionalSeries,
     LaurentP,
-    RatP,
     UsageError,
 )
 from .onepoint import (
@@ -73,7 +72,7 @@ class TauCorrelator:
     p: object  # Fraction for fixed p, the string "symbolic" otherwise
     genus: int
     marks: tuple[tuple[int, int], ...]
-    value: object  # Fraction, or RatP in symbolic runs
+    value: object  # Fraction, or LaurentP in symbolic runs
 
     def selection_ok(self) -> bool:
         if self.p == "symbolic":
@@ -102,14 +101,12 @@ def calibration_constant(npoints: int, kernel_mode: str = REAL) -> Fraction:
     for every p, genus and grade.
     """
     if npoints == 1:
-        term = one_point_series(1)[0]
-        p = RatP.var()
-        anchor = (p - RatP.const(1)) / RatP.const(24)
-        ratio = anchor / term.coefficient
-        num, den = ratio.numer_denom_laurent()
-        if num.degree() != den.degree() or len(num.coeffs) != 1 or len(den.coeffs) != 1:
-            raise CalibrationError(f"one-point calibration is not constant: {ratio}")
-        return ratio.eval(Fraction(2))
+        coefficient = one_point_series(1)[0].coefficient
+        anchor = (LaurentP.var() - LaurentP.const(1)).scale(Fraction(1, 24))
+        kappa = anchor.leading()[1] / coefficient.leading()[1]
+        if coefficient.scale(kappa) != anchor:
+            raise CalibrationError(f"one-point calibration is not constant: {coefficient}")
+        return kappa
     if npoints == 2:
         series = two_point_series(3, 2, kernel_mode)
         raw = _raw_two_point_value(series, 3, 2, 2, kernel_mode)  # a^2 grade: (0,1),(4,1)
@@ -250,8 +247,7 @@ def lagrange_polynomial(points: list[tuple[Fraction, Fraction]]) -> LaurentP:
             if k == i:
                 continue
             # multiply by (x - xk)/(xi - xk)
-            term = term * LaurentP({1: Fraction(1, 1), 0: -Fraction(xk)})
-            term = term * LaurentP.const(1 / (xi - Fraction(xk)))
+            term = term * LaurentP({1: 1, 0: -Fraction(xk)}).scale(1 / (xi - Fraction(xk)))
         total = total + term
     return total
 
@@ -261,7 +257,7 @@ def general_p_interpolate(
     num_degree: int,
     den_power: int,
     held_out: dict[int, Fraction] | None = None,
-) -> RatP:
+) -> LaurentP:
     """Recover value(p) = poly(p)/p^den_power from exact integer-p samples.
 
     Uses num_degree+1 nodes; remaining samples and any held_out points are
@@ -288,9 +284,7 @@ def general_p_interpolate(
             raise DegreeInsufficientError(
                 f"hold-out mismatch at p={p}: interpolant disagrees with sample"
             )
-    num = RatP.from_laurent(poly)
-    den = RatP.var() ** den_power
-    return num / den
+    return poly / LaurentP.var(den_power)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from math import factorial
 
 import mpmath
 
-from .exact import DomainError, ExactScalar, RatP, UsageError
+from .exact import DomainError, ExactScalar, LaurentP, UsageError
 from .numbers import bernoulli_abs, zeta_even_rational_part
 
 
@@ -54,7 +54,7 @@ class LargePReport:
     negligible: bool
 
 
-def large_p_check(formula: RatP, g: int) -> LargePReport:
+def large_p_check(formula: LaurentP, g: int) -> LargePReport:
     """Compare the leading p^g coefficient with bernoulli_leading(g).
 
     Formulas of lower growth order (degree < g) are reported as negligible,
@@ -153,8 +153,9 @@ class DensityConfig:
     def linspace(e_min: float, e_max: float, n: int) -> "DensityConfig":
         if e_min <= 0:
             raise DomainError("E grid must be strictly positive (pole at E=0)")
-        if n < 2:
-            raise UsageError("density grid needs at least 2 samples")
+        if n < 3:
+            # two points fit the two affine parameters exactly: nothing is compared
+            raise UsageError("density grid needs at least 3 samples")
         step = (e_max - e_min) / (n - 1)
         return DensityConfig(tuple(e_min + i * step for i in range(n)))
 

@@ -1,6 +1,7 @@
-"""Exact scalar arithmetic: rationals times pi powers, radicals and Gamma tokens.
+"""Exact arithmetic: scalars with pi powers, radicals and Gamma tokens, and the
+coefficient types of the formal variables, LaurentP (p) and CycloA (a).
 
-The coefficient domain used throughout the engine is
+The scalar domain used throughout the engine is
 
     rational * pi^k * prod_q prime_q^{e_q} * prod_a Gamma(a)^{m_a}
 
@@ -22,6 +23,7 @@ is preserved by construction (tested against an mpmath oracle).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -436,36 +438,42 @@ def gamma_normalize(x: ExactScalar) -> ExactScalar:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials and rational functions in a formal variable
+# exact coefficient types of the two formal variables p and a
 # ---------------------------------------------------------------------------
 
-from sympy import QQ  # noqa: E402
-from sympy.polys.fields import field as _sym_field  # noqa: E402
 
-_FIELD_P, P_VAR = _sym_field("p", QQ)
-_FIELD_A, A_VAR = _sym_field("a", QQ)
-
-
-def _to_qq(r: Fraction):
-    return QQ(r.numerator, r.denominator)
-
-
-def _from_qq(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
+def _terms_text(coeffs: dict, var: str, power: str) -> str:
+    """Terms in descending powers, e.g. ``2*p^3 - p + 3`` or ``-a**2 + 1``."""
+    if not coeffs:
+        return "0"
+    bits = []
+    for e in sorted(coeffs, reverse=True):
+        c = coeffs[e]
+        mono = "" if e == 0 else (var if e == 1 else f"{var}{power}{e}")
+        mag = abs(c)
+        body = str(mag) if not mono else (mono if mag == 1 else f"{mag}*{mono}")
+        bits.append(("- " if c < 0 else "+ ") + body)
+    head = bits[0][2:] if bits[0][0] == "+" else "-" + bits[0][2:]
+    return " ".join([head] + bits[1:])
 
 
 class LaurentP:
-    """Laurent polynomial in p with exact rational coefficients."""
+    """Laurent polynomial in p with exact rational coefficients.
+
+    Every p-valued result (genus coefficients, one-point terms, the
+    interpolants and their closed forms) is a polynomial in p over a power
+    of p, so this one type carries them all.  Division is defined only by a
+    monomial c*p^k; any other divisor raises DomainError.  The same
+    arithmetic serves as the numerator of ``CycloA``, a Laurent polynomial
+    in a.
+    """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Optional[dict[int, Fraction]] = None):
-        self.coeffs: dict[int, Fraction] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[int(e)] = c
+    def __init__(self, coeffs: Optional[dict] = None):
+        self.coeffs = {
+            e: c if type(c) is Fraction else Fraction(c) for e, c in (coeffs or {}).items() if c
+        }
 
     @staticmethod
     def const(r) -> "LaurentP":
@@ -478,7 +486,7 @@ class LaurentP:
     def __add__(self, other: "LaurentP") -> "LaurentP":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return LaurentP(out)
 
     def __neg__(self) -> "LaurentP":
@@ -492,8 +500,28 @@ class LaurentP:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentP(out)
+
+    def __truediv__(self, other: "LaurentP") -> "LaurentP":
+        if len(other.coeffs) != 1:
+            if not other.coeffs:
+                raise ZeroDivisionError("division by the zero Laurent polynomial")
+            raise DomainError(f"division by the non-monomial {other}")
+        ((k, c),) = other.coeffs.items()
+        return LaurentP({e - k: v / c for e, v in self.coeffs.items()})
+
+    def __pow__(self, k: int) -> "LaurentP":
+        if k < 0:
+            return LaurentP.const(1) / self ** (-k)
+        out = LaurentP.const(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def scale(self, r) -> "LaurentP":
+        r = Fraction(r)
+        return LaurentP({e: c * r for e, c in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentP) and self.coeffs == other.coeffs
@@ -501,155 +529,157 @@ class LaurentP:
     def __hash__(self):
         return hash(tuple(sorted(self.coeffs.items())))
 
-    def eval(self, p) -> Fraction:
-        p = Fraction(p)
-        if p == 0 and any(e < 0 for e in self.coeffs):
-            raise PoleError("Laurent polynomial has a pole at p=0", order=-min(self.coeffs))
-        return sum((c * p**e for e, c in self.coeffs.items()), Fraction(0))
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def eval(self, x) -> Fraction:
+        x = Fraction(x)
+        if x == 0 and any(e < 0 for e in self.coeffs):
+            raise PoleError("Laurent polynomial has a pole at 0", order=-min(self.coeffs))
+        return sum((c * x**e for e, c in self.coeffs.items()), Fraction(0))
 
     def degree(self) -> int:
         return max(self.coeffs, default=0)
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            mono = "" if e == 0 else ("p" if e == 1 else f"p^{e}")
-            mag = abs(c)
-            body = str(mag) if not mono else (mono if mag == 1 else f"{mag}*{mono}")
-            if not bits:
-                bits.append(body if c > 0 else f"-{body}")
-            else:
-                bits.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(bits)
-
-
-class RatP:
-    """Rational function of p with exact arithmetic (LaurentP ratio)."""
-
-    __slots__ = ("_el",)
-
-    def __init__(self, el):
-        self._el = el
-
-    # constructors
-    @staticmethod
-    def const(r) -> "RatP":
-        r = Fraction(r)
-        return RatP(_FIELD_P.ground_new(_to_qq(r)))
-
-    @staticmethod
-    def var() -> "RatP":
-        return RatP(P_VAR)
-
-    @staticmethod
-    def from_laurent(num: LaurentP, den: Optional[LaurentP] = None) -> "RatP":
-        def build(lp: LaurentP):
-            shift = min((e for e in lp.coeffs), default=0)
-            el = _FIELD_P.zero
-            for e, c in lp.coeffs.items():
-                el = el + P_VAR ** (e - min(shift, 0)) * _to_qq(c)
-            return el, min(shift, 0)
-
-        n_el, n_sh = build(num)
-        if den is None:
-            d_el, d_sh = _FIELD_P.one, 0
-        else:
-            d_el, d_sh = build(den)
-        el = n_el / d_el
-        sh = n_sh - d_sh
-        if sh > 0:
-            el = el * P_VAR**sh
-        elif sh < 0:
-            el = el / P_VAR ** (-sh)
-        return RatP(el)
-
-    def __add__(self, other: "RatP") -> "RatP":
-        return RatP(self._el + other._el)
-
-    def __sub__(self, other: "RatP") -> "RatP":
-        return RatP(self._el - other._el)
-
-    def __neg__(self) -> "RatP":
-        return RatP(-self._el)
-
-    def __mul__(self, other: "RatP") -> "RatP":
-        return RatP(self._el * other._el)
-
-    def __truediv__(self, other: "RatP") -> "RatP":
-        return RatP(self._el / other._el)
-
-    def __pow__(self, k: int) -> "RatP":
-        return RatP(self._el**k)
-
-    def scale(self, r) -> "RatP":
-        return RatP(self._el * _to_qq(Fraction(r)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatP) and self._el == other._el
-
-    def __hash__(self):
-        return hash(self._el)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._el
-
-    def eval(self, p) -> Fraction:
-        """Exact evaluation at a nonzero rational p; PoleError at poles."""
-        p = Fraction(p)
-        pq = _to_qq(p)
-        den = self._el.denom.evaluate(0, pq)
-        num = self._el.numer.evaluate(0, pq)
-        if den == 0:
-            gen = self._el.field.ring.gens[0]
-            d = self._el.denom
-            order = 0
-            while d.evaluate(0, pq) == 0:
-                d = d.quo(gen - pq)
-                order += 1
-            n = self._el.numer
-            while order > 0 and n.evaluate(0, pq) == 0:
-                n = n.quo(gen - pq)
-                order -= 1
-            if order > 0:
-                raise PoleError(f"pole of order {order} at p={p}", order=order)
-            # removable singularity
-            return _from_qq(n.evaluate(0, pq)) / _from_qq(d.evaluate(0, pq))
-        return _from_qq(num) / _from_qq(den)
-
     def leading(self) -> tuple[int, Fraction]:
         """(degree, coefficient) of the leading p-power as p -> infinity."""
-        n, d = self._el.numer, self._el.denom
-        if not n:
-            return (0, Fraction(0))
+        e = self.degree()
+        return e, self.coeffs.get(e, Fraction(0))
 
-        def lead_term(poly):
-            (e,), c = max(poly.terms(), key=lambda t: t[0][0])
-            return e, _from_qq(c)
+    def numer_denom_laurent(self) -> tuple["LaurentP", "LaurentP"]:
+        """Coprime integer form N / D with D = s*p^k.
 
-        ne, nc = lead_term(n)
-        de, dc = lead_term(d)
-        return ne - de, nc / dc
-
-    def numer_denom_laurent(self) -> tuple[LaurentP, LaurentP]:
-        """Numerator/denominator as LaurentP, scaled to integer coefficients."""
-        import math
-
-        def conv(poly) -> LaurentP:
-            return LaurentP({e[0]: _from_qq(c) for e, c in poly.terms()})
-
-        num, den = conv(self._el.numer), conv(self._el.denom)
-        lcm = 1
-        for c in list(num.coeffs.values()) + list(den.coeffs.values()):
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        scale = LaurentP.const(lcm)
-        return num * scale, den * scale
+        k = max(0, -lowest exponent) and s is the lcm of the coefficient
+        denominators, so N = s*p^k*self is an integer polynomial in p.
+        """
+        k = max(0, -min(self.coeffs, default=0))
+        den = LaurentP({k: math.lcm(*(c.denominator for c in self.coeffs.values()))})
+        return self * den, den
 
     def __str__(self) -> str:
-        return str(self._el)
+        return _terms_text(self.coeffs, "p", "^")
+
+
+RatP = LaurentP  # former name of the p-valued type, kept for importers
+
+
+def _cancel_cyclo(num: dict[int, Fraction], p: int, limit: float) -> tuple[dict, int]:
+    """(num / (1+a^p)^i, i) for the largest i <= limit that divides num exactly."""
+    i = 0
+    while i < limit and len(num) > 1:  # a monomial is never divisible
+        rem, quo = dict(num), {}
+        for e in range(max(num), min(num) + p - 1, -1):
+            c = rem.pop(e, 0)
+            if c:
+                quo[e - p] = c
+                rem[e - p] = rem.get(e - p, 0) - c
+        if any(rem.values()):
+            break
+        num, i = quo, i + 1
+    return num, i
+
+
+class CycloA:
+    """N(a) / (1 + a^p)^m: the exact coefficient type of the variable a.
+
+    Moment reductions bring powers of a and 1/a from integration by parts
+    and divide by 1 + a^p, the only cycle denominator, so their coefficients
+    live in Q[a, 1/a, 1/(1+a^p)] for the p of the engine.  N is a Laurent
+    polynomial in a.  The form is canonical (N is not divisible by 1 + a^p
+    when m > 0), so equality is structural and addition and multiplication
+    need no gcd, only a trial division by 1 + a^p.  Operands built for
+    different p raise UsageError.
+    """
+
+    __slots__ = ("p", "num", "m")
+
+    def __init__(self, p: int, num: "LaurentP | dict | None" = None, m: int = 0):
+        if m < 0:
+            raise UsageError("the (1+a^p) power of a denominator must be >= 0")
+        num = num if isinstance(num, LaurentP) else LaurentP(num)
+        quo, i = _cancel_cyclo(num.coeffs, p, m)
+        self.p, self.num, self.m = p, (LaurentP(quo) if i else num), (m - i if quo else 0)
+
+    @staticmethod
+    def var(p: int, e: int = 1) -> "CycloA":
+        """a^e."""
+        return CycloA(p, LaurentP.var(e))
+
+    def _over(self, m: int, other: "CycloA") -> LaurentP:
+        """The numerator over (1+a^p)^m, m >= self.m; checks that p matches."""
+        if other.p != self.p:
+            raise UsageError(f"coefficients for p={self.p} and p={other.p} do not mix")
+        if m == self.m:
+            return self.num
+        return self.num * LaurentP({0: 1, self.p: 1}) ** (m - self.m)
+
+    def __add__(self, other: "CycloA") -> "CycloA":
+        m = max(self.m, other.m)
+        return CycloA(self.p, self._over(m, other) + other._over(m, self), m)
+
+    def __neg__(self) -> "CycloA":
+        return CycloA(self.p, -self.num, self.m)
+
+    def __sub__(self, other: "CycloA") -> "CycloA":
+        return self + (-other)
+
+    def __mul__(self, other) -> "CycloA":
+        if not isinstance(other, CycloA):
+            return CycloA(self.p, self.num.scale(other), self.m)
+        return CycloA(self.p, self._over(self.m, other) * other.num, self.m + other.m)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "CycloA":
+        """1/self; DomainError unless self = c * a^j * (1+a^p)^i with c != 0."""
+        num, i = _cancel_cyclo(self.num.coeffs, self.p, math.inf)
+        if len(num) != 1:
+            raise DomainError(f"{self} is not c*a^j*(1+a^{self.p})^i; its inverse leaves the ring")
+        ((j, c),) = num.items()
+        inv = CycloA(self.p, LaurentP({-j: 1 / c}))
+        return CycloA(self.p, inv._over(self.m, self), i)
+
+    def __truediv__(self, other) -> "CycloA":
+        if not isinstance(other, CycloA):
+            return self * (1 / Fraction(other))
+        return self * other.inverse()
+
+    def __pow__(self, k: int) -> "CycloA":
+        out = CycloA.var(self.p, 0)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __bool__(self) -> bool:
+        return bool(self.num.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CycloA) and (self.p, self.m, self.num) == (
+            other.p, other.m, other.num
+        )
+
+    def eval(self, a) -> Fraction:
+        """Exact value at a rational a; PoleError at a pole of the stored form."""
+        a = Fraction(a)
+        den = (1 + a**self.p) ** self.m
+        if den == 0:
+            raise PoleError(f"coefficient pole at a={a}", order=self.m)
+        return self.num.eval(a) / den
+
+    def __str__(self) -> str:
+        """Integer numerator over integer denominator, e.g. ``-2*a/(a**3 + 1)``."""
+        numer, den = self.num.numer_denom_laurent()
+        den = CycloA(self.p, den)._over(self.m, self).coeffs
+        text = _terms_text(numer.coeffs, "a", "**")
+        if den == {0: 1}:
+            return text
+        if len(numer.coeffs) > 1:
+            text = f"({text})"
+        denom = _terms_text(den, "a", "**")
+        if den != {1: 1} and list(den) != [0]:  # only a or an integer stays bare
+            denom = f"({denom})"
+        return f"{text}/{denom}"
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ terms at infinity set to zero by regularization) reduces every such symbol to
 The rewrite graph contains short cycles; those close through loops whose
 linear solution is what produces the characteristic (1 + a^p) denominators.
 Cycles are handled exactly: the reachable closure is built first, strongly
-connected components are solved as small linear systems over Q(a) in reverse
-topological order.
+connected components are solved as small linear systems in reverse
+topological order.  Every coefficient is a ``CycloA``, N(a)/(1+a^p)^m; a
+cycle whose pivot is not c a^j (1+a^p)^i would leave that ring and raises
+ReductionCycleError.
 """
 
 from __future__ import annotations
@@ -27,10 +29,7 @@ from functools import lru_cache
 from typing import Hashable
 
 from .airy import reduce_order_at_zero
-from .exact import A_VAR, _FIELD_A, DomainError, ExactScalar, UsageError, _from_qq, _to_qq
-
-_ONE = _FIELD_A.one
-_A = A_VAR
+from .exact import CycloA, DomainError, ExactScalar, UsageError
 
 # successor node kinds
 #   ('M', n, b, c)           product symbol
@@ -75,15 +74,14 @@ class MomentSymbol:
 
 @dataclass
 class ReductionResult:
-    """Fixed point of the rewrite system for one symbol (coefficients in Q(a))."""
+    """Fixed point of the rewrite system for one symbol (CycloA coefficients)."""
 
-    boundary_terms: dict[tuple[int, int], object] = field(default_factory=dict)
-    irreducible_terms: dict[int, object] = field(default_factory=dict)
-    ode_constant_terms: dict[Atom, object] = field(default_factory=dict)
-    denominator_conforms: bool = True
+    boundary_terms: dict[tuple[int, int], CycloA] = field(default_factory=dict)
+    irreducible_terms: dict[int, CycloA] = field(default_factory=dict)
+    ode_constant_terms: dict[Atom, CycloA] = field(default_factory=dict)
 
-    def as_vector(self) -> dict[Atom, object]:
-        out: dict[Atom, object] = {}
+    def as_vector(self) -> dict[Atom, CycloA]:
+        out: dict[Atom, CycloA] = {}
         for (i, j), coeff in self.boundary_terms.items():
             out[("bdry", i, j)] = coeff
         for c, coeff in self.irreducible_terms.items():
@@ -121,121 +119,120 @@ class MomentEngine:
         self.p = p
         self.c0 = Fraction(ode_constant)
         self.strategy = strategy
-        self._memo: dict[Node, dict[Atom, object]] = {}
-        self._s_memo: dict[Node, dict[Atom, object]] = {}
+        self._one = CycloA.var(p, 0)
+        self._a = CycloA.var(p)
+        self._inv_a = CycloA.var(p, -1)
+        self._memo: dict[Node, dict[Atom, CycloA]] = {}
+        self._s_memo: dict[Node, dict[Atom, CycloA]] = {}
 
     # -- single-factor reduction (acyclic) ----------------------------------
 
-    def reduce_single(self, side: int, n: int, d: int) -> dict[Atom, object]:
+    def reduce_single(self, side: int, n: int, d: int) -> dict[Atom, CycloA]:
         """Reduce int y^n phi^{(d)}(y) dy (side 1) or ... phi^{(d)}(-a y) dy (side 2)."""
         key = ("S", side, n, d)
         hit = self._s_memo.get(key)
         if hit is not None:
             return hit
-        p, c0 = self.p, self.c0
-        out: dict[Atom, object] = {}
+        p, c0, one, inv_a = self.p, self.c0, self._one, self._inv_a
+        out: dict[Atom, CycloA] = {}
         if d >= p:
             k = d - (p - 1)
-            _vec_add(out, self.reduce_single(side, n, k - 1), _ONE * k)
+            _vec_add(out, self.reduce_single(side, n, k - 1), one * k)
             tail = self.reduce_single(side, n + 1, k)
-            _vec_add(out, tail, _ONE if side == 1 else -_A)
+            _vec_add(out, tail, one if side == 1 else -self._a)
         elif d >= 1:
             if n == 0:
-                if side == 1:
-                    out[("sing", d - 1)] = -_ONE
-                else:
-                    out[("sing", d - 1)] = _ONE / _A
+                out[("sing", d - 1)] = -one if side == 1 else inv_a
             else:
                 prev = self.reduce_single(side, n - 1, d - 1)
-                _vec_add(out, prev, -_ONE * n if side == 1 else (_ONE * n) / _A)
+                _vec_add(out, prev, one * -n if side == 1 else inv_a * n)
         elif n >= 1:
             # y phi = phi^{(p-1)} - c0 (side 1); y phi(-ay) = -(phi^{(p-1)}(-ay) - c0)/a
             prev = self.reduce_single(side, n - 1, p - 1)
-            _vec_add(out, prev, _ONE if side == 1 else -_ONE / _A)
+            _vec_add(out, prev, one if side == 1 else -inv_a)
             if c0:
-                z = ("zdiv", n - 1)
-                zc = _to_qq(-c0) * _ONE if side == 1 else _to_qq(c0) * _ONE / _A
-                _vec_add(out, {z: zc}, _ONE)
+                zc = one * -c0 if side == 1 else inv_a * c0
+                _vec_add(out, {("zdiv", n - 1): zc}, one)
         else:
-            out[("omega",)] = _ONE if side == 1 else _ONE / _A
+            out[("omega",)] = one if side == 1 else inv_a
         self._s_memo[key] = out
         return out
 
     # -- product-symbol rewrite rules ----------------------------------------
 
-    def rule(self, node: Node) -> list[tuple[object, Hashable]]:
-        """One rewrite step: list of (Q(a) coefficient, successor node or atom).
+    def rule(self, node: Node) -> list[tuple[CycloA, Hashable]]:
+        """One rewrite step: list of (CycloA coefficient, successor node or atom).
 
         Successors tagged ('M', ...) stay in the rewrite graph; S-reductions
         and boundary atoms are resolved parts.
         """
         _, n, b, c = node
-        p = self.p
-        out: list[tuple[object, Hashable]] = []
+        p, one = self.p, self._one
+        out: list[tuple[CycloA, Hashable]] = []
         if b >= p:  # derivative rewrite, side 1 (k >= 1)
             k = b - (p - 1)
-            out.append((_ONE * k, ("M", n, k - 1, c)))
-            out.append((_ONE, ("M", n + 1, k, c)))
+            out.append((one * k, ("M", n, k - 1, c)))
+            out.append((one, ("M", n + 1, k, c)))
             return out
         if c >= p:  # derivative rewrite, side 2 (k >= 1)
             k = c - (p - 1)
-            out.append((_ONE * k, ("M", n, b, k - 1)))
-            out.append((-_A, ("M", n + 1, b, k)))
+            out.append((one * k, ("M", n, b, k - 1)))
+            out.append((-self._a, ("M", n + 1, b, k)))
             return out
         if self.strategy == "side1":
             return self._rule_side1(n, b, c)
         return self._rule_side2(n, b, c)
 
     def _rule_side1(self, n: int, b: int, c: int) -> list:
-        p, c0 = self.p, self.c0
+        p, c0, one, a = self.p, self.c0, self._one, self._a
         out: list = []
         if c == p - 1 and b == 0:
             # phi^{(p-1)}(-ay) = -a y phi(-ay) + c0
-            out.append((-_A, ("M", n + 1, 0, 0)))
+            out.append((-a, ("M", n + 1, 0, 0)))
             if c0:
-                out.append((_to_qq(c0) * _ONE, ("SINGLE", 1, n, 0)))
+                out.append((one * c0, ("SINGLE", 1, n, 0)))
             return out
         if b >= 1:  # integrate the side-1 factor by parts
             if n == 0:
-                out.append((-_ONE, ("bdry", b - 1, c)))
+                out.append((-one, ("bdry", b - 1, c)))
             else:
-                out.append((-_ONE * n, ("M", n - 1, b - 1, c)))
-            out.append((_A, ("M", n, b - 1, c + 1)))
+                out.append((one * -n, ("M", n - 1, b - 1, c)))
+            out.append((a, ("M", n, b - 1, c + 1)))
             return out
         if n >= 1:  # b == 0: raise through y phi = phi^{(p-1)} - c0
-            out.append((_ONE, ("M", n - 1, p - 1, c)))
+            out.append((one, ("M", n - 1, p - 1, c)))
             if c0:
-                out.append((_to_qq(-c0) * _ONE, ("SINGLE", 2, n - 1, c)))
+                out.append((one * -c0, ("SINGLE", 2, n - 1, c)))
             return out
-        out.append((_ONE, ("irr", c)))
+        out.append((one, ("irr", c)))
         return out
 
     def _rule_side2(self, n: int, b: int, c: int) -> list:
-        p, c0 = self.p, self.c0
+        p, c0, one, inv_a = self.p, self.c0, self._one, self._inv_a
         out: list = []
         if b == p - 1 and c == 0:
             # phi^{(p-1)}(y) = y phi(y) + c0
-            out.append((_ONE, ("M", n + 1, 0, 0)))
+            out.append((one, ("M", n + 1, 0, 0)))
             if c0:
-                out.append((_to_qq(c0) * _ONE, ("SINGLE", 2, n, 0)))
+                out.append((one * c0, ("SINGLE", 2, n, 0)))
             return out
         if c >= 1:  # integrate the side-2 factor by parts
             if n == 0:
-                out.append((_ONE / _A, ("bdry", b, c - 1)))
+                out.append((inv_a, ("bdry", b, c - 1)))
             else:
-                out.append(((_ONE * n) / _A, ("M", n - 1, b, c - 1)))
-            out.append((_ONE / _A, ("M", n, b + 1, c - 1)))
+                out.append((inv_a * n, ("M", n - 1, b, c - 1)))
+            out.append((inv_a, ("M", n, b + 1, c - 1)))
             return out
         if n >= 1:  # c == 0: raise through y phi(-ay) = -(phi^{(p-1)}(-ay) - c0)/a
-            out.append((-_ONE / _A, ("M", n - 1, b, p - 1)))
+            out.append((-inv_a, ("M", n - 1, b, p - 1)))
             if c0:
-                out.append(((_to_qq(c0) * _ONE) / _A, ("SINGLE", 1, n - 1, b)))
+                out.append((inv_a * c0, ("SINGLE", 1, n - 1, b)))
             return out
         if b >= 1:
             # normalize mirror irreducibles M(0,b,0) into the T basis
-            out.append((_ONE, ("MIRROR", b)))
+            out.append((one, ("MIRROR", b)))
             return out
-        out.append((_ONE, ("irr", 0)))
+        out.append((one, ("irr", 0)))
         return out
 
     # -- closure + SCC solve ---------------------------------------------------
@@ -255,13 +252,9 @@ class MomentEngine:
                 res.irreducible_terms[atom[1]] = coeff
             else:
                 res.ode_constant_terms[atom] = coeff
-        res.denominator_conforms = all(
-            _denominator_divides_cyclo(coeff, self.p)
-            for coeff in res.boundary_terms.values()
-        )
         return res
 
-    def _resolve_part(self, succ: Hashable) -> dict[Atom, object] | None:
+    def _resolve_part(self, succ: Hashable) -> dict[Atom, CycloA] | None:
         """Resolved vector for non-graph successors; None if it is a graph node."""
         if succ[0] == "M":
             return None
@@ -274,9 +267,9 @@ class MomentEngine:
             return eng._reduce_node(("M", 0, b, 0))
         if succ[0] == "bdry":
             return self._bdry_vector(succ[1], succ[2])
-        return {succ: _ONE}
+        return {succ: self._one}
 
-    def _bdry_vector(self, i: int, j: int) -> dict[Atom, object]:
+    def _bdry_vector(self, i: int, j: int) -> dict[Atom, CycloA]:
         """Canonical form of a boundary product phi^{(i)}(0) phi^{(j)}(0).
 
         Each index >= p-1 is reduced at zero; reducing them keeps the atom
@@ -287,21 +280,21 @@ class MomentEngine:
         """
         mi, oi = reduce_order_at_zero(self.p, i)
         mj, oj = reduce_order_at_zero(self.p, j)
-        scale = _ONE * (mi * mj)
+        scale = self._one * (mi * mj)
         orders = sorted(o for o in (oi, oj) if o is not None)
         if len(orders) == 2:
             return {("bdry", *orders): scale}
         if not self.c0:
             return {}
-        scale = scale * _to_qq(self.c0) ** (2 - len(orders))
+        scale = scale * self.c0 ** (2 - len(orders))
         return {("sing", *orders) if orders else ("const",): scale}
 
-    def _reduce_node(self, root: Node) -> dict[Atom, object]:
+    def _reduce_node(self, root: Node) -> dict[Atom, CycloA]:
         hit = self._memo.get(root)
         if hit is not None:
             return hit
         # build reachable closure of unreduced graph nodes
-        edges: dict[Node, list[tuple[object, Hashable]]] = {}
+        edges: dict[Node, list[tuple[CycloA, Hashable]]] = {}
         stack = [root]
         while stack:
             node = stack.pop()
@@ -325,15 +318,16 @@ class MomentEngine:
         idx = {node: i for i, node in enumerate(comp)}
         k = len(comp)
         # rows: coefficients over comp unknowns + resolved RHS vector
-        rows: list[tuple[dict[int, object], dict[Atom, object]]] = []
+        zero = CycloA(self.p)
+        rows: list[tuple[dict[int, CycloA], dict[Atom, CycloA]]] = []
         for node in comp:
-            lin: dict[int, object] = {}
-            rhs: dict[Atom, object] = {}
+            lin: dict[int, CycloA] = {}
+            rhs: dict[Atom, CycloA] = {}
             for coeff, succ in edges[node]:
                 if succ[0] == "M":
                     if succ in idx:
                         j = idx[succ]
-                        lin[j] = lin.get(j, _FIELD_A.zero) + coeff
+                        lin[j] = lin.get(j, zero) + coeff
                         continue
                     part = self._memo[succ]
                 else:
@@ -343,9 +337,9 @@ class MomentEngine:
         if k == 1 and not rows[0][0]:
             self._memo[comp[0]] = rows[0][1]
             return
-        # Gaussian elimination on (I - C) X = B over Q(a)
+        # Gaussian elimination on (I - C) X = B, first nonzero pivot per column
         mat = [
-            {j: (_ONE if i == j else _FIELD_A.zero) - lin.get(j, _FIELD_A.zero) for j in range(k)}
+            {j: (self._one if i == j else zero) - lin.get(j, zero) for j in range(k)}
             for i, (lin, _) in enumerate(rows)
         ]
         rhs = [dict(r) for _, r in rows]
@@ -355,7 +349,12 @@ class MomentEngine:
                 raise ReductionCycleError(f"degenerate cycle through {comp[col]}")
             mat[col], mat[piv] = mat[piv], mat[col]
             rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            inv = _ONE / mat[col][col]
+            try:
+                inv = mat[col][col].inverse()
+            except DomainError as exc:
+                raise ReductionCycleError(
+                    f"non-conforming pivot {mat[col][col]} in the cycle through {comp[col]}"
+                ) from exc
             for j in range(col, k):
                 mat[col][j] = mat[col][j] * inv
             rhs[col] = {a: v * inv for a, v in rhs[col].items()}
@@ -437,34 +436,10 @@ def reduce_moment(
     return _engine(sym.p, Fraction(ode_constant), strategy).reduce(sym)
 
 
-def _denominator_divides_cyclo(coeff, p: int) -> bool:
-    """True when every denominator factor divides a^k (1 + a^p)^m.
-
-    Common factors between (1+a^p)-powers and the numerator are cancelled by
-    the field arithmetic, so the check works factor-wise through gcds.
-    """
-    den = coeff.denom
-    mod = ((_A**p + 1) * _A).numer
-    for _ in range(256):
-        if den.degree() == 0:
-            return True
-        g = den.gcd(mod)
-        if g.degree() == 0:
-            return False
-        den = den.quo(g)
-    return False
-
-
-def eval_coefficient(coeff, a: float) -> float:
-    """Numeric value of a Q(a) coefficient at a real point."""
+def eval_coefficient(coeff: CycloA, a: float) -> float:
+    """Numeric value of a coefficient at a real point, exact up to one rounding."""
     af = Fraction(a).limit_denominator(10**12) if not isinstance(a, Fraction) else a
-    aq = _to_qq(af)
-    num = coeff.numer.evaluate(0, aq)
-    den = coeff.denom.evaluate(0, aq)
-    if den == 0:
-        raise DomainError(f"coefficient pole at a={a}")
-    return float(Fraction(int(num.numerator), int(num.denominator))
-                 / Fraction(int(den.numerator), int(den.denominator)))
+    return float(coeff.eval(af))
 
 
 def reduction_numeric(
@@ -484,19 +459,13 @@ def reduction_numeric(
     return total
 
 
-def poly_coeffs(coeff, allow_negative: bool = False) -> dict[int, Fraction]:
-    """Exact a-power coefficients of a Q(a) element with monomial denominator."""
-    den = coeff.denom
-    if len(den.terms()) != 1:
+def poly_coeffs(coeff: CycloA, allow_negative: bool = False) -> dict[int, Fraction]:
+    """Exact a-power coefficients of a coefficient without a (1+a^p) denominator."""
+    if coeff.m:
         raise DomainError(f"not a Laurent polynomial in a: {coeff}")
-    (dexp,), dco = next(iter(den.terms()))
-    out: dict[int, Fraction] = {}
-    for (e,), c in coeff.numer.terms():
-        power = e - dexp
-        if power < 0 and not allow_negative:
-            raise DomainError(f"negative a-power in {coeff}")
-        out[power] = _from_qq(c) / _from_qq(dco)
-    return out
+    if not allow_negative and any(e < 0 for e in coeff.num.coeffs):
+        raise DomainError(f"negative a-power in {coeff}")
+    return dict(coeff.num.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +491,13 @@ def combine_contributions(
     contributions: list[tuple[ExactScalar, int, MomentSymbol]],
     ode_constant: Fraction = Fraction(1),
     strategy: str = "side1",
-) -> tuple[dict[Atom, object], ExactScalar]:
-    """Reduce and sum contributions; returns (atom vector over Q(a), unit).
+) -> tuple[dict[Atom, CycloA], ExactScalar]:
+    """Reduce and sum contributions; returns (CycloA atom vector, unit).
 
     Contributions are grouped by moment symbol first: each one's weight
     a^k * (scalar / unit) is summed per symbol as exact {k: Fraction}
     coefficients, so every distinct symbol is reduced once and its vector
-    is scaled once by a single Q(a) polynomial.  (1+a^p)^{l-1} expands into
+    is scaled once by a single polynomial in a.  (1+a^p)^{l-1} expands into
     l terms on the same symbol, which is what the grouping saves.  A symbol
     whose weights sum to zero is still reduced, so a degenerate rewrite
     cycle raises ReductionCycleError either way.
@@ -552,11 +521,10 @@ def combine_contributions(
             )
         w = weights.setdefault(sym, {})
         w[a_pow] = w.get(a_pow, Fraction(0)) + ratio
-    acc: dict[Atom, object] = {}
+    acc: dict[Atom, CycloA] = {}
     for sym, w in weights.items():
         red = reduce_moment(sym, ode_constant, strategy)
-        weight = sum((_A**e * _to_qq(c) for e, c in w.items()), _FIELD_A.zero)
-        _vec_add(acc, red.as_vector(), weight)
+        _vec_add(acc, red.as_vector(), CycloA(sym.p, w))
     residues = {rest[0]: coeff for (kind, *rest), coeff in acc.items()
                 if kind == "irr" and coeff}
     if residues:

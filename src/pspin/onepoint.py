@@ -11,7 +11,7 @@ The y^g coefficient is a sum over multi-indices {k_r} with sum r k_r = g:
     C_g(p) = sum prod_r (-g_r)^{k_r}/k_r! * prod_{i=1}^{K-1} (i - (2g-1)/p)
              (K = sum k_r),  times the common factor Gamma(1 - (2g-1)/p).
 
-C_g(p) is an exact rational function of p; everything here is symbolic and
+C_g(p) is an exact Laurent polynomial in p; everything here is symbolic and
 is evaluated at fixed rational p (including negative p) on demand.
 """
 
@@ -22,50 +22,47 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exact import DomainError, LaurentP, RatP, UsageError
+from .exact import DomainError, LaurentP, UsageError
 from .twopoint import _deformation_multisets, binomial_tail_coefficient
 
 
 @lru_cache(maxsize=None)
-def genus_coefficient(g: int) -> RatP:
+def genus_coefficient(g: int) -> LaurentP:
     """C_g(p): coefficient of y^g Gamma(1-(2g-1)/p) in the kernel expansion.
 
     Each g_r (``binomial_tail_coefficient``) is a polynomial in p and each
     Gamma-shift factor i - (2g-1)/p is a Laurent polynomial, so the whole sum
-    is accumulated in LaurentP, where no step needs a gcd, and is converted
-    to RatP once.
+    is a Laurent polynomial in p.
     """
     if g < 0:
         raise UsageError("genus must be >= 0")
     if g == 0:
-        return RatP.const(1)
+        return LaurentP.const(1)
     neg_tail = {r: -binomial_tail_coefficient(r) for r in range(1, g + 1)}
     total = LaurentP()
     for multi in _deformation_multisets(g, g):
         term = LaurentP.const(1)
         K = 0
         for r, k in multi.items():
-            for _ in range(k):
-                term = term * neg_tail[r]
-            term = term * LaurentP.const(Fraction(1, factorial(k)))
+            term = term * (neg_tail[r] ** k).scale(Fraction(1, factorial(k)))
             K += k
         for i in range(1, K):
             # Gamma(K + (1-2g)/p) = Gamma(1+(1-2g)/p) prod_{i=1}^{K-1} (i + (1-2g)/p)
             term = term * LaurentP({0: i, -1: 1 - 2 * g})
         total = total + term
-    return RatP.from_laurent(total)
+    return total
 
 
 @dataclass(frozen=True)
 class OnePointTerm:
     """Genus-g term of the one-point expansion.
 
-    coefficient: (-1)^g C_g(p) / p^g, rational in p
+    coefficient: (-1)^g C_g(p) / p^g, a Laurent polynomial in p
     gamma factor: Gamma(1 - (2g-1)/p), kept symbolic through the argument
     """
 
     genus: int
-    coefficient: RatP
+    coefficient: LaurentP
 
     def gamma_argument(self, p) -> Fraction:
         """Argument of the common Gamma factor at fixed rational p."""
@@ -77,7 +74,7 @@ def one_point_series(g_max: int) -> list[OnePointTerm]:
     if g_max > 8:
         raise UsageError("one-point expansion capped at genus 8 (partition growth)")
     out = []
-    p = RatP.var()
+    p = LaurentP.var()
     for g in range(1, g_max + 1):
         coeff = genus_coefficient(g) / p**g
         if g % 2:

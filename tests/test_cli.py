@@ -110,6 +110,18 @@ class TestVerify:
     def test_binet_nonpositive_z_usage_error(self):
         assert run("verify", "binet", "--z", "0") == 2
 
+    def test_binet_nonpositive_tol_usage_error(self):
+        for tol in ("-1", "0", "nan"):
+            assert run("verify", "binet", "--tol", tol) == 2, tol
+
+    def test_airy_quad_nonpositive_tol_usage_error(self, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran before the tolerance was checked")
+
+        monkeypatch.setattr("pspin.cli.quad_moment", no_quadrature)
+        for tol in ("-1", "0", "nan"):
+            assert run("verify", "airy-quad", "--tol", tol) == 2, tol
+
     def test_airy_quad_nonpositive_ratio_usage_error(self, monkeypatch):
         def no_quadrature(*args):
             raise AssertionError("quadrature ran before the ratios were checked")
@@ -154,7 +166,7 @@ class TestDensity:
         assert run("density", "--e-min", "5", "--e-max", "1") == 2
 
     def test_too_few_samples_usage_error(self):
-        for samples in ("1", "0"):
+        for samples in ("2", "1", "0"):
             assert run("density", "--samples", samples) == 2, samples
 
 
@@ -167,6 +179,25 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "tau(1,0) tau(1,0) = 1/12" in proc.stdout
+
+
+_HELP_PROBE = """
+import runpy, sys
+sys.argv = ["pspin", "--help"]
+try:
+    runpy.run_module("pspin", run_name="__main__")
+except SystemExit:
+    pass
+"""
+
+
+@pytest.mark.parametrize("probe", ["import pspin", _HELP_PROBE], ids=["import", "help"])
+def test_sympy_stays_unimported(probe):
+    # the exact core carries its own coefficient types; sympy is no dependency
+    script = probe + "\nimport sys\nprint('sympy' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestGoldenVariants:

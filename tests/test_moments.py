@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from pspin.airy import CONTOUR, REAL, mode_constant, phi_deriv_zero
-from pspin.exact import A_VAR as a, ExactScalar as ES, _FIELD_A
+from pspin.exact import CycloA, ExactScalar as ES
 from pspin.moments import (
     CancellationError,
     MomentSymbol,
@@ -17,10 +17,12 @@ from pspin.moments import (
 )
 from pspin.twopoint import two_point_grade
 
-one = _FIELD_A.one
+a = CycloA.var(3)
+one = CycloA.var(3, 0)
+zero = CycloA(3)
 
 
-def vec(res, scale=one):
+def vec(res, scale=1):
     out = {}
     for k, v in res.boundary_terms.items():
         out[("bdry",) + k] = v * scale
@@ -35,7 +37,7 @@ def combine(*scaled):
     out = {}
     for coeff, res in scaled:
         for k, v in vec(res, coeff).items():
-            out[k] = out.get(k, _FIELD_A.zero) + v
+            out[k] = out.get(k, zero) + v
     return {k: v for k, v in out.items() if v}
 
 
@@ -60,7 +62,6 @@ class TestClosedForms:
 
     def test_k2_vanishes_at_unit_ratio(self):
         k2 = M(0, 1, 1).boundary_terms[(0, 1)]
-        num = (k2.numer, k2.denom)
         from pspin.moments import eval_coefficient
 
         assert eval_coefficient(k2, F(1)) == 0.0
@@ -75,9 +76,18 @@ class TestClosedForms:
         # substituting the rewrite directly: int y phi'' phi(-ay) = int y^2 phi phi(-ay)
         assert vec(M(1, 2, 0)) == vec(M(2, 0, 0))
 
-    def test_denominator_conformance(self):
-        for sym in [(1, 2, 0), (3, 1, 0), (7, 0, 0), (1, 1, 2)]:
-            assert M(*sym).denominator_conforms
+    def test_non_conforming_pivot_raises(self):
+        # a forced cycle X = a X has pivot 1 - a, which is not c a^j (1+a^p)^i
+        from pspin import moments
+
+        loop = ("M", 2, 1, 1)
+
+        class LoopEngine(moments.MomentEngine):
+            def rule(self, node):
+                return [(a, loop)] if node == loop else super().rule(node)
+
+        with pytest.raises(moments.ReductionCycleError):
+            LoopEngine(3, F(0)).reduce(MomentSymbol(2, 1, 1, 3))
 
 
 class TestGenus3Relations:
@@ -113,7 +123,7 @@ class TestGenus3Relations:
         out = {}
         for V in vs:
             for k, v in V.items():
-                out[k] = out.get(k, _FIELD_A.zero) + v
+                out[k] = out.get(k, zero) + v
         return {k: v for k, v in out.items() if v}
 
     def test_j10(self, J):
@@ -272,9 +282,9 @@ class TestGroupedCombine:
         acc = {}
         for scalar, a_pow, sym in contributions:
             ratio = scalar.proportional_ratio(unit)
-            weight = a**a_pow * ratio.numerator / ratio.denominator
+            weight = CycloA.var(sym.p) ** a_pow * ratio.numerator / ratio.denominator
             for atom, coeff in M(sym.n, sym.b, sym.c, sym.p, c0).as_vector().items():
-                acc[atom] = acc.get(atom, _FIELD_A.zero) + coeff * weight
+                acc[atom] = acc.get(atom, CycloA(sym.p)) + coeff * weight
         return {atom: coeff for atom, coeff in acc.items() if coeff}
 
     @pytest.mark.parametrize("c0", [1, 0])
