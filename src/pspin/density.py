@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-import mpmath
-
 from .exact import DomainError, ExactScalar, LaurentP, UsageError
 from .numbers import bernoulli_abs, zeta_even_rational_part
 
@@ -80,10 +78,6 @@ def log_sinh_series(order: int) -> list[Fraction]:
     ]
 
 
-def log_sinh_partial_sum(sigma: float, order: int) -> float:
-    return sum(float(c) * sigma ** (2 * n) for n, c in enumerate(log_sinh_series(order), 1))
-
-
 def exp_kernel_integrand(sigma: float) -> float:
     """1/2 - 1/sigma + 1/(e^sigma - 1), with a series switch near zero.
 
@@ -107,6 +101,7 @@ def binet_check(z: float) -> tuple[float, float, float]:
     """
     if z <= 0:
         raise DomainError("binet_check needs z > 0")
+    import mpmath
     from scipy.integrate import quad
 
     lhs = float(mpmath.digamma(z))
@@ -121,19 +116,6 @@ def binet_check(z: float) -> tuple[float, float, float]:
     if err > 1e-9:
         raise ArithmeticError(f"Binet integral quadrature error {err} too large")
     rhs = math.log(z) - 1.0 / (2.0 * z) - integral
-    return lhs, rhs, abs(lhs - rhs)
-
-
-def sinh_log_derivative_identity(sigma: float) -> tuple[float, float, float]:
-    """d/dsigma [-log(sinh(s/2)/(s/2))] vs 1/sigma - 1/2 - 1/(e^sigma - 1).
-
-    The bridge between the large-p kernel and the digamma integrand; both
-    sides evaluated independently, returning (lhs, rhs, |diff|).
-    """
-    if sigma <= 0:
-        raise DomainError("sigma > 0 required")
-    lhs = -(0.5 / math.tanh(sigma / 2.0) - 1.0 / sigma)
-    rhs = 1.0 / sigma - 0.5 - 1.0 / math.expm1(sigma)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -161,13 +143,10 @@ class DensityConfig:
 
 
 def _re_psi_imag_axis(e: float, dps: int = 30) -> float:
+    import mpmath
+
     with mpmath.workdps(dps):
         return float(mpmath.re(mpmath.digamma(mpmath.mpc(0, e))))
-
-
-def _im_loggamma(e: float, dps: int = 40):
-    with mpmath.workdps(dps):
-        return mpmath.im(mpmath.loggamma(mpmath.mpc(0, e)))
 
 
 def rho_matrix(e: float) -> float:
@@ -175,15 +154,6 @@ def rho_matrix(e: float) -> float:
     if e <= 0:
         raise DomainError("rho defined for E > 0 (explicit pole -1/(2E))")
     return _re_psi_imag_axis(e) - math.pi / 2.0 - 1.0 / (2.0 * e)
-
-
-def rho_matrix_fd(e: float, h: float = 1e-5) -> float:
-    """Same density via central finite differences of Im log Gamma(iE)."""
-    if e <= 0:
-        raise DomainError("rho defined for E > 0")
-    with mpmath.workdps(40):
-        d = (_im_loggamma(e + h) - _im_loggamma(e - h)) / (2 * mpmath.mpf(h))
-    return float(d) - math.pi / 2.0 - 1.0 / (2.0 * e)
 
 
 def rho_density(cfg: DensityConfig) -> list[tuple[float, float]]:
@@ -247,18 +217,6 @@ def blackhole_density_compare(cfg: DensityConfig) -> AffineFitReport:
         max_res_full = max(max_res_full, abs(res - 1.0 / (2.0 * e)))
         rows.append((e, y, x, res))
     return AffineFitReport(alpha, beta, max_res, max_res_full, rows)
-
-
-def conjugation_identity(e: float) -> float:
-    """|d/dE Im log Gamma(-iE) + d/dE Im log Gamma(iE)| via finite differences."""
-    h = 1e-6
-    with mpmath.workdps(40):
-        dp = (_im_loggamma(e + h) - _im_loggamma(e - h)) / (2 * mpmath.mpf(h))
-        dm = (
-            mpmath.im(mpmath.loggamma(mpmath.mpc(0, -(e + h))))
-            - mpmath.im(mpmath.loggamma(mpmath.mpc(0, -(e - h))))
-        ) / (2 * mpmath.mpf(h))
-    return abs(float(dm) + float(dp))
 
 
 def central_charge(k) -> Fraction:

@@ -16,7 +16,7 @@ from math import factorial
 
 from .correlators import TauCorrelator, two_point_table
 from .exact import UsageError
-from .numbers import bernoulli_abs, zeta_one_minus_2g
+from .numbers import zeta_one_minus_2g
 from .onepoint import one_point_value
 from .twopoint import REAL
 
@@ -161,31 +161,17 @@ def string_sweep(p_values, g_max: int, kernel_mode: str = REAL) -> TautologyRepo
 def euler_characteristic(g: int, s: int) -> Fraction:
     """Orbifold Euler characteristic chi(M_{g,s}) for g >= 1, s >= 1.
 
-    chi(M_{g,s}) = -(2g-1)/(2g)! * (2g+s-3)! * B_g with the positive
-    Bernoulli sequence B_g = 1/6, 1/30, 1/42, ... (equal to |B_{2g}|).
-    chi(M_{g,1}) agrees with zeta(1-2g) up to the documented sign issue:
-    the magnitude always matches; the sign alternates as (-1)^g in zeta
-    while the closed form is negative throughout.
+    chi(M_{g,1}) = zeta(1-2g) (Harer-Zagier), and forgetting a point gives
+    chi(M_{g,s+1}) = (2-2g-s) chi(M_{g,s}), so
+    chi(M_{g,s}) = (-1)^{s-1} (2g+s-3)!/(2g-2)! * zeta(1-2g).
     """
     if g < 1 or s < 1:
         raise UsageError("Euler characteristic needs g >= 1, s >= 1")
     return (
-        -Fraction(2 * g - 1, factorial(2 * g))
-        * factorial(2 * g + s - 3)
-        * bernoulli_abs(g)
+        (-1) ** (s - 1)
+        * Fraction(factorial(2 * g + s - 3), factorial(2 * g - 2))
+        * zeta_one_minus_2g(g)
     )
-
-
-def euler_zeta_comparison(g: int) -> dict:
-    """Both conventions at one glance for chi(M_{g,1})."""
-    chi = euler_characteristic(g, 1)
-    zeta = zeta_one_minus_2g(g)
-    return {
-        "closed_form": chi,
-        "zeta_1_minus_2g": zeta,
-        "magnitudes_equal": abs(chi) == abs(zeta),
-        "signs_equal": (chi > 0) == (zeta > 0),
-    }
 
 
 _NEGATIVE_P3_LABELS = {1: (1, 0), 2: (3, 2), 3: (6, 1)}

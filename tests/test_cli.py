@@ -181,23 +181,37 @@ def test_console_entry_point():
     assert "tau(1,0) tau(1,0) = 1/12" in proc.stdout
 
 
-_HELP_PROBE = """
+_CLI_PROBE = """
 import runpy, sys
-sys.argv = ["pspin", "--help"]
+sys.argv = ["pspin"] + {argv!r}
 try:
     runpy.run_module("pspin", run_name="__main__")
-except SystemExit:
-    pass
+except SystemExit as exc:
+    assert not exc.code, exc.code
 """
 
+_PROBES = {
+    "import": "import pspin",
+    "help": _CLI_PROBE.format(argv=["--help"]),
+    "intersect": _CLI_PROBE.format(argv=["intersect", "--p", "3", "--genus", "2"]),
+}
 
-@pytest.mark.parametrize("probe", ["import pspin", _HELP_PROBE], ids=["import", "help"])
+
+@pytest.mark.parametrize("probe", list(_PROBES.values()), ids=list(_PROBES))
 def test_sympy_stays_unimported(probe):
-    # the exact core carries its own coefficient types; sympy is no dependency
-    script = probe + "\nimport sys\nprint('sympy' in sys.modules)\n"
+    # the exact core carries its own coefficient types, and the numeric
+    # libraries load only inside the functions that use them
+    script = probe + (
+        "\nimport json, sys"
+        "\nprint(json.dumps([sorted({'sympy', 'numpy', 'scipy', 'mpmath'} & set(sys.modules)),"
+        " 'pspin.oracle' in sys.modules and 'pspin.density' in sys.modules]))\n"
+    )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    heavy, numeric_modules_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert heavy == []
+    # the traced benchmark wraps the bindings of both modules once pspin.cli is imported
+    assert numeric_modules_loaded
 
 
 class TestGoldenVariants:

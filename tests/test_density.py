@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from pspin.density import (
@@ -12,15 +13,11 @@ from pspin.density import (
     blackhole_density_compare,
     central_charge,
     central_charge_negative_branch,
-    conjugation_identity,
     exp_kernel_integrand,
     large_p_check,
-    log_sinh_partial_sum,
     log_sinh_series,
     rho_density,
     rho_matrix,
-    rho_matrix_fd,
-    sinh_log_derivative_identity,
     zeta_identity_exact,
 )
 from pspin.exact import DomainError, RatP
@@ -28,6 +25,19 @@ from pspin.onepoint import one_point_series
 
 P = RatP.var()
 C = RatP.const
+
+
+def log_sinh_partial_sum(sigma: float, order: int) -> float:
+    return sum(float(c) * sigma ** (2 * n) for n, c in enumerate(log_sinh_series(order), 1))
+
+
+def d_im_loggamma(e: float, h: float, sign: int = 1) -> float:
+    """Central finite difference in E of Im log Gamma(sign * iE), at 40 digits."""
+    with mpmath.workdps(40):
+        def im_loggamma(x):
+            return mpmath.im(mpmath.loggamma(mpmath.mpc(0, sign * x)))
+
+        return float((im_loggamma(e + h) - im_loggamma(e - h)) / (2 * mpmath.mpf(h)))
 
 
 class TestBernoulliLeading:
@@ -106,15 +116,20 @@ class TestBinet:
             assert abs(exp_kernel_integrand(s) - direct) < 1e-12
 
     def test_bridge_identity(self):
+        # d/dsigma [-log(sinh(s/2)/(s/2))] = 1/sigma - 1/2 - 1/(e^sigma - 1): the
+        # bridge between the large-p kernel and the digamma integrand
         for s in (0.3, 0.7, 1.5, 4.0):
-            _, _, diff = sinh_log_derivative_identity(s)
-            assert diff < 1e-12
+            lhs = -(0.5 / math.tanh(s / 2.0) - 1.0 / s)
+            rhs = 1.0 / s - 0.5 - 1.0 / math.expm1(s)
+            assert abs(lhs - rhs) < 1e-12
 
 
 class TestRho:
     def test_two_paths_agree(self):
+        # digamma path vs finite differences of Im log Gamma(iE)
         for e in (1.0, 5.0, 10.0, 25.0, 50.0):
-            assert abs(rho_matrix(e) - rho_matrix_fd(e)) < 1e-7
+            fd = d_im_loggamma(e, 1e-5) - math.pi / 2.0 - 1.0 / (2.0 * e)
+            assert abs(rho_matrix(e) - fd) < 1e-7
 
     def test_log_asymptote(self):
         # rho(E) - log E stays bounded as E grows
@@ -147,8 +162,9 @@ class TestBlackholeComparison:
         assert rep.max_residual_full > 1e-2
 
     def test_conjugation_identity(self):
+        # d/dE Im log Gamma(-iE) = -d/dE Im log Gamma(iE)
         for e in (5.0, 12.5, 40.0):
-            assert conjugation_identity(e) < 1e-10
+            assert abs(d_im_loggamma(e, 1e-6, -1) + d_im_loggamma(e, 1e-6)) < 1e-10
 
 
 class TestCentralCharge:

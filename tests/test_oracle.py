@@ -1,8 +1,10 @@
 """Quadrature oracle honesty, Monte Carlo reproducibility, zeta values."""
 
+import json
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from scipy.special import airy
 
@@ -13,7 +15,6 @@ from pspin.oracle import (
     mc_trace_moments,
     oracle_report,
     quad_moment,
-    reports_to_json,
     zeta_oracle,
 )
 
@@ -93,6 +94,43 @@ class TestMonteCarlo:
         _, se2 = mc_trace_moments(cfg2)
         assert 0.4 < se1 / se2 / 2.0 < 1.6
 
+    @pytest.mark.parametrize("cfg, pinned", [
+        (McConfig(4, (1.0, -1.0, 2.0, -2.0), (0.3,), 5000, 20121220),
+         "(1.1637534844182036, 0.0013514661657091265)"),
+        # 4100 samples cross one 4096-sample chunk boundary
+        (McConfig(3, (0.5, -0.25, 1.5), (0.3, 0.2), 4100, 7),
+         "(4.47734662873775, 0.012080260311613425)"),
+        (McConfig(2, (0.5, -0.5), (0.45,), 2, 3),
+         "(1.1162757022051097, 0.07288179075224113)"),
+    ], ids=["n4", "n3-across-chunk", "n2-two-samples"])
+    def test_pinned_estimates(self, cfg, pinned):
+        # the per-sample Philox substreams fix every bit of (mean, stderr)
+        assert repr(mc_trace_moments(cfg)) == pinned
+
+    def test_matches_per_sample_loop(self):
+        # reference: one fresh Philox substream and one eigvalsh per sample.
+        # At N=20 the 4 MiB cap gives 655-sample chunks, so 700 samples cross one.
+        eigs = tuple(i / 10 - 1 for i in range(20))
+        cfg = McConfig(20, eigs, (0.1, 0.2), sample_count=700, rng_seed=14)
+        total = total_sq = 0.0
+        for i in range(cfg.sample_count):
+            bit = np.random.Philox(key=cfg.rng_seed)
+            bit.advance(i * 4096)
+            rng = np.random.Generator(bit)
+            re, im = rng.standard_normal((20, 20)), rng.standard_normal((20, 20))
+            x = (re + 1j * im) / math.sqrt(2.0)
+            g = (x + x.conj().T) / 2.0 * math.sqrt(2.0 / 20)
+            eig = np.linalg.eigvalsh(g + np.diag(eigs))
+            val = 1.0
+            for s in cfg.s_values:
+                val *= float(np.sum(np.exp(s * eig)))
+            val /= 20
+            total += val
+            total_sq += val * val
+        mean = total / cfg.sample_count
+        stderr = math.sqrt(max(total_sq / cfg.sample_count - mean * mean, 0.0) / cfg.sample_count)
+        assert mc_trace_moments(cfg) == (mean, stderr)
+
     def test_matches_residue_formula_n2(self):
         eigs = (1.0, -1.0, 2.0, -2.0)
         cfg = McConfig(4, eigs, (0.3, 0.2), sample_count=20000, rng_seed=5)
@@ -119,5 +157,5 @@ class TestZetaOracle:
 def test_report_shapes():
     rep = oracle_report("demo", {"a": 0.5}, 1.0, 1.0 + 1e-9, 1e-6)
     assert rep["pass"] and rep["abs_diff"] <= 1e-6
-    text = reports_to_json([rep])
+    text = json.dumps([rep], indent=2, sort_keys=True)
     assert '"identity": "demo"' in text

@@ -10,7 +10,6 @@ from pspin.oracle import zeta_oracle
 from pspin.tautology import (
     dilaton_check,
     euler_characteristic,
-    euler_zeta_comparison,
     negative_p_table,
     selection_rule,
     string_check,
@@ -84,14 +83,24 @@ class TestEuler:
         assert euler_characteristic(1, 1) == zeta_one_minus_2g(1)
 
     def test_g2_magnitude(self):
-        # magnitude matches |zeta(-3)| = 1/120; sign conventions differ
-        cmp = euler_zeta_comparison(2)
-        assert abs(cmp["closed_form"]) == F(1, 120)
-        assert cmp["magnitudes_equal"]
-        assert not cmp["signs_equal"]
+        # sign and magnitude of zeta(-3) = 1/120
+        assert euler_characteristic(2, 1) == F(1, 120)
 
     def test_g1_s2(self):
-        assert euler_characteristic(1, 2) == F(-1, 12)
+        # chi(M_{1,2}) = (2 - 2 - 1) chi(M_{1,1}) = 1/12
+        assert euler_characteristic(1, 2) == F(1, 12)
+
+    def test_one_point_is_zeta(self):
+        # Harer-Zagier: chi(M_{g,1}) = zeta(1-2g), whose sign alternates with g
+        for g in range(1, 7):
+            assert euler_characteristic(g, 1) == zeta_one_minus_2g(g)
+
+    def test_forgetful_recursion(self):
+        # forgetting a point: chi(M_{g,s+1}) = (2-2g-s) chi(M_{g,s})
+        for g in range(1, 7):
+            for s in range(1, 6):
+                chi = euler_characteristic(g, s)
+                assert euler_characteristic(g, s + 1) == (2 - 2 * g - s) * chi
 
 
 class TestNegativeP:
