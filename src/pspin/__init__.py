@@ -11,7 +11,6 @@ from .airy import CONTOUR, REAL, AiryFamily, phi_deriv_zero, phi_eval
 from .correlators import (
     CalibrationError,
     DegreeInsufficientError,
-    ExpansionPlan,
     FiniteNSource,
     TauCorrelator,
     calibration_constant,
@@ -38,7 +37,6 @@ from .exact import (
     DomainError,
     ExactScalar,
     ExactSum,
-    FractionalSeries,
     LaurentP,
     Monomial,
     PoleError,

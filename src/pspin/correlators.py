@@ -20,13 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, exp, factorial
 
-from .exact import (
-    DomainError,
-    ExactScalar,
-    FractionalSeries,
-    LaurentP,
-    UsageError,
-)
+from .exact import DomainError, ExactScalar, ExactSum, LaurentP, UsageError
 from .onepoint import (
     admissible_one_point_label,
     one_point_series,
@@ -37,32 +31,6 @@ from .twopoint import REAL, grade_monomial, two_point_low_orders, two_point_seri
 
 class CalibrationError(ArithmeticError):
     """A normalized coefficient failed to reduce to a pure rational."""
-
-
-@dataclass(frozen=True)
-class ExpansionPlan:
-    """Shape of an expansion run: base p, marked points, genus bound, kernel."""
-
-    p: object
-    npoints: int
-    g_max: int
-    kernel_mode: str = REAL
-
-    def __post_init__(self):
-        if self.npoints not in (1, 2):
-            raise UsageError("1 or 2 marked points supported")
-        if self.npoints == 2:
-            if self.p == "symbolic":
-                raise UsageError("two-point expansions need a fixed integer p >= 3")
-            if Fraction(self.p).denominator != 1 or Fraction(self.p) < 3:
-                raise UsageError("two-point expansions need a fixed integer p >= 3")
-        if self.g_max < 0:
-            raise UsageError("genus bound must be >= 0")
-
-    def run(self):
-        if self.npoints == 1:
-            return one_point_table(self.p, self.g_max)
-        return two_point_table(int(Fraction(self.p)), self.g_max, self.kernel_mode)
 
 
 @dataclass(frozen=True)
@@ -108,22 +76,10 @@ def calibration_constant(npoints: int, kernel_mode: str = REAL) -> Fraction:
             raise CalibrationError(f"one-point calibration is not constant: {coefficient}")
         return kappa
     if npoints == 2:
-        series = two_point_series(3, 2, kernel_mode)
-        raw = _raw_two_point_value(series, 3, 2, 2, kernel_mode)  # a^2 grade: (0,1),(4,1)
-        anchor = Fraction(1, 864)
-        kappa = anchor / raw
-        return kappa
+        coeff = two_point_series(3, 2, kernel_mode)[2][2]  # a^2 grade: (0,1),(4,1)
+        raw = _normalize(coeff.single(), 3, 2, grade_monomial(3, 2, 2).spins())
+        return Fraction(1, 864) / raw
     raise UsageError("calibration defined for 1 or 2 marked points")
-
-
-def _raw_two_point_value(
-    series: FractionalSeries, p: int, g: int, m: int, kernel_mode: str
-) -> Fraction:
-    mono = grade_monomial(p, g, m)
-    if mono is None:
-        raise DomainError(f"a^{m} is not an extractable grade at p={p}, g={g}")
-    coeff = series.coefficient(mono).single()
-    return _normalize(coeff, p, g, mono.spins())
 
 
 def _normalize(coeff: ExactScalar, p: int, g: int, spins: tuple[int, ...]) -> Fraction:
@@ -140,43 +96,33 @@ def _normalize(coeff: ExactScalar, p: int, g: int, spins: tuple[int, ...]) -> Fr
 
 
 def extract_intersections(
-    series: FractionalSeries, kernel_mode: str = REAL, genus: int | None = None
+    p: int, series: dict[int, dict[int, ExactSum]], kernel_mode: str = REAL
 ) -> list[TauCorrelator]:
-    """Intersection numbers from a two-point expansion series.
+    """Intersection numbers from a two-point expansion {g: {m: coefficient}}.
 
     Divides by the spin factors, applies (-1)^g/p^g and the calibrated
-    constant, and checks the selection rule on every nonzero entry.  With
-    ``genus`` given, only that genus grade is extracted.
+    constant, and checks the selection rule on every nonzero entry.  Entries
+    come in genus order, then by the a-power m.
     """
-    p = series.p
-    kappa = calibration_constant(series.npoints, kernel_mode)
+    kappa = calibration_constant(2, kernel_mode)
     out: list[TauCorrelator] = []
-    for mono in sorted(series.terms, key=lambda m: (m.total_degree(p), m.slots)):
-        total = mono.total_degree(p)
-        g_frac = total * p / (2 * (p + 1))
-        if g_frac.denominator != 1:
-            raise DomainError(f"monomial {mono.render(p)} has non-integer genus")
-        g = int(g_frac)
-        if genus is not None and g != genus:
-            continue
-        coeff = series.coefficient(mono).single()
-        value = kappa * _normalize(coeff, p, g, mono.spins())
-        if value == 0:
-            continue
-        marks = tuple((m, f - 1) for m, f in mono.slots)
-        tau = TauCorrelator(Fraction(p), g, marks, value)
-        if not tau.selection_ok():
-            raise DomainError(f"selection rule violated by {tau}")
-        out.append(tau)
+    for g in sorted(series):
+        for m in sorted(series[g]):
+            mono = grade_monomial(p, g, m)
+            value = kappa * _normalize(series[g][m].single(), p, g, mono.spins())
+            if value == 0:
+                continue
+            marks = tuple((k, f - 1) for k, f in mono.slots)
+            tau = TauCorrelator(Fraction(p), g, marks, value)
+            if not tau.selection_ok():
+                raise DomainError(f"selection rule violated by {tau}")
+            out.append(tau)
     return out
 
 
-def two_point_table(
-    p: int, g_max: int, kernel_mode: str = REAL, strategy: str = "side1"
-) -> list[TauCorrelator]:
+def two_point_table(p: int, g_max: int, kernel_mode: str = REAL) -> list[TauCorrelator]:
     """Exact two-point intersection table through genus g_max."""
-    series = two_point_series(p, g_max, kernel_mode, strategy)
-    return extract_intersections(series, kernel_mode)
+    return extract_intersections(p, two_point_series(p, g_max, kernel_mode), kernel_mode)
 
 
 def two_point_low_value(
@@ -302,19 +248,6 @@ class FiniteNSource:
     def __post_init__(self):
         if self.N < 1 or len(self.eigenvalues) != self.N:
             raise UsageError("need N >= 1 eigenvalues")
-
-    def scaling_constant(self, p: int) -> Fraction | float:
-        """c = N/(p^2-1) sum_alpha a_alpha^{-(p+1)} (diverges at zero source)."""
-        total = 0.0
-        for a in self.eigenvalues:
-            if a == 0:
-                raise DomainError("scaling constant undefined at zero eigenvalue")
-            total += float(a) ** (-(p + 1))
-        return self.N / (p**2 - 1) * total
-
-    def is_tuned(self, p: int, tol: float = 1e-12) -> bool:
-        """Tuning convention c (p+1) = 1 used for intersection extraction."""
-        return abs(self.scaling_constant(p) * (p + 1) - 1.0) <= tol
 
 
 def _taylor_mul(f: list[float], g: list[float], order: int) -> list[float]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .exact import DomainError, ExactScalar, LaurentP, UsageError
@@ -142,7 +143,9 @@ class DensityConfig:
         return DensityConfig(tuple(e_min + i * step for i in range(n)))
 
 
+@lru_cache(maxsize=None)
 def _re_psi_imag_axis(e: float, dps: int = 30) -> float:
+    """Re psi(iE); cached, as the density comparison needs it twice per point."""
     import mpmath
 
     with mpmath.workdps(dps):

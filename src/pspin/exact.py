@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 
 class DomainError(ValueError):
@@ -370,10 +370,8 @@ class ExactSum:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Iterable[ExactScalar] = ()):
+    def __init__(self):
         self.terms: list[ExactScalar] = []
-        for t in terms:
-            self.add(t)
 
     def add(self, scalar: ExactScalar) -> None:
         if scalar.rational == 0:
@@ -388,14 +386,6 @@ class ExactSum:
                 return
         self.terms.append(scalar)
 
-    def __iadd__(self, other: "ExactSum") -> "ExactSum":
-        for t in other.terms:
-            self.add(t)
-        return self
-
-    def scaled(self, scalar: ExactScalar) -> "ExactSum":
-        return ExactSum(t * scalar for t in self.terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -406,15 +396,6 @@ class ExactSum:
         if len(self.terms) > 1:
             raise UsageError(f"sum has {len(self.terms)} surd classes: {self}")
         return self.terms[0]
-
-    def numeric(self, prec: int = 50):
-        import mpmath
-
-        with mpmath.workdps(prec):
-            return mpmath.fsum(t.numeric(prec) for t in self.terms)
-
-    def __iter__(self) -> Iterator[ExactScalar]:
-        return iter(self.terms)
 
     def render(self) -> str:
         if not self.terms:
@@ -683,7 +664,7 @@ class CycloA:
 
 
 # ---------------------------------------------------------------------------
-# fractional-power formal series
+# fractional-power monomials of the two-point grades
 # ---------------------------------------------------------------------------
 
 
@@ -693,117 +674,8 @@ class Monomial:
 
     slots: tuple[tuple[int, int], ...]
 
-    def total_degree(self, p: int) -> Fraction:
-        return sum((Fraction(m) + Fraction(f, p) for m, f in self.slots), Fraction(0))
-
     def spins(self) -> tuple[int, ...]:
         """Spin indices j = f - 1; raises if any slot has integer exponent."""
         if any(f == 0 for _, f in self.slots):
             raise DomainError(f"integer-exponent slot in {self}; spin j=p-1 excluded")
         return tuple(f - 1 for _, f in self.slots)
-
-    def render(self, p: int) -> str:
-        bits = []
-        for i, (m, f) in enumerate(self.slots):
-            e = Fraction(m) + Fraction(f, p)
-            bits.append(f"s{i + 1}^({e.numerator}/{e.denominator})")
-        return "*".join(bits)
-
-
-class FractionalSeries:
-    """Truncated formal sum of fractional-power monomials with exact coefficients."""
-
-    def __init__(self, p: int, npoints: int, cutoff: Fraction):
-        if p < 3:
-            raise UsageError("base p must be >= 3")
-        self.p = int(p)
-        self.npoints = int(npoints)
-        self.cutoff = Fraction(cutoff)
-        self.terms: dict[Monomial, ExactSum] = {}
-
-    def add_term(self, mono: Monomial, coeff: ExactScalar | ExactSum) -> None:
-        if len(mono.slots) != self.npoints:
-            raise UsageError("monomial arity mismatch")
-        if any(f < 0 or f >= self.p or m < 0 for m, f in mono.slots):
-            raise DomainError(f"non-canonical exponent in {mono}")
-        if mono.total_degree(self.p) > self.cutoff:
-            return
-        acc = self.terms.setdefault(mono, ExactSum())
-        if isinstance(coeff, ExactScalar):
-            acc.add(coeff)
-        else:
-            acc += coeff
-        if acc.is_zero:
-            del self.terms[mono]
-
-    @staticmethod
-    def one(p: int, npoints: int, cutoff) -> "FractionalSeries":
-        s = FractionalSeries(p, npoints, cutoff)
-        s.add_term(Monomial(((0, 0),) * npoints), ExactScalar.one())
-        return s
-
-    def __add__(self, other: "FractionalSeries") -> "FractionalSeries":
-        self._check_compat(other)
-        out = FractionalSeries(self.p, self.npoints, self.cutoff)
-        for mono, c in list(self.terms.items()) + list(other.terms.items()):
-            for t in c:
-                out.add_term(mono, t)
-        return out
-
-    def __mul__(self, other: "FractionalSeries") -> "FractionalSeries":
-        self._check_compat(other)
-        out = FractionalSeries(self.p, self.npoints, self.cutoff)
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                slots = []
-                for (a1, f1), (a2, f2) in zip(m1.slots, m2.slots):
-                    f = f1 + f2
-                    slots.append((a1 + a2 + f // self.p, f % self.p))
-                mono = Monomial(tuple(slots))
-                if mono.total_degree(self.p) > self.cutoff:
-                    continue
-                for t1 in c1:
-                    for t2 in c2:
-                        out.add_term(mono, t1 * t2)
-        return out
-
-    def _check_compat(self, other: "FractionalSeries") -> None:
-        if self.p != other.p:
-            raise UsageError(f"mismatched base p: {self.p} vs {other.p}")
-        if self.npoints != other.npoints or self.cutoff != other.cutoff:
-            raise UsageError("mismatched series shape (npoints/cutoff)")
-
-    def coefficient(self, mono: Monomial) -> ExactSum:
-        return self.terms.get(mono, ExactSum())
-
-    def swapped(self) -> "FractionalSeries":
-        """Series with marked points 1 and 2 exchanged (npoints=2 only)."""
-        if self.npoints != 2:
-            raise UsageError("swap defined for two-point series")
-        out = FractionalSeries(self.p, 2, self.cutoff)
-        for mono, c in self.terms.items():
-            out.terms[Monomial((mono.slots[1], mono.slots[0]))] = c
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FractionalSeries):
-            return False
-        if (self.p, self.npoints, self.cutoff) != (other.p, other.npoints, other.cutoff):
-            return False
-        keys = set(self.terms) | set(other.terms)
-        for k in keys:
-            d = self.coefficient(k)
-            e = other.coefficient(k)
-            diff = ExactSum(list(d) + [-t for t in e])
-            if not diff.is_zero:
-                return False
-        return True
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def render(self) -> str:
-        lines = []
-        for mono in sorted(self.terms, key=lambda m: (m.total_degree(self.p), m.slots)):
-            lines.append(f"{mono.render(self.p)}: {self.terms[mono].render()}")
-        return "\n".join(lines)

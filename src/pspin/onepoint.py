@@ -11,6 +11,9 @@ The y^g coefficient is a sum over multi-indices {k_r} with sum r k_r = g:
     C_g(p) = sum prod_r (-g_r)^{k_r}/k_r! * prod_{i=1}^{K-1} (i - (2g-1)/p)
              (K = sum k_r),  times the common factor Gamma(1 - (2g-1)/p).
 
+The multi-indices with the same K add up to [y^g] T^K/K!, T = -sum_r g_r y^r,
+so the sum runs over K alone (``twopoint.tail_power``).
+
 C_g(p) is an exact Laurent polynomial in p; everything here is symbolic and
 is evaluated at fixed rational p (including negative p) on demand.
 """
@@ -20,17 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .exact import DomainError, LaurentP, UsageError
-from .twopoint import _deformation_multisets, binomial_tail_coefficient
+from .twopoint import tail_power
 
 
 @lru_cache(maxsize=None)
 def genus_coefficient(g: int) -> LaurentP:
     """C_g(p): coefficient of y^g Gamma(1-(2g-1)/p) in the kernel expansion.
 
-    Each g_r (``binomial_tail_coefficient``) is a polynomial in p and each
+    Each [y^g] T^K/K! (``tail_power``) is a polynomial in p and each
     Gamma-shift factor i - (2g-1)/p is a Laurent polynomial, so the whole sum
     is a Laurent polynomial in p.
     """
@@ -38,18 +40,11 @@ def genus_coefficient(g: int) -> LaurentP:
         raise UsageError("genus must be >= 0")
     if g == 0:
         return LaurentP.const(1)
-    neg_tail = {r: -binomial_tail_coefficient(r) for r in range(1, g + 1)}
     total = LaurentP()
-    for multi in _deformation_multisets(g, g):
-        term = LaurentP.const(1)
-        K = 0
-        for r, k in multi.items():
-            term = term * (neg_tail[r] ** k).scale(Fraction(1, factorial(k)))
-            K += k
-        for i in range(1, K):
-            # Gamma(K + (1-2g)/p) = Gamma(1+(1-2g)/p) prod_{i=1}^{K-1} (i + (1-2g)/p)
-            term = term * LaurentP({0: i, -1: 1 - 2 * g})
-        total = total + term
+    shift = LaurentP.const(1)  # Gamma(K + (1-2g)/p) / Gamma(1 + (1-2g)/p)
+    for K in range(1, g + 1):
+        total = total + tail_power(K, g) * shift
+        shift = shift * LaurentP({0: K, -1: 1 - 2 * g})
     return total
 
 
@@ -57,22 +52,21 @@ def genus_coefficient(g: int) -> LaurentP:
 class OnePointTerm:
     """Genus-g term of the one-point expansion.
 
-    coefficient: (-1)^g C_g(p) / p^g, a Laurent polynomial in p
-    gamma factor: Gamma(1 - (2g-1)/p), kept symbolic through the argument
+    coefficient: (-1)^g C_g(p) / p^g, a Laurent polynomial in p; the common
+    factor Gamma(1 - (2g-1)/p) stays symbolic
     """
 
     genus: int
     coefficient: LaurentP
 
-    def gamma_argument(self, p) -> Fraction:
-        """Argument of the common Gamma factor at fixed rational p."""
-        return 1 - Fraction(2 * self.genus - 1, 1) / Fraction(p)
-
 
 def one_point_series(g_max: int) -> list[OnePointTerm]:
     """Exact genus coefficients for g = 1..g_max (symbolic in p)."""
-    if g_max > 8:
-        raise UsageError("one-point expansion capped at genus 8 (partition growth)")
+    if g_max > 16:
+        # the tests check every g <= 16 by zeta(1-2g) at p=-1 and by the
+        # Bernoulli leading term; g <= 16 takes about 0.7 s in process
+        # (2-vCPU Xeon, Python 3.11)
+        raise UsageError("one-point expansion checked through genus 16")
     out = []
     p = LaurentP.var()
     for g in range(1, g_max + 1):

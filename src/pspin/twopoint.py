@@ -25,7 +25,7 @@ from math import comb, factorial
 
 from .airy import CONTOUR, REAL  # kernel modes re-exported
 from .airy import mode_constant, phi_deriv_zero, reduce_order_at_zero
-from .exact import ExactScalar, ExactSum, FractionalSeries, LaurentP, Monomial, UsageError
+from .exact import ExactScalar, ExactSum, LaurentP, Monomial, UsageError
 from .moments import (
     AssembledGrade,
     CancellationError,
@@ -58,37 +58,35 @@ def binomial_tail_coefficient(r: int) -> LaurentP:
     return g_r
 
 
-def _deformation_multisets(rho: int, rmax: int):
-    """Multisets {r: k_r} with sum r k_r = rho, parts 1 <= r <= rmax."""
+@lru_cache(maxsize=None)
+def tail_power(K: int, n: int) -> LaurentP:
+    """[y^n] T(y)^K / K! with T(y) = -sum_{r>=1} g_r(p) y^r, exact in p.
 
-    def rec(remaining: int, r: int, acc: dict):
-        if remaining == 0:
-            yield dict(acc)
-            return
-        if r > rmax:
-            return
-        for k in range(remaining // r + 1):
-            if k:
-                acc[r] = k
-            yield from rec(remaining - r * k, r + 1, acc)
-            acc.pop(r, None)
-
-    yield from rec(rho, 1, {})
+    Built by the recurrence T^K/K! = (T * T^{K-1}/(K-1)!) / K; the
+    coefficient vanishes for n < K because T starts at y^1.
+    """
+    if K == 0:
+        return LaurentP.const(1 if n == 0 else 0)
+    total = LaurentP()
+    for r in range(1, n - K + 2):
+        total = total - binomial_tail_coefficient(r) * tail_power(K - 1, n - r)
+    return total.scale(Fraction(1, K))
 
 
 @lru_cache(maxsize=None)
 def _side_terms(p: int, rho: int) -> tuple[tuple[Fraction, int, int], ...]:
-    """Deformation expansion of one kernel at level rho: (coeff, K, D) triples."""
+    """Deformation expansion of one kernel at level rho: (coeff, K, D) triples.
+
+    K counts the deformation insertions and D = sum_r k_r (p - 2r) = K p - 2 rho
+    their derivative order; multi-indices with the same K share D, so their
+    coefficients are summed in ``tail_power``.  At integer p the terms with
+    r > p//2 drop out by themselves: g_r(p) = 0 there.
+    """
     out = []
-    for multi in _deformation_multisets(rho, p // 2):
-        coeff = Fraction(1)
-        K = 0
-        D = 0
-        for r, k in multi.items():
-            coeff *= (-binomial_tail_coefficient(r).eval(p)) ** k / factorial(k)
-            K += k
-            D += k * (p - 2 * r)
-        out.append((coeff, K, D))
+    for K in range(rho + 1):
+        coeff = tail_power(K, rho).eval(p)
+        if coeff:
+            out.append((coeff, K, K * p - 2 * rho))
     return tuple(out)
 
 
@@ -127,12 +125,9 @@ def grade_contributions(p: int, g: int) -> list[tuple[ExactScalar, int, MomentSy
 
 
 @lru_cache(maxsize=None)
-def two_point_grade(
-    p: int, g: int, kernel_mode: str = REAL, strategy: str = "side1"
-) -> AssembledGrade:
+def two_point_grade(p: int, g: int, kernel_mode: str = REAL) -> AssembledGrade:
     """Assembled genus-g grade; raises CancellationError on a T-type residue."""
-    contribs = grade_contributions(p, g)
-    return assemble_grade(contribs, mode_constant(kernel_mode), strategy)
+    return assemble_grade(grade_contributions(p, g), mode_constant(kernel_mode))
 
 
 def grade_monomial(p: int, g: int, m: int) -> Monomial | None:
@@ -159,14 +154,14 @@ def two_point_series(
     p: int,
     g_max: int,
     kernel_mode: str = REAL,
-    strategy: str = "side1",
     ledgers: dict[int, GradeLedger] | None = None,
-) -> FractionalSeries:
-    """Exact two-point expansion through genus g_max as a FractionalSeries.
+) -> dict[int, dict[int, ExactSum]]:
+    """Exact two-point expansion through genus g_max: {g: {m: coefficient}}.
 
-    Rewrite-constant leftovers must stay out of doubly-fractional grades;
-    a violation raises CancellationError (this is a verified property, not
-    an assumption).
+    m runs over the extractable a-powers of each grade (``grade_monomial``),
+    the shape ``two_point_low_orders`` returns for one grade.  Rewrite-constant
+    leftovers must stay out of doubly-fractional grades; a violation raises
+    CancellationError (this is a verified property, not an assumption).
     """
     if p < 3:
         raise UsageError("two-point expansion needs integer p >= 3")
@@ -174,12 +169,12 @@ def two_point_series(
         # cost bound: genus 3 exact-in-a only at p=3; larger p goes through
         # the small-a route (two_point_low_orders)
         raise UsageError("exact-in-a route supports g<=3 at p=3, g<=2 for p>=4")
-    cutoff = Fraction(2 * g_max * (p + 1), p)
-    series = FractionalSeries(p, 2, cutoff)
+    series: dict[int, dict[int, ExactSum]] = {}
     p_scalar = ExactScalar.from_fraction(p)  # sqrt(p) per kernel factor
     for g in range(1, g_max + 1):
-        grade = two_point_grade(p, g, kernel_mode, strategy)
+        grade = two_point_grade(p, g, kernel_mode)
         ledger = GradeLedger()
+        sums: dict[int, ExactSum] = {}
         for (i, j), poly in grade.boundary.items():
             pair_value = (
                 expansion_boundary_value(p, i, kernel_mode)
@@ -187,14 +182,12 @@ def two_point_series(
                 * p_scalar
             )
             for m, frac in poly.items():
-                mono = grade_monomial(p, g, m)
                 coeff = grade.prefactor.scale(frac) * pair_value
-                if mono is None:
+                if grade_monomial(p, g, m) is None:
                     if coeff.rational:
-                        key = (i, j, m)
-                        ledger.discarded_boundary[key] = frac
+                        ledger.discarded_boundary[(i, j, m)] = frac
                     continue
-                series.add_term(mono, coeff)
+                sums.setdefault(m, ExactSum()).add(coeff)
         for atom, poly in grade.constants.items():
             bad = {m: v for m, v in poly.items() if grade_monomial(p, g, m) is not None}
             if bad:
@@ -204,6 +197,7 @@ def two_point_series(
                     {atom: bad},
                 )
             ledger.constant_sector[atom] = poly
+        series[g] = {m: s for m, s in sums.items() if not s.is_zero}
         if ledgers is not None:
             ledgers[g] = ledger
     return series

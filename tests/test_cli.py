@@ -64,6 +64,14 @@ class TestIntersect:
         assert run("intersect", "--p", "2", "--genus", "1", "--points", "2") == 2
         assert run("intersect", "--p", "x", "--genus", "1", "--points", "2") == 2
 
+    def test_symbolic_two_point_usage_error(self, capsys):
+        assert run("intersect", "--p", "symbolic", "--genus", "1", "--points", "2") == 2
+        assert "computed" not in capsys.readouterr().out
+
+    def test_one_point_past_checked_genus_usage_error(self, capsys):
+        assert run("intersect", "--p", "symbolic", "--genus", "17", "--points", "1") == 2
+        assert "computed" not in capsys.readouterr().out
+
     def test_negative_genus_usage_error(self, capsys):
         for points in ("1", "2"):
             assert run("intersect", "--p", "3", "--genus", "-1", "--points", points) == 2

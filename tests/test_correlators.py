@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from pspin import twopoint
+from pspin.airy import mode_constant
 from pspin.correlators import (
     DegreeInsufficientError,
     FiniteNSource,
@@ -20,9 +22,20 @@ from pspin.correlators import (
     two_point_low_value,
     two_point_table,
 )
+from pspin.density import bernoulli_leading
 from pspin.exact import RatP, UsageError
+from pspin.moments import assemble_grade
+from pspin.numbers import zeta_one_minus_2g
 from pspin.onepoint import genus_coefficient, one_point_series, one_point_value
-from pspin.twopoint import CONTOUR, REAL, two_point_series
+from pspin.twopoint import (
+    CONTOUR,
+    REAL,
+    _side_terms,
+    binomial_tail_coefficient,
+    grade_contributions,
+    two_point_grade,
+    two_point_series,
+)
 
 P = RatP.var()
 C = RatP.const
@@ -72,6 +85,16 @@ class TestOnePoint:
 
     def test_inadmissible_label_is_zero(self):
         assert one_point_value(3, 2) == 0
+
+    def test_checked_genus_range(self):
+        # two independent routes for every genus the series admits
+        for term in one_point_series(16):
+            g = term.genus
+            gamma_at_minus_one = math.factorial(2 * g - 1)  # Gamma(1 + (2g-1))
+            assert term.coefficient.eval(-1) * gamma_at_minus_one == zeta_one_minus_2g(g), g
+            assert term.coefficient.leading() == (g, bernoulli_leading(g)), g
+        with pytest.raises(UsageError):
+            one_point_series(17)
 
     def test_genus_coefficient_denominators(self):
         # the y^g coefficient carries Gamma(1 - (2g-1)/p); the rational part
@@ -128,9 +151,13 @@ class TestTwoPointTables:
         assert t7[(1, ((1, 0), (1, 0)))] == F(1, 4)
 
     def test_series_symmetric(self):
+        # exchanging s1 and s2 maps the a-power m to 2g(p+1) - m
         for p in (3, 4):
             s = two_point_series(p, 2)
-            assert s == s.swapped()
+            for g, grade in s.items():
+                assert {2 * g * (p + 1) - m for m in grade} == set(grade)
+                for m, coeff in grade.items():
+                    assert coeff.single() == grade[2 * g * (p + 1) - m].single(), (p, g, m)
 
     def test_selection_rule_every_entry(self):
         for p in (3, 4, 5):
@@ -249,12 +276,6 @@ class TestFiniteN:
         got = finite_n_evaluate(FiniteNSource(2, (0.0, 0.0)), [s])
         assert math.isclose(got, math.exp(s * s / 4) * (1 + s * s / 4), rel_tol=1e-12)
 
-    def test_scaling_constant_and_tuning(self):
-        src = FiniteNSource(2, (1.0, -1.0))
-        # p=3: c = 2/8 * (1 + (-1)^-4) = 1/2; c(p+1) = 2 -> not tuned
-        assert math.isclose(src.scaling_constant(3), 0.5)
-        assert not src.is_tuned(3)
-
     def test_shape_validation(self):
         with pytest.raises(UsageError):
             FiniteNSource(2, (1.0,))
@@ -303,18 +324,11 @@ class TestSpotValues:
         exact = table_map(6, 2)
         assert exact[(2, ((0, 4), (3, 4)))] == want
 
-    def test_expansion_plan_validation(self):
-        from pspin.correlators import ExpansionPlan
-
-        plan = ExpansionPlan(4, 2, 1)
-        assert {(e.genus, e.marks) for e in plan.run()} == {
+    def test_p4_g1_entry_set(self):
+        assert {(e.genus, e.marks) for e in two_point_table(4, 1)} == {
             (1, ((0, 0), (2, 0))), (1, ((1, 0), (1, 0))), (1, ((2, 0), (0, 0))),
             (1, ((0, 2), (1, 2))), (1, ((1, 2), (0, 2))),
         }
-        with pytest.raises(UsageError):
-            ExpansionPlan("symbolic", 2, 1)
-        with pytest.raises(UsageError):
-            ExpansionPlan(3, 3, 1)
 
     def test_exact_route_cost_guard(self):
         with pytest.raises(UsageError):
@@ -335,13 +349,10 @@ class TestSeriesShape:
         # genus-1 grade at p=4: two families,
         #   (1/4)(phi''(0))^2 s1^{1/4}s2^{1/4}(s1^2+s1 s2+s2^2)
         # + (1/12)(s1 s2)^{3/4}(s1+s2)(phi(0))^2
-        from pspin.exact import Monomial
-
-        s = two_point_series(4, 1)
-        fam_a = [((0, 1), (2, 1)), ((1, 1), (1, 1)), ((2, 1), (0, 1))]
-        fam_b = [((0, 3), (1, 3)), ((1, 3), (0, 3))]
-        ca = [s.coefficient(Monomial(m)).single() for m in fam_a]
-        cb = [s.coefficient(Monomial(m)).single() for m in fam_b]
+        # a-powers: s1^{1/4}, s1^{5/4}, s1^{9/4} and s1^{3/4}, s1^{7/4}
+        s = two_point_series(4, 1)[1]
+        ca = [s[m].single() for m in (1, 5, 9)]
+        cb = [s[m].single() for m in (3, 7)]
         assert ca[0] == ca[1] == ca[2]
         assert cb[0] == cb[1]
         # coefficient ratio (1/4)(phi'')^2 : (1/12)(phi)^2 = 3 phi''(0)^2/phi(0)^2
@@ -387,10 +398,11 @@ class TestCrossRoute:
 
 
 def test_mirror_strategy_tables_identical():
-    # the mirrored rule orientation must reproduce the same tables
-    base = {(e.genus, e.marks): e.value for e in two_point_table(3, 2, REAL, "side1")}
-    mirr = {(e.genus, e.marks): e.value for e in two_point_table(3, 2, REAL, "side2")}
-    assert base == mirr
+    # the mirrored rule orientation must reproduce the grades the tables use
+    for mode in (REAL, CONTOUR):
+        for g in (1, 2):
+            mirrored = assemble_grade(grade_contributions(3, g), mode_constant(mode), "side2")
+            assert mirrored == two_point_grade(3, g, mode), (mode, g)
 
 
 def test_p9_g2_family_values():
@@ -400,14 +412,6 @@ def test_p9_g2_family_values():
     assert t[(2, ((0, 0), (4, 2)))] == (p - 1) * (p - 3) * (2 * p + 1) / (5760 * p)
     assert t[(2, ((0, 1), (4, 1)))] == (p - 1) * (p - 2) * (p + 2) / (2880 * p)
     assert t[(2, ((0, 4), (3, 7)))] == (2 * p**3 + 13 * p**2 - 158 * p + 215) / (5760 * p**2)
-
-
-def test_one_point_gamma_argument():
-    from pspin.onepoint import one_point_series
-
-    term = one_point_series(2)[1]
-    assert term.gamma_argument(5) == F(2, 5)   # 1 - 3/5
-    assert term.gamma_argument(-3) == F(2, 1)  # 1 + 3/3
 
 
 def test_kernel_modes_agree_genus3():
@@ -428,10 +432,60 @@ def test_p12_exact_table_matches_closed_forms():
     )
 
 
+def _deformation_multisets(rho, rmax):
+    """Multisets {r: k_r} with sum r k_r = rho, parts 1 <= r <= rmax."""
+
+    def rec(remaining, r, acc):
+        if remaining == 0:
+            yield dict(acc)
+            return
+        if r > rmax:
+            return
+        for k in range(remaining // r + 1):
+            if k:
+                acc[r] = k
+            yield from rec(remaining - r * k, r + 1, acc)
+            acc.pop(r, None)
+
+    yield from rec(rho, 1, {})
+
+
+def _multiset_side_terms(p, rho):
+    """(coeff, K, D) per deformation multiset of one kernel at level rho."""
+    out = []
+    for multi in _deformation_multisets(rho, p // 2):
+        coeff, K, D = F(1), 0, 0
+        for r, k in multi.items():
+            coeff *= (-binomial_tail_coefficient(r).eval(p)) ** k / math.factorial(k)
+            K += k
+            D += k * (p - 2 * r)
+        out.append((coeff, K, D))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", range(3, 14))
+def test_side_terms_group_multisets_by_K(p):
+    for rho in range(7):
+        grouped = {}
+        for coeff, K, D in _multiset_side_terms(p, rho):
+            assert D == K * p - 2 * rho
+            grouped[K] = grouped.get(K, 0) + coeff
+        want = tuple((c, K, K * p - 2 * rho) for K, c in sorted(grouped.items()) if c)
+        assert _side_terms(p, rho) == want, (p, rho)
+
+
+@pytest.mark.parametrize("p", [6, 7])
+def test_grade_matches_per_multiset_contributions(p, monkeypatch):
+    # at level 4 the multisets {1,3} and {2,2} share K=2 and are merged
+    merged, grade = grade_contributions(p, 4), two_point_grade(p, 4)
+    monkeypatch.setattr(twopoint, "_side_terms", _multiset_side_terms)
+    per_multiset = grade_contributions(p, 4)
+    assert (len(per_multiset), len(merged)) == (96, 94)
+    assert assemble_grade(per_multiset, mode_constant(REAL)) == grade
+
+
 def _genus_coefficient_field_route(g):
     """C_g(p) summed term by term in RatP field arithmetic."""
-    from pspin.twopoint import _deformation_multisets
-
     total = C(0)
     for multi in _deformation_multisets(g, g):
         term = C(1)

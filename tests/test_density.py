@@ -161,6 +161,17 @@ class TestBlackholeComparison:
         # keeping the dropped pole term is a visible (reported) deviation
         assert rep.max_residual_full > 1e-2
 
+    def test_one_digamma_per_grid_point(self, monkeypatch):
+        # rho_matrix and rho_blackhole share Re psi(iE): one evaluation per point
+        from pspin import density
+
+        calls = []
+        digamma = mpmath.digamma
+        monkeypatch.setattr(mpmath, "digamma", lambda z: calls.append(z) or digamma(z))
+        density._re_psi_imag_axis.cache_clear()
+        blackhole_density_compare(DensityConfig.linspace(6.5, 65.0, 37))
+        assert len(calls) == 37
+
     def test_conjugation_identity(self):
         # d/dE Im log Gamma(-iE) = -d/dE Im log Gamma(iE)
         for e in (5.0, 12.5, 40.0):

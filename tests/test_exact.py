@@ -1,4 +1,4 @@
-"""Exact scalar canonicalization, Laurent/rational-function arithmetic, series."""
+"""Exact scalar canonicalization and Laurent/rational-function arithmetic."""
 
 import random
 from fractions import Fraction as F
@@ -12,9 +12,7 @@ from pspin.exact import (
     DomainError,
     ExactScalar as ES,
     ExactSum,
-    FractionalSeries,
     LaurentP,
-    Monomial,
     PoleError,
     RatP,
     UsageError,
@@ -150,82 +148,6 @@ class TestLaurentAndRatP:
         p = RatP.var()
         f = (p ** 3).scale(2) / (p.scale(5760))
         assert f.leading() == (2, F(1, 2880))
-
-
-def _series(p, terms):
-    s = FractionalSeries(p, 2, F(100))
-    for slots, coeff in terms:
-        s.add_term(Monomial(slots), ES.from_fraction(coeff))
-    return s
-
-
-class TestFractionalSeries:
-    def test_mul_identity(self):
-        one = FractionalSeries.one(3, 2, F(100))
-        g = _series(3, [((((0, 1)), (0, 2)), F(5))])
-        assert (one * g) == g
-
-    def test_single_product(self):
-        f = _series(3, [(((0, 1), (0, 0)), F(1))])  # s1^(1/3)
-        g = _series(3, [(((0, 0), (0, 2)), F(1))])  # s2^(2/3)
-        h = f * g
-        assert h == _series(3, [(((0, 1), (0, 2)), F(1))])
-
-    def test_binomial_square(self):
-        # (s1^(1/3) + s2^(1/3))^2 = s1^(2/3) + 2 s1^(1/3) s2^(1/3) + s2^(2/3)
-        f = _series(3, [(((0, 1), (0, 0)), F(1)), (((0, 0), (0, 1)), F(1))])
-        sq = f * f
-        want = _series(
-            3,
-            [
-                (((0, 2), (0, 0)), F(1)),
-                (((0, 1), (0, 1)), F(2)),
-                (((0, 0), (0, 2)), F(1)),
-            ],
-        )
-        assert sq == want
-
-    def test_mismatched_p_rejected(self):
-        f = FractionalSeries.one(3, 2, F(10))
-        g = FractionalSeries.one(4, 2, F(10))
-        with pytest.raises(UsageError):
-            _ = f * g
-
-    def test_exponent_wrapping(self):
-        f = _series(3, [(((0, 2), (0, 0)), F(1))])
-        g = _series(3, [(((0, 2), (0, 0)), F(1))])
-        h = f * g  # s1^(4/3) = m=1, f=1
-        assert h == _series(3, [(((1, 1), (0, 0)), F(1))])
-
-    def test_truncation_stable(self):
-        s = FractionalSeries(3, 2, F(1))
-        s.add_term(Monomial(((5, 1), (0, 0))), ES.one())
-        assert len(s) == 0
-
-
-@st.composite
-def small_series(draw):
-    p = 3
-    n_terms = draw(st.integers(0, 4))
-    s = FractionalSeries(p, 2, F(6))
-    for _ in range(n_terms):
-        m1 = draw(st.integers(0, 2))
-        f1 = draw(st.integers(0, 2))
-        m2 = draw(st.integers(0, 2))
-        f2 = draw(st.integers(0, 2))
-        c = F(draw(st.integers(-5, 5)), draw(st.integers(1, 5)))
-        if c:
-            s.add_term(Monomial(((m1, f1), (m2, f2))), ES.from_fraction(c))
-    return s
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_series(), small_series(), small_series())
-def test_series_ring_laws(f, g, h):
-    assert (f + g) == (g + f)
-    assert (f * g) == (g * f)
-    assert ((f + g) + h) == (f + (g + h))
-    assert ((f * g) * h) == (f * (g * h))
 
 
 @settings(max_examples=40, deadline=None)
