@@ -96,7 +96,7 @@ def cmd_intersect(args) -> int:
                 print(f"golden drift: {line}", file=sys.stderr)
             return EXIT_VERIFY_FAILED
         print(f"golden: all reference entries reproduced for p={p}")
-    data = table_to_dict(entries, args.points)
+    data = table_to_dict(entries, args.points, p)
     print(f"computed {len(data['entries'])} entries (p={data['p']}, points={args.points})")
     for row in data["entries"]:
         marks = " ".join(f"tau({m},{j})" for m, j in zip(row["m"], row["j"]))
@@ -106,9 +106,9 @@ def cmd_intersect(args) -> int:
     if args.output:
         path = _out_dir() / args.output
         if args.format == "json":
-            _write(path, table_to_json(entries, args.points))
+            _write(path, table_to_json(entries, args.points, p))
         elif args.format == "csv":
-            _write(path, table_to_csv(entries, args.points))
+            _write(path, table_to_csv(entries, args.points, p))
         else:
             lines = [
                 f"g={row['genus']} m={row['m']} j={row['j']} value={row['num']}/{row['den']}"

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, exp, factorial
+from math import ceil, e, exp, isfinite, log, log1p
 
 from .exact import DomainError, ExactScalar, ExactSum, LaurentP, UsageError
 from .onepoint import (
@@ -26,6 +26,7 @@ from .onepoint import (
     one_point_series,
     one_point_value,
 )
+from .oracle import NumericError
 from .twopoint import REAL, grade_monomial, two_point_low_orders, two_point_series
 
 
@@ -234,7 +235,7 @@ def general_p_interpolate(
 
 
 # ---------------------------------------------------------------------------
-# exact finite-N correlators (residue sums)
+# finite-N correlators (trapezoidal rule on circles)
 # ---------------------------------------------------------------------------
 
 
@@ -248,116 +249,103 @@ class FiniteNSource:
     def __post_init__(self):
         if self.N < 1 or len(self.eigenvalues) != self.N:
             raise UsageError("need N >= 1 eigenvalues")
+        if not all(isfinite(a) for a in self.eigenvalues):
+            raise UsageError("source eigenvalues must be finite")
 
 
-def _taylor_mul(f: list[float], g: list[float], order: int) -> list[float]:
-    out = [0.0] * (order + 1)
-    for i, fi in enumerate(f):
-        if i > order or fi == 0.0:
-            continue
-        for j, gj in enumerate(g):
-            if i + j > order:
-                break
-            out[i + j] += fi * gj
-    return out
+# Node counts aim the every-other-node half rule at e^-23 ~ 1e-10 relative
+# error, so the full rule errs by about its square.  A half-rule difference
+# above _CERTIFY_RTOL, or an array past _MAX_ENTRIES, raises NumericError.
+_CERTIFY_RTOL = 1e-8
+_MAX_ENTRIES = 1 << 20
 
 
-def _group_eigenvalues(eigs) -> list[tuple[float, int]]:
-    groups: list[tuple[float, int]] = []
-    for a in sorted(float(x) for x in eigs):
-        if groups and abs(groups[-1][0] - a) < 1e-12:
-            groups[-1] = (groups[-1][0], groups[-1][1] + 1)
-        else:
-            groups.append((a, 1))
-    return groups
+def _node_count(q: float, sr: float, growth: float) -> int:
+    """Even node count on a circle of radius r, q = (singular radius) / r.
 
-
-def _residues_one(src: FiniteNSource, s: float) -> float:
-    """sum over residues of e^{su} prod_alpha (1 + s/(N(u - a_alpha))).
-
-    Coincident eigenvalues are grouped; a group of multiplicity k is a pole
-    of order k whose residue is the x^{k-1} Taylor coefficient of the
-    regular part around it.
+    Trapezoidal sums on a circle alias Laurent coefficients (Trefethen &
+    Weideman, SIAM Review 56, 2014): the poles contribute q^h to the half rule
+    of h = n/2 nodes, and the entire factor e^{su} about (e |s| r/h)^h.  Both
+    are scaled by e^growth, a bound on the integrand over the result.
     """
-    N = src.N
-    groups = _group_eigenvalues(src.eigenvalues)
-    total = 0.0
-    for a0, k in groups:
-        order = k - 1
-        # local numerator (x + s/N)^k over the pole x^k, truncated
-        reg = [comb(k, i) * (s / N) ** (k - i) for i in range(order + 1)]
-        for b0, kb in groups:
-            if b0 == a0:
-                continue
-            # (1 + s/(N(x + d)))^{kb} expanded around x = 0, d = a0 - b0
-            base = _taylor_inverse_shift(a0 - b0, order)
-            fac = [1.0 + (s / N) * base[0]] + [(s / N) * c for c in base[1:]]
-            for _ in range(kb):
-                reg = _taylor_mul(reg, fac, order)
-        es = [exp(s * a0) * s**i / factorial(i) for i in range(order + 1)]
-        reg = _taylor_mul(reg, es, order)
-        total += reg[order]
-    return total
+    t = 23 + growth
+    return 2 * ceil(max(t / -log(q), e * sr + t))
 
 
-def _taylor_inverse_shift(d: float, order: int) -> list[float]:
-    """Taylor coefficients of 1/(x + d) around x = 0."""
-    return [(-1.0) ** i / d ** (i + 1) for i in range(order + 1)]
+def _check_size(entries: int) -> None:
+    if entries > _MAX_ENTRIES:
+        raise NumericError(f"contour rule needs arrays of {entries} entries")
+
+
+def _circle_terms(src: FiniteNSource, s: float, c: float, r: float, n: int):
+    """Nodes u on |u - c| = r, with f_s(u) and (N/s) e^{su} (prod_b (1 + x_b) - 1).
+
+    Both carry the weights of the n-point rule, so a sum is (1/2 pi i) oint.
+    As oint e^{su} = 0, the second sums to (N/s) oint f_s without cancellation
+    at small s; x_b = s/(N(u - b)), and prod - 1 = sum_b x_b prod_{b'<b} (1 + x_b').
+    """
+    import numpy as np
+
+    _check_size(n * src.N)
+    w = r * np.exp(2j * np.pi * np.arange(n) / n)
+    u = c + w
+    x = (s / src.N) / (u[:, None] - np.asarray(src.eigenvalues))
+    d = x[:, 0] + (x[:, 1:] * np.cumprod(1 + x[:, :-1], axis=1)).sum(axis=1)
+    ew = np.exp(s * u) * w / n
+    return u, ew * (1 + d), (src.N / s) * ew * d
+
+
+def _certified(full: complex, half: complex) -> float:
+    if not abs(full - half) <= _CERTIFY_RTOL * abs(full):
+        raise NumericError(f"contour rule uncertified: {abs(full - half):.3g} off {abs(full):.3g}")
+    return full.real
 
 
 def finite_n_evaluate(src: FiniteNSource, s: list[float]) -> float:
-    """Exact U(s_1,...,s_n) = (1/N) <prod_i tr e^{s_i M}> for n <= 2.
+    """U(s_1,...,s_n) = (1/N) <prod_i tr e^{s_i M}> for n <= 2, by contour rule.
 
-    Gaussian measure exp(-N/2 tr M^2 + N tr M A); contour integrals around
-    the source eigenvalues evaluated as residue sums (confluent limits via
-    higher-order poles).  The N=1, A=0 case reduces to exp(s^2/2).
+    Measure exp(-N/2 tr M^2 + N tr M A).  With f_s(u) = e^{su} prod_b
+    (1 + s/(N(u - b))) over the source eigenvalues b, U(s) = e^{s^2/2N}/s oint
+    f_s and U(s1, s2) = e^{(s1^2+s2^2)/2N}/N oint oint f_s1(u1) f_s2(u2)
+    [N^2/(s1 s2) - 1/((u1-u2+s1/N)(u2-u1+s2/N))], each oint over (2 pi i), on
+    circles about the eigenvalues' centre.  u2's circle encloses u1's widened
+    by max|s|/N, so both coupling poles lie inside; their contributions
+    +-(N/(s1+s2)) e^{s1 s2/N} oint f_{s1+s2} cancel.  So one trapezoidal rule
+    per circle serves distinct, coincident and nearly coincident eigenvalues
+    and s1 + s2 = 0 alike.  N=1, A=0 reduces to exp(s^2/2).
     """
     if not 1 <= len(s) <= 2:
         raise UsageError("finite-N evaluation supports 1 or 2 insertions")
+    if not all(isfinite(x) for x in s):
+        raise UsageError("s values must be finite")
     N = src.N
+    if len(s) == 1 and s[0] == 0:
+        return 1.0
+    if len(s) == 2 and 0 in s:  # U(s, 0) = N U(s), bit for bit
+        return float(N) * finite_n_evaluate(src, [s[0] or s[1]])
+    sigma = max(abs(x) for x in s)
+    lo, hi = min(src.eigenvalues), max(src.eigenvalues)
+    c, rho = (lo + hi) / 2, (hi - lo) / 2
+    gap = min(1.5 / sigma, 4 * (rho + 1))  # e^{su} grows by e^{|s| gap} <= e^1.5 past rho
+    r1 = rho + gap
+    # growth of e^{su} to r1, and of prod_b (1 + x_b) on |u - c| = rho + gap/4
+    growth = sigma * r1 + N * log1p(4 * sigma / (N * gap))
     if len(s) == 1:
-        (s1,) = s
-        if s1 == 0:
-            return 1.0
-        # the determinant diagonal contributes N/s per insertion
-        return exp(s1**2 / (2 * N)) * _residues_one(src, s1) / s1
+        n1 = _node_count((rho + gap / 4) / r1, sigma * r1, growth)
+        _, _, g1 = _circle_terms(src, s[0], c, r1, n1)
+        return exp(sigma * sigma / (2 * N)) / N * _certified(g1.sum(), 2 * g1[::2].sum())
     s1, s2 = s
-    if s1 == 0:
-        return float(N) * finite_n_evaluate(src, [s2])
-    if s2 == 0:
-        return float(N) * finite_n_evaluate(src, [s1])
-    pref = exp((s1**2 + s2**2) / (2 * N)) / N
-    groups = _group_eigenvalues(src.eigenvalues)
-    if any(k > 1 for _, k in groups):
-        raise DomainError("two-point residue formula implemented for distinct eigenvalues")
-    eigs = [a for a, _ in groups]
-    total = 0.0
-    for a0 in eigs:
-        r1 = (s1 / N) * exp(s1 * a0)
-        for b0 in eigs:
-            if b0 != a0:
-                r1 *= 1.0 + s1 / (N * (a0 - b0))
-        # residues of the second contour at the source poles
-        for b0 in eigs:
-            r2 = (s2 / N) * exp(s2 * b0)
-            for c0_ in eigs:
-                if c0_ != b0:
-                    r2 *= 1.0 + s2 / (N * (b0 - c0_))
-            coupling = N**2 / (s1 * s2) - 1.0 / (
-                (a0 - b0 + s1 / N) * (b0 - a0 + s2 / N)
-            )
-            total += r1 * r2 * coupling
-        # residue of the second contour at the coupling pole u2 = u1 + s1/N,
-        # which the nested-contour prescription encloses; it carries the
-        # e^{s1 s2/N} cross term (pinned by the N=1 Gaussian check)
-        rc = (s1 / N) * exp((s1 + s2) * a0 + s1 * s2 / N) * (N / (s1 + s2))
-        for b0 in eigs:
-            if b0 != a0:
-                rc *= 1.0 + s1 / (N * (a0 - b0))
-        for b0 in eigs:
-            rc *= 1.0 + s2 / (N * (a0 + s1 / N - b0))
-        total += rc
-    return pref * total
+    r2 = r1 + sigma / N + 1.5 * gap  # 1.5 gaps needed the fewest nodes on the oracle inputs
+    n1 = _node_count(r1 / (r2 - sigma / N), sigma * r1, growth)
+    n2 = _node_count((r1 + sigma / N) / r2, sigma * r2, sigma * r2)
+    _check_size(n1 * n2)
+    u1, f1, g1 = _circle_terms(src, s1, c, r1, n1)
+    u2, f2, g2 = _circle_terms(src, s2, c, r2, n2)
+    x = (u1 + s1 / N)[:, None] - u2
+    coupling = 1 / (x * ((s1 + s2) / N - x))
+    full = g1.sum() * g2.sum() - f1 @ coupling @ f2
+    half = 4 * (g1[::2].sum() * g2[::2].sum() - f1[::2] @ coupling[::2, ::2] @ f2[::2])
+    return exp((s1 * s1 + s2 * s2) / (2 * N)) / N * _certified(full, half)
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +353,9 @@ def finite_n_evaluate(src: FiniteNSource, s: list[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def table_to_dict(entries: list[TauCorrelator], points: int) -> dict:
-    if not entries:
-        return {"p": None, "genus": None, "points": points, "entries": []}
-    p0 = entries[0].p
+def table_to_dict(entries: list[TauCorrelator], points: int, p=None) -> dict:
+    """Serializable table; p labels a table without entries."""
+    p0 = entries[0].p if entries else p
     rows = []
     for e in entries:
         if isinstance(e.value, Fraction):
@@ -385,24 +372,22 @@ def table_to_dict(entries: list[TauCorrelator], points: int) -> dict:
                 "den": den,
             }
         )
-    p_out = "symbolic" if p0 == "symbolic" else (
-        int(p0) if Fraction(p0).denominator == 1 else str(p0)
-    )
-    genera = sorted({e.genus for e in entries})
+    if p0 not in (None, "symbolic"):
+        p0 = int(p0) if Fraction(p0).denominator == 1 else str(Fraction(p0))
     return {
-        "p": p_out,
-        "genus": genera[-1] if genera else None,
+        "p": p0,
+        "genus": max((e.genus for e in entries), default=None),
         "points": points,
         "entries": rows,
     }
 
 
-def table_to_json(entries: list[TauCorrelator], points: int) -> str:
-    return json.dumps(table_to_dict(entries, points), indent=2, sort_keys=True) + "\n"
+def table_to_json(entries: list[TauCorrelator], points: int, p=None) -> str:
+    return json.dumps(table_to_dict(entries, points, p), indent=2, sort_keys=True) + "\n"
 
 
-def table_to_csv(entries: list[TauCorrelator], points: int) -> str:
-    data = table_to_dict(entries, points)
+def table_to_csv(entries: list[TauCorrelator], points: int, p=None) -> str:
+    data = table_to_dict(entries, points, p)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["p", "genus", "m", "j", "num", "den"])

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import sqrt
+from math import isfinite, sqrt
 
 from .exact import DomainError, ExactScalar, UsageError
 from .numbers import zeta_even_rational_part, zeta_negative_odd
@@ -102,6 +102,10 @@ class McConfig:
             raise UsageError("one or two insertions supported")
         if self.sample_count < 2:
             raise UsageError("need at least 2 samples for a standard error")
+        if not all(isfinite(x) for x in (*self.eigenvalues, *self.s_values)):
+            raise UsageError("eigenvalues and s values must be finite")
+        if not 0 <= self.rng_seed < 2**128:
+            raise UsageError("seed must lie in [0, 2^128), the Philox key range")
 
 
 _DRAWS_PER_SAMPLE = 4096  # Philox counter stride per sample index

@@ -125,9 +125,19 @@ def grade_contributions(p: int, g: int) -> list[tuple[ExactScalar, int, MomentSy
 
 
 @lru_cache(maxsize=None)
-def two_point_grade(p: int, g: int, kernel_mode: str = REAL) -> AssembledGrade:
-    """Assembled genus-g grade; raises CancellationError on a T-type residue."""
+def _assembled_grade(p: int, g: int, kernel_mode: str) -> AssembledGrade:
     return assemble_grade(grade_contributions(p, g), mode_constant(kernel_mode))
+
+
+def two_point_grade(p: int, g: int, kernel_mode: str = REAL) -> AssembledGrade:
+    """Assembled genus-g grade; raises CancellationError on a T-type residue.
+
+    Cached once per (p, g, kernel_mode), however the arguments are passed.
+    """
+    return _assembled_grade(p, g, kernel_mode)
+
+
+two_point_grade.cache_info = _assembled_grade.cache_info
 
 
 def grade_monomial(p: int, g: int, m: int) -> Monomial | None:

@@ -32,7 +32,7 @@ class TestIntersect:
 
     def test_genus_zero_empty(self, capsys):
         assert run("intersect", "--p", "3", "--genus", "0", "--points", "2") == 0
-        assert "computed 0 entries" in capsys.readouterr().out
+        assert "computed 0 entries (p=3, points=2)" in capsys.readouterr().out
 
     def test_json_output(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PSPIN_OUTPUT_DIR", str(tmp_path))
@@ -110,6 +110,23 @@ class TestVerify:
         monkeypatch.setattr("pspin.cli.mc_trace_moments", lambda cfg: (1.27, 0.0))
         assert run("verify", "mc", "--samples", "2") == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_mc_seed_out_of_range_usage_error(self):
+        for seed in ("-1", str(2**128)):
+            assert run("verify", "mc", "--seed", seed, "--samples", "2") == 2, seed
+
+    def test_mc_non_finite_usage_error(self):
+        assert run("verify", "mc", "--n", "2", "--eigenvalues", "nan", "1") == 2
+        for s in ("nan", "inf", "-inf"):
+            assert run("verify", "mc", f"--s={s}") == 2, s
+
+    @pytest.mark.parametrize("argv", [
+        ("--s", "0.3", "-0.3"),
+        ("--n", "2", "--eigenvalues", "1", "1", "--s", "0.3", "0.2"),
+    ], ids=["opposite-s", "repeated-eigenvalues"])
+    def test_mc_former_residue_edges(self, argv, capsys):
+        assert run("verify", "mc", *argv, "--samples", "4000") == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_mc_all_zero_s_exact(self, capsys):
         assert run("verify", "mc", "--s", "0", "--samples", "2") == 0

@@ -2,7 +2,11 @@
 
 import json
 import math
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,7 @@ from pspin.density import bernoulli_leading
 from pspin.exact import RatP, UsageError
 from pspin.moments import assemble_grade
 from pspin.numbers import zeta_one_minus_2g
+from pspin.oracle import NumericError
 from pspin.onepoint import genus_coefficient, one_point_series, one_point_value
 from pspin.twopoint import (
     CONTOUR,
@@ -252,7 +257,120 @@ class TestInterpolation:
             assert poly.eval(x) == y
 
 
+def residue_reference(eigs, s):
+    """U(s) or U(s1, s2) as residue sums over distinct eigenvalues.
+
+    The reference route for the contour rule: each simple pole b contributes
+    (s/N) e^{sb} prod_{b' != b} (1 + s/(N(b - b'))), and the two-point sum
+    adds the coupling pole u2 = u1 + s1/N.  Valid only for well-separated
+    eigenvalues with b - b' away from +-s_i/N and s1 + s2 away from 0.
+    """
+    N = len(eigs)
+
+    def res(a, t):
+        r = (t / N) * math.exp(t * a)
+        for b in eigs:
+            if b != a:
+                r *= 1 + t / (N * (a - b))
+        return r
+
+    if len(s) == 1:
+        (s1,) = s
+        return math.exp(s1 * s1 / (2 * N)) * sum(res(a, s1) for a in eigs) / s1
+    s1, s2 = s
+    total = 0.0
+    for a in eigs:
+        for b in eigs:
+            coupling = N * N / (s1 * s2) - 1 / ((a - b + s1 / N) * (b - a + s2 / N))
+            total += res(a, s1) * res(b, s2) * coupling
+        rc = res(a, s1) * math.exp(s2 * a + s1 * s2 / N) * N / (s1 + s2)
+        for b in eigs:
+            rc *= 1 + s2 / (N * (a + s1 / N - b))
+        total += rc
+    return math.exp((s1 * s1 + s2 * s2) / (2 * N)) / N * total
+
+
+def well_separated_cases(seed, per_n=3, pairs=8):
+    """Sources with gaps in [0.4, 1], |s| <= 3, away from the residue poles."""
+    rng = random.Random(seed)
+    for n in range(2, 9):
+        for _ in range(per_n):
+            eigs, x = [], rng.uniform(-2.0, -1.0)
+            for _ in range(n):
+                eigs.append(x)
+                x += rng.uniform(0.4, 1.0)
+            k = 0
+            while k < pairs:
+                s1, s2 = rng.uniform(-3, 3), rng.uniform(-3, 3)
+                if min(abs(s1), abs(s2), abs(s1 + s2)) < 0.1:
+                    continue
+                gaps = [a - b for a in eigs for b in eigs if a != b]
+                if min(abs(d + t) for d in gaps for t in (s1 / n, s2 / n)) < 0.05:
+                    continue
+                k += 1
+                yield tuple(eigs), s1, s2
+
+
 class TestFiniteN:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_residue_reference(self, seed):
+        for eigs, s1, s2 in well_separated_cases(seed):
+            src = FiniteNSource(len(eigs), eigs)
+            for s in ([s1], [s1, s2]):
+                want = residue_reference(eigs, s)
+                assert math.isclose(finite_n_evaluate(src, s), want, rel_tol=1e-12), (eigs, s)
+
+    def test_repeated_eigenvalues_two_point(self):
+        s = [0.3, 0.2]
+        at = finite_n_evaluate(FiniteNSource(3, (1.0, 1.0, -1.0)), s)
+        near = finite_n_evaluate(FiniteNSource(3, (1.0, 1.0 + 1e-12, -1.0)), s)
+        assert math.isclose(at, near, rel_tol=1e-9)
+        assert finite_n_evaluate(FiniteNSource(2, (1.0, 1.0)), s) > 0
+
+    def test_opposite_s(self):
+        src = FiniteNSource(4, (1.0, -1.0, 2.0, -2.0))
+        at = finite_n_evaluate(src, [0.3, -0.3])
+        assert math.isclose(at, finite_n_evaluate(src, [0.3, -0.3 + 1e-7]), rel_tol=1e-6)
+        assert math.isclose(at, finite_n_evaluate(src, [-0.3, 0.3]), rel_tol=1e-12)
+
+    def test_gap_equal_to_s_over_n(self):
+        # a - b = s1/N is a removable singularity of the residue terms
+        s = [0.3, 0.2]
+        at = finite_n_evaluate(FiniteNSource(3, (1.0, 1.1, -1.0)), s)
+        for d in (0.1 - 1e-7, 0.1 + 1e-7):
+            near = finite_n_evaluate(FiniteNSource(3, (1.0, 1.0 + d, -1.0)), s)
+            assert math.isclose(at, near, rel_tol=1e-6)
+
+    def test_zero_insertion_is_n_times_one_point(self):
+        src = FiniteNSource(3, (0.5, -0.25, 1.5))
+        assert finite_n_evaluate(src, [0.4, 0.0]) == 3 * finite_n_evaluate(src, [0.4])
+        assert finite_n_evaluate(src, [0.0, 0.4]) == 3 * finite_n_evaluate(src, [0.4])
+
+    def test_uncertified_raises(self, monkeypatch):
+        src = FiniteNSource(5, (1.0, -1.0, 2.0, -2.0, 0.5))
+        with pytest.raises(NumericError):
+            finite_n_evaluate(src, [12.0, -6.0])  # its node grid would pass the array cap
+        monkeypatch.setattr("pspin.correlators._CERTIFY_RTOL", 0.0)
+        with pytest.raises(NumericError):
+            finite_n_evaluate(src, [0.3, 0.2])
+
+    def test_non_finite_inputs_usage_error(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(UsageError):
+                FiniteNSource(2, (bad, 1.0))
+            with pytest.raises(UsageError):
+                finite_n_evaluate(FiniteNSource(2, (0.5, -0.5)), [0.3, bad])
+
+    def test_probe_edges(self):
+        # the frozen edge configurations of the benchmark, each against Monte Carlo
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "bench/run.py", "--probe-edges"],
+            cwd=root, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "all edge configurations pass" in proc.stdout
+
     def test_n1_gaussian_calibration(self):
         src = FiniteNSource(1, (0.0,))
         for s in (0.1, 0.5, 1.3):
@@ -395,6 +513,15 @@ class TestCrossRoute:
                 if mk[0] == (m // p, m % p - 1)
             )
             assert low == by_marks[marks], (p, g, m)
+
+
+def test_two_point_grade_one_cache_entry_per_key():
+    # positional, explicit default and keyword forms share one cached assembly
+    before = two_point_grade.cache_info().misses
+    grades = [two_point_grade(3, 2), two_point_grade(3, 2, "real"),
+              two_point_grade(3, 2, kernel_mode="real")]
+    assert two_point_grade.cache_info().misses - before <= 1
+    assert grades[0] is grades[1] is grades[2]
 
 
 def test_mirror_strategy_tables_identical():
