@@ -26,7 +26,7 @@ from .onepoint import (
     one_point_series,
     one_point_value,
 )
-from .oracle import NumericError
+from .oracle import NumericError, check_size
 from .twopoint import REAL, grade_monomial, two_point_low_orders, two_point_series
 
 
@@ -255,9 +255,8 @@ class FiniteNSource:
 
 # Node counts aim the every-other-node half rule at e^-23 ~ 1e-10 relative
 # error, so the full rule errs by about its square.  A half-rule difference
-# above _CERTIFY_RTOL, or an array past _MAX_ENTRIES, raises NumericError.
+# above _CERTIFY_RTOL, or an array past the oracle's entry cap, raises NumericError.
 _CERTIFY_RTOL = 1e-8
-_MAX_ENTRIES = 1 << 20
 
 
 def _node_count(q: float, sr: float, growth: float) -> int:
@@ -272,27 +271,23 @@ def _node_count(q: float, sr: float, growth: float) -> int:
     return 2 * ceil(max(t / -log(q), e * sr + t))
 
 
-def _check_size(entries: int) -> None:
-    if entries > _MAX_ENTRIES:
-        raise NumericError(f"contour rule needs arrays of {entries} entries")
-
-
 def _circle_terms(src: FiniteNSource, s: float, c: float, r: float, n: int):
-    """Nodes u on |u - c| = r, with f_s(u) and (N/s) e^{su} (prod_b (1 + x_b) - 1).
+    """Nodes u on |u - c| = r, with f_s(u) and N e^{su} (prod_b (1 + s y_b) - 1)/s.
 
     Both carry the weights of the n-point rule, so a sum is (1/2 pi i) oint.
     As oint e^{su} = 0, the second sums to (N/s) oint f_s without cancellation
-    at small s; x_b = s/(N(u - b)), and prod - 1 = sum_b x_b prod_{b'<b} (1 + x_b').
+    at small s; y_b = 1/(N(u - b)), and (prod - 1)/s = sum_b y_b prod_{b'<b}
+    (1 + s y_b'), which has no 1/s to overflow at subnormal s.
     """
     import numpy as np
 
-    _check_size(n * src.N)
+    check_size(n * src.N)
     w = r * np.exp(2j * np.pi * np.arange(n) / n)
     u = c + w
-    x = (s / src.N) / (u[:, None] - np.asarray(src.eigenvalues))
-    d = x[:, 0] + (x[:, 1:] * np.cumprod(1 + x[:, :-1], axis=1)).sum(axis=1)
+    y = 1 / (src.N * (u[:, None] - np.asarray(src.eigenvalues)))
+    q = y[:, 0] + (y[:, 1:] * np.cumprod(1 + s * y[:, :-1], axis=1)).sum(axis=1)
     ew = np.exp(s * u) * w / n
-    return u, ew * (1 + d), (src.N / s) * ew * d
+    return u, ew * (1 + s * q), src.N * ew * q
 
 
 def _certified(full: complex, half: complex) -> float:
@@ -338,7 +333,7 @@ def finite_n_evaluate(src: FiniteNSource, s: list[float]) -> float:
     r2 = r1 + sigma / N + 1.5 * gap  # 1.5 gaps needed the fewest nodes on the oracle inputs
     n1 = _node_count(r1 / (r2 - sigma / N), sigma * r1, growth)
     n2 = _node_count((r1 + sigma / N) / r2, sigma * r2, sigma * r2)
-    _check_size(n1 * n2)
+    check_size(n1 * n2)
     u1, f1, g1 = _circle_terms(src, s1, c, r1, n1)
     u2, f2, g2 = _circle_terms(src, s2, c, r2, n2)
     x = (u1 + s1 / N)[:, None] - u2

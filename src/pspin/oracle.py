@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import isfinite, sqrt
+from functools import cache, lru_cache
+from math import ceil, gamma, isfinite, pi, sqrt
 
 from .exact import DomainError, ExactScalar, UsageError
 from .numbers import zeta_even_rational_part, zeta_negative_odd
@@ -20,27 +20,203 @@ class NumericError(ArithmeticError):
     """Requested tolerance could not be certified."""
 
 
+# Arrays past _MAX_ENTRIES entries, or Airy walks past _MAX_STEPS steps,
+# raise NumericError instead of running.
+_MAX_ENTRIES = 1 << 20
+_MAX_STEPS = 1 << 16
+
+
+def check_size(count: float, cap: int = _MAX_ENTRIES, unit: str = "array entries") -> None:
+    """Raise NumericError before a numeric rule would need more than cap units."""
+    if not count <= cap:  # also catches NaN and inf
+        raise NumericError(f"numeric rule needs {count:.3g} {unit} (cap {cap})")
+
+
+# ---------------------------------------------------------------------------
+# composite Gauss-Legendre quadrature
+# ---------------------------------------------------------------------------
+
+
 @cache
-def _airy():
-    # imported on first use, and looked up once: quad_moment's integrand calls
-    # ai_deriv twice per point, and a repeated from-import costs it ~15%
-    from scipy.special import airy
+def _legendre(nodes: int):
+    import numpy as np
 
-    return airy
+    return np.polynomial.legendre.leggauss(nodes)
 
 
-def ai_deriv(y, order: int):
-    """Ai^{(order)}(y) from scipy Ai, Ai' and the rewrite Ai'' = y Ai.
+def _panel_rule(edges, nodes: int):
+    """Points and weights of the nodes-point Gauss-Legendre rule on each panel."""
+    import numpy as np
 
-    Works elementwise on numpy arrays as well as on floats;
-    Ai^{(m+2)} = d^m/dy^m (y Ai) = y Ai^{(m)} + m Ai^{(m-1)} builds the
-    table up to the needed order.
+    edges = np.asarray(edges, dtype=float)
+    check_size((len(edges) - 1) * nodes)
+    t, w = _legendre(nodes)
+    half = (edges[1:] - edges[:-1])[:, None] / 2
+    return ((edges[:-1, None] + half) + half * t).ravel(), (half * w).ravel()
+
+
+def gauss_legendre(values, edges, nodes: int, tol: float) -> float:
+    """Certified integral over the panels [edges[i], edges[i+1]].
+
+    values(x, m) gives the integrand at the points x of the m-point rule
+    (m lets a caller cache tables per rule).  The integral is computed with
+    nodes and 2 nodes per panel and the 2 nodes value returned; a difference
+    above tol, or a NaN, raises NumericError.
     """
-    ai, aip, _, _ = _airy()(y)
-    if order == 0:
-        return ai
-    if order == 1:
-        return aip
+    q = []
+    for m in (nodes, 2 * nodes):
+        x, w = _panel_rule(edges, m)
+        q.append(float(w @ values(x, m)))
+    err = abs(q[1] - q[0])
+    if not err <= tol:
+        raise NumericError(f"quadrature error estimate {err:.3g} exceeds tol {tol:.3g}")
+    return q[1]
+
+
+# ---------------------------------------------------------------------------
+# the Airy function Ai on the real line
+# ---------------------------------------------------------------------------
+
+_TAYLOR_TERMS = 24  # steps of at most min(0.5, 1/sqrt|x|): terms fall like 1/k!
+_ASYMPTOTIC_FROM = 12.0  # DLMF 9.7.5-6 carry full precision for x >= 12 (e^{-2 zeta} ~ 1e-24)
+_ASYMPTOTIC_TERMS = 25
+_LANDING_RTOL = 1e-13
+
+
+# Ai(0) = 1/(3^{2/3} Gamma(2/3)) and Ai'(0) = -1/(3^{1/3} Gamma(1/3))
+_AI_ZERO = (1 / (3 ** (2 / 3) * gamma(2 / 3)), -1 / (3 ** (1 / 3) * gamma(1 / 3)))
+
+
+def _taylor(x0, t, y, dy):
+    """(y, y') at x0 + t for the solution of y'' = x y with y, y' given at x0.
+
+    y(x0 + t) = sum_k c_k t^k with c_0 = y, c_1 = y' and
+    (k+2)(k+1) c_{k+2} = x0 c_k + c_{k-1}.  Works elementwise on arrays.
+    """
+    prev, c, nxt = 0.0, y, dy  # c_{k-1}, c_k, c_{k+1} at k = 0
+    val, slope = y + dy * t, dy
+    power = t  # t^{k+1}
+    for k in range(2, _TAYLOR_TERMS):
+        prev, c, nxt = c, nxt, (x0 * c + prev) / (k * (k - 1))
+        slope = slope + k * nxt * power
+        power = power * t
+        val = val + nxt * power
+    return val, slope
+
+
+def _step(x: float) -> float:
+    """Step length from x: |x| grows by at most 0.5 along the step, so the
+    length stays within min(0.5, 1/sqrt|x|) at every point of it."""
+    return min(0.5, 1 / sqrt(abs(x) + 0.5))
+
+
+def _walk(grid, y: float, dy: float):
+    """(Ai, Ai') along grid, stepped from the values y, dy at grid[0]."""
+    import numpy as np
+
+    x0, t = grid[:-1], np.diff(grid)
+    ya, dya = _taylor(x0, t, 1.0, 0.0)  # transfer matrix columns of each step
+    yb, dyb = _taylor(x0, t, 0.0, 1.0)
+    vals, slopes = [y], [dy]
+    for p, q, r, s in zip(ya.tolist(), yb.tolist(), dya.tolist(), dyb.tolist()):
+        y, dy = p * y + q * dy, r * y + s * dy
+        vals.append(y)
+        slopes.append(dy)
+    return np.array(vals), np.array(slopes)
+
+
+def _asymptotic(x):
+    """(Ai, Ai') for x >= 12 from the series of DLMF 9.7.5-6."""
+    import numpy as np
+
+    zeta = 2 / 3 * x**1.5
+    u, su, sv = 1.0, 1.0, 1.0
+    for k in range(1, _ASYMPTOTIC_TERMS):
+        u *= (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / ((2 * k - 1) * 216 * k)
+        sign = (-1) ** k / zeta**k
+        su = su + sign * u
+        sv = sv - sign * (6 * k + 1) / (6 * k - 1) * u
+    scale = np.exp(-zeta) / (2 * sqrt(pi))
+    quarter = x**0.25
+    return scale / quarter * su, -scale * quarter * sv
+
+
+@cache
+def _positive_walk():
+    """Grid on [0, 12] with (Ai, Ai'), stepped down from the asymptotic values.
+
+    Stepping toward 0 follows the growing direction of Ai, so errors stay
+    relative; the walk must land on the closed-form Ai(0), Ai'(0).
+    """
+    import numpy as np
+
+    points = [_ASYMPTOTIC_FROM]
+    while points[-1] > 0:
+        points.append(max(0.0, points[-1] - _step(points[-1])))
+    grid = np.array(points)
+    y, dy = _asymptotic(grid[0])
+    vals, slopes = _walk(grid, float(y), float(dy))
+    for got, want in zip((vals[-1], slopes[-1]), _AI_ZERO):
+        if not abs(got - want) <= _LANDING_RTOL * abs(want):
+            raise NumericError(f"Airy walk landed on {got!r}, not {want!r}")
+    return grid[::-1], vals[::-1], slopes[::-1]
+
+
+@lru_cache(maxsize=8)
+def _negative_walk(depth: int):
+    """Grid on [-depth, 0], ascending, with (Ai, Ai') stepped from Ai(0), Ai'(0).
+
+    Both solutions oscillate on this side, so neither direction is preferred.
+    """
+    import numpy as np
+
+    points = [0.0]
+    while points[-1] > -depth:
+        points.append(points[-1] - _step(points[-1]))
+    grid = np.array(points)
+    return tuple(v[::-1] for v in (grid, *_walk(grid, *_AI_ZERO)))
+
+
+def _negative(x):
+    depth = -x.min()
+    # a walk takes about 1/min(0.5, 1/sqrt(|x| + 0.5)) steps per unit length
+    check_size(2 * depth + 2 / 3 * (depth + 0.5) ** 1.5, _MAX_STEPS, "Airy walk steps")
+    return _from_grid(x, *_negative_walk(max(1, ceil(depth))))
+
+
+def _from_grid(x, grid, vals, slopes):
+    """Taylor step from the nearest point of an ascending grid."""
+    import numpy as np
+
+    i = np.clip(np.searchsorted(grid, x), 1, len(grid) - 1)
+    i -= (x - grid[i - 1]) < (grid[i] - x)
+    return _taylor(grid[i], x - grid[i], vals[i], slopes[i])
+
+
+def _airy(x):
+    """(Ai(x), Ai'(x)) elementwise for an array x of finite reals.
+
+    x <= 0 steps forward from the closed forms at 0; 0 < x < 12 steps from
+    the walk down from 12; x >= 12 uses the asymptotic series.
+    """
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise NumericError("Airy function of NaN")
+    ai, aip = np.empty_like(x), np.empty_like(x)
+    for part, values in (
+        (x <= 0, _negative),
+        ((x > 0) & (x < _ASYMPTOTIC_FROM), lambda v: _from_grid(v, *_positive_walk())),
+        (x >= _ASYMPTOTIC_FROM, _asymptotic),
+    ):
+        if part.any():
+            ai[part], aip[part] = values(x[part])
+    return ai, aip
+
+
+def _rewrite(y, ai, aip, order: int):
+    """Ai^{(order)}(y) from Ai, Ai' and Ai^{(m+2)} = y Ai^{(m)} + m Ai^{(m-1)}."""
     vals = [ai, aip]
     for k in range(2, order + 1):
         m = k - 2
@@ -49,30 +225,68 @@ def ai_deriv(y, order: int):
     return vals[order]
 
 
+def ai_deriv(y, order: int):
+    """Ai^{(order)}(y) elementwise, from Ai, Ai' and the rewrite Ai'' = y Ai.
+
+    A float y gives a numpy float; an array gives an array.
+    """
+    import numpy as np
+
+    ai, aip = _airy(np.atleast_1d(y))
+    out = _rewrite(np.asarray(y, dtype=float), ai, aip, order)
+    return out if np.ndim(y) else out[0]
+
+
+# ---------------------------------------------------------------------------
+# moments int_0^inf y^n Ai^{(b)}(y) Ai^{(c)}(-a y) dy
+# ---------------------------------------------------------------------------
+
+# Ai^{(b)}(y) falls like y^{b/2-1/4} e^{-2/3 y^{3/2}} and Ai^{(c)}(-x) grows at
+# most like x^{c/2-1/4}: past Y = 24 (e^{-78}) the integrand stays below 1e-17
+# for n <= 8, b, c <= 3 and any a the walk cap admits, so [0, Y] suffices.
+_MOMENT_UPPER = 24.0
+_MOMENT_NODES = 12
+_PANEL_PHASE = 4.0  # radians of Ai(-a y) per panel
+
+
+def _moment_edges(a: float):
+    """Uniform panels on [0, Y]; Ai(-a y) turns at rate a^{3/2} sqrt(y) <= a^{3/2} sqrt(Y)."""
+    import numpy as np
+
+    panels = _MOMENT_UPPER * max(2.0, a**1.5 * sqrt(_MOMENT_UPPER) / _PANEL_PHASE)
+    check_size(3 * _MOMENT_NODES * panels)
+    return np.linspace(0.0, _MOMENT_UPPER, ceil(panels) + 1)
+
+
+@lru_cache(maxsize=8)
+def _moment_table(a: float, nodes: int):
+    """(Ai, Ai') at the points y of the nodes-point rule and at -a y.
+
+    Bounded: callers take all their moments at one a before the next.
+    """
+    y, _ = _panel_rule(_moment_edges(a), nodes)
+    return _airy(y), _airy(-a * y)
+
+
 def quad_moment(n: int, b: int, c: int, a: float, tol: float = 1e-9) -> float:
-    """Adaptive quadrature of int_0^inf y^n Ai^{(b)}(y) Ai^{(c)}(-a y) dy.
+    """int_0^inf y^n Ai^{(b)}(y) Ai^{(c)}(-a y) dy by certified Gauss-Legendre.
 
     Derivative orders count differentiation of Ai with respect to its own
     argument, evaluated at -a y.  Convergence relies on the decay of the
     first factor at +infinity (p=3 oscillatory kernel only); the second
-    factor is polynomially bounded for y >= 0.
+    factor is polynomially bounded for y >= 0.  Points, weights and Airy
+    values are cached per (a, rule), so all moments at one a share them.
     """
     if n > 8 or b > 3 or c > 3:
         raise UsageError("quadrature oracle restricted to n <= 8, b,c <= 3")
     if a <= 0:
         raise DomainError("a > 0 required")
-    from scipy.integrate import quad
 
-    def integrand(y):
-        return y**n * ai_deriv(y, b) * ai_deriv(-a * y, c)
+    def values(y, nodes):
+        pos, neg = _moment_table(a, nodes)
+        return y**n * _rewrite(y, *pos, b) * _rewrite(-a * y, *neg, c)
 
-    # Ai(y) ~ exp(-2/3 y^{3/2}): the tail beyond Y is negligible at double
-    # precision once 2/3 Y^{3/2} >> log(1/tol); Y = 40 is ample
-    upper = 40.0
-    val, err = quad(integrand, 0.0, upper, epsabs=tol / 8, epsrel=tol / 8, limit=400)
-    if err > tol:
-        raise NumericError(f"quadrature error estimate {err} exceeds tol {tol}")
-    return float(val)
+    return gauss_legendre(values, _moment_edges(a), _MOMENT_NODES, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,24 @@ class TestPhiEval:
         # negative arguments decay and stay evaluatable
         assert phi_eval(fam, -2.0) < phi_eval(fam, 0.0)
 
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_real_mode_matches_scipy_quad(self, p):
+        import numpy as np
+
+        fam = AiryFamily(p, REAL)
+        for y in (-30.0, -3.0, -0.5, 0.0, 1.5, 3.0):
+            for deriv in (0, 1, 2):
+                want, err = quad(lambda u: u**deriv * np.exp(-(u**p) / p + y * u), 0, np.inf,
+                                 epsabs=1e-13, epsrel=1e-13, limit=200)
+                assert err <= 1e-10
+                assert abs(phi_eval(fam, y, deriv=deriv) - want) <= 1e-11 * max(1.0, want), (y, deriv)
+
+    def test_real_mode_domain(self):
+        fam = AiryFamily(3, REAL)
+        for y in (3.5, float("nan"), float("-inf")):
+            with pytest.raises(DomainError):
+                phi_eval(fam, y)
+
     def test_contour_limited_to_p3(self):
         with pytest.raises(DomainError):
             phi_eval(AiryFamily(4, CONTOUR), 0.0)

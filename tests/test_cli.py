@@ -1,8 +1,11 @@
 """CLI behavior: commands, exit codes, output files, byte stability."""
 
+import ast
 import json
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +131,15 @@ class TestVerify:
         assert run("verify", "mc", *argv, "--samples", "4000") == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ("--n", "2", "--eigenvalues", "0.5", "-5e-1", "--s", "0.3"),
+        ("--n", "2", "--eigenvalues", "0.5", "-0.5", "--s", "-3e-1"),
+    ], ids=["eigenvalue", "s"])
+    def test_mc_negative_exponent_form(self, argv, capsys):
+        # argparse alone reads -5e-1 as an unknown option (exit 2)
+        assert run("verify", "mc", *argv, "--samples", "4000") == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_mc_all_zero_s_exact(self, capsys):
         assert run("verify", "mc", "--s", "0", "--samples", "2") == 0
         assert "PASS" in capsys.readouterr().out
@@ -154,6 +166,14 @@ class TestVerify:
         monkeypatch.setattr("pspin.cli.quad_moment", no_quadrature)
         for values in (["0"], ["-0.5"], ["0.5", "0"]):
             assert run("verify", "airy-quad", "--a-values", *values) == 2, values
+
+    def test_airy_quad_uncertifiable_ratio_exit_3(self, capsys):
+        # the node and walk caps refuse a = 1e9 up front: no NaN FAIL lines, no hang
+        start = time.perf_counter()
+        assert run("verify", "airy-quad", "--a-values", "1e9") == 3
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "FAIL" not in captured.out
 
     @pytest.mark.parametrize("check", ["string", "dilaton", "selection", "cancellation", "largep"])
     def test_genus_below_one_usage_error(self, check, capsys):
@@ -216,16 +236,19 @@ except SystemExit as exc:
 """
 
 _PROBES = {
-    "import": "import pspin",
-    "help": _CLI_PROBE.format(argv=["--help"]),
-    "intersect": _CLI_PROBE.format(argv=["intersect", "--p", "3", "--genus", "2"]),
+    # probe -> the numeric libraries it may load
+    "import": ("import pspin", []),
+    "help": (_CLI_PROBE.format(argv=["--help"]), []),
+    "intersect": (_CLI_PROBE.format(argv=["intersect", "--p", "3", "--genus", "2"]), []),
+    "airy-quad": (_CLI_PROBE.format(argv=["verify", "airy-quad"]), ["mpmath", "numpy"]),
+    "binet": (_CLI_PROBE.format(argv=["verify", "binet", "--z", "2"]), ["mpmath", "numpy"]),
 }
 
 
-@pytest.mark.parametrize("probe", list(_PROBES.values()), ids=list(_PROBES))
-def test_sympy_stays_unimported(probe):
-    # the exact core carries its own coefficient types, and the numeric
-    # libraries load only inside the functions that use them
+@pytest.mark.parametrize("probe, allowed", list(_PROBES.values()), ids=list(_PROBES))
+def test_sympy_stays_unimported(probe, allowed):
+    # the exact core carries its own coefficient types, the numeric libraries
+    # load only inside the functions that use them, and scipy not at all
     script = probe + (
         "\nimport json, sys"
         "\nprint(json.dumps([sorted({'sympy', 'numpy', 'scipy', 'mpmath'} & set(sys.modules)),"
@@ -234,9 +257,24 @@ def test_sympy_stays_unimported(probe):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     heavy, numeric_modules_loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert heavy == []
+    assert heavy == allowed
     # the traced benchmark wraps the bindings of both modules once pspin.cli is imported
     assert numeric_modules_loaded
+
+
+def test_no_scipy_import_in_package():
+    package = Path(__file__).resolve().parents[1] / "src" / "pspin"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
 
 
 class TestGoldenVariants:

@@ -346,6 +346,17 @@ class TestFiniteN:
         assert finite_n_evaluate(src, [0.4, 0.0]) == 3 * finite_n_evaluate(src, [0.4])
         assert finite_n_evaluate(src, [0.0, 0.4]) == 3 * finite_n_evaluate(src, [0.4])
 
+    def test_subnormal_s(self):
+        # U(s) -> 1 as s -> 0; a factor N/s used to overflow to inf here
+        src = FiniteNSource(3, (1.0, 2.0, 3.0))
+        for s in (1e-320, -1e-320, 5e-324):
+            assert abs(finite_n_evaluate(src, [s]) - 1.0) <= 1e-12, s
+            for s2 in (0.3, -0.2):
+                tiny = finite_n_evaluate(src, [s, s2])
+                assert math.isclose(tiny, 3 * finite_n_evaluate(src, [s2]), rel_tol=1e-12)
+                # U(s1, s2) moves by O(s1) between s1 = 1e-8 and the subnormal s1
+                assert math.isclose(tiny, finite_n_evaluate(src, [1e-8, s2]), rel_tol=1e-7)
+
     def test_uncertified_raises(self, monkeypatch):
         src = FiniteNSource(5, (1.0, -1.0, 2.0, -2.0, 0.5))
         with pytest.raises(NumericError):

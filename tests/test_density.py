@@ -95,6 +95,28 @@ class TestBinet:
         lhs, rhs, diff = binet_check(z)
         assert diff < 1e-8
 
+    @pytest.mark.parametrize("z", [0.01, 0.5, 10.0, 500.0])
+    def test_identity_across_scales(self, z):
+        # panels doubling from min(1/4, 1/z) reach both the small- and large-z tails
+        _, _, diff = binet_check(z)
+        assert diff <= 1e-10 * max(1.0, 1.0 / z)
+
+    def test_unreachable_z_raises(self):
+        # 40/z overflows, so no panel list can reach the tail
+        from pspin.oracle import NumericError
+
+        with pytest.raises(NumericError):
+            binet_check(1e-320)
+
+    def test_integrand_on_arrays(self):
+        import numpy as np
+
+        s = np.array([0.0, 5e-4, 0.5, 3.0, 800.0])
+        assert list(exp_kernel_integrand(s)) == [exp_kernel_integrand(float(v)) for v in s]
+        assert exp_kernel_integrand(800.0) == 0.5 - 1 / 800.0
+        with pytest.raises(DomainError):
+            exp_kernel_integrand(np.array([1.0, -1.0]))
+
     def test_known_values(self):
         lhs, _, _ = binet_check(2.0)
         assert abs(lhs - (1 - 0.5772156649015329)) < 1e-10

@@ -4,14 +4,19 @@ import json
 import math
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import airy
 
+from pspin import oracle
 from pspin.correlators import FiniteNSource, finite_n_evaluate
 from pspin.exact import DomainError, ExactScalar, UsageError
 from pspin.oracle import (
     McConfig,
+    NumericError,
+    ai_deriv,
     mc_trace_moments,
     oracle_report,
     quad_moment,
@@ -59,6 +64,89 @@ class TestQuadMoment:
             quad_moment(9, 0, 0, 0.5)
         with pytest.raises(DomainError):
             quad_moment(1, 0, 0, -0.5)
+
+    def test_uncertifiable_raises(self):
+        # beyond the node cap, and a NaN error estimate or tolerance
+        for a in (1e9, math.inf):
+            with pytest.raises(NumericError):
+                quad_moment(0, 0, 0, a)
+        with pytest.raises(NumericError):
+            quad_moment(1, 1, 1, 0.5, tol=math.nan)
+
+
+class TestAiryValues:
+    def test_matches_scipy(self):
+        x = np.linspace(-60.0, 30.0, 9001)
+        ai, aip, _, _ = airy(x)
+        assert np.max(np.abs(ai_deriv(x, 0) - ai)) <= 1e-13
+        # scipy's own Ai' is off by up to 1e-13 near x = -60 (against mpmath),
+        # so Ai' is held to 1e-13 times its envelope |x|^{1/4}
+        assert np.all(np.abs(ai_deriv(x, 1) - aip) <= 1e-13 * np.maximum(1.0, np.abs(x)) ** 0.25)
+        pos = x > 0
+        assert np.max(np.abs(ai_deriv(x[pos], 0) / ai[pos] - 1)) <= 1e-13
+        assert np.max(np.abs(ai_deriv(x[pos], 1) / aip[pos] - 1)) <= 1e-13
+
+    def test_matches_mpmath(self):
+        x = np.linspace(-60.0, 30.0, 91)
+        with mpmath.workdps(30):
+            ai = np.array([float(mpmath.airyai(v)) for v in x])
+            aip = np.array([float(mpmath.airyai(v, derivative=1)) for v in x])
+        assert np.max(np.abs(ai_deriv(x, 0) - ai)) <= 5e-15
+        assert np.max(np.abs(ai_deriv(x, 1) - aip)) <= 3e-14
+
+    def test_scalar_and_closed_forms_at_zero(self):
+        assert ai_deriv(0.0, 0) == 1 / (3 ** (2 / 3) * math.gamma(2 / 3))
+        assert ai_deriv(0.0, 1) == -1 / (3 ** (1 / 3) * math.gamma(1 / 3))
+        assert ai_deriv(0.0, 2) == 0.0
+        assert np.ndim(ai_deriv(1.5, 3)) == 0
+
+    def test_far_positive_axis_underflows_to_zero(self):
+        assert ai_deriv(1e4, 0) == 0.0 and ai_deriv(1e4, 1) == 0.0
+
+    def test_nan_raises(self):
+        with pytest.raises(NumericError):
+            ai_deriv(np.array([0.5, math.nan]), 0)
+
+    def test_walk_too_long_raises(self):
+        with pytest.raises(NumericError):
+            ai_deriv(-1e6, 0)
+
+    def test_landing_check(self, monkeypatch):
+        # a two-term asymptotic start misses Ai(0) by far more than 1e-13
+        monkeypatch.setattr(oracle, "_ASYMPTOTIC_TERMS", 2)
+        oracle._positive_walk.cache_clear()
+        try:
+            with pytest.raises(NumericError):
+                ai_deriv(1.0, 0)
+        finally:
+            oracle._positive_walk.cache_clear()
+
+
+# the 18 symbols of `pspin verify airy-quad` and its two irreducible moments
+CLI_SYMBOLS = [
+    (5, 0, 0), (1, 2, 0), (1, 0, 2), (1, 1, 1), (3, 1, 0), (3, 0, 1),
+    (7, 0, 0), (5, 1, 0), (5, 0, 1), (3, 1, 1), (3, 2, 0), (3, 0, 2),
+    (1, 3, 0), (1, 0, 3), (1, 2, 1), (1, 1, 2), (0, 2, 0), (0, 1, 1),
+    (0, 0, 0), (0, 0, 1),
+]
+
+
+def scipy_ai_deriv(y, order):
+    ai, aip, _, _ = airy(y)
+    vals = [ai, aip]
+    for k in range(2, order + 1):
+        vals.append(y * vals[k - 2] + ((k - 2) * vals[k - 3] if k >= 3 else 0.0))
+    return vals[order]
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
+def test_quad_moment_matches_scipy(a):
+    for n, b, c in CLI_SYMBOLS:
+        want, err = quad(lambda y: y**n * scipy_ai_deriv(y, b) * scipy_ai_deriv(-a * y, c),
+                         0.0, 40.0, epsabs=1e-12, epsrel=1e-12, limit=1000)
+        assert err <= 1e-10
+        got = quad_moment(n, b, c, a)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (n, b, c)
 
 
 class TestMonteCarlo:
