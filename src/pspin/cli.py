@@ -303,15 +303,18 @@ def cmd_density(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads -5e-1 as a negative number, not an option.
+    """An ArgumentParser that reads -5e-1 and -1/2 as negative numbers, not options.
 
-    argparse's own negative-number pattern has no exponent; subparsers are
-    built from the parent's class, so they inherit this one.
+    argparse's own negative-number pattern has neither an exponent nor a
+    fraction; subparsers are built from the parent's class, so they inherit
+    this one.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-\d+/\d+$"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

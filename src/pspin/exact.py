@@ -154,12 +154,10 @@ class ExactScalar:
         while a <= 0:
             rat /= a
             a += 1
-        scalar = ExactScalar(rat**mult)
-        if a != 1:
-            scalar = scalar * ExactScalar(
-                Fraction(1), gammas=((a, mult),)
-            )._reflect()
-        return scalar
+        if a == 1:
+            return ExactScalar(rat**mult)
+        factor, pi_pow, radical, gammas = _surd_product((0, (), ((a, mult),)), _ONE_SURD)
+        return ExactScalar(rat**mult * factor, pi_pow, radical, gammas)
 
     # -- canonicalization helpers -------------------------------------------
 
@@ -202,6 +200,11 @@ class ExactScalar:
             return ExactScalar.zero()
         return self._reflect()
 
+    @property
+    def _surd(self) -> tuple:
+        """The irrational part (pi_pow, radical, gammas), the key of a surd class."""
+        return self.pi_pow, self.radical, self.gammas
+
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
@@ -210,19 +213,8 @@ class ExactScalar:
         rat = self.rational * other.rational
         if rat == 0:
             return ExactScalar.zero()
-        rad: dict[int, Fraction] = dict(self.radical)
-        for prime, e in other.radical:
-            rad[prime] = rad.get(prime, Fraction(0)) + e
-        extra, radical = _norm_radical(rad, Fraction(1))
-        gam: dict[Fraction, int] = dict(self.gammas)
-        for q, m in other.gammas:
-            gam[q] = gam.get(q, 0) + m
-        return ExactScalar(
-            rat * extra.rational,
-            self.pi_pow + other.pi_pow,
-            radical,
-            tuple(sorted((q, m) for q, m in gam.items() if m != 0)),
-        )._canon()
+        factor, pi_pow, radical, gammas = _surd_product(self._surd, other._surd)
+        return ExactScalar(rat * factor, pi_pow, radical, gammas)
 
     def __pow__(self, k: int) -> "ExactScalar":
         if k == 0:
@@ -237,12 +229,8 @@ class ExactScalar:
     def inverse(self) -> "ExactScalar":
         if self.rational == 0:
             raise ZeroDivisionError("inverse of zero ExactScalar")
-        return ExactScalar(
-            1 / self.rational,
-            -self.pi_pow,
-            tuple((p, -e) for p, e in self.radical),
-            tuple((q, -m) for q, m in self.gammas),
-        )._canon()
+        factor, pi_pow, radical, gammas = _surd_product(_ONE_SURD, self._surd, inverse=True)
+        return ExactScalar(factor / self.rational, pi_pow, radical, gammas)
 
     def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
         return self * other.inverse()
@@ -358,6 +346,36 @@ def _norm_radical(
     return ExactScalar(mult), tuple(sorted(out.items()))
 
 
+_ONE_SURD = (0, (), ())
+
+
+@lru_cache(maxsize=1 << 14)
+def _surd_product(x: tuple, y: tuple, inverse: bool = False) -> tuple:
+    """Canonical irrational part of x * y (x / y with ``inverse``).
+
+    x and y are irrational parts (pi_pow, radical, gammas).  Returns
+    (rational factor, pi_pow, radical, gammas): canonicalization multiplies
+    the rational part only by factors that depend on the irrational parts,
+    so every product of two scalars from the same two surd classes shares
+    one entry, and the product is rat_x * rat_y * factor.
+    """
+    sign = -1 if inverse else 1
+    rad: dict[int, Fraction] = dict(x[1])
+    for prime, e in y[1]:
+        rad[prime] = rad.get(prime, Fraction(0)) + sign * e
+    extra, radical = _norm_radical(rad, Fraction(1))
+    gam: dict[Fraction, int] = dict(x[2])
+    for q, m in y[2]:
+        gam[q] = gam.get(q, 0) + sign * m
+    canon = ExactScalar(
+        extra.rational,
+        x[0] + sign * y[0],
+        radical,
+        tuple(sorted((q, m) for q, m in gam.items() if m != 0)),
+    )._reflect()
+    return canon.rational, canon.pi_pow, canon.radical, canon.gammas
+
+
 ES = ExactScalar
 
 
@@ -447,50 +465,77 @@ class LaurentP:
     monomial c*p^k; any other divisor raises DomainError.  The same
     arithmetic serves as the numerator of ``CycloA``, a Laurent polynomial
     in a.
+
+    The value is sum_e nums[e] p^e / den with integer ``nums`` (no zeros)
+    and one positive integer ``den``, kept in lowest terms:
+    gcd(den, *nums) = 1.  Equal values therefore have equal fields, and
+    arithmetic runs on ints with one gcd per result.  ``coeffs`` gives the
+    coefficients as Fractions.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Optional[dict] = None):
-        self.coeffs = {
-            e: c if type(c) is Fraction else Fraction(c) for e, c in (coeffs or {}).items() if c
-        }
+        fracs = {e: Fraction(c) for e, c in (coeffs or {}).items() if c}
+        # over the lcm of reduced denominators the form is already lowest
+        self.den = math.lcm(*(c.denominator for c in fracs.values()))
+        self.nums = {e: c.numerator * (self.den // c.denominator) for e, c in fracs.items()}
+
+    @staticmethod
+    def _reduced(nums: dict[int, int], den: int) -> "LaurentP":
+        """nums / den in lowest terms; nums has no zero entries, den > 0."""
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {e: n // g for e, n in nums.items()}
+            den //= g
+        out = object.__new__(LaurentP)
+        out.nums, out.den = nums, den
+        return out
 
     @staticmethod
     def const(r) -> "LaurentP":
-        return LaurentP({0: Fraction(r)})
+        return LaurentP({0: r})
 
     @staticmethod
     def var(e: int = 1) -> "LaurentP":
-        return LaurentP({e: Fraction(1)})
+        return LaurentP._reduced({e: 1}, 1)
+
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        """{exponent: Fraction coefficient}, a fresh dict."""
+        return {e: Fraction(n, self.den) for e, n in self.nums.items()}
 
     def __add__(self, other: "LaurentP") -> "LaurentP":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentP(out)
+        d1, d2 = self.den, other.den
+        g = math.gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g
+        out = {e: n * s1 for e, n in self.nums.items()}
+        for e, n in other.nums.items():
+            out[e] = out.get(e, 0) + n * s2
+        return LaurentP._reduced({e: n for e, n in out.items() if n}, d1 * s1)
 
     def __neg__(self) -> "LaurentP":
-        return LaurentP({e: -c for e, c in self.coeffs.items()})
+        return LaurentP._reduced({e: -n for e, n in self.nums.items()}, self.den)
 
     def __sub__(self, other: "LaurentP") -> "LaurentP":
         return self + (-other)
 
     def __mul__(self, other: "LaurentP") -> "LaurentP":
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        out: dict[int, int] = {}
+        for e1, c1 in self.nums.items():
+            for e2, c2 in other.nums.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentP(out)
+        return LaurentP._reduced({e: n for e, n in out.items() if n}, self.den * other.den)
 
     def __truediv__(self, other: "LaurentP") -> "LaurentP":
-        if len(other.coeffs) != 1:
-            if not other.coeffs:
+        if len(other.nums) != 1:
+            if not other.nums:
                 raise ZeroDivisionError("division by the zero Laurent polynomial")
             raise DomainError(f"division by the non-monomial {other}")
-        ((k, c),) = other.coeffs.items()
-        return LaurentP({e - k: v / c for e, v in self.coeffs.items()})
+        ((k, c),) = other.nums.items()  # other = c/d * p^k
+        d = other.den if c > 0 else -other.den
+        return LaurentP._reduced({e - k: n * d for e, n in self.nums.items()}, self.den * abs(c))
 
     def __pow__(self, k: int) -> "LaurentP":
         if k < 0:
@@ -502,51 +547,64 @@ class LaurentP:
 
     def scale(self, r) -> "LaurentP":
         r = Fraction(r)
-        return LaurentP({e: c * r for e, c in self.coeffs.items()})
+        if not r:
+            return LaurentP()
+        return LaurentP._reduced(
+            {e: n * r.numerator for e, n in self.nums.items()}, self.den * r.denominator
+        )
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentP) and self.coeffs == other.coeffs
+        return isinstance(other, LaurentP) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
+        return hash((self.den, tuple(sorted(self.nums.items()))))
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def eval(self, x) -> Fraction:
         x = Fraction(x)
-        if x == 0 and any(e < 0 for e in self.coeffs):
-            raise PoleError("Laurent polynomial has a pole at 0", order=-min(self.coeffs))
+        if x == 0 and any(e < 0 for e in self.nums):
+            raise PoleError("Laurent polynomial has a pole at 0", order=-min(self.nums))
         return sum((c * x**e for e, c in self.coeffs.items()), Fraction(0))
 
     def degree(self) -> int:
-        return max(self.coeffs, default=0)
+        return max(self.nums, default=0)
 
     def leading(self) -> tuple[int, Fraction]:
         """(degree, coefficient) of the leading p-power as p -> infinity."""
         e = self.degree()
-        return e, self.coeffs.get(e, Fraction(0))
+        return e, Fraction(self.nums.get(e, 0), self.den)
 
     def numer_denom_laurent(self) -> tuple["LaurentP", "LaurentP"]:
         """Coprime integer form N / D with D = s*p^k.
 
-        k = max(0, -lowest exponent) and s is the lcm of the coefficient
-        denominators, so N = s*p^k*self is an integer polynomial in p.
+        k = max(0, -lowest exponent) and s = ``den``, so N = s*p^k*self is an
+        integer polynomial in p: the stored numerators shifted by k.
         """
-        k = max(0, -min(self.coeffs, default=0))
-        den = LaurentP({k: math.lcm(*(c.denominator for c in self.coeffs.values()))})
-        return self * den, den
+        k = max(0, -min(self.nums, default=0))
+        return (
+            LaurentP._reduced({e + k: n for e, n in self.nums.items()}, 1),
+            LaurentP._reduced({k: self.den}, 1),
+        )
 
     def __str__(self) -> str:
         return _terms_text(self.coeffs, "p", "^")
+
+    def __repr__(self) -> str:
+        return f"LaurentP({self})"
 
 
 RatP = LaurentP  # former name of the p-valued type, kept for importers
 
 
-def _cancel_cyclo(num: dict[int, Fraction], p: int, limit: float) -> tuple[dict, int]:
-    """(num / (1+a^p)^i, i) for the largest i <= limit that divides num exactly."""
+def _cancel_cyclo(num: dict[int, int], p: int, limit: float) -> tuple[dict[int, int], int]:
+    """(num / (1+a^p)^i, i) for the largest i <= limit that divides num exactly.
+
+    num holds integer coefficients; 1 + a^p is monic, so the quotients stay
+    integral, and by Gauss's lemma they keep the content of num.
+    """
     i = 0
     while i < limit and len(num) > 1:  # a monomial is never divisible
         rem, quo = dict(num), {}
@@ -559,6 +617,12 @@ def _cancel_cyclo(num: dict[int, Fraction], p: int, limit: float) -> tuple[dict,
             break
         num, i = quo, i + 1
     return num, i
+
+
+@lru_cache(maxsize=None)
+def _cyclo_power(p: int, k: int) -> LaurentP:
+    """(1 + a^p)^k."""
+    return LaurentP._reduced({0: 1, p: 1}, 1) ** k
 
 
 class CycloA:
@@ -579,8 +643,18 @@ class CycloA:
         if m < 0:
             raise UsageError("the (1+a^p) power of a denominator must be >= 0")
         num = num if isinstance(num, LaurentP) else LaurentP(num)
-        quo, i = _cancel_cyclo(num.coeffs, p, m)
-        self.p, self.num, self.m = p, (LaurentP(quo) if i else num), (m - i if quo else 0)
+        if m:
+            quo, i = _cancel_cyclo(num.nums, p, m)
+            if i:
+                num, m = LaurentP._reduced(quo, num.den), m - i
+        self.p, self.num, self.m = p, num, (m if num.nums else 0)
+
+    @staticmethod
+    def _canonical(p: int, num: LaurentP, m: int) -> "CycloA":
+        """num / (1+a^p)^m for a num known not to be divisible by 1 + a^p."""
+        out = object.__new__(CycloA)
+        out.p, out.num, out.m = p, num, (m if num.nums else 0)
+        return out
 
     @staticmethod
     def var(p: int, e: int = 1) -> "CycloA":
@@ -593,33 +667,36 @@ class CycloA:
             raise UsageError(f"coefficients for p={self.p} and p={other.p} do not mix")
         if m == self.m:
             return self.num
-        return self.num * LaurentP({0: 1, self.p: 1}) ** (m - self.m)
+        return self.num * _cyclo_power(self.p, m - self.m)
 
     def __add__(self, other: "CycloA") -> "CycloA":
         m = max(self.m, other.m)
         return CycloA(self.p, self._over(m, other) + other._over(m, self), m)
 
     def __neg__(self) -> "CycloA":
-        return CycloA(self.p, -self.num, self.m)
+        return CycloA._canonical(self.p, -self.num, self.m)
 
     def __sub__(self, other: "CycloA") -> "CycloA":
         return self + (-other)
 
     def __mul__(self, other) -> "CycloA":
         if not isinstance(other, CycloA):
-            return CycloA(self.p, self.num.scale(other), self.m)
+            return CycloA._canonical(self.p, self.num.scale(other), self.m)
         return CycloA(self.p, self._over(self.m, other) * other.num, self.m + other.m)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloA":
         """1/self; DomainError unless self = c * a^j * (1+a^p)^i with c != 0."""
-        num, i = _cancel_cyclo(self.num.coeffs, self.p, math.inf)
+        num, i = _cancel_cyclo(self.num.nums, self.p, math.inf)
         if len(num) != 1:
             raise DomainError(f"{self} is not c*a^j*(1+a^{self.p})^i; its inverse leaves the ring")
-        ((j, c),) = num.items()
-        inv = CycloA(self.p, LaurentP({-j: 1 / c}))
-        return CycloA(self.p, inv._over(self.m, self), i)
+        ((j, c),) = num.items()  # self = c/den * a^j * (1+a^p)^(i - m)
+        inv = LaurentP._reduced({-j: self.num.den if c > 0 else -self.num.den}, abs(c))
+        k = self.m - i
+        if k > 0:
+            return CycloA._canonical(self.p, inv * _cyclo_power(self.p, k), 0)
+        return CycloA._canonical(self.p, inv, -k)
 
     def __truediv__(self, other) -> "CycloA":
         if not isinstance(other, CycloA):
@@ -627,18 +704,23 @@ class CycloA:
         return self * other.inverse()
 
     def __pow__(self, k: int) -> "CycloA":
+        if k < 0:
+            return self.inverse() ** -k
         out = CycloA.var(self.p, 0)
         for _ in range(k):
             out = out * self
         return out
 
     def __bool__(self) -> bool:
-        return bool(self.num.coeffs)
+        return not self.num.is_zero
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CycloA) and (self.p, self.m, self.num) == (
             other.p, other.m, other.num
         )
+
+    def __hash__(self):
+        return hash((self.p, self.m, self.num))
 
     def eval(self, a) -> Fraction:
         """Exact value at a rational a; PoleError at a pole of the stored form."""
@@ -655,12 +737,15 @@ class CycloA:
         text = _terms_text(numer.coeffs, "a", "**")
         if den == {0: 1}:
             return text
-        if len(numer.coeffs) > 1:
+        if len(numer.nums) > 1:
             text = f"({text})"
         denom = _terms_text(den, "a", "**")
         if den != {1: 1} and list(den) != [0]:  # only a or an integer stays bare
             denom = f"({denom})"
         return f"{text}/{denom}"
+
+    def __repr__(self) -> str:
+        return f"CycloA({self}, p={self.p})"
 
 
 # ---------------------------------------------------------------------------

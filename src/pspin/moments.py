@@ -463,9 +463,9 @@ def poly_coeffs(coeff: CycloA, allow_negative: bool = False) -> dict[int, Fracti
     """Exact a-power coefficients of a coefficient without a (1+a^p) denominator."""
     if coeff.m:
         raise DomainError(f"not a Laurent polynomial in a: {coeff}")
-    if not allow_negative and any(e < 0 for e in coeff.num.coeffs):
+    if not allow_negative and any(e < 0 for e in coeff.num.nums):
         raise DomainError(f"negative a-power in {coeff}")
-    return dict(coeff.num.coeffs)
+    return coeff.num.coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,19 @@ class TestDensity:
             assert run("density", "--samples", samples) == 2, samples
 
 
+@pytest.mark.parametrize("spaced,joined", [
+    (("intersect", "--p", "-1/2", "--points", "1", "--genus", "2"),
+     ("intersect", "--p=-1/2", "--points", "1", "--genus", "2")),
+    (("density", "--central-charge", "-1/2"), ("density", "--central-charge=-1/2")),
+], ids=["intersect-p", "density-central-charge"])
+def test_negative_fraction_argument(spaced, joined, capsys):
+    # argparse alone reads a spaced -1/2 as an option ("expected one argument")
+    assert run(*joined) == 0
+    want = capsys.readouterr().out
+    assert run(*spaced) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "pspin", "intersect", "--p", "3", "--genus", "1",

@@ -1,5 +1,7 @@
 """Exact scalar canonicalization and Laurent/rational-function arithmetic."""
 
+import functools
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pspin.exact import (
+    CycloA,
     DomainError,
     ExactScalar as ES,
     ExactSum,
@@ -16,6 +19,8 @@ from pspin.exact import (
     PoleError,
     RatP,
     UsageError,
+    _norm_radical,
+    _terms_text,
     gamma_normalize,
 )
 
@@ -166,3 +171,328 @@ def test_ratp_eval_is_multiplicative(q, cs1, cs2):
 
     f, g = build(cs1), build(cs2)
     assert (f * g).eval(q) == f.eval(q) * g.eval(q)
+
+
+# ---------------------------------------------------------------------------
+# reference route: Fraction-dict Laurent polynomials and N(a)/(1+a^p)^m, the
+# arithmetic the integer-numerator kernels replaced
+# ---------------------------------------------------------------------------
+
+
+class RefLaurent:
+    def __init__(self, coeffs=None):
+        self.coeffs = {e: F(c) for e, c in (coeffs or {}).items() if c}
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, 0) + c
+        return RefLaurent(out)
+
+    def __neg__(self):
+        return RefLaurent({e: -c for e, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return RefLaurent(out)
+
+    def __truediv__(self, other):
+        ((k, c),) = other.coeffs.items()
+        return RefLaurent({e - k: v / c for e, v in self.coeffs.items()})
+
+    def __pow__(self, k):
+        out = RefLaurent({0: 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def scale(self, r):
+        return RefLaurent({e: c * F(r) for e, c in self.coeffs.items()})
+
+    def eval(self, x):
+        x = F(x)
+        if x == 0 and any(e < 0 for e in self.coeffs):
+            raise PoleError("pole at 0", order=-min(self.coeffs))
+        return sum((c * x**e for e, c in self.coeffs.items()), F(0))
+
+    def leading(self):
+        e = max(self.coeffs, default=0)
+        return e, self.coeffs.get(e, F(0))
+
+    def numer_denom_laurent(self):
+        k = max(0, -min(self.coeffs, default=0))
+        den = RefLaurent({k: math.lcm(*(c.denominator for c in self.coeffs.values()))})
+        return self * den, den
+
+    def __str__(self):
+        return _terms_text(self.coeffs, "p", "^")
+
+
+def _ref_cancel(num, p, limit):
+    i = 0
+    while i < limit and len(num) > 1:
+        rem, quo = dict(num), {}
+        for e in range(max(num), min(num) + p - 1, -1):
+            c = rem.pop(e, 0)
+            if c:
+                quo[e - p] = c
+                rem[e - p] = rem.get(e - p, 0) - c
+        if any(rem.values()):
+            break
+        num, i = quo, i + 1
+    return num, i
+
+
+class RefCyclo:
+    def __init__(self, p, num=None, m=0):
+        num = num if isinstance(num, RefLaurent) else RefLaurent(num)
+        quo, i = _ref_cancel(num.coeffs, p, m)
+        self.p, self.num, self.m = p, (RefLaurent(quo) if i else num), (m - i if quo else 0)
+
+    def _over(self, m):
+        return self.num * RefLaurent({0: 1, self.p: 1}) ** (m - self.m)
+
+    def __add__(self, other):
+        m = max(self.m, other.m)
+        return RefCyclo(self.p, self._over(m) + other._over(m), m)
+
+    def __neg__(self):
+        return RefCyclo(self.p, -self.num, self.m)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, RefCyclo):
+            return RefCyclo(self.p, self.num.scale(other), self.m)
+        return RefCyclo(self.p, self.num * other.num, self.m + other.m)
+
+    def inverse(self):
+        num, i = _ref_cancel(self.num.coeffs, self.p, math.inf)
+        if len(num) != 1:
+            raise DomainError("inverse leaves the ring")
+        ((j, c),) = num.items()
+        return RefCyclo(self.p, RefCyclo(self.p, {-j: 1 / c})._over(self.m), i)
+
+    def __pow__(self, k):
+        out = RefCyclo(self.p, {0: 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def eval(self, a):
+        a = F(a)
+        den = (1 + a**self.p) ** self.m
+        if den == 0:
+            raise PoleError("pole", order=self.m)
+        return self.num.eval(a) / den
+
+    def __str__(self):
+        numer, den = self.num.numer_denom_laurent()
+        den = RefCyclo(self.p, den)._over(self.m).coeffs
+        text = _terms_text(numer.coeffs, "a", "**")
+        if den == {0: 1}:
+            return text
+        if len(numer.coeffs) > 1:
+            text = f"({text})"
+        denom = _terms_text(den, "a", "**")
+        if den != {1: 1} and list(den) != [0]:
+            denom = f"({denom})"
+        return f"{text}/{denom}"
+
+
+def _outcome(f):
+    """f() or the type of the exception it raises, for two-route comparisons."""
+    try:
+        return f()
+    except (PoleError, DomainError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _same_laurent(new, ref):
+    """new (LaurentP) has ref's value, str and lowest-terms integer form."""
+    assert new.coeffs == ref.coeffs and str(new) == str(ref)
+    assert new.den > 0 and all(new.nums.values())
+    assert math.gcd(new.den, *new.nums.values()) == 1
+
+
+def _same_cyclo(new, ref):
+    assert (new.p, new.m) == (ref.p, ref.m) and str(new) == str(ref)
+    _same_laurent(new.num, ref.num)
+
+
+fractions = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+laurent_dicts = st.dictionaries(st.integers(-3, 4), fractions, max_size=5)
+nonzero = fractions.filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_dicts, laurent_dicts, nonzero, st.integers(-3, 3), fractions, st.integers(0, 3))
+def test_laurent_matches_reference(d1, d2, c, k, x, n):
+    x1, x2, r1, r2 = LaurentP(d1), LaurentP(d2), RefLaurent(d1), RefLaurent(d2)
+    _same_laurent(x1, r1)
+    _same_laurent(x1 + x2, r1 + r2)
+    _same_laurent(x1 - x2, r1 - r2)
+    _same_laurent(-x1, -r1)
+    _same_laurent(x1 * x2, r1 * r2)
+    _same_laurent(x1 ** n, r1 ** n)
+    _same_laurent(x1.scale(c), r1.scale(c))
+    _same_laurent(x1.scale(0), r1.scale(0))
+    _same_laurent(x1 / LaurentP({k: c}), r1 / RefLaurent({k: c}))
+    assert _outcome(lambda: x1.eval(x)) == _outcome(lambda: r1.eval(x))
+    assert x1.leading() == r1.leading()
+    for new, ref in zip(x1.numer_denom_laurent(), r1.numer_denom_laurent()):
+        assert new.coeffs == ref.coeffs and str(new) == str(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_dicts, laurent_dicts, nonzero)
+def test_laurent_equal_values_equal_objects(d1, d2, c):
+    x, y = LaurentP(d1), LaurentP(d2)
+    p2 = LaurentP.var(2)
+    for same in ((x + y) - y, x.scale(c).scale(1 / c), LaurentP(x.coeffs), (x * p2) / p2):
+        assert same == x and hash(same) == hash(x)
+        assert (same.nums, same.den) == (x.nums, x.den)
+
+
+def _cyclo_pair(p, d, i, m):
+    """CycloA and RefCyclo of d * (1+a^p)^i / (1+a^p)^m, so cancellation is exercised."""
+    num = RefLaurent(d) * RefLaurent({0: 1, p: 1}) ** i
+    return CycloA(p, num.coeffs, m), RefCyclo(p, num.coeffs, m)
+
+
+cyclo_args = st.tuples(laurent_dicts, st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 7), cyclo_args, cyclo_args, nonzero, fractions, st.integers(0, 3))
+def test_cyclo_matches_reference(p, args1, args2, c, a, n):
+    x1, r1 = _cyclo_pair(p, *args1)
+    x2, r2 = _cyclo_pair(p, *args2)
+    _same_cyclo(x1, r1)
+    _same_cyclo(x1 + x2, r1 + r2)
+    _same_cyclo(x1 - x2, r1 - r2)
+    _same_cyclo(-x1, -r1)
+    _same_cyclo(x1 * x2, r1 * r2)
+    _same_cyclo(x1 * c, r1 * c)
+    _same_cyclo(x1 ** n, r1 ** n)
+    new_inv, ref_inv = _outcome(x1.inverse), _outcome(r1.inverse)
+    if isinstance(ref_inv, RefCyclo):
+        _same_cyclo(new_inv, ref_inv)
+    else:
+        assert new_inv is ref_inv
+    assert _outcome(lambda: x1.eval(a)) == _outcome(lambda: r1.eval(a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 7), nonzero, st.integers(-4, 4), st.integers(0, 3), st.integers(0, 3))
+def test_cyclo_inverse_matches_reference(p, c, j, i, m):
+    # c a^j (1+a^p)^i / (1+a^p)^m: exactly the invertible elements
+    x, r = _cyclo_pair(p, {j: c}, i, m)
+    _same_cyclo(x.inverse(), r.inverse())
+    assert x * x.inverse() == CycloA.var(p, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 7), cyclo_args, cyclo_args, nonzero)
+def test_cyclo_equal_values_equal_objects(p, args1, args2, c):
+    x, _ = _cyclo_pair(p, *args1)
+    y, _ = _cyclo_pair(p, *args2)
+    cyclo = LaurentP({0: 1, p: 1})
+    for same in ((x + y) - y, (x * c) * (1 / c), CycloA(p, x.num * cyclo, x.m + 1)):
+        assert same == x and hash(same) == hash(x)
+
+
+class TestCycloPower:
+    def test_negative_power_is_inverse(self):
+        a = CycloA.var(3)
+        assert a ** -1 == CycloA.var(3, -1)
+        assert str(a ** -1) == "1/a"
+        x = CycloA(3, {1: 2, 4: 2}, 3)  # 2a / (1+a^3)^2
+        assert x ** -2 == (x * x).inverse()
+        assert x ** -2 * x ** 2 == CycloA.var(3, 0)
+
+    def test_negative_power_outside_ring_raises(self):
+        with pytest.raises(DomainError):
+            CycloA(3, {1: 1, 0: 2}) ** -1
+
+
+class TestRepr:
+    def test_laurent(self):
+        assert repr(LaurentP.var() - LaurentP.const(1)) == "LaurentP(p - 1)"
+        assert repr(LaurentP()) == "LaurentP(0)"
+
+    def test_cyclo(self):
+        assert repr(CycloA(3, {1: -2}, 1)) == "CycloA(-2*a/(a**3 + 1), p=3)"
+
+
+# ---------------------------------------------------------------------------
+# ExactScalar products through the surd-class cache against the uncached route
+# ---------------------------------------------------------------------------
+
+
+def _ref_mul(x, y):
+    """x * y canonicalized from scratch, without the surd-class cache."""
+    rat = x.rational * y.rational
+    if rat == 0:
+        return ES.zero()
+    rad = dict(x.radical)
+    for prime, e in y.radical:
+        rad[prime] = rad.get(prime, F(0)) + e
+    extra, radical = _norm_radical(rad, F(1))
+    gam = dict(x.gammas)
+    for q, m in y.gammas:
+        gam[q] = gam.get(q, 0) + m
+    gammas = tuple(sorted((q, m) for q, m in gam.items() if m != 0))
+    return ES(rat * extra.rational, x.pi_pow + y.pi_pow, radical, gammas)._canon()
+
+
+def _ref_inverse(x):
+    return ES(1 / x.rational, -x.pi_pow, tuple((p, -e) for p, e in x.radical),
+              tuple((q, -m) for q, m in x.gammas))._canon()
+
+
+def _ref_gamma(arg, mult):
+    a, rat = F(arg), F(1)
+    while a > 1:
+        a -= 1
+        rat *= a
+    while a <= 0:
+        rat /= a
+        a += 1
+    scalar = ES(rat**mult)
+    if a != 1:
+        scalar = _ref_mul(scalar, ES(F(1), gammas=((a, mult),))._reflect())
+    return scalar
+
+
+gamma_args = st.builds(F, st.integers(-7, 12), st.sampled_from([2, 3, 4, 5, 6])).filter(
+    lambda q: q.denominator != 1 or q > 0
+)
+factors = st.one_of(
+    st.builds(ES.from_fraction, nonzero),
+    st.builds(ES.pi, st.integers(-3, 3)),
+    st.builds(ES.rational_power, st.integers(2, 12),
+              st.builds(F, st.integers(-7, 7), st.sampled_from([2, 3, 4, 6]))),
+    st.builds(_ref_gamma, gamma_args, st.integers(-2, 2)),
+)
+scalars = st.lists(factors, min_size=1, max_size=5).map(
+    lambda fs: functools.reduce(_ref_mul, fs, ES.one())
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars, scalars, gamma_args, st.integers(-2, 2))
+def test_cached_products_match_uncached(x, y, q, mult):
+    assert x * y == _ref_mul(x, y)
+    assert x * x == _ref_mul(x, x)
+    assert x.inverse() == _ref_inverse(x)
+    assert x / y == _ref_mul(x, _ref_inverse(y))
+    assert ES.gamma(q, mult) == _ref_gamma(q, mult)
+    assert gamma_normalize(x * y) == x * y
