@@ -36,7 +36,6 @@ from .exact import (
     CycloA,
     DomainError,
     ExactScalar,
-    ExactSum,
     LaurentP,
     Monomial,
     PoleError,

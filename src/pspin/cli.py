@@ -83,12 +83,7 @@ def cmd_intersect(args) -> int:
                 raise UsageError("positive one-point tables need p >= 2")
             entries = one_point_table(p, args.genus)
     if args.golden:
-        if args.points == 2:
-            problems = golden.compare_two_point(p, entries, g_max=args.genus)
-        elif p != "symbolic" and p < 0:
-            problems = golden.compare_negative_p(p, entries, g_max=args.genus)
-        else:
-            problems = None
+        problems = golden.compare(p, args.points, entries, g_max=args.genus)
         if problems is None:
             print(f"golden: no bundled reference table for p={p}", file=sys.stderr)
             return EXIT_USAGE

@@ -20,11 +20,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, e, exp, isfinite, log, log1p
 
-from .exact import DomainError, ExactScalar, ExactSum, LaurentP, UsageError
+from .exact import DomainError, ExactScalar, LaurentP, UsageError
 from .onepoint import (
     admissible_one_point_label,
     one_point_series,
     one_point_value,
+    selection_rule,
 )
 from .oracle import NumericError, check_size
 from .twopoint import REAL, grade_monomial, two_point_low_orders, two_point_series
@@ -44,12 +45,7 @@ class TauCorrelator:
     value: object  # Fraction, or LaurentP in symbolic runs
 
     def selection_ok(self) -> bool:
-        if self.p == "symbolic":
-            return True
-        p = Fraction(self.p)
-        lhs = (p + 1) * (2 * self.genus - 2 + len(self.marks))
-        rhs = sum(p * m + j + 1 for m, j in self.marks)
-        return lhs == rhs
+        return self.p == "symbolic" or selection_rule(self.p, self.genus, self.marks)
 
     def key(self) -> tuple:
         return (self.genus, self.marks)
@@ -78,15 +74,18 @@ def calibration_constant(npoints: int, kernel_mode: str = REAL) -> Fraction:
         return kappa
     if npoints == 2:
         coeff = two_point_series(3, 2, kernel_mode)[2][2]  # a^2 grade: (0,1),(4,1)
-        raw = _normalize(coeff.single(), 3, 2, grade_monomial(3, 2, 2).spins())
-        return Fraction(1, 864) / raw
+        return Fraction(1, 864) / _normalize(coeff, 3, 2, 2)
     raise UsageError("calibration defined for 1 or 2 marked points")
 
 
-def _normalize(coeff: ExactScalar, p: int, g: int, spins: tuple[int, ...]) -> Fraction:
-    """(-1)^g coeff / (p^g prod spin factors); must come out rational."""
+def _normalize(coeff: ExactScalar, p: int, g: int, m: int) -> Fraction:
+    """(-1)^g coeff / (p^g prod spin factors) at the a^m grade; must be rational.
+
+    The spins are those of the grade's monomial; every route turns a grade
+    coefficient into an intersection number through here (times kappa_2).
+    """
     out = coeff
-    for j in spins:
+    for j in grade_monomial(p, g, m).spins():
         out = out / spin_factor(p, j)
     out = out.scale(Fraction((-1) ** g, p**g))
     if not out.is_rational:
@@ -97,7 +96,7 @@ def _normalize(coeff: ExactScalar, p: int, g: int, spins: tuple[int, ...]) -> Fr
 
 
 def extract_intersections(
-    p: int, series: dict[int, dict[int, ExactSum]], kernel_mode: str = REAL
+    p: int, series: dict[int, dict[int, ExactScalar]], kernel_mode: str = REAL
 ) -> list[TauCorrelator]:
     """Intersection numbers from a two-point expansion {g: {m: coefficient}}.
 
@@ -109,11 +108,10 @@ def extract_intersections(
     out: list[TauCorrelator] = []
     for g in sorted(series):
         for m in sorted(series[g]):
-            mono = grade_monomial(p, g, m)
-            value = kappa * _normalize(series[g][m].single(), p, g, mono.spins())
+            value = kappa * _normalize(series[g][m], p, g, m)
             if value == 0:
                 continue
-            marks = tuple((k, f - 1) for k, f in mono.slots)
+            marks = tuple((k, f - 1) for k, f in grade_monomial(p, g, m).slots)
             tau = TauCorrelator(Fraction(p), g, marks, value)
             if not tau.selection_ok():
                 raise DomainError(f"selection rule violated by {tau}")
@@ -133,14 +131,14 @@ def two_point_low_value(
 
     Returns None when the grade is discarded (one slot integer-powered).
     """
-    mono = grade_monomial(p, g, m)
-    if mono is None:
+    if grade_monomial(p, g, m) is None:
         return None
-    coeffs = two_point_low_orders(p, g, m, kernel_mode)
+    if m >= p:
+        raise UsageError("small-a route restricted to a-powers below a^p")
+    coeffs = two_point_low_orders(p, g, kernel_mode)
     if m not in coeffs:
         return Fraction(0)
-    kappa = calibration_constant(2, kernel_mode)
-    return kappa * _normalize(coeffs[m].single(), p, g, mono.spins())
+    return calibration_constant(2, kernel_mode) * _normalize(coeffs[m], p, g, m)
 
 
 def one_point_table(p, g_max: int) -> list[TauCorrelator]:
@@ -160,7 +158,7 @@ def one_point_table(p, g_max: int) -> list[TauCorrelator]:
         return out
     pf = Fraction(p)
     for g in range(1, g_max + 1):
-        if pf.denominator == 1 and pf >= 3:
+        if pf.denominator == 1 and pf >= 2:
             lab = admissible_one_point_label(int(pf), g)
             if lab is None:
                 continue

@@ -132,11 +132,9 @@ def binet_check(z: float) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class DensityConfig:
-    """Evaluation grid and tolerances for the density comparison."""
+    """Evaluation grid for the density comparison."""
 
     e_grid: tuple[float, ...]
-    epsilon: float = 1.0
-    tol: float = 1e-10
 
     def __post_init__(self):
         if any(e <= 0 for e in self.e_grid):

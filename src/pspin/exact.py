@@ -201,7 +201,7 @@ class ExactScalar:
         return self._reflect()
 
     @property
-    def _surd(self) -> tuple:
+    def surd(self) -> tuple:
         """The irrational part (pi_pow, radical, gammas), the key of a surd class."""
         return self.pi_pow, self.radical, self.gammas
 
@@ -213,7 +213,7 @@ class ExactScalar:
         rat = self.rational * other.rational
         if rat == 0:
             return ExactScalar.zero()
-        factor, pi_pow, radical, gammas = _surd_product(self._surd, other._surd)
+        factor, pi_pow, radical, gammas = _surd_product(self.surd, other.surd)
         return ExactScalar(rat * factor, pi_pow, radical, gammas)
 
     def __pow__(self, k: int) -> "ExactScalar":
@@ -229,7 +229,7 @@ class ExactScalar:
     def inverse(self) -> "ExactScalar":
         if self.rational == 0:
             raise ZeroDivisionError("inverse of zero ExactScalar")
-        factor, pi_pow, radical, gammas = _surd_product(_ONE_SURD, self._surd, inverse=True)
+        factor, pi_pow, radical, gammas = _surd_product(_ONE_SURD, self.surd, inverse=True)
         return ExactScalar(factor / self.rational, pi_pow, radical, gammas)
 
     def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
@@ -374,54 +374,6 @@ def _surd_product(x: tuple, y: tuple, inverse: bool = False) -> tuple:
         tuple(sorted((q, m) for q, m in gam.items() if m != 0)),
     )._reflect()
     return canon.rational, canon.pi_pow, canon.radical, canon.gammas
-
-
-ES = ExactScalar
-
-
-class ExactSum:
-    """Small formal sum of pairwise non-proportional ExactScalars.
-
-    Grade coefficients in expansions are usually a single surd class; mixed
-    classes appear only in discarded sectors, so the list stays tiny.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self):
-        self.terms: list[ExactScalar] = []
-
-    def add(self, scalar: ExactScalar) -> None:
-        if scalar.rational == 0:
-            return
-        for i, t in enumerate(self.terms):
-            if scalar.proportional_ratio(t) is not None:
-                merged = t + scalar
-                if merged.rational == 0:
-                    del self.terms[i]
-                else:
-                    self.terms[i] = merged
-                return
-        self.terms.append(scalar)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def single(self) -> ExactScalar:
-        if not self.terms:
-            return ExactScalar.zero()
-        if len(self.terms) > 1:
-            raise UsageError(f"sum has {len(self.terms)} surd classes: {self}")
-        return self.terms[0]
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(t.render() for t in self.terms)
-
-    def __str__(self) -> str:  # pragma: no cover
-        return self.render()
 
 
 def gamma_normalize(x: ExactScalar) -> ExactScalar:

@@ -1,7 +1,8 @@
 """Reference intersection-number tables used by golden comparisons.
 
 Values are the published two-point tables for small p and low genus; the
-engine must reproduce each entry exactly.  Keys are (genus, marks).
+engine must reproduce each entry exactly.  Two-point keys are
+(genus, marks), one-point keys (genus, label).
 """
 
 from __future__ import annotations
@@ -67,42 +68,30 @@ REFERENCE_NEGATIVE_P: dict[int, dict] = {
 }
 
 
-def compare_two_point(p: int, entries, g_max: int | None = None) -> list[str] | None:
-    """Drift report against the reference table; None if p has no references."""
-    ref = REFERENCE_TWO_POINT.get(p)
+def compare(p, points: int, entries, g_max: int | None = None) -> list[str] | None:
+    """Drift report against the bundled table for (p, points); None if none.
+
+    Entries are matched by (genus, marks); a one-point reference label (n, j)
+    is the single mark ((n, j),).
+    """
+    if points == 2:
+        ref = REFERENCE_TWO_POINT.get(p)
+    else:
+        ref = REFERENCE_NEGATIVE_P.get(p)
+        if ref is not None:
+            ref = {(g, (label,)): value for (g, label), value in ref.items()}
     if ref is None:
         return None
     got = {(e.genus, e.marks): F(e.value) for e in entries}
     problems = []
-    for key, want in sorted(ref.items()):
-        g, marks = key
+    for (g, marks), want in sorted(ref.items()):
         if g_max is not None and g > g_max:
             continue
-        have = got.get(key)
+        have = got.get((g, marks))
         if have is None:
             problems.append(f"missing reference entry g={g} marks={marks}")
         elif have != want:
             problems.append(
                 f"drift at g={g} marks={marks}: expected {want}, computed {have}"
-            )
-    return problems
-
-
-def compare_negative_p(p: int, entries, g_max: int | None = None) -> list[str] | None:
-    """Drift report for the one-point continuation tables at negative p."""
-    ref = REFERENCE_NEGATIVE_P.get(p)
-    if ref is None:
-        return None
-    got = {(e.genus, e.marks[0]): F(e.value) for e in entries}
-    problems = []
-    for (g, label), want in sorted(ref.items()):
-        if g_max is not None and g > g_max:
-            continue
-        have = got.get((g, label))
-        if have is None:
-            problems.append(f"missing reference entry g={g} label={label}")
-        elif have != want:
-            problems.append(
-                f"drift at g={g} label={label}: expected {want}, computed {have}"
             )
     return problems

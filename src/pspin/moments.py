@@ -546,16 +546,8 @@ def assemble_grade(
     for atom, coeff in acc.items():
         if not coeff:
             continue
-        if atom[0] == "bdry":
-            dst = boundary.setdefault((atom[1], atom[2]), {})
-            for e, v in poly_coeffs(coeff).items():
-                nv = dst.get(e, Fraction(0)) + v
-                if nv:
-                    dst[e] = nv
-                elif e in dst:
-                    del dst[e]
+        if atom[0] == "bdry":  # each (i, j) pair is one atom of the vector
+            boundary[(atom[1], atom[2])] = poly_coeffs(coeff)
         else:
             constants[atom] = poly_coeffs(coeff, allow_negative=True)
-    boundary = {k: v for k, v in boundary.items() if v}
-    constants = {k: v for k, v in constants.items() if v}
     return AssembledGrade(boundary, constants, unit)

@@ -77,8 +77,19 @@ def one_point_series(g_max: int) -> list[OnePointTerm]:
     return out
 
 
+def selection_rule(p, genus: int, marks) -> bool:
+    """Degree selection rule (p+1)(2g-2+n) = sum_i (p m_i + j_i + 1), exactly."""
+    marks = tuple(marks)
+    lhs = (p + 1) * (2 * genus - 2 + len(marks))
+    rhs = sum(p * m + j + 1 for m, j in marks)
+    return lhs == rhs
+
+
 def admissible_one_point_label(p: int, g: int) -> tuple[int, int] | None:
-    """The unique (n, j) with (p+1)(2g-1) = p n + j + 1, 0 <= j <= p-2."""
+    """The unique (n, j) with (p+1)(2g-1) = p n + j + 1, 0 <= j <= p-2.
+
+    That is the one-point solution of ``selection_rule``.
+    """
     if p < 2:
         return None
     j = (2 * g - 2) % p
@@ -120,12 +131,12 @@ def gamma_ratio_at(p, g: int, j: int) -> Fraction:
 def one_point_value(p, g: int, j: int | None = None) -> Fraction:
     """Exact <tau_{n,j}>_g at fixed rational p (analytic continuation included).
 
-    With j omitted, the admissible spin label at integer p >= 3 is used.
+    With j omitted, the admissible spin label at integer p >= 2 is used.
     """
     pf = Fraction(p)
     if j is None:
-        if pf.denominator != 1 or pf < 3:
-            raise UsageError("automatic label needs integer p >= 3; pass j explicitly")
+        if pf.denominator != 1 or pf < 2:
+            raise UsageError("automatic label needs integer p >= 2; pass j explicitly")
         lab = admissible_one_point_label(int(pf), g)
         if lab is None:
             # spin index would be p-1: the selection rule admits no entry

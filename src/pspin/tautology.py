@@ -17,16 +17,8 @@ from math import factorial
 from .correlators import TauCorrelator, two_point_table
 from .exact import UsageError
 from .numbers import zeta_one_minus_2g
-from .onepoint import one_point_value
+from .onepoint import one_point_value, selection_rule  # selection_rule re-exported
 from .twopoint import REAL
-
-
-def selection_rule(p: int, genus: int, marks) -> bool:
-    """Exact integer-arithmetic verdict of the degree selection rule."""
-    marks = tuple(marks)
-    lhs = (p + 1) * (2 * genus - 2 + len(marks))
-    rhs = sum(p * m + j + 1 for m, j in marks)
-    return lhs == rhs
 
 
 @dataclass

@@ -25,7 +25,7 @@ from math import comb, factorial
 
 from .airy import CONTOUR, REAL  # kernel modes re-exported
 from .airy import mode_constant, phi_deriv_zero, reduce_order_at_zero
-from .exact import ExactScalar, ExactSum, LaurentP, Monomial, UsageError
+from .exact import ExactScalar, LaurentP, Monomial, UsageError
 from .moments import (
     AssembledGrade,
     CancellationError,
@@ -34,6 +34,8 @@ from .moments import (
     assemble_grade,
     poly_coeffs,
 )
+
+_ZERO = ExactScalar.zero()
 
 
 def expansion_boundary_value(p: int, k: int, kernel_mode: str) -> ExactScalar:
@@ -165,11 +167,12 @@ def two_point_series(
     g_max: int,
     kernel_mode: str = REAL,
     ledgers: dict[int, GradeLedger] | None = None,
-) -> dict[int, dict[int, ExactSum]]:
+) -> dict[int, dict[int, ExactScalar]]:
     """Exact two-point expansion through genus g_max: {g: {m: coefficient}}.
 
     m runs over the extractable a-powers of each grade (``grade_monomial``),
-    the shape ``two_point_low_orders`` returns for one grade.  Rewrite-constant
+    the shape ``two_point_low_orders`` returns for one grade.  Each coefficient
+    is a single surd class; a second class raises UsageError.  Rewrite-constant
     leftovers must stay out of doubly-fractional grades; a violation raises
     CancellationError (this is a verified property, not an assumption).
     """
@@ -179,12 +182,12 @@ def two_point_series(
         # cost bound: genus 3 exact-in-a only at p=3; larger p goes through
         # the small-a route (two_point_low_orders)
         raise UsageError("exact-in-a route supports g<=3 at p=3, g<=2 for p>=4")
-    series: dict[int, dict[int, ExactSum]] = {}
+    series: dict[int, dict[int, ExactScalar]] = {}
     p_scalar = ExactScalar.from_fraction(p)  # sqrt(p) per kernel factor
     for g in range(1, g_max + 1):
         grade = two_point_grade(p, g, kernel_mode)
         ledger = GradeLedger()
-        sums: dict[int, ExactSum] = {}
+        coeffs: dict[int, ExactScalar] = {}
         for (i, j), poly in grade.boundary.items():
             pair_value = (
                 expansion_boundary_value(p, i, kernel_mode)
@@ -197,7 +200,7 @@ def two_point_series(
                     if coeff.rational:
                         ledger.discarded_boundary[(i, j, m)] = frac
                     continue
-                sums.setdefault(m, ExactSum()).add(coeff)
+                coeffs[m] = coeffs.get(m, _ZERO) + coeff
         for atom, poly in grade.constants.items():
             bad = {m: v for m, v in poly.items() if grade_monomial(p, g, m) is not None}
             if bad:
@@ -207,7 +210,7 @@ def two_point_series(
                     {atom: bad},
                 )
             ledger.constant_sector[atom] = poly
-        series[g] = {m: s for m, s in sums.items() if not s.is_zero}
+        series[g] = {m: c for m, c in coeffs.items() if c.rational}
         if ledgers is not None:
             ledgers[g] = ledger
     return series
@@ -218,57 +221,63 @@ def two_point_series(
 # ---------------------------------------------------------------------------
 
 
-def two_point_low_orders(
-    p: int,
-    g: int,
-    m_max: int,
-    kernel_mode: str = REAL,
-) -> dict[int, ExactSum]:
-    """Grade coefficients of a^m, m <= m_max, via the small-a expansion.
-
-    The second factor is expanded as
-    phi^{(D2)}(-a x) = sum_t (-a)^t/t! phi^{(D2+t)}(0) x^t, which turns every
-    term into a single-kernel moment int x^{l+t} phi^{(D1)}(x) dx; those
-    reduce without cycles.  Much cheaper than the exact route for large p,
-    and only valid term by term in a.
-
-    Returns {m: coefficient} for extractable m; irreducible single-kernel
-    integrals must cancel from extractable powers (CancellationError else).
-    """
-    if m_max >= p:
-        raise UsageError("small-a route restricted to a-powers below a^p")
+@lru_cache(maxsize=None)
+def _low_orders(p: int, g: int, kernel_mode: str) -> dict[int, ExactScalar]:
     eng = _engine(p, mode_constant(kernel_mode), "side1")
     p_scalar = ExactScalar.from_fraction(p)
-    sums: dict[int, ExactSum] = {}
-    residues: dict[tuple[tuple, int], ExactSum] = {}
-    for base, a0, sym in _grade_terms(p, g, m_max):
-        for t in range(0, m_max - a0 + 1):
+    coeffs: dict[int, ExactScalar] = {}
+    residues: dict[tuple, ExactScalar] = {}  # (atom, m, surd class) -> coefficient
+    for base, a0, sym in _grade_terms(p, g, p - 1):
+        for t in range(p - a0):
             taylor = Fraction((-1) ** t, factorial(t))
-            outer = expansion_boundary_value(p, sym.c + t, kernel_mode)
-            single = eng.reduce_single(1, sym.n + t, sym.b)
-            for atom, coeff in single.items():
+            term = base * expansion_boundary_value(p, sym.c + t, kernel_mode) * p_scalar
+            for atom, coeff in eng.reduce_single(1, sym.n + t, sym.b).items():
+                if atom[0] == "zdiv":
+                    # scaleless int y^k dy: zero under the scaling
+                    # regularization this route uses (the exact-in-a
+                    # route keeps them and confines them to the
+                    # discarded sectors; extractable output agrees)
+                    continue
+                scalar = term
+                if atom[0] == "sing":
+                    scalar = term * expansion_boundary_value(p, atom[1], kernel_mode)
                 for shift, cf in poly_coeffs(coeff, allow_negative=True).items():
                     m = a0 + t + shift
-                    if not 0 <= m <= m_max or grade_monomial(p, g, m) is None:
+                    if not 0 <= m < p or grade_monomial(p, g, m) is None:
                         continue
-                    scalar = base.scale(taylor * cf) * outer * p_scalar
+                    part = scalar.scale(taylor * cf)
                     if atom[0] == "sing":
-                        scalar = scalar * expansion_boundary_value(p, atom[1], kernel_mode)
-                        sums.setdefault(m, ExactSum()).add(scalar)
-                    elif atom[0] == "zdiv":
-                        # scaleless int y^k dy: zero under the scaling
-                        # regularization this route uses (the exact-in-a
-                        # route keeps them and confines them to the
-                        # discarded sectors; extractable output agrees)
-                        continue
+                        coeffs[m] = coeffs.get(m, _ZERO) + part
                     else:
-                        acc = residues.setdefault((atom, m), ExactSum())
-                        acc.add(scalar)
-    leftover = {k: v for k, v in residues.items() if not v.is_zero}
+                        key = (atom, m, part.surd)
+                        residues[key] = residues.get(key, _ZERO) + part
+    leftover = {k: v for k, v in residues.items() if v.rational}
     if leftover:
         raise CancellationError(
             f"irreducible single-kernel residue on extractable grades: "
             f"{sorted(leftover, key=repr)}",
             leftover,
         )
-    return {m: s for m, s in sums.items() if not s.is_zero}
+    return {m: c for m, c in coeffs.items() if c.rational}
+
+
+def two_point_low_orders(
+    p: int, g: int, kernel_mode: str = REAL
+) -> dict[int, ExactScalar]:
+    """Grade coefficients of a^m for every m < p, via the small-a expansion.
+
+    The second factor is expanded as
+    phi^{(D2)}(-a x) = sum_t (-a)^t/t! phi^{(D2+t)}(0) x^t, which turns every
+    term into a single-kernel moment int x^{l+t} phi^{(D1)}(x) dx; those
+    reduce without cycles.  Much cheaper than the exact route for large p,
+    and only valid term by term in a, so only below a^p.
+
+    Returns {m: coefficient} for extractable m, cached once per
+    (p, g, kernel_mode) however the arguments are passed.  Irreducible
+    single-kernel integrals must cancel from extractable powers, class by
+    surd class (CancellationError else).
+    """
+    return dict(_low_orders(p, g, kernel_mode))
+
+
+two_point_low_orders.cache_info = _low_orders.cache_info

@@ -5,11 +5,15 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from pspin import golden
 from pspin.cli import main
+from pspin.correlators import one_point_table, two_point_table
+from pspin.tautology import negative_p_table
 
 
 def run(*argv):
@@ -32,6 +36,12 @@ class TestIntersect:
         assert run("intersect", "--p", "symbolic", "--genus", "2", "--points", "1") == 0
         out = capsys.readouterr().out
         assert "(2*p^3 - 7*p^2 + 2*p + 3) / (5760*p)" in out
+
+    def test_p2_one_point_labels(self, capsys):
+        # the admissible p=2 label is tau(3g-2, 0), not the continued tau(2g-1, 2g-2)
+        assert run("intersect", "--p", "2", "--genus", "2", "--points", "1") == 0
+        out = capsys.readouterr().out
+        assert "g=1  tau(1,0) = 1/24" in out and "g=2  tau(4,0) = 1/1152" in out
 
     def test_genus_zero_empty(self, capsys):
         assert run("intersect", "--p", "3", "--genus", "0", "--points", "2") == 0
@@ -295,6 +305,17 @@ class TestGoldenVariants:
         assert run("intersect", "--p", "-3", "--genus", "3", "--points", "1",
                    "--golden") == 0
         assert "all reference entries reproduced for p=-3" in capsys.readouterr().out
+
+    def test_compare_by_genus_and_marks(self):
+        two = two_point_table(3, 2)
+        one = negative_p_table(4, -1)
+        assert golden.compare(3, 2, two, g_max=2) == [] and golden.compare(-1, 1, one) == []
+        assert golden.compare(3, 1, one_point_table(3, 2)) is None  # no one-point table
+        anchor = (2, ((0, 1), (4, 1)))
+        bad = [replace(e, value=e.value + 1) if e.key() == anchor else e for e in two]
+        assert golden.compare(3, 2, bad, g_max=2) == [
+            "drift at g=2 marks=((0, 1), (4, 1)): expected 1/864, computed 865/864"]
+        assert golden.compare(-1, 1, one[1:]) == ["missing reference entry g=1 marks=((1, 0),)"]
 
     def test_golden_without_reference_table(self, capsys):
         assert run("intersect", "--p", "9", "--genus", "1", "--points", "2",

@@ -62,7 +62,7 @@ class TestCalibration:
         from pspin.exact import ExactScalar
 
         with pytest.raises(CalibrationError):
-            _normalize(ExactScalar.pi(), 3, 1, (0, 0))
+            _normalize(ExactScalar.pi(), 3, 1, 1)  # the a^1 grade, spins (0, 0)
 
 
 class TestOnePoint:
@@ -90,6 +90,12 @@ class TestOnePoint:
 
     def test_inadmissible_label_is_zero(self):
         assert one_point_value(3, 2) == 0
+
+    def test_p2_is_witten_kdv(self):
+        # p=2 labels are tau(3g-2, 0), valued 1/(24^g g!) (Witten's KdV case)
+        witten = [(g, ((3 * g - 2, 0),), F(1, 24**g * math.factorial(g))) for g in range(1, 17)]
+        assert [(e.genus, e.marks, e.value) for e in one_point_table(2, 16)] == witten
+        assert one_point_value(2, 2) == F(1, 1152)
 
     def test_checked_genus_range(self):
         # two independent routes for every genus the series admits
@@ -162,7 +168,7 @@ class TestTwoPointTables:
             for g, grade in s.items():
                 assert {2 * g * (p + 1) - m for m in grade} == set(grade)
                 for m, coeff in grade.items():
-                    assert coeff.single() == grade[2 * g * (p + 1) - m].single(), (p, g, m)
+                    assert coeff == grade[2 * g * (p + 1) - m], (p, g, m)
 
     def test_selection_rule_every_entry(self):
         for p in (3, 4, 5):
@@ -480,8 +486,8 @@ class TestSeriesShape:
         # + (1/12)(s1 s2)^{3/4}(s1+s2)(phi(0))^2
         # a-powers: s1^{1/4}, s1^{5/4}, s1^{9/4} and s1^{3/4}, s1^{7/4}
         s = two_point_series(4, 1)[1]
-        ca = [s[m].single() for m in (1, 5, 9)]
-        cb = [s[m].single() for m in (3, 7)]
+        ca = [s[m] for m in (1, 5, 9)]
+        cb = [s[m] for m in (3, 7)]
         assert ca[0] == ca[1] == ca[2]
         assert cb[0] == cb[1]
         # coefficient ratio (1/4)(phi'')^2 : (1/12)(phi)^2 = 3 phi''(0)^2/phi(0)^2
@@ -533,6 +539,19 @@ def test_two_point_grade_one_cache_entry_per_key():
               two_point_grade(3, 2, kernel_mode="real")]
     assert two_point_grade.cache_info().misses - before <= 1
     assert grades[0] is grades[1] is grades[2]
+
+
+def test_small_a_grade_built_once_per_key():
+    # asking every m < p costs one small-a build, not one per m
+    p, g = 10, 2
+    before = twopoint.two_point_low_orders.cache_info().misses
+    for _ in range(2):
+        values = [two_point_low_value(p, g, m, CONTOUR) for m in range(p)]
+        twopoint.two_point_low_orders(p, g, kernel_mode=CONTOUR)
+        assert twopoint.two_point_low_orders.cache_info().misses - before == 1
+    assert values == [two_point_low_value(p, g, m) for m in range(p)]  # modes agree
+    with pytest.raises(UsageError):  # m = 11 is extractable, but beyond a^p
+        two_point_low_value(p, g, p + 1, CONTOUR)
 
 
 def test_mirror_strategy_tables_identical():
