@@ -46,7 +46,6 @@ from .moments import (
     AssembledGrade,
     CancellationError,
     MomentSymbol,
-    ReductionResult,
     assemble_grade,
     reduce_moment,
 )
@@ -56,7 +55,6 @@ from .tautology import (
     TautologyReport,
     dilaton_check,
     euler_characteristic,
-    negative_p_table,
     selection_rule,
     string_check,
 )

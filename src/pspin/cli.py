@@ -30,12 +30,7 @@ from .correlators import (
 from .exact import DomainError, UsageError
 from .moments import CancellationError
 from .oracle import McConfig, mc_trace_moments, oracle_report, quad_moment
-from .tautology import (
-    dilaton_check,
-    negative_p_table,
-    selection_rule,
-    string_sweep,
-)
+from .tautology import dilaton_check, selection_rule, string_check
 from .twopoint import REAL, two_point_grade
 
 EXIT_OK = 0
@@ -74,14 +69,7 @@ def cmd_intersect(args) -> int:
             raise UsageError("two-point tables need an integer p >= 3")
         entries = two_point_table(p, args.genus, args.kernel)
     else:
-        if p == "symbolic":
-            entries = one_point_table("symbolic", args.genus)
-        elif p < 0:
-            entries = negative_p_table(args.genus, p)
-        else:
-            if p < 2:
-                raise UsageError("positive one-point tables need p >= 2")
-            entries = one_point_table(p, args.genus)
+        entries = one_point_table(p, args.genus)
     if args.golden:
         problems = golden.compare(p, args.points, entries, g_max=args.genus)
         if problems is None:
@@ -116,7 +104,8 @@ def cmd_intersect(args) -> int:
 
 
 def _verify_string(args) -> tuple[bool, dict]:
-    report = string_sweep([args.p], args.genus, args.kernel)
+    table = two_point_table(args.p, args.genus, args.kernel)
+    report = string_check(table, args.p)
     print(report.render())
     return report.all_passed, report.to_dict()
 

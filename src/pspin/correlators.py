@@ -141,8 +141,18 @@ def two_point_low_value(
     return calibration_constant(2, kernel_mode) * _normalize(coeffs[m], p, g, m)
 
 
+# p = -3: the labels admissible on the positive-p side of each genus family
+_P_MINUS_3_LABELS = {1: (1, 0), 2: (3, 2), 3: (6, 1)}
+
+
 def one_point_table(p, g_max: int) -> list[TauCorrelator]:
-    """One-point table; p may be a rational or the string 'symbolic'."""
+    """One-point table at a rational p < 0 or p >= 2, or at p = 'symbolic'.
+
+    The label at integer p >= 2 is the admissible one (a genus without one is
+    skipped).  At p = -1 it is tau_{1,0} for every genus (orbifold Euler
+    characteristics), at p = -3 the positive-p label for g <= 3, and
+    elsewhere the continued family tau_{2g-1,2g-2}.  Zero values are kept.
+    """
     kappa1 = calibration_constant(1)
     out: list[TauCorrelator] = []
     if p == "symbolic":
@@ -157,17 +167,20 @@ def one_point_table(p, g_max: int) -> list[TauCorrelator]:
             )
         return out
     pf = Fraction(p)
+    if 0 < pf < 2:
+        raise UsageError("positive one-point tables need p >= 2")
     for g in range(1, g_max + 1):
         if pf.denominator == 1 and pf >= 2:
-            lab = admissible_one_point_label(int(pf), g)
-            if lab is None:
+            label = admissible_one_point_label(int(pf), g)
+            if label is None:
                 continue
-            n, j = lab
+        elif pf == -1:
+            label = (1, 0)
+        elif pf == -3 and g in _P_MINUS_3_LABELS:
+            label = _P_MINUS_3_LABELS[g]
         else:
-            n, j = 2 * g - 1, 2 * g - 2  # continued label family
-        value = kappa1 * one_point_value(pf, g, j=j)
-        if value:
-            out.append(TauCorrelator(pf, g, ((n, j),), value))
+            label = (2 * g - 1, 2 * g - 2)  # continued label family
+        out.append(TauCorrelator(pf, g, (label,), kappa1 * one_point_value(pf, g, j=label[1])))
     return out
 
 

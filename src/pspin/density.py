@@ -68,15 +68,11 @@ def large_p_check(formula: LaurentP, g: int) -> LargePReport:
 def log_sinh_series(order: int) -> list[Fraction]:
     """Exact x^{2n} coefficients of log(sinh(x/2)/(x/2)), n = 1..order.
 
-    c_n = (-1)^{n-1} B_n / ((2n)! 2n) with the positive B_n = |B_{2n}|;
-    signs alternate starting positive.
+    c_n = (-1)^{n-1} bernoulli_leading(n); signs alternate starting positive.
     """
     if order > 12:
         raise UsageError("series order capped at 12")
-    return [
-        Fraction((-1) ** (n - 1)) * bernoulli_abs(n) / (factorial(2 * n) * 2 * n)
-        for n in range(1, order + 1)
-    ]
+    return [(-1) ** (n - 1) * bernoulli_leading(n) for n in range(1, order + 1)]
 
 
 def exp_kernel_integrand(sigma):
@@ -209,7 +205,7 @@ def blackhole_density_compare(cfg: DensityConfig) -> AffineFitReport:
     genuine O(1/E) non-affine deviation (max_residual_full).
     """
     xs = [rho_blackhole(e) for e in cfg.e_grid]
-    ys = [rho_matrix(e) + 1.0 / (2.0 * e) for e in cfg.e_grid]
+    ys = [rho + 1.0 / (2.0 * e) for e, rho in rho_density(cfg)]
     n = len(xs)
     sx, sy = sum(xs), sum(ys)
     sxx = sum(x * x for x in xs)

@@ -14,7 +14,8 @@ terms at infinity set to zero by regularization) reduces every such symbol to
 
 The rewrite graph contains short cycles; those close through loops whose
 linear solution is what produces the characteristic (1 + a^p) denominators.
-Cycles are handled exactly: the reachable closure is built first, strongly
+Cycles are handled exactly: the reachable closure of product symbols is
+built first (every other part of a rewrite step is resolved at once), strongly
 connected components are solved as small linear systems in reverse
 topological order.  Every coefficient is a ``CycloA``, N(a)/(1+a^p)^m; a
 cycle whose pivot is not c a^j (1+a^p)^i would leave that ring and raises
@@ -23,25 +24,26 @@ ReductionCycleError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Hashable
 
 from .airy import reduce_order_at_zero
 from .exact import CycloA, DomainError, ExactScalar, UsageError
 
-# successor node kinds
+# graph nodes
 #   ('M', n, b, c)           product symbol
 # resolved atom kinds
-#   ('bdry', i, j)           phi^{(i)}(0) phi^{(j)}(0)
+#   ('bdry', i, j)           phi^{(i)}(0) phi^{(j)}(0), i <= j
 #   ('irr', c)               T_c = M(0, 0, c), irreducible cross term
 #   ('sing', i)              phi^{(i)}(0) single factor (rewrite-constant sector)
+#   ('const',)               unit atom: both boundary factors reduced to the constant
 #   ('omega',)               int_0^inf phi(z) dz, irreducible single factor
 #   ('zdiv', k)              int_0^inf y^k dy, scaleless leftover
 
 Atom = tuple
 Node = tuple
+Links = list[tuple[CycloA, Node]]
 
 
 class ReductionCycleError(RuntimeError):
@@ -72,34 +74,6 @@ class MomentSymbol:
             raise UsageError("moment symbol needs p >= 3")
 
 
-@dataclass
-class ReductionResult:
-    """Fixed point of the rewrite system for one symbol (CycloA coefficients)."""
-
-    boundary_terms: dict[tuple[int, int], CycloA] = field(default_factory=dict)
-    irreducible_terms: dict[int, CycloA] = field(default_factory=dict)
-    ode_constant_terms: dict[Atom, CycloA] = field(default_factory=dict)
-
-    def as_vector(self) -> dict[Atom, CycloA]:
-        out: dict[Atom, CycloA] = {}
-        for (i, j), coeff in self.boundary_terms.items():
-            out[("bdry", i, j)] = coeff
-        for c, coeff in self.irreducible_terms.items():
-            out[("irr", c)] = coeff
-        out.update(self.ode_constant_terms)
-        return out
-
-    def render(self) -> str:
-        lines = []
-        for (i, j) in sorted(self.boundary_terms):
-            lines.append(f"bdry phi^({i})(0)*phi^({j})(0): {self.boundary_terms[(i, j)]}")
-        for c in sorted(self.irreducible_terms):
-            lines.append(f"irr T_{c}: {self.irreducible_terms[c]}")
-        for atom in sorted(self.ode_constant_terms, key=repr):
-            lines.append(f"ode {atom}: {self.ode_constant_terms[atom]}")
-        return "\n".join(lines) if lines else "0"
-
-
 def _vec_add(dst: dict, src: dict, scale) -> None:
     for k, v in src.items():
         cur = dst.get(k)
@@ -108,6 +82,12 @@ def _vec_add(dst: dict, src: dict, scale) -> None:
             dst[k] = nv
         elif cur is not None:
             del dst[k]
+
+
+def _scaled(src: dict, scale) -> dict:
+    out: dict = {}
+    _vec_add(out, src, scale)
+    return out
 
 
 class MomentEngine:
@@ -160,114 +140,72 @@ class MomentEngine:
 
     # -- product-symbol rewrite rules ----------------------------------------
 
-    def rule(self, node: Node) -> list[tuple[CycloA, Hashable]]:
-        """One rewrite step: list of (CycloA coefficient, successor node or atom).
+    def rule(self, node: Node) -> tuple[Links, dict[Atom, CycloA]]:
+        """One rewrite step: (links, rhs).
 
-        Successors tagged ('M', ...) stay in the rewrite graph; S-reductions
-        and boundary atoms are resolved parts.
+        links are the (CycloA coefficient, ('M', n, b, c)) pairs that stay in
+        the rewrite graph; rhs is the step's already-resolved atom vector
+        (single-factor reductions, boundary products, mirror irreducibles and
+        T_c atoms), a fresh dict on every call.
         """
         _, n, b, c = node
         p, one = self.p, self._one
-        out: list[tuple[CycloA, Hashable]] = []
         if b >= p:  # derivative rewrite, side 1 (k >= 1)
             k = b - (p - 1)
-            out.append((one * k, ("M", n, k - 1, c)))
-            out.append((one, ("M", n + 1, k, c)))
-            return out
+            return [(one * k, ("M", n, k - 1, c)), (one, ("M", n + 1, k, c))], {}
         if c >= p:  # derivative rewrite, side 2 (k >= 1)
             k = c - (p - 1)
-            out.append((one * k, ("M", n, b, k - 1)))
-            out.append((-self._a, ("M", n + 1, b, k)))
-            return out
+            return [(one * k, ("M", n, b, k - 1)), (-self._a, ("M", n + 1, b, k))], {}
         if self.strategy == "side1":
             return self._rule_side1(n, b, c)
         return self._rule_side2(n, b, c)
 
-    def _rule_side1(self, n: int, b: int, c: int) -> list:
+    def _rule_side1(self, n: int, b: int, c: int) -> tuple[Links, dict[Atom, CycloA]]:
         p, c0, one, a = self.p, self.c0, self._one, self._a
-        out: list = []
         if c == p - 1 and b == 0:
             # phi^{(p-1)}(-ay) = -a y phi(-ay) + c0
-            out.append((-a, ("M", n + 1, 0, 0)))
-            if c0:
-                out.append((one * c0, ("SINGLE", 1, n, 0)))
-            return out
+            rhs = _scaled(self.reduce_single(1, n, 0), one * c0) if c0 else {}
+            return [(-a, ("M", n + 1, 0, 0))], rhs
         if b >= 1:  # integrate the side-1 factor by parts
             if n == 0:
-                out.append((-one, ("bdry", b - 1, c)))
+                links, rhs = [], _scaled(self._bdry_vector(b - 1, c), -one)
             else:
-                out.append((one * -n, ("M", n - 1, b - 1, c)))
-            out.append((a, ("M", n, b - 1, c + 1)))
-            return out
+                links, rhs = [(one * -n, ("M", n - 1, b - 1, c))], {}
+            links.append((a, ("M", n, b - 1, c + 1)))
+            return links, rhs
         if n >= 1:  # b == 0: raise through y phi = phi^{(p-1)} - c0
-            out.append((one, ("M", n - 1, p - 1, c)))
-            if c0:
-                out.append((one * -c0, ("SINGLE", 2, n - 1, c)))
-            return out
-        out.append((one, ("irr", c)))
-        return out
+            rhs = _scaled(self.reduce_single(2, n - 1, c), one * -c0) if c0 else {}
+            return [(one, ("M", n - 1, p - 1, c))], rhs
+        return [], {("irr", c): one}
 
-    def _rule_side2(self, n: int, b: int, c: int) -> list:
+    def _rule_side2(self, n: int, b: int, c: int) -> tuple[Links, dict[Atom, CycloA]]:
         p, c0, one, inv_a = self.p, self.c0, self._one, self._inv_a
-        out: list = []
         if b == p - 1 and c == 0:
             # phi^{(p-1)}(y) = y phi(y) + c0
-            out.append((one, ("M", n + 1, 0, 0)))
-            if c0:
-                out.append((one * c0, ("SINGLE", 2, n, 0)))
-            return out
+            rhs = _scaled(self.reduce_single(2, n, 0), one * c0) if c0 else {}
+            return [(one, ("M", n + 1, 0, 0))], rhs
         if c >= 1:  # integrate the side-2 factor by parts
             if n == 0:
-                out.append((inv_a, ("bdry", b, c - 1)))
+                links, rhs = [], _scaled(self._bdry_vector(b, c - 1), inv_a)
             else:
-                out.append((inv_a * n, ("M", n - 1, b, c - 1)))
-            out.append((inv_a, ("M", n, b + 1, c - 1)))
-            return out
+                links, rhs = [(inv_a * n, ("M", n - 1, b, c - 1))], {}
+            links.append((inv_a, ("M", n, b + 1, c - 1)))
+            return links, rhs
         if n >= 1:  # c == 0: raise through y phi(-ay) = -(phi^{(p-1)}(-ay) - c0)/a
-            out.append((-inv_a, ("M", n - 1, b, p - 1)))
-            if c0:
-                out.append((inv_a * c0, ("SINGLE", 1, n - 1, b)))
-            return out
+            rhs = _scaled(self.reduce_single(1, n - 1, b), inv_a * c0) if c0 else {}
+            return [(-inv_a, ("M", n - 1, b, p - 1))], rhs
         if b >= 1:
             # normalize mirror irreducibles M(0,b,0) into the T basis
-            out.append((one, ("MIRROR", b)))
-            return out
-        out.append((one, ("irr", 0)))
-        return out
+            return [], dict(_engine(p, c0, "side1")._reduce_node(("M", 0, b, 0)))
+        return [], {("irr", 0): one}
 
     # -- closure + SCC solve ---------------------------------------------------
 
-    def reduce(self, sym: MomentSymbol) -> ReductionResult:
+    def reduce(self, sym: MomentSymbol) -> dict[Atom, CycloA]:
+        """Fixed point of sym as an atom vector (the engine's memo entry; read only)."""
         if sym.p != self.p:
             raise UsageError("symbol p does not match engine p")
-        vec = self._reduce_node(("M", sym.n, sym.b, sym.c))
-        res = ReductionResult()
-        for atom, coeff in vec.items():
-            if not coeff:
-                continue
-            if atom[0] == "bdry":
-                # _bdry_vector emits every product with sorted indices (i <= j)
-                res.boundary_terms[atom[1:]] = coeff
-            elif atom[0] == "irr":
-                res.irreducible_terms[atom[1]] = coeff
-            else:
-                res.ode_constant_terms[atom] = coeff
-        return res
-
-    def _resolve_part(self, succ: Hashable) -> dict[Atom, CycloA] | None:
-        """Resolved vector for non-graph successors; None if it is a graph node."""
-        if succ[0] == "M":
-            return None
-        if succ[0] == "SINGLE":
-            _, side, n, d = succ
-            return self.reduce_single(side, n, d)
-        if succ[0] == "MIRROR":
-            b = succ[1]
-            eng = _engine(self.p, self.c0, "side1")
-            return eng._reduce_node(("M", 0, b, 0))
-        if succ[0] == "bdry":
-            return self._bdry_vector(succ[1], succ[2])
-        return {succ: self._one}
+        return self._reduce_node(("M", sym.n, sym.b, sym.c))
 
     def _bdry_vector(self, i: int, j: int) -> dict[Atom, CycloA]:
         """Canonical form of a boundary product phi^{(i)}(0) phi^{(j)}(0).
@@ -293,24 +231,19 @@ class MomentEngine:
         hit = self._memo.get(root)
         if hit is not None:
             return hit
-        # build reachable closure of unreduced graph nodes
-        edges: dict[Node, list[tuple[CycloA, Hashable]]] = {}
+        # build the reachable closure of unreduced product symbols
+        edges: dict[Node, tuple[Links, dict[Atom, CycloA]]] = {}
         stack = [root]
         while stack:
             node = stack.pop()
             if node in edges or node in self._memo:
                 continue
-            succs = self.rule(node)
-            edges[node] = succs
+            links, _ = edges[node] = self.rule(node)
             if len(edges) > 200000:
                 raise ReductionCycleError(f"closure from {root} exceeds bound")
-            for _, succ in succs:
-                if succ[0] == "M" and succ not in self._memo and succ not in edges:
-                    stack.append(succ)
-        # Tarjan SCC (iterative) over graph nodes
-        order = _tarjan(edges, self._memo)
+            stack.extend(nxt for _, nxt in links if nxt not in self._memo and nxt not in edges)
         # solve SCCs in reverse topological order
-        for comp in order:
+        for comp in _tarjan(edges, self._memo):
             self._solve_component(comp, edges)
         return self._memo[root]
 
@@ -321,18 +254,14 @@ class MomentEngine:
         zero = CycloA(self.p)
         rows: list[tuple[dict[int, CycloA], dict[Atom, CycloA]]] = []
         for node in comp:
+            links, rhs = edges[node]
             lin: dict[int, CycloA] = {}
-            rhs: dict[Atom, CycloA] = {}
-            for coeff, succ in edges[node]:
-                if succ[0] == "M":
-                    if succ in idx:
-                        j = idx[succ]
-                        lin[j] = lin.get(j, zero) + coeff
-                        continue
-                    part = self._memo[succ]
+            for coeff, nxt in links:
+                j = idx.get(nxt)
+                if j is None:
+                    _vec_add(rhs, self._memo[nxt], coeff)
                 else:
-                    part = self._resolve_part(succ)
-                _vec_add(rhs, part, coeff)
+                    lin[j] = lin.get(j, zero) + coeff
             rows.append((lin, rhs))
         if k == 1 and not rows[0][0]:
             self._memo[comp[0]] = rows[0][1]
@@ -342,7 +271,7 @@ class MomentEngine:
             {j: (self._one if i == j else zero) - lin.get(j, zero) for j in range(k)}
             for i, (lin, _) in enumerate(rows)
         ]
-        rhs = [dict(r) for _, r in rows]
+        rhs = [r for _, r in rows]
         for col in range(k):
             piv = next((r for r in range(col, k) if mat[r][col]), None)
             if piv is None:
@@ -368,8 +297,8 @@ class MomentEngine:
             self._memo[node] = {a: v for a, v in rhs[i].items() if v}
 
 
-def _tarjan(edges: dict[Node, list], resolved: dict) -> list[list[Node]]:
-    """SCCs of the node graph in reverse topological order (iterative Tarjan)."""
+def _tarjan(edges: dict[Node, tuple], resolved: dict) -> list[list[Node]]:
+    """SCCs of the product-symbol graph in reverse topological order (iterative Tarjan)."""
     index: dict[Node, int] = {}
     low: dict[Node, int] = {}
     onstack: set[Node] = set()
@@ -378,11 +307,7 @@ def _tarjan(edges: dict[Node, list], resolved: dict) -> list[list[Node]]:
     counter = [0]
 
     def succs(node):
-        return [
-            s
-            for _, s in edges[node]
-            if s[0] == "M" and s not in resolved
-        ]
+        return [s for _, s in edges[node][0] if s not in resolved]
 
     for start in edges:
         if start in index:
@@ -431,8 +356,8 @@ def _engine(p: int, c0: Fraction, strategy: str) -> MomentEngine:
 
 def reduce_moment(
     sym: MomentSymbol, ode_constant: Fraction = Fraction(1), strategy: str = "side1"
-) -> ReductionResult:
-    """Reduce one moment symbol to its fixed point (memoized per engine)."""
+) -> dict[Atom, CycloA]:
+    """Reduce one moment symbol to its fixed-point atom vector (memoized per engine; read only)."""
     return _engine(sym.p, Fraction(ode_constant), strategy).reduce(sym)
 
 
@@ -443,19 +368,26 @@ def eval_coefficient(coeff: CycloA, a: float) -> float:
 
 
 def reduction_numeric(
-    res: ReductionResult,
+    vec: dict[Atom, CycloA],
     a: float,
     boundary_values: dict[int, float],
     irreducible_values: dict[int, float],
 ) -> float:
-    """Numeric value of a reduced moment given boundary and cross-term data."""
-    total = 0.0
-    for (i, j), coeff in res.boundary_terms.items():
-        total += eval_coefficient(coeff, a) * boundary_values[i] * boundary_values[j]
-    for c, coeff in res.irreducible_terms.items():
-        total += eval_coefficient(coeff, a) * irreducible_values[c]
-    if res.ode_constant_terms:
+    """Numeric value of a reduced moment given boundary and cross-term data.
+
+    Only ('bdry', i, j) and ('irr', c) atoms have values here; any other atom
+    raises UsageError.  Boundary products are summed before cross terms.
+    """
+    if any(atom[0] not in ("bdry", "irr") for atom in vec):
         raise UsageError("numeric evaluation expects a constant-free reduction")
+    total = 0.0
+    for (kind, *idx), coeff in vec.items():
+        if kind == "bdry":
+            i, j = idx
+            total += eval_coefficient(coeff, a) * boundary_values[i] * boundary_values[j]
+    for (kind, *idx), coeff in vec.items():
+        if kind == "irr":
+            total += eval_coefficient(coeff, a) * irreducible_values[idx[0]]
     return total
 
 
@@ -523,8 +455,7 @@ def combine_contributions(
         w[a_pow] = w.get(a_pow, Fraction(0)) + ratio
     acc: dict[Atom, CycloA] = {}
     for sym, w in weights.items():
-        red = reduce_moment(sym, ode_constant, strategy)
-        _vec_add(acc, red.as_vector(), CycloA(sym.p, w))
+        _vec_add(acc, reduce_moment(sym, ode_constant, strategy), CycloA(sym.p, w))
     residues = {rest[0]: coeff for (kind, *rest), coeff in acc.items()
                 if kind == "irr" and coeff}
     if residues:

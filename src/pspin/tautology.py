@@ -1,11 +1,11 @@
-"""Universal-equation checks over computed tables and continuations in p.
+"""Universal-equation checks over computed tables.
 
 The checks here are exact: a passing identity has literally zero difference.
 
 * selection rule  (p+1)(2g-2+n) = sum_i (p m_i + j_i + 1)
 * string equation: removing a tau_{0,0} insertion lowers one descendant index
 * dilaton equation: removing tau_{1,0} costs a factor (2g-2+k)
-* orbifold Euler characteristics chi(M_{g,s}) and the p=-1 / p=-3 tables
+* orbifold Euler characteristics chi(M_{g,s})
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .correlators import TauCorrelator, two_point_table
+from .correlators import TauCorrelator
 from .exact import UsageError
 from .numbers import zeta_one_minus_2g
 from .onepoint import one_point_value, selection_rule  # selection_rule re-exported
-from .twopoint import REAL
 
 
 @dataclass
@@ -75,11 +74,7 @@ def _mark_str(marks) -> str:
     return " ".join(f"tau({m},{j})" for m, j in marks)
 
 
-def string_check(
-    two_point: list[TauCorrelator],
-    p: int,
-    g_max: int | None = None,
-) -> TautologyReport:
+def string_check(two_point: list[TauCorrelator], p: int) -> TautologyReport:
     """tau_{0,0}-insertions against the one-point closed forms, exactly.
 
     For every two-point entry <tau_{0,0} tau_{n,j}>_g the string equation
@@ -87,8 +82,6 @@ def string_check(
     """
     report = TautologyReport()
     for e in two_point:
-        if g_max is not None and e.genus > g_max:
-            continue
         for k, (m, j) in enumerate(e.marks):
             if (m, j) != (0, 0):
                 continue
@@ -140,16 +133,6 @@ def dilaton_check(two_point: list[TauCorrelator], p: int) -> TautologyReport:
     return report
 
 
-def string_sweep(p_values, g_max: int, kernel_mode: str = REAL) -> TautologyReport:
-    """String checks across a range of p (exact), merged into one report."""
-    report = TautologyReport()
-    for p in p_values:
-        table = two_point_table(p, g_max, kernel_mode)
-        sub = string_check(table, p)
-        report.checked.extend(sub.checked)
-    return report
-
-
 def euler_characteristic(g: int, s: int) -> Fraction:
     """Orbifold Euler characteristic chi(M_{g,s}) for g >= 1, s >= 1.
 
@@ -164,29 +147,3 @@ def euler_characteristic(g: int, s: int) -> Fraction:
         * Fraction(factorial(2 * g + s - 3), factorial(2 * g - 2))
         * zeta_one_minus_2g(g)
     )
-
-
-_NEGATIVE_P3_LABELS = {1: (1, 0), 2: (3, 2), 3: (6, 1)}
-
-
-def negative_p_table(g_max: int, p) -> list[TauCorrelator]:
-    """One-point continuation table at negative p.
-
-    At p = -1 the label family tau_{1,0} is continued for every genus
-    (orbifold Euler characteristics).  At p = -3 the labels are the ones
-    admissible on the positive-p side of each genus family.
-    """
-    p = Fraction(p)
-    if p >= 0:
-        raise UsageError("negative_p_table needs p < 0")
-    out = []
-    for g in range(1, g_max + 1):
-        if p == -1:
-            label = (1, 0)
-        elif p == -3 and g in _NEGATIVE_P3_LABELS:
-            label = _NEGATIVE_P3_LABELS[g]
-        else:
-            label = (2 * g - 1, 2 * g - 2)
-        value = one_point_value(p, g, j=label[1])
-        out.append(TauCorrelator(p, g, (label,), value))
-    return out

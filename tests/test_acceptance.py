@@ -12,6 +12,7 @@ from pspin.correlators import (
     FiniteNSource,
     finite_n_evaluate,
     general_p_interpolate,
+    one_point_table,
     two_point_low_value,
     two_point_table,
 )
@@ -29,7 +30,7 @@ from pspin.moments import CancellationError
 from pspin.numbers import zeta_one_minus_2g
 from pspin.onepoint import one_point_series, one_point_value
 from pspin.oracle import McConfig, mc_trace_moments, quad_moment, zeta_oracle
-from pspin.tautology import negative_p_table, string_check
+from pspin.tautology import string_check
 from pspin.twopoint import two_point_grade
 
 P = RatP.var()
@@ -171,8 +172,8 @@ def test_criterion_06_string_equation():
 
 
 def test_criterion_07_negative_p():
-    t3 = {(e.genus, e.marks[0]): e.value for e in negative_p_table(3, -3)}
-    t1 = {e.genus: e.value for e in negative_p_table(4, -1)}
+    t3 = {(e.genus, e.marks[0]): e.value for e in one_point_table(-3, 3)}
+    t1 = {e.genus: e.value for e in one_point_table(-1, 4)}
     ok = (
         t3[(1, (1, 0))] == F(-1, 6)
         and t3[(2, (3, 2))] == F(1, 144)

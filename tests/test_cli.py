@@ -13,7 +13,6 @@ import pytest
 from pspin import golden
 from pspin.cli import main
 from pspin.correlators import one_point_table, two_point_table
-from pspin.tautology import negative_p_table
 
 
 def run(*argv):
@@ -308,7 +307,7 @@ class TestGoldenVariants:
 
     def test_compare_by_genus_and_marks(self):
         two = two_point_table(3, 2)
-        one = negative_p_table(4, -1)
+        one = one_point_table(-1, 4)
         assert golden.compare(3, 2, two, g_max=2) == [] and golden.compare(-1, 1, one) == []
         assert golden.compare(3, 1, one_point_table(3, 2)) is None  # no one-point table
         anchor = (2, ((0, 1), (4, 1)))

@@ -473,7 +473,12 @@ class TestSpotValues:
         from pspin.moments import MomentSymbol, reduce_moment
 
         red = reduce_moment(MomentSymbol(1, 2, 0, 3), ode_constant=F(0))
-        assert red.render() == (
+        assert sorted(red) == [("bdry", 0, 0), ("irr", 1)]
+        rendered = (
+            f"bdry phi^(0)(0)*phi^(0)(0): {red['bdry', 0, 0]}\n"
+            f"irr T_1: {red['irr', 1]}"
+        )
+        assert rendered == (
             "bdry phi^(0)(0)*phi^(0)(0): 1/(a**3 + 1)\n"
             "irr T_1: -2*a/(a**3 + 1)"
         )

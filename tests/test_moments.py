@@ -6,16 +6,18 @@ from fractions import Fraction as F
 import pytest
 
 from pspin.airy import CONTOUR, REAL, mode_constant, phi_deriv_zero
-from pspin.exact import CycloA, ExactScalar as ES
+from pspin.exact import CycloA, ExactScalar as ES, UsageError
 from pspin.moments import (
     CancellationError,
+    MomentEngine,
     MomentSymbol,
     _engine,
     assemble_grade,
     poly_coeffs,
     reduce_moment,
+    reduction_numeric,
 )
-from pspin.twopoint import two_point_grade
+from pspin.twopoint import grade_contributions, two_point_grade
 
 a = CycloA.var(3)
 one = CycloA.var(3, 0)
@@ -23,13 +25,7 @@ zero = CycloA(3)
 
 
 def vec(res, scale=1):
-    out = {}
-    for k, v in res.boundary_terms.items():
-        out[("bdry",) + k] = v * scale
-    for c, v in res.irreducible_terms.items():
-        out[("irr", c)] = v * scale
-    for k, v in res.ode_constant_terms.items():
-        out[("ode",) + tuple(k)] = v * scale
+    out = {k: v * scale for k, v in res.items()}
     return {k: v for k, v in out.items() if v}
 
 
@@ -48,29 +44,28 @@ def M(n, b, c, p=3, c0=0, strategy="side1"):
 class TestClosedForms:
     def test_k1(self):
         # int phi'' phi(-ay) = -(1+a)/(1+a^3) phi(0) phi'(0)
-        res = M(0, 2, 0)
-        assert res.boundary_terms == {(0, 1): -(one + a) / (one + a**3)}
-        assert not res.irreducible_terms
+        assert M(0, 2, 0) == {("bdry", 0, 1): -(one + a) / (one + a**3)}
 
     def test_k2_and_ibp_relation(self):
         # int phi' phi'(-ay) = (a^2-1)/(1+a^3) phi(0) phi'(0),
         # consistent with K1 = -phi(0)phi'(0) + a K2 (one integration by parts)
-        k1 = M(0, 2, 0).boundary_terms[(0, 1)]
-        k2 = M(0, 1, 1).boundary_terms[(0, 1)]
+        k1 = M(0, 2, 0)[("bdry", 0, 1)]
+        k2 = M(0, 1, 1)[("bdry", 0, 1)]
         assert k2 == (a**2 - one) / (one + a**3)
         assert k1 == -one + a * k2
 
     def test_k2_vanishes_at_unit_ratio(self):
-        k2 = M(0, 1, 1).boundary_terms[(0, 1)]
+        k2 = M(0, 1, 1)[("bdry", 0, 1)]
         from pspin.moments import eval_coefficient
 
         assert eval_coefficient(k2, F(1)) == 0.0
 
     def test_i2_identity(self):
         # (1+a^3) I2 = phi(0)^2 - 2a T with T = int phi(y) phi'(-ay) dy
-        res = M(1, 2, 0)
-        assert res.boundary_terms == {(0, 0): one / (one + a**3)}
-        assert res.irreducible_terms == {1: -2 * a / (one + a**3)}
+        assert M(1, 2, 0) == {
+            ("bdry", 0, 0): one / (one + a**3),
+            ("irr", 1): -2 * a / (one + a**3),
+        }
 
     def test_i2_ode_prestep(self):
         # substituting the rewrite directly: int y phi'' phi(-ay) = int y^2 phi phi(-ay)
@@ -84,7 +79,7 @@ class TestClosedForms:
 
         class LoopEngine(moments.MomentEngine):
             def rule(self, node):
-                return [(a, loop)] if node == loop else super().rule(node)
+                return ([(a, loop)], {}) if node == loop else super().rule(node)
 
         with pytest.raises(moments.ReductionCycleError):
             LoopEngine(3, F(0)).reduce(MomentSymbol(2, 1, 1, 3))
@@ -239,7 +234,6 @@ class TestNumericFidelity:
     @pytest.mark.parametrize("a_val", [0.5, 0.8, 1.0])
     def test_all_low_symbols(self, a_val):
         from pspin.airy import phi_deriv_zero
-        from pspin.moments import reduction_numeric
         from pspin.oracle import quad_moment
 
         bvals = {
@@ -257,6 +251,15 @@ class TestNumericFidelity:
             got = reduction_numeric(red, a_val, bvals, irr)
             want = quad_moment(n, b, c, a_val)
             assert abs(got - want) < 1e-6, (n, b, c, a_val)
+
+    def test_constant_sector_atoms_raise(self):
+        # a real-mode (c0 = 1) reduction keeps sing/omega/zdiv atoms, which have no value here
+        values = {k: 1.0 for k in range(3)}
+        for n, b, c in [(0, 2, 0), (2, 0, 0), (5, 0, 0)]:
+            red = M(n, b, c, c0=1)
+            assert {kind for kind, *_ in red} & {"sing", "omega", "zdiv"}, (n, b, c)
+            with pytest.raises(UsageError):
+                reduction_numeric(red, 0.5, values, values)
 
 
 @pytest.mark.parametrize("p", [6, 7])
@@ -283,7 +286,7 @@ class TestGroupedCombine:
         for scalar, a_pow, sym in contributions:
             ratio = scalar.proportional_ratio(unit)
             weight = CycloA.var(sym.p) ** a_pow * ratio.numerator / ratio.denominator
-            for atom, coeff in M(sym.n, sym.b, sym.c, sym.p, c0).as_vector().items():
+            for atom, coeff in M(sym.n, sym.b, sym.c, sym.p, c0).items():
                 acc[atom] = acc.get(atom, CycloA(sym.p)) + coeff * weight
         return {atom: coeff for atom, coeff in acc.items() if coeff}
 
@@ -328,7 +331,7 @@ class TestGroupedCombine:
         class LoopEngine(moments.MomentEngine):
             def rule(self, node):
                 # X = X: the cycle's linear system is singular
-                return [(one, loop)] if node == loop else super().rule(node)
+                return ([(one, loop)], {}) if node == loop else super().rule(node)
 
         engine = LoopEngine(3, F(0))
         monkeypatch.setattr(moments, "_engine", lambda p, c0, strategy: engine)
@@ -358,3 +361,26 @@ class TestBoundaryAtoms:
                     value = value + atom.scale(poly_coeffs(coeff)[0])
                 want = phi_deriv_zero(p, i, mode) * phi_deriv_zero(p, j, mode)
                 assert value == want, (i, j)
+
+
+ATOM_KINDS = {"bdry", "irr", "sing", "const", "omega", "zdiv"}
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_rule_links_are_product_symbols(p):
+    """Over the closure of the genus-2 grade symbols, rule links only ('M', n, b, c) nodes."""
+    roots = {("M", sym.n, sym.b, sym.c) for _, _, sym in grade_contributions(p, 2)}
+    for strategy in ("side1", "side2"):
+        for c0 in (0, 1):
+            eng = MomentEngine(p, F(c0), strategy)
+            seen, stack = set(), list(roots)
+            while stack:
+                node = stack.pop()
+                if node in seen:
+                    continue
+                seen.add(node)
+                links, rhs = eng.rule(node)
+                for _, nxt in links:
+                    assert nxt[0] == "M" and len(nxt) == 4, (strategy, c0, node, nxt)
+                    stack.append(nxt)
+                assert {atom[0] for atom in rhs} <= ATOM_KINDS, (strategy, c0, node)

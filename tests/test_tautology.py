@@ -4,16 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from pspin.correlators import two_point_table
+from pspin.correlators import one_point_table, two_point_table
 from pspin.numbers import zeta_one_minus_2g
 from pspin.oracle import zeta_oracle
 from pspin.tautology import (
     dilaton_check,
     euler_characteristic,
-    negative_p_table,
     selection_rule,
     string_check,
-    string_sweep,
 )
 
 
@@ -62,10 +60,12 @@ class TestStringEquation:
         assert report.checked == []
 
     def test_sweep_renders(self):
-        report = string_sweep([3, 4], 1)
-        assert report.all_passed
-        assert "PASS" in report.render()
-        assert report.to_dict()["passed"]
+        # the report `pspin verify string` prints, at each p
+        for p in (3, 4):
+            report = string_check(two_point_table(p, 1), p)
+            assert report.all_passed
+            assert "PASS" in report.render()
+            assert report.to_dict()["passed"]
 
 
 class TestDilaton:
@@ -105,19 +105,19 @@ class TestEuler:
 
 class TestNegativeP:
     def test_p_minus_3(self):
-        table = {(e.genus, e.marks[0]): e.value for e in negative_p_table(3, -3)}
+        table = {(e.genus, e.marks[0]): e.value for e in one_point_table(-3, 3)}
         assert table[(1, (1, 0))] == F(-1, 6)
         assert table[(2, (3, 2))] == F(1, 144)
         assert table[(3, (6, 1))] == F(-35, 34992)
 
     def test_p_minus_1_zeta(self):
-        table = {e.genus: e.value for e in negative_p_table(4, -1)}
+        table = {e.genus: e.value for e in one_point_table(-1, 4)}
         for g in range(1, 5):
             assert table[g] == zeta_one_minus_2g(g)
             assert table[g] == zeta_oracle(1 - 2 * g)
 
     def test_values(self):
-        vals = [e.value for e in negative_p_table(4, -1)]
+        vals = [e.value for e in one_point_table(-1, 4)]
         assert vals == [F(-1, 12), F(1, 120), F(-1, 252), F(1, 240)]
 
 
