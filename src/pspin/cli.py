@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -44,8 +45,11 @@ def _out_dir() -> Path:
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_p(raw: str):
@@ -207,8 +211,8 @@ def _verify_mc(args) -> tuple[bool, dict]:
 
 
 def _verify_binet(args) -> tuple[bool, dict]:
-    if not args.z > 0:
-        raise UsageError("--z must be positive (digamma integral needs z > 0)")
+    if not 0 < args.z < math.inf:  # also rejects NaN
+        raise UsageError("--z must be positive and finite (digamma integral needs z > 0)")
     _check_tol(args.tol)
     lhs, rhs, diff = density_mod.binet_check(args.z)
     ok = diff <= args.tol
@@ -269,6 +273,8 @@ def cmd_density(args) -> int:
         value = density_mod.central_charge_negative_branch(Fraction(args.central_charge))
         print(f"central charge at k'={args.central_charge}: {value}")
         return EXIT_OK
+    if not (math.isfinite(args.e_min) and math.isfinite(args.e_max)):
+        raise UsageError("--e-min and --e-max must be finite")
     if args.e_min <= 0:
         raise UsageError("--e-min must be positive (density has a pole at E=0)")
     if not args.e_max > args.e_min:

@@ -107,8 +107,8 @@ def binet_check(z: float) -> tuple[float, float, float]:
     The integral runs over panels doubling in width from min(1/4, 1/z) to past
     40/z + 40, where e^{-sigma z} < e^{-40}; the kernel stays below 1/2.
     """
-    if z <= 0:
-        raise DomainError("binet_check needs z > 0")
+    if not 0 < z < math.inf:
+        raise DomainError("binet_check needs a finite z > 0")
     import mpmath
     import numpy as np
 
@@ -133,8 +133,8 @@ class DensityConfig:
     e_grid: tuple[float, ...]
 
     def __post_init__(self):
-        if any(e <= 0 for e in self.e_grid):
-            raise DomainError("E grid must be strictly positive (pole at E=0)")
+        if not all(0 < e < math.inf for e in self.e_grid):
+            raise DomainError("E grid must be finite and strictly positive (pole at E=0)")
 
     @staticmethod
     def linspace(e_min: float, e_max: float, n: int) -> "DensityConfig":
@@ -158,8 +158,8 @@ def _re_psi_imag_axis(e: float, dps: int = 30) -> float:
 
 def rho_matrix(e: float) -> float:
     """rho(E) = Re psi(iE) - pi/2 - 1/(2E) for E > 0."""
-    if e <= 0:
-        raise DomainError("rho defined for E > 0 (explicit pole -1/(2E))")
+    if not 0 < e < math.inf:
+        raise DomainError("rho defined for finite E > 0 (explicit pole -1/(2E))")
     return _re_psi_imag_axis(e) - math.pi / 2.0 - 1.0 / (2.0 * e)
 
 
@@ -170,8 +170,8 @@ def rho_density(cfg: DensityConfig) -> list[tuple[float, float]]:
 
 def rho_blackhole(e: float) -> float:
     """Simplified coset-model density (2/pi) d/dE Im log Gamma(-iE)."""
-    if e <= 0:
-        raise DomainError("E > 0 required")
+    if not 0 < e < math.inf:
+        raise DomainError("finite E > 0 required")
     # d/dE Im log Gamma(-iE) = -Re psi(iE) by conjugation
     return -(2.0 / math.pi) * _re_psi_imag_axis(e)
 
@@ -223,6 +223,10 @@ def blackhole_density_compare(cfg: DensityConfig) -> AffineFitReport:
         max_res = max(max_res, abs(res))
         max_res_full = max(max_res_full, abs(res - 1.0 / (2.0 * e)))
         rows.append((e, y, x, res))
+    # a subnormal E overflows 1/(2E), and max() would swallow the NaN that follows
+    values = [alpha, beta] + [v for row in rows for v in row[1:]]
+    if not all(map(math.isfinite, values)):
+        raise ArithmeticError("density comparison is not finite on this E grid")
     return AffineFitReport(alpha, beta, max_res, max_res_full, rows)
 
 

@@ -12,13 +12,14 @@ terms at infinity set to zero by regularization) reduces every such symbol to
 * irreducible cross terms T_c = int phi(y) phi^{(c)}(-a y) dy,
 * rewrite-constant leftovers (single-factor integrals), tracked separately.
 
-The rewrite graph contains short cycles; those close through loops whose
-linear solution is what produces the characteristic (1 + a^p) denominators.
-Cycles are handled exactly: the reachable closure of product symbols is
-built first (every other part of a rewrite step is resolved at once), strongly
-connected components are solved as small linear systems in reverse
-topological order.  Every coefficient is a ``CycloA``, N(a)/(1+a^p)^m; a
-cycle whose pivot is not c a^j (1+a^p)^i would leave that ring and raises
+The graph of product symbols has cycles, and solving them is what produces
+the characteristic (1 + a^p) denominators.  Each cycle is a ring of p+1
+symbols, each linking once into it, whose link coefficients multiply to -a^p
+(-a^-p under the side-2 strategy).  One pass of Tarjan's SCC algorithm builds
+the graph as it walks it (every other part of a rewrite step is resolved at
+once) and solves each ring exactly, by walking it once, as soon as the pass
+closes it.  Every coefficient is a ``CycloA``, N(a)/(1+a^p)^m; a component
+that is not a ring, or whose pivot is not c a^j (1+a^p)^i, raises
 ReductionCycleError.
 """
 
@@ -228,125 +229,94 @@ class MomentEngine:
         return {("sing", *orders) if orders else ("const",): scale}
 
     def _reduce_node(self, root: Node) -> dict[Atom, CycloA]:
-        hit = self._memo.get(root)
+        """Tarjan's SCC pass over the unreduced product symbols reachable from root.
+
+        rule() runs on a symbol's first visit.  Tarjan closes components in
+        reverse topological order and each is solved as it closes, so every
+        link leaving a component is memoized by then, and a symbol that is
+        seen but not yet memoized is on Tarjan's stack.
+        """
+        memo = self._memo
+        hit = memo.get(root)
         if hit is not None:
             return hit
-        # build the reachable closure of unreduced product symbols
         edges: dict[Node, tuple[Links, dict[Atom, CycloA]]] = {}
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node in edges or node in self._memo:
-                continue
-            links, _ = edges[node] = self.rule(node)
-            if len(edges) > 200000:
+        index: dict[Node, int] = {}
+        low: dict[Node, int] = {}
+        stack: list[Node] = []
+
+        def visit(node: Node):
+            if len(index) >= 200000:
                 raise ReductionCycleError(f"closure from {root} exceeds bound")
-            stack.extend(nxt for _, nxt in links if nxt not in self._memo and nxt not in edges)
-        # solve SCCs in reverse topological order
-        for comp in _tarjan(edges, self._memo):
-            self._solve_component(comp, edges)
-        return self._memo[root]
+            index[node] = low[node] = len(index)
+            stack.append(node)
+            links, _ = edges[node] = self.rule(node)
+            return node, iter(links)
 
-    def _solve_component(self, comp: list[Node], edges: dict) -> None:
-        idx = {node: i for i, node in enumerate(comp)}
-        k = len(comp)
-        # rows: coefficients over comp unknowns + resolved RHS vector
-        zero = CycloA(self.p)
-        rows: list[tuple[dict[int, CycloA], dict[Atom, CycloA]]] = []
-        for node in comp:
-            links, rhs = edges[node]
-            lin: dict[int, CycloA] = {}
-            for coeff, nxt in links:
-                j = idx.get(nxt)
-                if j is None:
-                    _vec_add(rhs, self._memo[nxt], coeff)
-                else:
-                    lin[j] = lin.get(j, zero) + coeff
-            rows.append((lin, rhs))
-        if k == 1 and not rows[0][0]:
-            self._memo[comp[0]] = rows[0][1]
-            return
-        # Gaussian elimination on (I - C) X = B, first nonzero pivot per column
-        mat = [
-            {j: (self._one if i == j else zero) - lin.get(j, zero) for j in range(k)}
-            for i, (lin, _) in enumerate(rows)
-        ]
-        rhs = [r for _, r in rows]
-        for col in range(k):
-            piv = next((r for r in range(col, k) if mat[r][col]), None)
-            if piv is None:
-                raise ReductionCycleError(f"degenerate cycle through {comp[col]}")
-            mat[col], mat[piv] = mat[piv], mat[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            try:
-                inv = mat[col][col].inverse()
-            except DomainError as exc:
-                raise ReductionCycleError(
-                    f"non-conforming pivot {mat[col][col]} in the cycle through {comp[col]}"
-                ) from exc
-            for j in range(col, k):
-                mat[col][j] = mat[col][j] * inv
-            rhs[col] = {a: v * inv for a, v in rhs[col].items()}
-            for r in range(k):
-                if r != col and mat[r][col]:
-                    f = mat[r][col]
-                    for j in range(col, k):
-                        mat[r][j] = mat[r][j] - f * mat[col][j]
-                    _vec_add(rhs[r], rhs[col], -f)
-        for i, node in enumerate(comp):
-            self._memo[node] = {a: v for a, v in rhs[i].items() if v}
-
-
-def _tarjan(edges: dict[Node, tuple], resolved: dict) -> list[list[Node]]:
-    """SCCs of the product-symbol graph in reverse topological order (iterative Tarjan)."""
-    index: dict[Node, int] = {}
-    low: dict[Node, int] = {}
-    onstack: set[Node] = set()
-    stack: list[Node] = []
-    out: list[list[Node]] = []
-    counter = [0]
-
-    def succs(node):
-        return [s for _, s in edges[node][0] if s not in resolved]
-
-    for start in edges:
-        if start in index:
-            continue
-        work = [(start, iter(succs(start)))]
-        index[start] = low[start] = counter[0]
-        counter[0] += 1
-        stack.append(start)
-        onstack.add(start)
+        work = [visit(root)]
         while work:
             node, it = work[-1]
-            advanced = False
-            for nxt in it:
+            for _, nxt in it:
+                if nxt in memo:
+                    continue
                 if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    onstack.add(nxt)
-                    work.append((nxt, iter(succs(nxt))))
-                    advanced = True
+                    work.append(visit(nxt))
                     break
-                if nxt in onstack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(comp)
-    return out
+                low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = [stack.pop()]
+                    while comp[-1] != node:
+                        comp.append(stack.pop())
+                    self._solve_component(comp, edges)
+        return memo[root]
+
+    def _solve_component(self, comp: list[Node], edges: dict) -> None:
+        """Memoize one SCC, given as Tarjan pops it (its first-visited head last).
+
+        A lone symbol keeps its rhs.  A cycle must be a ring, each member
+        linking once into it: X_i = r_i + c_i X_{i+1}, closing at the head X_0.
+        One walk gives X_0 (1 - c_0...c_{k-1}) = sum_i c_0...c_{i-1} r_i, and
+        the other members follow backwards.  A second link into the component,
+        or a pivot 1 - c_0...c_{k-1} outside c a^j (1+a^p)^i (zero included),
+        raises ReductionCycleError.
+        """
+        ring: dict[Node, tuple[CycloA, Node]] = {}
+        for node in comp:
+            links, rhs = edges[node]
+            for coeff, nxt in links:
+                if nxt in self._memo:  # every link leaving the component
+                    _vec_add(rhs, self._memo[nxt], coeff)
+                elif node in ring:
+                    raise ReductionCycleError(f"{node} links twice into its cycle")
+                else:
+                    ring[node] = (coeff, nxt)
+        head = comp[-1]
+        if not ring:
+            self._memo[head] = edges[head][1]
+            return
+        walk: list[Node] = []
+        total: dict[Atom, CycloA] = {}
+        prod, node = self._one, head
+        for _ in comp:
+            walk.append(node)
+            _vec_add(total, edges[node][1], prod)
+            coeff, node = ring[node]
+            prod = prod * coeff
+        try:
+            inv = (self._one - prod).inverse()
+        except DomainError as exc:
+            raise ReductionCycleError(f"degenerate cycle through {head}: {exc}") from exc
+        self._memo[head] = _scaled(total, inv)
+        for node in reversed(walk[1:]):
+            coeff, nxt = ring[node]
+            rhs = edges[node][1]
+            _vec_add(rhs, self._memo[nxt], coeff)
+            self._memo[node] = rhs
 
 
 @lru_cache(maxsize=None)

@@ -156,6 +156,12 @@ class TestVerify:
     def test_binet_nonpositive_z_usage_error(self):
         assert run("verify", "binet", "--z", "0") == 2
 
+    def test_binet_non_finite_z_usage_error(self, capsys):
+        # --z inf used to end in "float division by zero" (exit 3)
+        for z in ("inf", "nan"):
+            assert run("verify", "binet", "--z", z) == 2, z
+        assert capsys.readouterr().err.count("usage error: --z") == 2
+
     def test_binet_nonpositive_tol_usage_error(self):
         for tol in ("-1", "0", "nan"):
             assert run("verify", "binet", "--tol", tol) == 2, tol
@@ -222,6 +228,33 @@ class TestDensity:
     def test_too_few_samples_usage_error(self):
         for samples in ("2", "1", "0"):
             assert run("density", "--samples", samples) == 2, samples
+
+    def test_non_finite_range_usage_error(self, capsys):
+        # --e-max inf used to hang in mpmath.digamma(mpc(0, inf))
+        for bounds in (("--e-max", "inf"), ("--e-max", "1e400"), ("--e-min", "nan"),
+                       ("--e-max", "nan"), ("--e-min=-inf",)):
+            assert run("density", *bounds) == 2, bounds
+        assert "affine fit" not in capsys.readouterr().out
+
+    def test_subnormal_e_min_exit_3(self, capsys):
+        # 1/(2E) overflows at E = 1e-320; the NaN fit used to print and exit 0
+        assert run("density", "--e-min", "1e-320", "--e-max", "1", "--samples", "5") == 3
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("intersect", "--p", "3", "--genus", "1"),
+    ("verify", "selection", "--p", "3", "--genus", "1"),
+    ("density", "--e-min", "5", "--e-max", "6", "--samples", "3"),
+], ids=["intersect", "verify", "density"])
+def test_unwritable_output_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # the output's parent is a regular file: one usage line, not a traceback
+    monkeypatch.setenv("PSPIN_OUTPUT_DIR", str(tmp_path))
+    (tmp_path / "afile").write_text("")
+    assert run(*argv, "--output", "afile/x.out") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"usage error: cannot write {tmp_path}"), err
 
 
 @pytest.mark.parametrize("spaced,joined", [

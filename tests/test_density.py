@@ -16,6 +16,7 @@ from pspin.density import (
     exp_kernel_integrand,
     large_p_check,
     log_sinh_series,
+    rho_blackhole,
     rho_density,
     rho_matrix,
     zeta_identity_exact,
@@ -108,6 +109,11 @@ class TestBinet:
         with pytest.raises(NumericError):
             binet_check(1e-320)
 
+    def test_non_finite_z_raises(self):
+        for z in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                binet_check(z)
+
     def test_integrand_on_arrays(self):
         import numpy as np
 
@@ -165,6 +171,12 @@ class TestRho:
         with pytest.raises(DomainError):
             DensityConfig((0.0, 1.0))
 
+    def test_non_finite_e_raises(self):
+        for e in (math.inf, math.nan):
+            for call in (rho_matrix, rho_blackhole, lambda e: DensityConfig((1.0, e))):
+                with pytest.raises(DomainError):
+                    call(e)
+
     def test_grid_evaluation(self):
         cfg = DensityConfig.linspace(5, 10, 6)
         rows = rho_density(cfg)
@@ -182,6 +194,11 @@ class TestBlackholeComparison:
         assert abs(rep.beta + math.pi / 2) < 1e-9
         # keeping the dropped pole term is a visible (reported) deviation
         assert rep.max_residual_full > 1e-2
+
+    def test_subnormal_e_raises(self):
+        # 1/(2E) overflows at E = 1e-320, so the fit would be NaN
+        with pytest.raises(ArithmeticError):
+            blackhole_density_compare(DensityConfig.linspace(1e-320, 1.0, 5))
 
     def test_one_digamma_per_grid_point(self, monkeypatch):
         # rho_matrix and rho_blackhole share Re psi(iE): one evaluation per point

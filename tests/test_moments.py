@@ -84,6 +84,24 @@ class TestClosedForms:
         with pytest.raises(moments.ReductionCycleError):
             LoopEngine(3, F(0)).reduce(MomentSymbol(2, 1, 1, 3))
 
+    def test_second_link_into_cycle_raises(self):
+        # X = -a^3 X + Y + T_0 and Y = a^3 X + T_1 has determinant 1, so the
+        # system is solvable, but X links twice into its cycle: not a ring
+        from pspin import moments
+
+        x, y = ("M", 2, 1, 1), ("M", 2, 1, 2)
+
+        class TwoLinkEngine(moments.MomentEngine):
+            def rule(self, node):
+                if node == x:
+                    return [(-(a**3), x), (one, y)], {("irr", 0): one}
+                if node == y:
+                    return [(a**3, x)], {("irr", 1): one}
+                return super().rule(node)
+
+        with pytest.raises(moments.ReductionCycleError, match="links twice"):
+            TwoLinkEngine(3, F(0)).reduce(MomentSymbol(2, 1, 1, 3))
+
 
 class TestGenus3Relations:
     """The ten genus-3 integrals and the published relations among them.
@@ -384,3 +402,44 @@ def test_rule_links_are_product_symbols(p):
                     assert nxt[0] == "M" and len(nxt) == 4, (strategy, c0, node, nxt)
                     stack.append(nxt)
                 assert {atom[0] for atom in rhs} <= ATOM_KINDS, (strategy, c0, node)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8])
+def test_every_cycle_is_a_ring(p):
+    """Each component the solver receives is a lone symbol or a ring of p+1 symbols.
+
+    Every ring member links once into it, and the link coefficients multiply
+    to -a^p (side1) or -a^-p (side2), so the ring's pivot is 1 + a^{+-p}.
+    """
+    g_max = 4 if p == 3 else 2
+    closing = {"side1": -CycloA.var(p, p), "side2": -CycloA.var(p, -p)}
+
+    components = []  # each one as {member: its links into the component}
+
+    class RecordingEngine(MomentEngine):
+        def _solve_component(self, comp, edges):
+            members = set(comp)
+            components.append(
+                {node: [(c, nxt) for c, nxt in edges[node][0] if nxt in members] for node in comp}
+            )
+            super()._solve_component(comp, edges)
+
+    for strategy in ("side1", "side2"):
+        for c0 in (0, 1):
+            components.clear()
+            eng = RecordingEngine(p, F(c0), strategy)
+            for g in range(1, g_max + 1):
+                for _, _, sym in grade_contributions(p, g):
+                    eng.reduce(sym)
+            rings = [comp for comp in components if any(comp.values())]
+            assert rings, (strategy, c0)
+            for comp in rings:
+                assert len(comp) == p + 1, (strategy, c0, comp)
+                assert all(len(links) == 1 for links in comp.values()), (strategy, c0, comp)
+                product, head = CycloA.var(p, 0), next(iter(comp))
+                node = head
+                for _ in comp:
+                    coeff, node = comp[node][0]
+                    product = product * coeff
+                assert node == head, (strategy, c0, comp)
+                assert product == closing[strategy], (strategy, c0, comp)
