@@ -7,7 +7,7 @@ reduction, tautological-equation verification, continuation in p, and
 numerical cross-checks, with a command-line front end (``pspin``).
 """
 
-from .airy import CONTOUR, REAL, AiryFamily, phi_deriv_zero, phi_eval
+from .airy import CONTOUR, REAL, phi_deriv_zero
 from .correlators import (
     CalibrationError,
     DegreeInsufficientError,
@@ -40,7 +40,6 @@ from .exact import (
     Monomial,
     PoleError,
     UsageError,
-    gamma_normalize,
 )
 from .moments import (
     AssembledGrade,
@@ -50,11 +49,10 @@ from .moments import (
     reduce_moment,
 )
 from .onepoint import one_point_series, one_point_value
-from .oracle import McConfig, mc_trace_moments, quad_moment, zeta_oracle
+from .oracle import McConfig, mc_trace_moments, quad_moment
 from .tautology import (
     TautologyReport,
     dilaton_check,
-    euler_characteristic,
     selection_rule,
     string_check,
 )

@@ -1,4 +1,4 @@
-"""Generalized Airy kernels phi for each p: exact data and numeric evaluation.
+"""Generalized Airy kernels phi for each p: exact derivatives at zero.
 
 Two kernel flavours are carried throughout:
 
@@ -12,32 +12,20 @@ Two kernel flavours are carried throughout:
   canonical band k <= p-2.  For p >= 4 no oscillatory normalization is pinned
   down here, so contour mode keeps the real-kernel moment values and differs
   from real mode only through the vanishing rewrite constant.
+
+Nothing here evaluates a kernel numerically: the quadrature oracle's Ai
+values come from ``oracle.ai_deriv``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, log
 
 from .exact import DomainError, ExactScalar, UsageError
 
 CONTOUR = "contour"
 REAL = "real"
-
-
-@dataclass(frozen=True)
-class AiryFamily:
-    """Kernel family: base p and the rewrite-constant convention."""
-
-    p: int
-    kernel_mode: str = REAL
-
-    def __post_init__(self):
-        if self.p < 3:
-            raise UsageError("AiryFamily needs integer p >= 3")
-        mode_constant(self.kernel_mode)
 
 
 def mode_constant(kernel_mode: str) -> Fraction:
@@ -94,56 +82,3 @@ def phi_deriv_zero(p: int, k: int, kernel_mode: str = REAL) -> ExactScalar:
         base = base * phase
     return base.scale(mult)
 
-
-_REAL_KERNEL_NODES = 16
-
-
-def _real_kernel_edges(p: int, y: float, deriv: int) -> list[float]:
-    """Panels on [0, U] for u^deriv e^{g(u)}, g(u) = -u^p/p + y u.
-
-    Each panel is short enough that g changes by at most about 4 across it,
-    and U lies where the log of the integrand has fallen 70 below its
-    maximum; the log is concave, so it falls from there on.
-    """
-    from .oracle import check_size
-
-    edges, top = [0.0], -inf
-    while True:
-        u = edges[-1]
-        u += min(0.5, 4.0 / (abs(u ** (p - 1) - y) + 1.0))
-        edges.append(u)
-        log_f = -(u**p) / p + y * u + deriv * log(u)
-        top = max(top, log_f)
-        if log_f < top - 70.0:
-            return edges
-        check_size(3 * _REAL_KERNEL_NODES * len(edges))
-
-
-def phi_eval(fam: AiryFamily, y: float, tol: float = 1e-10, deriv: int = 0) -> float:
-    """Numeric phi^{(deriv)}(y) within tol.
-
-    Contour mode is implemented for p=3 only (classical Ai, stepped from its
-    values at zero; see oracle.ai_deriv).  Real mode evaluates the defining
-    integral by certified Gauss-Legendre quadrature; for strongly positive y
-    the integrand grows and the constraint is accuracy, not convergence of
-    the quadrature itself.
-    """
-    if fam.kernel_mode == CONTOUR:
-        if fam.p != 3:
-            raise DomainError("contour-mode numeric evaluation available for p=3 only")
-        from .oracle import ai_deriv
-
-        return float(ai_deriv(y, deriv))
-    import numpy as np
-
-    from .oracle import gauss_legendre
-
-    p = fam.p
-    if not -inf < y <= 3.0:  # also rejects NaN
-        raise DomainError("real-kernel numeric evaluation restricted to finite y <= 3")
-    edges = _real_kernel_edges(p, y, deriv)
-
-    def values(u, _):
-        return u**deriv * np.exp(-(u**p) / p + y * u)
-
-    return gauss_legendre(values, edges, _REAL_KERNEL_NODES, tol)

@@ -52,13 +52,18 @@ def _write(path: Path, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
+def _rational(raw: str, what: str) -> Fraction:
+    """raw as an exact rational; anything else is a usage error saying what was wanted."""
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{what}, got {raw!r}") from exc
+
+
 def _parse_p(raw: str):
     if raw == "symbolic":
         return "symbolic"
-    try:
-        p = Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"--p must be a rational or 'symbolic', got {raw!r}") from exc
+    p = _rational(raw, "--p must be a rational or 'symbolic'")
     if p == 0:
         raise UsageError("--p must be nonzero")
     return int(p) if p.denominator == 1 else p
@@ -107,16 +112,9 @@ def cmd_intersect(args) -> int:
     return EXIT_OK
 
 
-def _verify_string(args) -> tuple[bool, dict]:
-    table = two_point_table(args.p, args.genus, args.kernel)
-    report = string_check(table, args.p)
-    print(report.render())
-    return report.all_passed, report.to_dict()
-
-
-def _verify_dilaton(args) -> tuple[bool, dict]:
-    table = two_point_table(args.p, args.genus, args.kernel)
-    report = dilaton_check(table, args.p)
+def _verify_insertion(args) -> tuple[bool, dict]:
+    check = string_check if args.check == "string" else dilaton_check
+    report = check(two_point_table(args.p, args.genus, args.kernel), args.p)
     print(report.render())
     return report.all_passed, report.to_dict()
 
@@ -151,8 +149,8 @@ def _verify_airy_quad(args) -> tuple[bool, dict]:
     from .airy import phi_deriv_zero
     from .moments import MomentSymbol, reduce_moment, reduction_numeric
 
-    if not all(a > 0 for a in args.a_values):
-        raise UsageError("--a-values must be positive ratios a = (s1/s2)^(1/p)")
+    if not all(0 < a < math.inf for a in args.a_values):  # also rejects NaN
+        raise UsageError("--a-values must be positive finite ratios a = (s1/s2)^(1/p)")
     _check_tol(args.tol)
     tol = args.tol
     bvals = {
@@ -242,8 +240,8 @@ def _verify_largep(args) -> tuple[bool, dict]:
 
 
 _VERIFY_DISPATCH = {
-    "string": _verify_string,
-    "dilaton": _verify_dilaton,
+    "string": _verify_insertion,
+    "dilaton": _verify_insertion,
     "selection": _verify_selection,
     "cancellation": _verify_cancellation,
     "airy-quad": _verify_airy_quad,
@@ -270,7 +268,8 @@ def cmd_verify(args) -> int:
 
 def cmd_density(args) -> int:
     if args.central_charge is not None:
-        value = density_mod.central_charge_negative_branch(Fraction(args.central_charge))
+        k_prime = _rational(args.central_charge, "--central-charge must be a rational")
+        value = density_mod.central_charge_negative_branch(k_prime)
         print(f"central charge at k'={args.central_charge}: {value}")
         return EXIT_OK
     if not (math.isfinite(args.e_min) and math.isfinite(args.e_max)):

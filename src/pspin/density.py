@@ -205,7 +205,9 @@ def blackhole_density_compare(cfg: DensityConfig) -> AffineFitReport:
     genuine O(1/E) non-affine deviation (max_residual_full).
     """
     xs = [rho_blackhole(e) for e in cfg.e_grid]
-    ys = [rho + 1.0 / (2.0 * e) for e, rho in rho_density(cfg)]
+    # read Re psi(iE) - pi/2 directly: adding 1/(2E) back onto rho_matrix
+    # cancels catastrophically at small E
+    ys = [_re_psi_imag_axis(e) - math.pi / 2.0 for e in cfg.e_grid]
     n = len(xs)
     sx, sy = sum(xs), sum(ys)
     sxx = sum(x * x for x in xs)
@@ -218,13 +220,14 @@ def blackhole_density_compare(cfg: DensityConfig) -> AffineFitReport:
     rows = []
     max_res = 0.0
     max_res_full = 0.0
-    for e, x, y in zip(cfg.e_grid, xs, ys):
-        res = y - (alpha * x + beta)
+    for (e, rho), x, y in zip(rho_density(cfg), xs, ys):
+        fit = alpha * x + beta
+        res = y - fit
         max_res = max(max_res, abs(res))
-        max_res_full = max(max_res_full, abs(res - 1.0 / (2.0 * e)))
+        max_res_full = max(max_res_full, abs(rho - fit))
         rows.append((e, y, x, res))
-    # a subnormal E overflows 1/(2E), and max() would swallow the NaN that follows
-    values = [alpha, beta] + [v for row in rows for v in row[1:]]
+    # a subnormal E overflows the pole term 1/(2E)
+    values = [alpha, beta, max_res_full] + [v for row in rows for v in row[1:]]
     if not all(map(math.isfinite, values)):
         raise ArithmeticError("density comparison is not finite on this E grid")
     return AffineFitReport(alpha, beta, max_res, max_res_full, rows)

@@ -376,18 +376,6 @@ def _surd_product(x: tuple, y: tuple, inverse: bool = False) -> tuple:
     return canon.rational, canon.pi_pow, canon.radical, canon.gammas
 
 
-def gamma_normalize(x: ExactScalar) -> ExactScalar:
-    """Canonicalize an exact scalar (argument shifts + reflection pairs).
-
-    Idempotent; preserves the numeric value exactly.  Construction already
-    canonicalizes, so this re-runs the pass for externally built objects.
-    """
-    for q, _ in x.gammas:
-        if q.denominator == 1 and q <= 0:
-            raise DomainError(f"Gamma pole at {q}")
-    return x._canon()
-
-
 # ---------------------------------------------------------------------------
 # exact coefficient types of the two formal variables p and a
 # ---------------------------------------------------------------------------

@@ -8,12 +8,10 @@ so agreement with the engine is a genuine two-route check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, lru_cache
 from math import ceil, gamma, isfinite, pi, sqrt
 
-from .exact import DomainError, ExactScalar, UsageError
-from .numbers import zeta_even_rational_part, zeta_negative_odd
+from .exact import DomainError, UsageError
 
 
 class NumericError(ArithmeticError):
@@ -379,32 +377,6 @@ def mc_trace_moments(cfg: McConfig) -> tuple[float, float]:
     var = max(total_sq / count - mean * mean, 0.0)
     stderr = sqrt(var / count)
     return mean, stderr
-
-
-# ---------------------------------------------------------------------------
-# zeta oracle
-# ---------------------------------------------------------------------------
-
-
-def zeta_oracle(n: int):
-    """Exact zeta values where classical formulas apply, numeric otherwise.
-
-    Negative odd integers: exact rationals via Bernoulli numbers.
-    Positive even integers: exact rational times pi^n (ExactScalar).
-    Anything else real: high-precision float.  Pole at 1.
-    """
-    if n == 1:
-        raise DomainError("zeta pole at 1")
-    if n < 0 and n % 2 == 1:
-        return zeta_negative_odd(-n)
-    if n < 0 and n % 2 == 0:
-        return Fraction(0)
-    if n > 0 and n % 2 == 0:
-        return ExactScalar(zeta_even_rational_part(n // 2), pi_pow=n)
-    import mpmath
-
-    with mpmath.workdps(30):
-        return float(mpmath.zeta(n))
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,14 @@ The checks here are exact: a passing identity has literally zero difference.
 * selection rule  (p+1)(2g-2+n) = sum_i (p m_i + j_i + 1)
 * string equation: removing a tau_{0,0} insertion lowers one descendant index
 * dilaton equation: removing tau_{1,0} costs a factor (2g-2+k)
-* orbifold Euler characteristics chi(M_{g,s})
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 
 from .correlators import TauCorrelator
-from .exact import UsageError
-from .numbers import zeta_one_minus_2g
 from .onepoint import one_point_value, selection_rule  # selection_rule re-exported
 
 
@@ -74,33 +70,41 @@ def _mark_str(marks) -> str:
     return " ".join(f"tau({m},{j})" for m, j in marks)
 
 
+def _insertion_report(
+    two_point: list[TauCorrelator], p, identity: str, inserted, shift: int, compare
+) -> TautologyReport:
+    """Check each entry <inserted tau_{n,j}>_g against <tau_{n-shift,j}>_g.
+
+    Partners with n < shift are passed over before any lookup.
+    compare(entry, partner_key, partner_value) returns (rhs_keys, lhs, rhs) to
+    record, or None to try the entry's next inserted mark; an entry records
+    at most once.
+    """
+    report = TautologyReport()
+    for e in two_point:
+        for k, mark in enumerate(e.marks):
+            others = [e.marks[i] for i in range(len(e.marks)) if i != k]
+            if mark != inserted or len(others) != 1 or others[0][0] < shift:
+                continue
+            n, j = others[0][0] - shift, others[0][1]
+            g = f"_g{e.genus}"
+            found = compare(e, f"tau({n},{j}){g}", one_point_value(p, e.genus, j=j))
+            if found is not None:
+                report.record(f"{identity} g={e.genus}", _mark_str(e.marks) + g, *found)
+                break
+    return report
+
+
 def string_check(two_point: list[TauCorrelator], p: int) -> TautologyReport:
     """tau_{0,0}-insertions against the one-point closed forms, exactly.
 
     For every two-point entry <tau_{0,0} tau_{n,j}>_g the string equation
     asserts equality with <tau_{n-1,j}>_g.
     """
-    report = TautologyReport()
-    for e in two_point:
-        for k, (m, j) in enumerate(e.marks):
-            if (m, j) != (0, 0):
-                continue
-            others = [e.marks[i] for i in range(len(e.marks)) if i != k]
-            if len(others) != 1:
-                continue
-            (n2, j2) = others[0]
-            if n2 == 0:
-                continue
-            rhs = one_point_value(p, e.genus, j=j2)
-            report.record(
-                f"string g={e.genus}",
-                _mark_str(e.marks) + f"_g{e.genus}",
-                (f"tau({n2 - 1},{j2})_g{e.genus}",),
-                Fraction(e.value),
-                rhs,
-            )
-            break
-    return report
+    return _insertion_report(
+        two_point, p, "string", (0, 0), 1,
+        lambda e, key, partner: ((key,), Fraction(e.value), partner),
+    )
 
 
 def dilaton_check(two_point: list[TauCorrelator], p: int) -> TautologyReport:
@@ -109,41 +113,9 @@ def dilaton_check(two_point: list[TauCorrelator], p: int) -> TautologyReport:
     Run over two-point entries containing tau_{1,0} whose partner exists in
     the one-point table (k = 1 remaining insertion).
     """
-    report = TautologyReport()
-    for e in two_point:
-        for k, (m, j) in enumerate(e.marks):
-            if (m, j) != (1, 0):
-                continue
-            others = [e.marks[i] for i in range(len(e.marks)) if i != k]
-            if len(others) != 1:
-                continue
-            (n2, j2) = others[0]
-            partner = one_point_value(p, e.genus, j=j2)
-            if partner == 0:
-                continue
-            expected = Fraction(2 * e.genus - 2 + 1)
-            report.record(
-                f"dilaton g={e.genus}",
-                _mark_str(e.marks) + f"_g{e.genus}",
-                (f"(2g-2+1) * tau({n2},{j2})_g{e.genus}",),
-                Fraction(e.value) / partner,
-                expected,
-            )
-            break
-    return report
+    def compare(e, key, partner):
+        if partner == 0:
+            return None
+        return (f"(2g-2+1) * {key}",), Fraction(e.value) / partner, Fraction(2 * e.genus - 2 + 1)
 
-
-def euler_characteristic(g: int, s: int) -> Fraction:
-    """Orbifold Euler characteristic chi(M_{g,s}) for g >= 1, s >= 1.
-
-    chi(M_{g,1}) = zeta(1-2g) (Harer-Zagier), and forgetting a point gives
-    chi(M_{g,s+1}) = (2-2g-s) chi(M_{g,s}), so
-    chi(M_{g,s}) = (-1)^{s-1} (2g+s-3)!/(2g-2)! * zeta(1-2g).
-    """
-    if g < 1 or s < 1:
-        raise UsageError("Euler characteristic needs g >= 1, s >= 1")
-    return (
-        (-1) ** (s - 1)
-        * Fraction(factorial(2 * g + s - 3), factorial(2 * g - 2))
-        * zeta_one_minus_2g(g)
-    )
+    return _insertion_report(two_point, p, "dilaton", (1, 0), 0, compare)

@@ -29,7 +29,7 @@ from pspin.exact import RatP
 from pspin.moments import CancellationError
 from pspin.numbers import zeta_one_minus_2g
 from pspin.onepoint import one_point_series, one_point_value
-from pspin.oracle import McConfig, mc_trace_moments, quad_moment, zeta_oracle
+from pspin.oracle import McConfig, mc_trace_moments, quad_moment
 from pspin.tautology import string_check
 from pspin.twopoint import two_point_grade
 
@@ -181,7 +181,6 @@ def test_criterion_07_negative_p():
         and all(t1[g] == zeta_one_minus_2g(g) for g in range(1, 5))
         and [t1[g] for g in range(1, 5)]
         == [F(-1, 12), F(1, 120), F(-1, 252), F(1, 240)]
-        and all(t1[g] == zeta_oracle(1 - 2 * g) for g in range(1, 5))
     )
     report(7, ok, "p=-1 gives zeta(1-2g) for g=1..4; p=-3 gives the continuation list")
 

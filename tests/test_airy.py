@@ -1,4 +1,4 @@
-"""Generalized Airy kernels: exact boundary data, rewrites, numeric evaluation."""
+"""Generalized Airy kernels: exact boundary data, rewrites, Ai at p = 3."""
 
 from fractions import Fraction as F
 
@@ -6,8 +6,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import airy
 
-from pspin.airy import CONTOUR, REAL, AiryFamily, phi_deriv_zero, phi_eval, reduce_order_at_zero
+from pspin.airy import CONTOUR, REAL, phi_deriv_zero, reduce_order_at_zero
 from pspin.exact import DomainError, ExactScalar as ES, UsageError
+from pspin.oracle import ai_deriv
 
 
 def kernel_moment_quad(p: int, k: int) -> float:
@@ -88,56 +89,22 @@ class TestOdeRewrite:
 
     def test_invalid_family(self):
         with pytest.raises(UsageError):
-            AiryFamily(2, REAL)
+            phi_deriv_zero(2, 0, REAL)
         with pytest.raises(UsageError):
-            AiryFamily(3, "weird")
+            phi_deriv_zero(3, 0, "weird")
 
 
 class TestPhiEval:
-    def test_airy_values(self):
-        fam = AiryFamily(3, CONTOUR)
-        assert abs(phi_eval(fam, 0.0) - 0.3550280538878172) < 1e-12
-        assert abs(phi_eval(fam, 0.0, deriv=1) - (-0.2588194037928068)) < 1e-12
+    """phi at p = 3 in contour mode is Ai, evaluated by oracle.ai_deriv."""
 
     def test_ode_finite_difference(self):
-        # |Ai''(y) - y Ai(y)| < 1e-8 by central differences
-        fam = AiryFamily(3, CONTOUR)
+        # |Ai''(y) - y Ai(y)| < 1e-6 by central differences
         h = 1e-4
         for y in (-2.0, -1.0, 0.0, 1.0):
-            second = (phi_eval(fam, y + h) - 2 * phi_eval(fam, y) + phi_eval(fam, y - h)) / h**2
-            assert abs(second - y * phi_eval(fam, y)) < 1e-6
-
-    def test_real_mode_matches_quadrature(self):
-        fam = AiryFamily(4, REAL)
-        got = phi_eval(fam, 0.0)
-        assert abs(got - 1.2818466760204237) < 1e-8
-        # negative arguments decay and stay evaluatable
-        assert phi_eval(fam, -2.0) < phi_eval(fam, 0.0)
-
-    @pytest.mark.parametrize("p", [3, 4, 5])
-    def test_real_mode_matches_scipy_quad(self, p):
-        import numpy as np
-
-        fam = AiryFamily(p, REAL)
-        for y in (-30.0, -3.0, -0.5, 0.0, 1.5, 3.0):
-            for deriv in (0, 1, 2):
-                want, err = quad(lambda u: u**deriv * np.exp(-(u**p) / p + y * u), 0, np.inf,
-                                 epsabs=1e-13, epsrel=1e-13, limit=200)
-                assert err <= 1e-10
-                assert abs(phi_eval(fam, y, deriv=deriv) - want) <= 1e-11 * max(1.0, want), (y, deriv)
-
-    def test_real_mode_domain(self):
-        fam = AiryFamily(3, REAL)
-        for y in (3.5, float("nan"), float("-inf")):
-            with pytest.raises(DomainError):
-                phi_eval(fam, y)
-
-    def test_contour_limited_to_p3(self):
-        with pytest.raises(DomainError):
-            phi_eval(AiryFamily(4, CONTOUR), 0.0)
+            second = (ai_deriv(y + h, 0) - 2 * ai_deriv(y, 0) + ai_deriv(y - h, 0)) / h**2
+            assert abs(second - y * ai_deriv(y, 0)) < 1e-6
 
     def test_higher_derivatives_via_rewrite(self):
-        fam = AiryFamily(3, CONTOUR)
         ai, aip, _, _ = airy(1.0)
         # Ai'''(y) = Ai(y) + y Ai'(y)
-        assert abs(phi_eval(fam, 1.0, deriv=3) - (ai + 1.0 * aip)) < 1e-12
+        assert abs(ai_deriv(1.0, 3) - (ai + 1.0 * aip)) < 1e-12

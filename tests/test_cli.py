@@ -179,7 +179,8 @@ class TestVerify:
             raise AssertionError("quadrature ran before the ratios were checked")
 
         monkeypatch.setattr("pspin.cli.quad_moment", no_quadrature)
-        for values in (["0"], ["-0.5"], ["0.5", "0"]):
+        # ratios must be positive and finite, and are refused before any quadrature
+        for values in (["0"], ["-0.5"], ["0.5", "0"], ["inf"], ["1e400"], ["nan"], ["0.5", "inf"]):
             assert run("verify", "airy-quad", "--a-values", *values) == 2, values
 
     def test_airy_quad_uncertifiable_ratio_exit_3(self, capsys):
@@ -218,6 +219,14 @@ class TestDensity:
     def test_central_charge(self, capsys):
         assert run("density", "--central-charge", "9/4") == 0
         assert "26" in capsys.readouterr().out
+
+    def test_central_charge_bad_value_usage_error(self, capsys):
+        for raw in ("abc", "inf", "1/0"):
+            assert run("density", "--central-charge", raw) == 2, raw
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("usage error: --central-charge"), err
+        # the pole of 2 + 6/(k'-2) is a domain error, not a usage error
+        assert run("density", "--central-charge", "2") == 3
 
     def test_pole_usage_error(self):
         assert run("density", "--e-min", "0", "--e-max", "10", "--samples", "5") == 2

@@ -195,6 +195,15 @@ class TestBlackholeComparison:
         # keeping the dropped pole term is a visible (reported) deviation
         assert rep.max_residual_full > 1e-2
 
+    def test_tiny_e_fit(self):
+        # at E = 1e-300 the pole term 1/(2E) is 5e299: the pole-free fit must
+        # not be recovered by adding it back onto rho_matrix
+        rep = blackhole_density_compare(DensityConfig.linspace(1e-300, 1.0, 5))
+        assert abs(rep.alpha + math.pi / 2) < 1e-9
+        assert abs(rep.beta + math.pi / 2) < 1e-9
+        assert rep.max_residual < 1e-12
+        assert rep.max_residual_full == pytest.approx(5e299)
+
     def test_subnormal_e_raises(self):
         # 1/(2E) overflows at E = 1e-320, so the fit would be NaN
         with pytest.raises(ArithmeticError):

@@ -1,8 +1,7 @@
-"""Quadrature oracle honesty, Monte Carlo reproducibility, zeta values."""
+"""Quadrature oracle honesty, Monte Carlo reproducibility."""
 
 import json
 import math
-from fractions import Fraction as F
 
 import mpmath
 import numpy as np
@@ -12,7 +11,7 @@ from scipy.special import airy
 
 from pspin import oracle
 from pspin.correlators import FiniteNSource, finite_n_evaluate
-from pspin.exact import DomainError, ExactScalar, UsageError
+from pspin.exact import DomainError, UsageError
 from pspin.oracle import (
     McConfig,
     NumericError,
@@ -20,7 +19,6 @@ from pspin.oracle import (
     mc_trace_moments,
     oracle_report,
     quad_moment,
-    zeta_oracle,
 )
 
 AI0 = float(airy(0)[0])
@@ -225,21 +223,6 @@ class TestMonteCarlo:
         mean, se = mc_trace_moments(cfg)
         exact = finite_n_evaluate(FiniteNSource(4, eigs), [0.3, 0.2])
         assert abs(mean - exact) <= 3 * se
-
-
-class TestZetaOracle:
-    def test_exact_values(self):
-        assert zeta_oracle(-1) == F(-1, 12)
-        assert zeta_oracle(-3) == F(1, 120)
-        assert zeta_oracle(2) == ExactScalar(F(1, 6), pi_pow=2)
-        assert zeta_oracle(-2) == 0
-
-    def test_numeric_fallback(self):
-        assert abs(zeta_oracle(3) - 1.2020569031595943) < 1e-12
-
-    def test_pole(self):
-        with pytest.raises(DomainError):
-            zeta_oracle(1)
 
 
 def test_report_shapes():

@@ -1,4 +1,4 @@
-"""Selection rule, string/dilaton equations, Euler characteristics, negative p."""
+"""Selection rule, string/dilaton equations, negative p."""
 
 from fractions import Fraction as F
 
@@ -6,10 +6,8 @@ import pytest
 
 from pspin.correlators import one_point_table, two_point_table
 from pspin.numbers import zeta_one_minus_2g
-from pspin.oracle import zeta_oracle
 from pspin.tautology import (
     dilaton_check,
-    euler_characteristic,
     selection_rule,
     string_check,
 )
@@ -77,32 +75,6 @@ class TestDilaton:
         assert report.all_passed, report.render()
 
 
-class TestEuler:
-    def test_g1_s1(self):
-        assert euler_characteristic(1, 1) == F(-1, 12)
-        assert euler_characteristic(1, 1) == zeta_one_minus_2g(1)
-
-    def test_g2_magnitude(self):
-        # sign and magnitude of zeta(-3) = 1/120
-        assert euler_characteristic(2, 1) == F(1, 120)
-
-    def test_g1_s2(self):
-        # chi(M_{1,2}) = (2 - 2 - 1) chi(M_{1,1}) = 1/12
-        assert euler_characteristic(1, 2) == F(1, 12)
-
-    def test_one_point_is_zeta(self):
-        # Harer-Zagier: chi(M_{g,1}) = zeta(1-2g), whose sign alternates with g
-        for g in range(1, 7):
-            assert euler_characteristic(g, 1) == zeta_one_minus_2g(g)
-
-    def test_forgetful_recursion(self):
-        # forgetting a point: chi(M_{g,s+1}) = (2-2g-s) chi(M_{g,s})
-        for g in range(1, 7):
-            for s in range(1, 6):
-                chi = euler_characteristic(g, s)
-                assert euler_characteristic(g, s + 1) == (2 - 2 * g - s) * chi
-
-
 class TestNegativeP:
     def test_p_minus_3(self):
         table = {(e.genus, e.marks[0]): e.value for e in one_point_table(-3, 3)}
@@ -114,7 +86,6 @@ class TestNegativeP:
         table = {e.genus: e.value for e in one_point_table(-1, 4)}
         for g in range(1, 5):
             assert table[g] == zeta_one_minus_2g(g)
-            assert table[g] == zeta_oracle(1 - 2 * g)
 
     def test_values(self):
         vals = [e.value for e in one_point_table(-1, 4)]
