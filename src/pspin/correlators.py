@@ -57,13 +57,14 @@ def spin_factor(p: int, j: int) -> ExactScalar:
 
 
 @lru_cache(maxsize=None)
-def calibration_constant(npoints: int, kernel_mode: str = REAL) -> Fraction:
+def calibration_constant(npoints: int) -> Fraction:
     """One normalization constant per marked-point count, from the anchor.
 
     n=1 anchor: <tau_{1,0}>_{g=1} = (p-1)/24 (symbolic in p).
-    n=2 anchor: <tau_{0,1} tau_{4,1}>_{g=2} = 1/864 at p=3.
+    n=2 anchor: <tau_{0,1} tau_{4,1}>_{g=2} = 1/864 at p=3, read from the
+    real-kernel series; both kernel modes share the constant.
     The derived constant must be a pure rational; it is then used unchanged
-    for every p, genus and grade.
+    for every p, genus, grade and kernel mode.
     """
     if npoints == 1:
         coefficient = one_point_series(1)[0].coefficient
@@ -73,7 +74,7 @@ def calibration_constant(npoints: int, kernel_mode: str = REAL) -> Fraction:
             raise CalibrationError(f"one-point calibration is not constant: {coefficient}")
         return kappa
     if npoints == 2:
-        coeff = two_point_series(3, 2, kernel_mode)[2][2]  # a^2 grade: (0,1),(4,1)
+        coeff = two_point_series(3, 2, REAL)[2][2]  # a^2 grade: (0,1),(4,1)
         return Fraction(1, 864) / _normalize(coeff, 3, 2, 2)
     raise UsageError("calibration defined for 1 or 2 marked points")
 
@@ -95,16 +96,14 @@ def _normalize(coeff: ExactScalar, p: int, g: int, m: int) -> Fraction:
     return out.as_fraction()
 
 
-def extract_intersections(
-    p: int, series: dict[int, dict[int, ExactScalar]], kernel_mode: str = REAL
-) -> list[TauCorrelator]:
+def extract_intersections(p: int, series: dict[int, dict[int, ExactScalar]]) -> list[TauCorrelator]:
     """Intersection numbers from a two-point expansion {g: {m: coefficient}}.
 
     Divides by the spin factors, applies (-1)^g/p^g and the calibrated
     constant, and checks the selection rule on every nonzero entry.  Entries
     come in genus order, then by the a-power m.
     """
-    kappa = calibration_constant(2, kernel_mode)
+    kappa = calibration_constant(2)
     out: list[TauCorrelator] = []
     for g in sorted(series):
         for m in sorted(series[g]):
@@ -121,7 +120,7 @@ def extract_intersections(
 
 def two_point_table(p: int, g_max: int, kernel_mode: str = REAL) -> list[TauCorrelator]:
     """Exact two-point intersection table through genus g_max."""
-    return extract_intersections(p, two_point_series(p, g_max, kernel_mode), kernel_mode)
+    return extract_intersections(p, two_point_series(p, g_max, kernel_mode))
 
 
 def two_point_low_value(
@@ -138,7 +137,7 @@ def two_point_low_value(
     coeffs = two_point_low_orders(p, g, kernel_mode)
     if m not in coeffs:
         return Fraction(0)
-    return calibration_constant(2, kernel_mode) * _normalize(coeffs[m], p, g, m)
+    return calibration_constant(2) * _normalize(coeffs[m], p, g, m)
 
 
 # p = -3: the labels admissible on the positive-p side of each genus family

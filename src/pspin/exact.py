@@ -8,17 +8,20 @@ The scalar domain used throughout the engine is
 with exact ``Fraction`` arithmetic everywhere.  Canonicalization rules:
 
 * Gamma arguments are shifted into (0, 1] via the recurrence
-  Gamma(z) = (z-1) Gamma(z-1); Gamma at non-positive integers is rejected.
-* Arguments with denominator 3, 4 or 6 and value > 1/2 are eliminated with
-  the reflection identity Gamma(q)Gamma(1-q) = pi/sin(pi q), whose sine is a
-  rational multiple of a single square root for those denominators.  Pairs
-  Gamma(1/2)^2 collapse to pi.  Other arguments stay as opaque tokens and
-  compare structurally.
+  Gamma(z) = (z-1) Gamma(z-1); Gamma(1) leaves no token and Gamma at
+  non-positive integers is rejected.  Tokens are opaque: products only add
+  their exponents, and no reflection or multiplication identity is applied.
 * Radicals are stored as prime -> exponent with exponents in (0, 1), so
   4^(1/4) and 2^(1/2) normalize identically.
 
-Two scalars are equal iff their canonical forms coincide; the numeric value
-is preserved by construction (tested against an mpmath oracle).
+Equal canonical forms mean equal values, but not the converse:
+Gamma(1/3) Gamma(2/3) and 2 pi / sqrt(3) are two forms of one value.  The
+engine never needs such an identity, because the spin factors cancel the
+Gamma tokens of the kernel moments symbol by symbol.  Where one would be
+needed the engine fails loudly, never silently: ``+`` of non-proportional
+forms raises UsageError, the extraction's normalization raises
+CalibrationError and the small-a residues raise CancellationError.  The
+numeric value is preserved by construction (tested against an mpmath oracle).
 """
 
 from __future__ import annotations
@@ -68,22 +71,6 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
-
-
-# reflection sines: sin(pi*q) for q with denominator in {2,3,4,6}, q in (0,1)
-# expressed as (rational, sqrt radicand): value = rational * sqrt(radicand)
-def _sin_pi(q: Fraction) -> tuple[Fraction, int]:
-    """sin(pi q) = rat * sqrt(rad) for q in (0,1) with denominator 2,3,4,6."""
-    table = {
-        Fraction(1, 2): (Fraction(1), 1),
-        Fraction(1, 3): (Fraction(1, 2), 3),
-        Fraction(2, 3): (Fraction(1, 2), 3),
-        Fraction(1, 4): (Fraction(1, 2), 2),
-        Fraction(3, 4): (Fraction(1, 2), 2),
-        Fraction(1, 6): (Fraction(1, 2), 1),
-        Fraction(5, 6): (Fraction(1, 2), 1),
-    }
-    return table[q]
 
 
 @dataclass(frozen=True)
@@ -136,14 +123,13 @@ class ExactScalar:
             whole = pe.numerator // pe.denominator
             frac = pe - whole
             rat *= Fraction(prime) ** whole
-            if frac:
-                rad[prime] = rad.get(prime, Fraction(0)) + frac
-        extra, radical = _norm_radical(rad, rat)
-        return ExactScalar(extra.rational, radical=radical)
+            if frac:  # each prime occurs once, in the numerator or the denominator
+                rad[prime] = frac
+        return ExactScalar(rat, radical=tuple(sorted(rad.items())))
 
     @staticmethod
     def gamma(arg, mult: int = 1) -> "ExactScalar":
-        """Gamma(arg)^mult with the argument shifted into (0, 1]."""
+        """Gamma(arg)^mult with the argument shifted into (0, 1]; no token at 1."""
         a = Fraction(arg)
         if a.denominator == 1 and a <= 0:
             raise DomainError(f"Gamma pole at non-positive integer {a}")
@@ -154,51 +140,9 @@ class ExactScalar:
         while a <= 0:
             rat /= a
             a += 1
-        if a == 1:
+        if a == 1 or mult == 0:
             return ExactScalar(rat**mult)
-        factor, pi_pow, radical, gammas = _surd_product((0, (), ((a, mult),)), _ONE_SURD)
-        return ExactScalar(rat**mult * factor, pi_pow, radical, gammas)
-
-    # -- canonicalization helpers -------------------------------------------
-
-    def _reflect(self) -> "ExactScalar":
-        """Apply reflection normalization; idempotent."""
-        rat = self.rational
-        pi_pow = self.pi_pow
-        rad = dict(self.radical)
-        gam: dict[Fraction, int] = {}
-        for q, m in self.gammas:
-            if m == 0:
-                continue
-            if q.denominator in (3, 4, 6) and q > Fraction(1, 2):
-                # Gamma(q)^m -> [pi / (sin(pi q') Gamma(q'))]^m, q' = 1-q
-                qp = 1 - q
-                s_rat, s_rad = _sin_pi(qp)
-                pi_pow += m
-                rat /= s_rat**m
-                if s_rad != 1:
-                    for prime, k in _factorize(s_rad):
-                        e = rad.get(prime, Fraction(0)) - Fraction(m * k, 2)
-                        rad[prime] = e
-                gam[qp] = gam.get(qp, 0) - m
-            else:
-                gam[q] = gam.get(q, 0) + m
-        # collapse Gamma(1/2) pairs into pi
-        half = Fraction(1, 2)
-        if half in gam:
-            m = gam[half]
-            pairs = m // 2 if m > 0 else -((-m) // 2)
-            pi_pow += pairs
-            gam[half] = m - 2 * pairs
-        extra, radical = _norm_radical(rad, Fraction(1))
-        rat *= extra.rational
-        gammas = tuple(sorted((q, m) for q, m in gam.items() if m != 0))
-        return ExactScalar(rat, pi_pow, radical, gammas)
-
-    def _canon(self) -> "ExactScalar":
-        if self.rational == 0:
-            return ExactScalar.zero()
-        return self._reflect()
+        return ExactScalar(rat**mult, gammas=((a, mult),))
 
     @property
     def surd(self) -> tuple:
@@ -331,19 +275,17 @@ class ExactScalar:
         return self.render()
 
 
-def _norm_radical(
-    rad: dict[int, Fraction], rat: Fraction
-) -> tuple["ExactScalar", tuple[tuple[int, Fraction], ...]]:
-    """Fold integer parts of radical exponents into a rational multiplier."""
+def _norm_radical(rad: dict[int, Fraction]) -> tuple[Fraction, tuple[tuple[int, Fraction], ...]]:
+    """Split radical exponents into a rational multiplier and exponents in (0, 1)."""
     out = {}
-    mult = rat
+    mult = Fraction(1)
     for prime, e in rad.items():
         whole = e.numerator // e.denominator
         frac = e - whole
         mult *= Fraction(prime) ** whole
         if frac:
             out[prime] = frac
-    return ExactScalar(mult), tuple(sorted(out.items()))
+    return mult, tuple(sorted(out.items()))
 
 
 _ONE_SURD = (0, (), ())
@@ -354,26 +296,21 @@ def _surd_product(x: tuple, y: tuple, inverse: bool = False) -> tuple:
     """Canonical irrational part of x * y (x / y with ``inverse``).
 
     x and y are irrational parts (pi_pow, radical, gammas).  Returns
-    (rational factor, pi_pow, radical, gammas): canonicalization multiplies
-    the rational part only by factors that depend on the irrational parts,
-    so every product of two scalars from the same two surd classes shares
-    one entry, and the product is rat_x * rat_y * factor.
+    (rational factor, pi_pow, radical, gammas), where the factor collects
+    prime^floor(e) from the merged radical exponents.  It depends on the
+    irrational parts only, so every product of two scalars from the same two
+    surd classes shares one entry, and the product is rat_x * rat_y * factor.
     """
     sign = -1 if inverse else 1
     rad: dict[int, Fraction] = dict(x[1])
     for prime, e in y[1]:
         rad[prime] = rad.get(prime, Fraction(0)) + sign * e
-    extra, radical = _norm_radical(rad, Fraction(1))
+    factor, radical = _norm_radical(rad)
     gam: dict[Fraction, int] = dict(x[2])
     for q, m in y[2]:
         gam[q] = gam.get(q, 0) + sign * m
-    canon = ExactScalar(
-        extra.rational,
-        x[0] + sign * y[0],
-        radical,
-        tuple(sorted((q, m) for q, m in gam.items() if m != 0)),
-    )._reflect()
-    return canon.rational, canon.pi_pow, canon.radical, canon.gammas
+    gammas = tuple(sorted((q, m) for q, m in gam.items() if m != 0))
+    return factor, x[0] + sign * y[0], radical, gammas
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 from scipy.special import airy
@@ -29,11 +30,12 @@ class TestDerivZero:
             assert phi_deriv_zero(p, p - 2, REAL) == want
 
     def test_contour_p3_values(self):
-        # Ai(0) = 3^{-2/3}/Gamma(2/3), Ai'(0) = -3^{-1/3}/Gamma(1/3)
-        ai0 = ES.rational_power(3, F(-2, 3)) / ES.gamma(F(2, 3))
-        aip0 = -(ES.rational_power(3, F(-1, 3)) / ES.gamma(F(1, 3)))
-        assert phi_deriv_zero(3, 0, CONTOUR) == ai0
-        assert phi_deriv_zero(3, 1, CONTOUR) == aip0
+        # Ai(0) = 3^{-2/3}/Gamma(2/3), Ai'(0) = -3^{-1/3}/Gamma(1/3), to 40 digits
+        with mpmath.workdps(40):
+            for k in (0, 1):
+                want = mpmath.airyai(0, derivative=k)
+                got = phi_deriv_zero(3, k, CONTOUR).numeric(40)
+                assert abs(got - want) < mpmath.mpf(10) ** -35 * abs(want)
         assert phi_deriv_zero(3, 2, CONTOUR) == ES.zero()  # Ai''(0) = 0 Ai(0)
 
     def test_real_p4_zero_order(self):

@@ -53,9 +53,12 @@ def table_map(p, g_max, mode=REAL):
 class TestCalibration:
     def test_constants(self):
         # one constant per marked-point count, from the designated anchors
+        from pspin.correlators import _normalize
+
         assert calibration_constant(1) == 1
-        assert calibration_constant(2, REAL) == -1
-        assert calibration_constant(2, CONTOUR) == -1
+        assert calibration_constant(2) == -1
+        # read from the real series; the contour series gives the same constant
+        assert F(1, 864) / _normalize(two_point_series(3, 2, CONTOUR)[2][2], 3, 2, 2) == -1
 
     def test_non_rational_residue_raises(self):
         from pspin.correlators import CalibrationError, _normalize
@@ -90,6 +93,11 @@ class TestOnePoint:
 
     def test_inadmissible_label_is_zero(self):
         assert one_point_value(3, 2) == 0
+
+    @pytest.mark.parametrize("g", [0, -1])
+    def test_genus_below_one_raises(self, g):
+        with pytest.raises(UsageError, match="genus must be >= 1"):
+            one_point_value(3, g, 0)
 
     def test_p2_is_witten_kdv(self):
         # p=2 labels are tau(3g-2, 0), valued 1/(24^g g!) (Witten's KdV case)

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from pspin.correlators import one_point_table, two_point_table
+from pspin.correlators import TauCorrelator, one_point_table, two_point_table
+from pspin.exact import UsageError
 from pspin.numbers import zeta_one_minus_2g
 from pspin.tautology import (
     dilaton_check,
@@ -73,6 +74,11 @@ class TestDilaton:
         report = dilaton_check(table, p)
         assert report.checked
         assert report.all_passed, report.render()
+
+    def test_genus_zero_entry_raises(self):
+        entry = TauCorrelator(F(3), 0, ((1, 0), (1, 0)), F(1))
+        with pytest.raises(UsageError, match="genus must be >= 1"):
+            dilaton_check([entry], 3)
 
 
 class TestNegativeP:
