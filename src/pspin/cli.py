@@ -185,8 +185,8 @@ def _verify_airy_quad(args) -> tuple[bool, dict]:
 def _verify_mc(args) -> tuple[bool, dict]:
     eigs = tuple(args.eigenvalues)
     cfg = McConfig(args.n, eigs, tuple(args.s), sample_count=args.samples, rng_seed=args.seed)
-    mean, se = mc_trace_moments(cfg)
     exact = finite_n_evaluate(FiniteNSource(args.n, eigs), list(args.s))
+    mean, se = mc_trace_moments(cfg)
     if se:
         z = abs(mean - exact) / se
     else:

@@ -277,6 +277,11 @@ def _node_count(q: float, sr: float, growth: float) -> int:
     of h = n/2 nodes, and the entire factor e^{su} about (e |s| r/h)^h.  Both
     are scaled by e^growth, a bound on the integrand over the result.
     """
+    if not q < 1:  # also catches NaN
+        raise NumericError(
+            f"contour circle and poles coincide in floating point (radius ratio {q!r}): "
+            "the eigenvalue spread is too wide for |s|"
+        )
     t = 23 + growth
     return 2 * ceil(max(t / -log(q), e * sr + t))
 
@@ -300,10 +305,14 @@ def _circle_terms(src: FiniteNSource, s: float, c: float, r: float, n: int):
     return u, ew * (1 + s * q), src.N * ew * q
 
 
-def _certified(full: complex, half: complex) -> float:
+def _certified(factor: float, full: complex, half: complex) -> float:
+    """factor times full, the contour value; NumericError when the half rule
+    disagrees with it or the product overflows a float."""
     if not abs(full - half) <= _CERTIFY_RTOL * abs(full):
         raise NumericError(f"contour rule uncertified: {abs(full - half):.3g} off {abs(full):.3g}")
-    return full.real
+    if not isfinite(factor * float(full.real)):  # a Python float overflows without a warning
+        raise NumericError(f"U(s) = {factor:.6g} * {full.real:.6g} overflows a float")
+    return factor * full.real
 
 
 def finite_n_evaluate(src: FiniteNSource, s: list[float]) -> float:
@@ -318,6 +327,9 @@ def finite_n_evaluate(src: FiniteNSource, s: list[float]) -> float:
     +-(N/(s1+s2)) e^{s1 s2/N} oint f_{s1+s2} cancel.  So one trapezoidal rule
     per circle serves distinct, coincident and nearly coincident eigenvalues
     and s1 + s2 = 0 alike.  N=1, A=0 reduces to exp(s^2/2).
+
+    NumericError when the rule cannot be certified, its circle rounds onto
+    the poles, or the value overflows a float.
     """
     if not 1 <= len(s) <= 2:
         raise UsageError("finite-N evaluation supports 1 or 2 insertions")
@@ -328,6 +340,12 @@ def finite_n_evaluate(src: FiniteNSource, s: list[float]) -> float:
         return 1.0
     if len(s) == 2 and 0 in s:  # U(s, 0) = N U(s), bit for bit
         return float(N) * finite_n_evaluate(src, [s[0] or s[1]])
+    exponent = sum(x * x for x in s) / (2 * N)
+    try:
+        factor = exp(exponent) / N
+    except OverflowError:
+        msg = f"U(s) overflows a float: its factor e^(sum s^2/2N) is e^{exponent:.6g}"
+        raise NumericError(msg) from None
     sigma = max(abs(x) for x in s)
     lo, hi = min(src.eigenvalues), max(src.eigenvalues)
     c, rho = (lo + hi) / 2, (hi - lo) / 2
@@ -338,7 +356,7 @@ def finite_n_evaluate(src: FiniteNSource, s: list[float]) -> float:
     if len(s) == 1:
         n1 = _node_count((rho + gap / 4) / r1, sigma * r1, growth)
         _, _, g1 = _circle_terms(src, s[0], c, r1, n1)
-        return exp(sigma * sigma / (2 * N)) / N * _certified(g1.sum(), 2 * g1[::2].sum())
+        return _certified(factor, g1.sum(), 2 * g1[::2].sum())
     s1, s2 = s
     r2 = r1 + sigma / N + 1.5 * gap  # 1.5 gaps needed the fewest nodes on the oracle inputs
     n1 = _node_count(r1 / (r2 - sigma / N), sigma * r1, growth)
@@ -350,7 +368,7 @@ def finite_n_evaluate(src: FiniteNSource, s: list[float]) -> float:
     coupling = 1 / (x * ((s1 + s2) / N - x))
     full = g1.sum() * g2.sum() - f1 @ coupling @ f2
     half = 4 * (g1[::2].sum() * g2[::2].sum() - f1[::2] @ coupling[::2, ::2] @ f2[::2])
-    return exp((s1 * s1 + s2 * s2) / (2 * N)) / N * _certified(full, half)
+    return _certified(factor, full, half)
 
 
 # ---------------------------------------------------------------------------

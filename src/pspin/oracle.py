@@ -296,9 +296,9 @@ def quad_moment(n: int, b: int, c: int, a: float, tol: float = 1e-9) -> float:
 class McConfig:
     """Reproducible Monte Carlo configuration.
 
-    The counter-based Philox generator is advanced by a fixed stride per
-    sample index, so estimates are bit-identical for a given seed and
-    independent of batching.
+    Sample i's counter of the counter-based Philox generator is set to
+    i * 4096 under the seed's key, so estimates are bit-identical for a given
+    seed and independent of batching.
     """
 
     N: int
@@ -308,8 +308,8 @@ class McConfig:
     rng_seed: int = 20121220
 
     def __post_init__(self):
-        if len(self.eigenvalues) != self.N:
-            raise UsageError("need exactly N source eigenvalues")
+        if self.N < 1 or len(self.eigenvalues) != self.N:
+            raise UsageError("need N >= 1 and exactly N source eigenvalues")
         if not 1 <= len(self.s_values) <= 2:
             raise UsageError("one or two insertions supported")
         if self.sample_count < 2:
@@ -321,10 +321,35 @@ class McConfig:
 
 
 _DRAWS_PER_SAMPLE = 4096  # Philox counter stride per sample index
+_WORD = (1 << 64) - 1
 # samples per batched eigendecomposition, capped at 4 MiB per complex
 # (chunk, N, N) stack, which lowers the count only past N = 8
 _CHUNK_SAMPLES = 4096
 _CHUNK_BYTES = 1 << 22
+
+
+def _substream_states(seed: int, samples):
+    """Yield the Philox state of each sample i in samples: counter i * 4096 under the seed's key.
+
+    A fresh Philox(key=seed) has counter 0 and an empty buffer, and advance(d)
+    leaves it at counter d with the buffer still empty, so sample i's state is
+    the one Philox(key=seed).advance(i * 4096) reaches.  One dict is updated in
+    place and yielded each time; it holds lists, not arrays, because the state
+    setter indexes every word, which is cheaper on a list.
+    """
+    counter = [0, 0, 0, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": [seed & _WORD, seed >> 64]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for i in samples:
+        c = i * _DRAWS_PER_SAMPLE
+        counter[:] = [c & _WORD, c >> 64 & _WORD, c >> 128 & _WORD, c >> 192 & _WORD]
+        yield state
 
 
 def mc_trace_moments(cfg: McConfig) -> tuple[float, float]:
@@ -335,11 +360,12 @@ def mc_trace_moments(cfg: McConfig) -> tuple[float, float]:
     Gaussian gives both variances equal to 1/2, so a factor sqrt(2/N)
     finishes the job.
 
-    Sample i draws from its own Philox substream, the counter advanced by
-    i * 4096 from the seed's start state, so every sample, and with the
-    accumulation in sample order every bit of the result, is fixed by the
-    seed alone.  Samples are stacked in chunks for one batched
-    eigendecomposition each; the chunk size does not change the result.
+    Sample i draws from its own Philox substream, its counter set to i * 4096
+    under the seed's key, so every sample, and with the accumulation in
+    sample order every bit of the result, is fixed by the seed alone.  Samples
+    are stacked in chunks for one batched eigendecomposition each; the chunk
+    size does not change the result.  An estimate or error that leaves the
+    float range raises NumericError.
     """
     if all(s == 0 for s in cfg.s_values):
         return float(cfg.N ** (len(cfg.s_values) - 1)), 0.0
@@ -350,20 +376,17 @@ def mc_trace_moments(cfg: McConfig) -> tuple[float, float]:
     chunk = max(1, min(_CHUNK_SAMPLES, _CHUNK_BYTES // (16 * n * n)))
     source = np.diag(np.asarray(cfg.eigenvalues, dtype=float))
     bit = np.random.Philox(key=cfg.rng_seed)
-    start = bit.state
     rng = np.random.Generator(bit)
+    states = _substream_states(cfg.rng_seed, range(count))
     total = 0.0
     total_sq = 0.0
     for first in range(0, count, chunk):
         size = min(chunk, count - first)
-        re = np.empty((size, n, n))
-        im = np.empty((size, n, n))
-        for k in range(size):
-            bit.state = start
-            bit.advance((first + k) * _DRAWS_PER_SAMPLE)
-            rng.standard_normal(out=re[k])
-            rng.standard_normal(out=im[k])
-        x = (re + 1j * im) / sqrt(2.0)
+        normals = np.empty((size, 2, n, n))  # re and im parts of each sample
+        for out, state in zip(normals, states):  # normals first: zip takes no state past the chunk
+            bit.state = state
+            rng.standard_normal(out=out)
+        x = (normals[:, 0] + 1j * normals[:, 1]) / sqrt(2.0)
         g = (x + x.conj().transpose(0, 2, 1)) / 2.0 * sqrt(2.0 / n)
         eig = np.linalg.eigvalsh(g + source)
         vals = np.ones(size)
@@ -376,6 +399,8 @@ def mc_trace_moments(cfg: McConfig) -> tuple[float, float]:
     mean = total / count
     var = max(total_sq / count - mean * mean, 0.0)
     stderr = sqrt(var / count)
+    if not (isfinite(mean) and isfinite(stderr)):
+        raise NumericError(f"Monte Carlo estimate {mean!r} +- {stderr!r} is not finite")
     return mean, stderr
 
 

@@ -132,6 +132,16 @@ class TestVerify:
         for s in ("nan", "inf", "-inf"):
             assert run("verify", "mc", f"--s={s}") == 2, s
 
+    @pytest.mark.parametrize("argv, cause", [
+        (("--eigenvalues", "0", "1e200", "--s", "0.3"), "radius ratio 1.0"),
+        (("--eigenvalues", "0", "1", "--s", "800"), "e^160000"),
+    ], ids=["spread", "factor"])
+    def test_mc_out_of_float_range_exit_3(self, argv, cause, capsys):
+        # these used to exit 3 with "float division by zero" and "math range error"
+        assert run("verify", "mc", "--n", "2", *argv, "--samples", "100") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and cause in err
+
     @pytest.mark.parametrize("argv", [
         ("--s", "0.3", "-0.3"),
         ("--n", "2", "--eigenvalues", "1", "1", "--s", "0.3", "0.2"),

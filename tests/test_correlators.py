@@ -379,6 +379,20 @@ class TestFiniteN:
         with pytest.raises(NumericError):
             finite_n_evaluate(src, [0.3, 0.2])
 
+    @pytest.mark.parametrize("eigs, s, cause", [
+        # q rounds to 1.0, so the node count used to divide by -log(q) = 0
+        ((0.0, 1e200), [0.3], "radius ratio 1.0"),
+        ((0.0, 1e200), [0.3, 0.2], "radius ratio 1.0"),
+        # exp(s^2/2N) used to end in OverflowError("math range error")
+        ((0.0, 1.0), [800.0], "e^160000"),
+        # the factor and the contour value are finite, their product is not (it was inf)
+        ((100.0,), [7.0], "overflows a float"),
+    ], ids=["spread-1", "spread-2", "factor", "product"])
+    def test_out_of_float_range_raises(self, eigs, s, cause):
+        with pytest.raises(NumericError) as info:
+            finite_n_evaluate(FiniteNSource(len(eigs), eigs), s)
+        assert cause in str(info.value)
+
     def test_non_finite_inputs_usage_error(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(UsageError):

@@ -166,6 +166,33 @@ class TestMonteCarlo:
             with pytest.raises(UsageError):
                 McConfig(2, (0.5, -0.5), (0.3,), sample_count=count)
 
+    def test_n_below_one_rejected(self):
+        # N = 0 used to pass and end in a ZeroDivisionError in the chunk rule
+        for n in (0, -1):
+            with pytest.raises(UsageError):
+                McConfig(n, (), (0.3,), sample_count=10)
+
+    @pytest.mark.parametrize("cfg", [
+        McConfig(2, (0.0, 1.0), (300.0,), 100),
+        McConfig(2, (0.0, 1e200), (0.3,), 100),
+    ], ids=["large-s", "large-eigenvalue"])
+    def test_non_finite_estimate_raises(self, cfg):
+        # both used to return (inf, nan)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+            mc_trace_moments(cfg)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 3, 2**128 - 1], ids=["zero", "two-words", "top"])
+    def test_substream_states(self, seed):
+        # sample i's state is where Philox(key=seed) lands after advance(i * 4096)
+        samples = [0, 1, 4097, 2**52 + 5]
+        for i, state in zip(samples, oracle._substream_states(seed, samples)):
+            ref = np.random.Philox(key=seed)
+            ref.advance(i * 4096)
+            got = np.random.Philox(key=0)
+            got.state = state
+            assert repr(got.state) == repr(ref.state), i
+            assert got.random_raw(5).tolist() == ref.random_raw(5).tolist(), i
+
     def test_scalar_mgf(self):
         # N=1 Gaussian: <e^{0.5 m}> = e^{0.125}
         cfg = McConfig(1, (0.0,), (0.5,), sample_count=20000, rng_seed=7)
@@ -188,7 +215,10 @@ class TestMonteCarlo:
          "(4.47734662873775, 0.012080260311613425)"),
         (McConfig(2, (0.5, -0.5), (0.45,), 2, 3),
          "(1.1162757022051097, 0.07288179075224113)"),
-    ], ids=["n4", "n3-across-chunk", "n2-two-samples"])
+        # 3300 samples cross the 3236-sample chunk at N=9; the key has a nonzero high word
+        (McConfig(9, tuple(i / 4 - 1 for i in range(9)), (0.2, 0.1), 3300, 2**100 + 7),
+         "(9.330084391041389, 0.0055216607191363384)"),
+    ], ids=["n4", "n3-across-chunk", "n2-two-samples", "n9-across-chunk-wide-key"])
     def test_pinned_estimates(self, cfg, pinned):
         # the per-sample Philox substreams fix every bit of (mean, stderr)
         assert repr(mc_trace_moments(cfg)) == pinned
