@@ -82,7 +82,8 @@ def cmd_intersect(args) -> int:
     if args.golden:
         problems = golden.compare(p, args.points, entries, g_max=args.genus)
         if problems is None:
-            print(f"golden: no bundled reference table for p={p}", file=sys.stderr)
+            print(f"golden: no bundled reference table for p={p} at genus <= {args.genus}",
+                  file=sys.stderr)
             return EXIT_USAGE
         if problems:
             for line in problems:

@@ -436,10 +436,6 @@ class LaurentP:
     def __hash__(self):
         return hash((self.den, tuple(sorted(self.nums.items()))))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
     def eval(self, x) -> Fraction:
         x = Fraction(x)
         if x == 0 and any(e < 0 for e in self.nums):
@@ -575,6 +571,14 @@ class CycloA:
             return CycloA._canonical(self.p, inv * _cyclo_power(self.p, k), 0)
         return CycloA._canonical(self.p, inv, -k)
 
+    def times_cyclo(self, k: int) -> "CycloA":
+        """self * (1+a^p)^k, shifting the denominator power instead of dividing."""
+        if k < 0:
+            return CycloA(self.p, self.num, self.m - k)
+        if k <= self.m:  # a canonical numerator stays canonical over a lower power
+            return CycloA._canonical(self.p, self.num, self.m - k)
+        return CycloA._canonical(self.p, self.num * _cyclo_power(self.p, k - self.m), 0)
+
     def __truediv__(self, other) -> "CycloA":
         if not isinstance(other, CycloA):
             return self * (1 / Fraction(other))
@@ -589,7 +593,7 @@ class CycloA:
         return out
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero
+        return bool(self.num.nums)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CycloA) and (self.p, self.m, self.num) == (

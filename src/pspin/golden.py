@@ -69,7 +69,7 @@ REFERENCE_NEGATIVE_P: dict[int, dict] = {
 
 
 def compare(p, points: int, entries, g_max: int | None = None) -> list[str] | None:
-    """Drift report against the bundled table for (p, points); None if none.
+    """Drift report against the bundled (p, points) entries at genus <= g_max; None if none.
 
     Entries are matched by (genus, marks); a one-point reference label (n, j)
     is the single mark ((n, j),).
@@ -80,13 +80,12 @@ def compare(p, points: int, entries, g_max: int | None = None) -> list[str] | No
         ref = REFERENCE_NEGATIVE_P.get(p)
         if ref is not None:
             ref = {(g, (label,)): value for (g, label), value in ref.items()}
-    if ref is None:
+    ref = {key: value for key, value in (ref or {}).items() if g_max is None or key[0] <= g_max}
+    if not ref:
         return None
     got = {(e.genus, e.marks): F(e.value) for e in entries}
     problems = []
     for (g, marks), want in sorted(ref.items()):
-        if g_max is not None and g > g_max:
-            continue
         have = got.get((g, marks))
         if have is None:
             problems.append(f"missing reference entry g={g} marks={marks}")

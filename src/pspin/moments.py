@@ -396,13 +396,14 @@ def combine_contributions(
 ) -> tuple[dict[Atom, CycloA], ExactScalar]:
     """Reduce and sum contributions; returns (CycloA atom vector, unit).
 
-    Contributions are grouped by moment symbol first: each one's weight
-    a^k * (scalar / unit) is summed per symbol as exact {k: Fraction}
-    coefficients, so every distinct symbol is reduced once and its vector
-    is scaled once by a single polynomial in a.  (1+a^p)^{l-1} expands into
-    l terms on the same symbol, which is what the grouping saves.  A symbol
-    whose weights sum to zero is still reduced, so a degenerate rewrite
-    cycle raises ReductionCycleError either way.
+    A contribution (scalar, k, M(n, b, c)) stands for
+    scalar * a^k * (1+a^p)^{n-1} * M(n, b, c), a two-point expansion term of
+    hyperbolic sine order n.  The weights a^k * (scalar / unit) are summed
+    per symbol, so every distinct symbol is reduced once; each coefficient
+    of its vector takes (1+a^p)^{n-1} as a shift of its denominator power
+    (``CycloA.times_cyclo``) and is scaled once by the summed weight.  A
+    symbol whose weights sum to zero is still reduced, so a degenerate
+    rewrite cycle raises ReductionCycleError either way.
 
     Every irreducible cross-term coefficient must cancel identically as a
     rational function of a; a nonzero residue raises CancellationError with
@@ -410,24 +411,21 @@ def combine_contributions(
     """
     if not contributions:
         raise UsageError("empty grade")
-    ps = {sym.p for _, _, sym in contributions}
-    if len(ps) != 1:
+    if len({sym.p for _, _, sym in contributions}) != 1:
         raise UsageError("mixed p in one grade")
     unit = contributions[0][0]
     weights: dict[MomentSymbol, dict[int, Fraction]] = {}
     for scalar, a_pow, sym in contributions:
         ratio = scalar.proportional_ratio(unit)
         if ratio is None:
-            raise UsageError(
-                f"contribution scalar {scalar} not proportional to grade unit {unit}"
-            )
+            raise UsageError(f"contribution scalar {scalar} not proportional to grade unit {unit}")
         w = weights.setdefault(sym, {})
         w[a_pow] = w.get(a_pow, Fraction(0)) + ratio
     acc: dict[Atom, CycloA] = {}
     for sym, w in weights.items():
-        _vec_add(acc, reduce_moment(sym, ode_constant, strategy), CycloA(sym.p, w))
-    residues = {rest[0]: coeff for (kind, *rest), coeff in acc.items()
-                if kind == "irr" and coeff}
+        vec = reduce_moment(sym, ode_constant, strategy).items()
+        _vec_add(acc, {atom: c.times_cyclo(sym.n - 1) for atom, c in vec}, CycloA(sym.p, w))
+    residues = {rest[0]: coeff for (kind, *rest), coeff in acc.items() if kind == "irr"}
     if residues:
         raise CancellationError(
             f"irreducible cross terms did not cancel: {sorted(residues)}", residues
@@ -445,8 +443,6 @@ def assemble_grade(
     boundary: dict[tuple[int, int], dict[int, Fraction]] = {}
     constants: dict[Atom, dict[int, Fraction]] = {}
     for atom, coeff in acc.items():
-        if not coeff:
-            continue
         if atom[0] == "bdry":  # each (i, j) pair is one atom of the vector
             boundary[(atom[1], atom[2])] = poly_coeffs(coeff)
         else:

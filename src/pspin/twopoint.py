@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .airy import CONTOUR, REAL  # kernel modes re-exported
 from .airy import mode_constant, phi_deriv_zero, reduce_order_at_zero
@@ -93,11 +93,11 @@ def _side_terms(p: int, rho: int) -> tuple[tuple[Fraction, int, int], ...]:
 
 
 def _grade_terms(p: int, g: int, a_max: int | None = None):
-    """Expansion terms at genus g: (base scalar, a0, moment symbol).
+    """Expansion terms at genus g: (base scalar, a0, moment symbol M(l, D1, D2)).
 
-    a0 is the a-power of the term before the (1+a^p)^{l-1} factor of the
-    hyperbolic sine order l = 2(g - rho) + 1 is expanded.  Terms with
-    a0 > a_max are skipped before their scalars are built.
+    A term stands for base * a^a0 * (1+a^p)^{l-1} * M(l, D1, D2), with the
+    hyperbolic sine order l = 2(g - rho) + 1; grade assembly applies the
+    factor.  Terms with a0 > a_max are skipped before their scalars are built.
     """
     for rho in range(g + 1):
         l = 2 * (g - rho) + 1
@@ -115,15 +115,13 @@ def _grade_terms(p: int, g: int, a_max: int | None = None):
 
 
 def grade_contributions(p: int, g: int) -> list[tuple[ExactScalar, int, MomentSymbol]]:
-    """All (scalar, a-power, moment symbol) contributions at genus g."""
-    if g < 1:
-        return []
-    out: list[tuple[ExactScalar, int, MomentSymbol]] = []
-    for base, a0, sym in _grade_terms(p, g):
-        l = sym.n
-        for k in range(l):  # (1+a^p)^{l-1}
-            out.append((base.scale(comb(l - 1, k)), a0 + p * k, sym))
-    return out
+    """All (scalar, a-power, moment symbol) contributions at genus g, as _grade_terms."""
+    return list(_grade_terms(p, g)) if g >= 1 else []
+
+
+def _check_p(p: int) -> None:  # every two-point route refuses p < 3 up front
+    if p < 3:
+        raise UsageError("two-point expansion needs integer p >= 3")
 
 
 @lru_cache(maxsize=None)
@@ -136,6 +134,7 @@ def two_point_grade(p: int, g: int, kernel_mode: str = REAL) -> AssembledGrade:
 
     Cached once per (p, g, kernel_mode), however the arguments are passed.
     """
+    _check_p(p)
     return _assembled_grade(p, g, kernel_mode)
 
 
@@ -176,8 +175,7 @@ def two_point_series(
     leftovers must stay out of doubly-fractional grades; a violation raises
     CancellationError (this is a verified property, not an assumption).
     """
-    if p < 3:
-        raise UsageError("two-point expansion needs integer p >= 3")
+    _check_p(p)
     if g_max > 3 or (g_max > 2 and p > 3):
         # cost bound: genus 3 exact-in-a only at p=3; larger p goes through
         # the small-a route (two_point_low_orders)
@@ -227,6 +225,7 @@ def _low_orders(p: int, g: int, kernel_mode: str) -> dict[int, ExactScalar]:
     p_scalar = ExactScalar.from_fraction(p)
     coeffs: dict[int, ExactScalar] = {}
     residues: dict[tuple, ExactScalar] = {}  # (atom, m, surd class) -> coefficient
+    # below a^p only the constant term 1 of each term's (1+a^p)^{l-1} survives
     for base, a0, sym in _grade_terms(p, g, p - 1):
         for t in range(p - a0):
             taylor = Fraction((-1) ** t, factorial(t))
@@ -277,6 +276,7 @@ def two_point_low_orders(
     single-kernel integrals must cancel from extractable powers, class by
     surd class (CancellationError else).
     """
+    _check_p(p)
     return dict(_low_orders(p, g, kernel_mode))
 
 

@@ -1,0 +1,57 @@
+"""The traced benchmark's bindings: every pspin name that bench/tracing.py wraps or reads.
+
+``Tracer.install`` looks each target up by name and ``cache_counts`` reads
+``cache_info`` from the cached ones, so a rename or a changed return shape
+would otherwise surface only when a traced benchmark run dies.
+"""
+
+import importlib
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from pspin.exact import ExactScalar
+from pspin.moments import MomentSymbol
+from pspin.twopoint import grade_contributions
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module("tracing")
+    finally:
+        sys.path.remove(bench)
+
+
+def test_targets_resolve(tracing):
+    for layer, names in tracing.TARGETS.items():
+        module = importlib.import_module(f"pspin.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"pspin.{layer}.{name}"
+    spans = {f"{layer}.{name}" for layer, names in tracing.TARGETS.items() for name in names}
+    assert set(tracing.COUNTERS) <= spans
+
+
+def test_cached_expose_cache_info(tracing):
+    for name in tracing.CACHED:
+        layer, fn_name = name.split(".")
+        fn = getattr(importlib.import_module(f"pspin.{layer}"), fn_name)
+        info = fn.cache_info()
+        assert info.hits >= 0 and info.misses >= 0, name
+
+
+def test_grade_contributions_shape(tracing):
+    result = grade_contributions(3, 2)
+    assert result
+    for scalar, a_pow, sym in result:
+        assert isinstance(scalar, ExactScalar)
+        assert isinstance(a_pow, int) and not isinstance(a_pow, bool)
+        assert isinstance(sym, MomentSymbol)
+    counts = Counter()
+    tracing.COUNTERS["twopoint.grade_contributions"](counts, (3, 2), {}, result)
+    assert counts["twopoint.contributions"] == len(result)
+    assert counts["twopoint.distinct_symbols"] == len({sym for _, _, sym in result})

@@ -99,6 +99,12 @@ class TestVerify:
         assert run("verify", "cancellation", "--p", "3", "--genus", "3") == 0
         assert "clean" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("p", ["0", "-3", "2"])
+    def test_cancellation_bad_p_usage_error(self, p, capsys):
+        # every two-point route refuses p < 3 before any arithmetic on p
+        assert run("verify", "cancellation", "--p", p, "--genus", "1") == 2
+        assert "p >= 3" in capsys.readouterr().err
+
     def test_binet(self, capsys):
         assert run("verify", "binet", "--z", "2", "--tol", "1e-8") == 0
 
@@ -367,6 +373,19 @@ class TestGoldenVariants:
         assert golden.compare(3, 2, bad, g_max=2) == [
             "drift at g=2 marks=((0, 1), (4, 1)): expected 1/864, computed 865/864"]
         assert golden.compare(-1, 1, one[1:]) == ["missing reference entry g=1 marks=((1, 0),)"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--p", "3", "--genus", "1", "--points", "2"),
+        ("--p", "-3", "--genus", "0", "--points", "1"),
+    ])
+    def test_golden_without_entry_in_range(self, argv, capsys):
+        # a reference table with no entry at genus <= --genus compared nothing
+        genus = argv[3]
+        assert run("intersect", *argv, "--golden") == 2
+        captured = capsys.readouterr()
+        assert "reproduced" not in captured.out
+        assert f"at genus <= {genus}" in captured.err
+        assert golden.compare(3, 2, two_point_table(3, 1), g_max=1) is None
 
     def test_golden_without_reference_table(self, capsys):
         assert run("intersect", "--p", "9", "--genus", "1", "--points", "2",

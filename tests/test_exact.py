@@ -396,6 +396,17 @@ def test_cyclo_equal_values_equal_objects(p, args1, args2, c):
         assert same == x and hash(same) == hash(x)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 7), cyclo_args, st.integers(-2, 4))
+def test_times_cyclo_matches_multiplication(p, args, k):
+    # the denominator shift equals plain multiplication by (1+a^p)^k
+    x, _ = _cyclo_pair(p, *args)
+    want = x * CycloA(p, {0: 1, p: 1}) ** k
+    got = x.times_cyclo(k)
+    assert got == want and hash(got) == hash(want)
+    assert (got.num.nums, got.num.den, got.m) == (want.num.nums, want.num.den, want.m)
+
+
 class TestCycloPower:
     def test_negative_power_is_inverse(self):
         a = CycloA.var(3)

@@ -222,8 +222,8 @@ class TestAssembleGrade:
 
         sym = MomentSymbol(0, 2, 0, 3)
         acc, unit = combine_contributions([(ExactScalar.one(), 0, sym)], F(0))
-        # a contribution with no irreducible part passes through unchanged
-        assert acc == {("bdry", 0, 1): -(one + a) / (one + a**3)}
+        # a contribution with no irreducible part passes through, times (1+a^3)^(n-1)
+        assert acc == {("bdry", 0, 1): -(one + a) / (one + a**3) ** 2}
         assert unit == ExactScalar.one()
 
     def test_t_residue_raises(self):
@@ -298,18 +298,20 @@ class TestGroupedCombine:
 
     @staticmethod
     def per_contribution_sum(contributions, c0):
-        # the ungrouped route: reduce and scale every contribution on its own
+        # the ungrouped route: reduce and scale every contribution on its own,
+        # multiplying by the expanded (1+a^p)^(n-1) in plain CycloA arithmetic
         unit = contributions[0][0]
         acc = {}
         for scalar, a_pow, sym in contributions:
             ratio = scalar.proportional_ratio(unit)
-            weight = CycloA.var(sym.p) ** a_pow * ratio.numerator / ratio.denominator
+            sinh = (CycloA.var(sym.p, 0) + CycloA.var(sym.p, sym.p)) ** (sym.n - 1)
+            weight = CycloA.var(sym.p) ** a_pow * ratio.numerator / ratio.denominator * sinh
             for atom, coeff in M(sym.n, sym.b, sym.c, sym.p, c0).items():
                 acc[atom] = acc.get(atom, CycloA(sym.p)) + coeff * weight
         return {atom: coeff for atom, coeff in acc.items() if coeff}
 
     @pytest.mark.parametrize("c0", [1, 0])
-    @pytest.mark.parametrize("p,g", [(3, 3), (4, 2), (5, 2)])
+    @pytest.mark.parametrize("p,g", [(3, 3), (4, 2), (5, 2), (4, 3), (6, 4)])
     def test_equals_per_contribution_sum(self, p, g, c0):
         from pspin.moments import combine_contributions
         from pspin.twopoint import grade_contributions
@@ -333,10 +335,11 @@ class TestGroupedCombine:
             return reduce(sym, *args, **kwargs)
 
         monkeypatch.setattr(moments, "reduce_moment", counting)
-        contribs = grade_contributions(3, 4)
+        # at p=3 every term is its own symbol; at (4, 3) symbols repeat
+        contribs = grade_contributions(4, 3)
         moments.combine_contributions(contribs, F(1))
         distinct = {sym for _, _, sym in contribs}
-        assert len(contribs) > len(distinct)
+        assert (len(contribs), len(distinct)) == (16, 13)
         assert set(calls) == distinct
         assert set(calls.values()) == {1}
 
