@@ -74,8 +74,6 @@ def cmd_intersect(args) -> int:
     if args.genus < 0:
         raise UsageError("--genus must be >= 0")
     if args.points == 2:
-        if not isinstance(p, int) or p < 3:
-            raise UsageError("two-point tables need an integer p >= 3")
         entries = two_point_table(p, args.genus, args.kernel)
     else:
         entries = one_point_table(p, args.genus)

@@ -28,7 +28,7 @@ from .onepoint import (
     selection_rule,
 )
 from .oracle import NumericError, check_size
-from .twopoint import REAL, grade_monomial, two_point_low_orders, two_point_series
+from .twopoint import REAL, _check_grade, grade_monomial, two_point_low_orders, two_point_series
 
 
 class CalibrationError(ArithmeticError):
@@ -130,6 +130,7 @@ def two_point_low_value(
 
     Returns None when the grade is discarded (one slot integer-powered).
     """
+    _check_grade(p, g)
     if grade_monomial(p, g, m) is None:
         return None
     if m >= p:

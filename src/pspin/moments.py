@@ -14,13 +14,12 @@ terms at infinity set to zero by regularization) reduces every such symbol to
 
 The graph of product symbols has cycles, and solving them is what produces
 the characteristic (1 + a^p) denominators.  Each cycle is a ring of p+1
-symbols, each linking once into it, whose link coefficients multiply to -a^p
-(-a^-p under the side-2 strategy).  One pass of Tarjan's SCC algorithm builds
-the graph as it walks it (every other part of a rewrite step is resolved at
-once) and solves each ring exactly, by walking it once, as soon as the pass
-closes it.  Every coefficient is a ``CycloA``, N(a)/(1+a^p)^m; a component
-that is not a ring, or whose pivot is not c a^j (1+a^p)^i, raises
-ReductionCycleError.
+symbols, each linking once into it, whose link coefficients multiply to -a^p.
+One pass of Tarjan's SCC algorithm builds the graph as it walks it (every
+other part of a rewrite step is resolved at once) and solves each ring
+exactly, by walking it once, as soon as the pass closes it.  Every
+coefficient is a ``CycloA``, N(a)/(1+a^p)^m; a component that is not a
+ring, or whose pivot is not c a^j (1+a^p)^i, raises ReductionCycleError.
 """
 
 from __future__ import annotations
@@ -92,14 +91,16 @@ def _scaled(src: dict, scale) -> dict:
 
 
 class MomentEngine:
-    """Shared reduction engine for one (p, rewrite constant, strategy)."""
+    """Shared reduction engine for one (p, rewrite constant).
 
-    def __init__(self, p: int, ode_constant: Fraction = Fraction(1), strategy: str = "side1"):
-        if strategy not in ("side1", "side2"):
-            raise UsageError(f"unknown strategy {strategy!r}")
+    Below the derivative rewrites, the rules integrate the side-1 factor
+    phi^{(b)}(y) by parts and raise b = 0 through y phi = phi^{(p-1)} - c0,
+    so every irreducible cross term lands on T_c = M(0, 0, c).
+    """
+
+    def __init__(self, p: int, ode_constant: Fraction = Fraction(1)):
         self.p = p
         self.c0 = Fraction(ode_constant)
-        self.strategy = strategy
         self._one = CycloA.var(p, 0)
         self._a = CycloA.var(p)
         self._inv_a = CycloA.var(p, -1)
@@ -146,23 +147,17 @@ class MomentEngine:
 
         links are the (CycloA coefficient, ('M', n, b, c)) pairs that stay in
         the rewrite graph; rhs is the step's already-resolved atom vector
-        (single-factor reductions, boundary products, mirror irreducibles and
-        T_c atoms), a fresh dict on every call.
+        (single-factor reductions, boundary products and T_c atoms), a fresh
+        dict on every call.
         """
         _, n, b, c = node
-        p, one = self.p, self._one
+        p, c0, one, a = self.p, self.c0, self._one, self._a
         if b >= p:  # derivative rewrite, side 1 (k >= 1)
             k = b - (p - 1)
             return [(one * k, ("M", n, k - 1, c)), (one, ("M", n + 1, k, c))], {}
         if c >= p:  # derivative rewrite, side 2 (k >= 1)
             k = c - (p - 1)
-            return [(one * k, ("M", n, b, k - 1)), (-self._a, ("M", n + 1, b, k))], {}
-        if self.strategy == "side1":
-            return self._rule_side1(n, b, c)
-        return self._rule_side2(n, b, c)
-
-    def _rule_side1(self, n: int, b: int, c: int) -> tuple[Links, dict[Atom, CycloA]]:
-        p, c0, one, a = self.p, self.c0, self._one, self._a
+            return [(one * k, ("M", n, b, k - 1)), (-a, ("M", n + 1, b, k))], {}
         if c == p - 1 and b == 0:
             # phi^{(p-1)}(-ay) = -a y phi(-ay) + c0
             rhs = _scaled(self.reduce_single(1, n, 0), one * c0) if c0 else {}
@@ -178,27 +173,6 @@ class MomentEngine:
             rhs = _scaled(self.reduce_single(2, n - 1, c), one * -c0) if c0 else {}
             return [(one, ("M", n - 1, p - 1, c))], rhs
         return [], {("irr", c): one}
-
-    def _rule_side2(self, n: int, b: int, c: int) -> tuple[Links, dict[Atom, CycloA]]:
-        p, c0, one, inv_a = self.p, self.c0, self._one, self._inv_a
-        if b == p - 1 and c == 0:
-            # phi^{(p-1)}(y) = y phi(y) + c0
-            rhs = _scaled(self.reduce_single(2, n, 0), one * c0) if c0 else {}
-            return [(one, ("M", n + 1, 0, 0))], rhs
-        if c >= 1:  # integrate the side-2 factor by parts
-            if n == 0:
-                links, rhs = [], _scaled(self._bdry_vector(b, c - 1), inv_a)
-            else:
-                links, rhs = [(inv_a * n, ("M", n - 1, b, c - 1))], {}
-            links.append((inv_a, ("M", n, b + 1, c - 1)))
-            return links, rhs
-        if n >= 1:  # c == 0: raise through y phi(-ay) = -(phi^{(p-1)}(-ay) - c0)/a
-            rhs = _scaled(self.reduce_single(1, n - 1, b), inv_a * c0) if c0 else {}
-            return [(-inv_a, ("M", n - 1, b, p - 1))], rhs
-        if b >= 1:
-            # normalize mirror irreducibles M(0,b,0) into the T basis
-            return [], dict(_engine(p, c0, "side1")._reduce_node(("M", 0, b, 0)))
-        return [], {("irr", 0): one}
 
     # -- closure + SCC solve ---------------------------------------------------
 
@@ -320,15 +294,13 @@ class MomentEngine:
 
 
 @lru_cache(maxsize=None)
-def _engine(p: int, c0: Fraction, strategy: str) -> MomentEngine:
-    return MomentEngine(p, c0, strategy)
+def _engine(p: int, c0: Fraction) -> MomentEngine:
+    return MomentEngine(p, c0)
 
 
-def reduce_moment(
-    sym: MomentSymbol, ode_constant: Fraction = Fraction(1), strategy: str = "side1"
-) -> dict[Atom, CycloA]:
+def reduce_moment(sym: MomentSymbol, ode_constant: Fraction = Fraction(1)) -> dict[Atom, CycloA]:
     """Reduce one moment symbol to its fixed-point atom vector (memoized per engine; read only)."""
-    return _engine(sym.p, Fraction(ode_constant), strategy).reduce(sym)
+    return _engine(sym.p, Fraction(ode_constant)).reduce(sym)
 
 
 def eval_coefficient(coeff: CycloA, a: float) -> float:
@@ -392,7 +364,6 @@ class AssembledGrade:
 def combine_contributions(
     contributions: list[tuple[ExactScalar, int, MomentSymbol]],
     ode_constant: Fraction = Fraction(1),
-    strategy: str = "side1",
 ) -> tuple[dict[Atom, CycloA], ExactScalar]:
     """Reduce and sum contributions; returns (CycloA atom vector, unit).
 
@@ -423,7 +394,7 @@ def combine_contributions(
         w[a_pow] = w.get(a_pow, Fraction(0)) + ratio
     acc: dict[Atom, CycloA] = {}
     for sym, w in weights.items():
-        vec = reduce_moment(sym, ode_constant, strategy).items()
+        vec = reduce_moment(sym, ode_constant).items()
         _vec_add(acc, {atom: c.times_cyclo(sym.n - 1) for atom, c in vec}, CycloA(sym.p, w))
     residues = {rest[0]: coeff for (kind, *rest), coeff in acc.items() if kind == "irr"}
     if residues:
@@ -436,10 +407,9 @@ def combine_contributions(
 def assemble_grade(
     contributions: list[tuple[ExactScalar, int, MomentSymbol]],
     ode_constant: Fraction = Fraction(1),
-    strategy: str = "side1",
 ) -> AssembledGrade:
     """Full grade assembly: cancellation checked, boundary part polynomial."""
-    acc, unit = combine_contributions(contributions, ode_constant, strategy)
+    acc, unit = combine_contributions(contributions, ode_constant)
     boundary: dict[tuple[int, int], dict[int, Fraction]] = {}
     constants: dict[Atom, dict[int, Fraction]] = {}
     for atom, coeff in acc.items():

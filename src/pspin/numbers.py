@@ -1,4 +1,4 @@
-"""Exact integer/rational helpers: Bernoulli numbers and special zeta values.
+"""Exact integer/rational helpers: Bernoulli numbers and even zeta values.
 
 Two Bernoulli conventions coexist in this code base:
 
@@ -35,18 +35,6 @@ def bernoulli_abs(g: int) -> Fraction:
     if g < 1:
         raise ValueError("g must be >= 1")
     return abs(bernoulli_std(2 * g))
-
-
-def zeta_negative_odd(n: int) -> Fraction:
-    """Exact zeta(-n) for odd n >= 1: zeta(-n) = -B_{n+1}/(n+1)."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError("need odd n >= 1")
-    return -bernoulli_std(n + 1) / (n + 1)
-
-
-def zeta_one_minus_2g(g: int) -> Fraction:
-    """Exact zeta(1-2g) for g >= 1: -1/12, 1/120, -1/252, 1/240, ..."""
-    return zeta_negative_odd(2 * g - 1)
 
 
 def zeta_even_rational_part(n: int) -> Fraction:

@@ -119,9 +119,15 @@ def grade_contributions(p: int, g: int) -> list[tuple[ExactScalar, int, MomentSy
     return list(_grade_terms(p, g)) if g >= 1 else []
 
 
-def _check_p(p: int) -> None:  # every two-point route refuses p < 3 up front
-    if p < 3:
+def _check_p(p: int) -> None:  # every two-point route refuses p up front unless integer >= 3
+    if not isinstance(p, int) or p < 3:
         raise UsageError("two-point expansion needs integer p >= 3")
+
+
+def _check_grade(p: int, g: int) -> None:  # every per-grade route also refuses g < 1
+    _check_p(p)
+    if g < 1:
+        raise UsageError("genus must be >= 1")
 
 
 @lru_cache(maxsize=None)
@@ -134,7 +140,7 @@ def two_point_grade(p: int, g: int, kernel_mode: str = REAL) -> AssembledGrade:
 
     Cached once per (p, g, kernel_mode), however the arguments are passed.
     """
-    _check_p(p)
+    _check_grade(p, g)
     return _assembled_grade(p, g, kernel_mode)
 
 
@@ -221,7 +227,7 @@ def two_point_series(
 
 @lru_cache(maxsize=None)
 def _low_orders(p: int, g: int, kernel_mode: str) -> dict[int, ExactScalar]:
-    eng = _engine(p, mode_constant(kernel_mode), "side1")
+    eng = _engine(p, mode_constant(kernel_mode))
     p_scalar = ExactScalar.from_fraction(p)
     coeffs: dict[int, ExactScalar] = {}
     residues: dict[tuple, ExactScalar] = {}  # (atom, m, surd class) -> coefficient
@@ -276,7 +282,7 @@ def two_point_low_orders(
     single-kernel integrals must cancel from extractable powers, class by
     surd class (CancellationError else).
     """
-    _check_p(p)
+    _check_grade(p, g)
     return dict(_low_orders(p, g, kernel_mode))
 
 

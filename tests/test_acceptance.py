@@ -27,11 +27,11 @@ from pspin.density import (
 )
 from pspin.exact import RatP
 from pspin.moments import CancellationError
-from pspin.numbers import zeta_one_minus_2g
 from pspin.onepoint import one_point_series, one_point_value
 from pspin.oracle import McConfig, mc_trace_moments, quad_moment
 from pspin.tautology import string_check
 from pspin.twopoint import two_point_grade
+from reference import zeta_one_minus_2g
 
 P = RatP.var()
 C = RatP.const

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pspin import twopoint
+from pspin import moments, twopoint
 from pspin.airy import mode_constant
 from pspin.correlators import (
     DegreeInsufficientError,
@@ -29,7 +29,6 @@ from pspin.correlators import (
 from pspin.density import bernoulli_leading
 from pspin.exact import RatP, UsageError
 from pspin.moments import assemble_grade
-from pspin.numbers import zeta_one_minus_2g
 from pspin.oracle import NumericError
 from pspin.onepoint import genus_coefficient, one_point_series, one_point_value
 from pspin.twopoint import (
@@ -41,6 +40,7 @@ from pspin.twopoint import (
     two_point_grade,
     two_point_series,
 )
+from reference import mirror_reduce, zeta_one_minus_2g
 
 P = RatP.var()
 C = RatP.const
@@ -197,6 +197,7 @@ class TestTwoPointTables:
         assert two_point_low_value(5, 2, 4) is None
 
     def test_genus_zero_empty(self):
+        assert two_point_series(3, 0) == {}
         assert two_point_table(3, 0) == []
 
 
@@ -581,12 +582,39 @@ def test_small_a_grade_built_once_per_key():
         two_point_low_value(p, g, p + 1, CONTOUR)
 
 
-def test_mirror_strategy_tables_identical():
-    # the mirrored rule orientation must reproduce the grades the tables use
-    for mode in (REAL, CONTOUR):
-        for g in (1, 2):
-            mirrored = assemble_grade(grade_contributions(3, g), mode_constant(mode), "side2")
-            assert mirrored == two_point_grade(3, g, mode), (mode, g)
+TWO_POINT_ROUTES = {
+    "series": two_point_series,
+    "grade": two_point_grade,
+    "low_orders": twopoint.two_point_low_orders,
+    "low_value": lambda p, g: two_point_low_value(p, g, 0),
+}
+
+
+@pytest.mark.parametrize("route", TWO_POINT_ROUTES)
+@pytest.mark.parametrize("p", [0, 2, -3, F(7, 2), 3.0], ids=["0", "2", "-3", "7_2", "3.0"])
+def test_two_point_routes_refuse_bad_p(route, p):
+    cached = _side_terms.cache_info().currsize
+    with pytest.raises(UsageError, match="integer p >= 3"):
+        TWO_POINT_ROUTES[route](p, 1)
+    assert _side_terms.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("route", ["grade", "low_orders", "low_value"])
+@pytest.mark.parametrize("g", [0, -1])
+def test_per_grade_routes_refuse_genus_below_one(route, g):
+    with pytest.raises(UsageError, match="genus must be >= 1"):
+        TWO_POINT_ROUTES[route](3, g)
+
+
+def test_mirror_engine_tables_identical(monkeypatch):
+    # the mirrored rule orientation must reproduce the grades the tables use;
+    # the references are built (and cached) before assembly is rerouted
+    cases = [(mode, g) for mode in (REAL, CONTOUR) for g in (1, 2)]
+    want = {case: two_point_grade(3, case[1], case[0]) for case in cases}
+    monkeypatch.setattr(moments, "reduce_moment", mirror_reduce)
+    for mode, g in cases:
+        mirrored = assemble_grade(grade_contributions(3, g), mode_constant(mode))
+        assert mirrored == want[mode, g], (mode, g)
 
 
 def test_p9_g2_family_values():

@@ -18,6 +18,7 @@ from pspin.moments import (
     reduction_numeric,
 )
 from pspin.twopoint import grade_contributions, two_point_grade
+from reference import MirrorEngine, mirror_reduce
 
 a = CycloA.var(3)
 one = CycloA.var(3, 0)
@@ -37,8 +38,9 @@ def combine(*scaled):
     return {k: v for k, v in out.items() if v}
 
 
-def M(n, b, c, p=3, c0=0, strategy="side1"):
-    return reduce_moment(MomentSymbol(n, b, c, p), ode_constant=F(c0), strategy=strategy)
+def M(n, b, c, p=3, c0=0, mirror=False):
+    reduce = mirror_reduce if mirror else reduce_moment
+    return reduce(MomentSymbol(n, b, c, p), ode_constant=F(c0))
 
 
 class TestClosedForms:
@@ -187,8 +189,8 @@ class TestConfluenceAndLinearity:
             b = rng.randint(0, p - 2)
             c = rng.randint(0, p - 2)
             c0 = rng.choice([0, 1])
-            r1 = M(n, b, c, p=p, c0=c0, strategy="side1")
-            r2 = M(n, b, c, p=p, c0=c0, strategy="side2")
+            r1 = M(n, b, c, p=p, c0=c0)
+            r2 = M(n, b, c, p=p, c0=c0, mirror=True)
             assert vec(r1) == vec(r2), (p, n, b, c, c0)
 
     def test_linearity(self):
@@ -288,8 +290,8 @@ def test_confluence_larger_p_smoke(p):
         b = rng.randint(0, p - 2)
         c = rng.randint(0, p - 2)
         c0 = rng.choice([0, 1])
-        r1 = M(n, b, c, p=p, c0=c0, strategy="side1")
-        r2 = M(n, b, c, p=p, c0=c0, strategy="side2")
+        r1 = M(n, b, c, p=p, c0=c0)
+        r2 = M(n, b, c, p=p, c0=c0, mirror=True)
         assert vec(r1) == vec(r2), (p, n, b, c, c0)
 
 
@@ -355,7 +357,7 @@ class TestGroupedCombine:
                 return ([(one, loop)], {}) if node == loop else super().rule(node)
 
         engine = LoopEngine(3, F(0))
-        monkeypatch.setattr(moments, "_engine", lambda p, c0, strategy: engine)
+        monkeypatch.setattr(moments, "_engine", lambda p, c0: engine)
         sym = MomentSymbol(2, 1, 1, 3)
         unit = ExactScalar.one()
         # the two weights cancel, yet the symbol must still be reduced
@@ -370,7 +372,7 @@ class TestBoundaryAtoms:
     @pytest.mark.parametrize("mode", [REAL, CONTOUR])
     @pytest.mark.parametrize("p", [3, 4, 5, 6])
     def test_bdry_vector_matches_phi_deriv_zero(self, p, mode):
-        eng = _engine(p, mode_constant(mode), "side1")
+        eng = _engine(p, mode_constant(mode))
         for i in range(2 * p + 2):
             for j in range(2 * p + 2):
                 value = ES.zero()
@@ -391,9 +393,9 @@ ATOM_KINDS = {"bdry", "irr", "sing", "const", "omega", "zdiv"}
 def test_rule_links_are_product_symbols(p):
     """Over the closure of the genus-2 grade symbols, rule links only ('M', n, b, c) nodes."""
     roots = {("M", sym.n, sym.b, sym.c) for _, _, sym in grade_contributions(p, 2)}
-    for strategy in ("side1", "side2"):
+    for engine in (MomentEngine, MirrorEngine):
         for c0 in (0, 1):
-            eng = MomentEngine(p, F(c0), strategy)
+            eng = engine(p, F(c0))
             seen, stack = set(), list(roots)
             while stack:
                 node = stack.pop()
@@ -402,9 +404,9 @@ def test_rule_links_are_product_symbols(p):
                 seen.add(node)
                 links, rhs = eng.rule(node)
                 for _, nxt in links:
-                    assert nxt[0] == "M" and len(nxt) == 4, (strategy, c0, node, nxt)
+                    assert nxt[0] == "M" and len(nxt) == 4, (engine, c0, node, nxt)
                     stack.append(nxt)
-                assert {atom[0] for atom in rhs} <= ATOM_KINDS, (strategy, c0, node)
+                assert {atom[0] for atom in rhs} <= ATOM_KINDS, (engine, c0, node)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8])
@@ -412,37 +414,39 @@ def test_every_cycle_is_a_ring(p):
     """Each component the solver receives is a lone symbol or a ring of p+1 symbols.
 
     Every ring member links once into it, and the link coefficients multiply
-    to -a^p (side1) or -a^-p (side2), so the ring's pivot is 1 + a^{+-p}.
+    to -a^p (library orientation) or -a^-p (mirrored), so the ring's pivot is
+    1 + a^{+-p}.
     """
     g_max = 4 if p == 3 else 2
-    closing = {"side1": -CycloA.var(p, p), "side2": -CycloA.var(p, -p)}
+    closing = {MomentEngine: -CycloA.var(p, p), MirrorEngine: -CycloA.var(p, -p)}
 
     components = []  # each one as {member: its links into the component}
 
-    class RecordingEngine(MomentEngine):
-        def _solve_component(self, comp, edges):
-            members = set(comp)
-            components.append(
-                {node: [(c, nxt) for c, nxt in edges[node][0] if nxt in members] for node in comp}
-            )
-            super()._solve_component(comp, edges)
+    for engine in (MomentEngine, MirrorEngine):
 
-    for strategy in ("side1", "side2"):
+        class RecordingEngine(engine):
+            def _solve_component(self, comp, edges):
+                members = set(comp)
+                components.append(
+                    {n: [(c, nxt) for c, nxt in edges[n][0] if nxt in members] for n in comp}
+                )
+                super()._solve_component(comp, edges)
+
         for c0 in (0, 1):
             components.clear()
-            eng = RecordingEngine(p, F(c0), strategy)
+            eng = RecordingEngine(p, F(c0))
             for g in range(1, g_max + 1):
                 for _, _, sym in grade_contributions(p, g):
                     eng.reduce(sym)
             rings = [comp for comp in components if any(comp.values())]
-            assert rings, (strategy, c0)
+            assert rings, (engine, c0)
             for comp in rings:
-                assert len(comp) == p + 1, (strategy, c0, comp)
-                assert all(len(links) == 1 for links in comp.values()), (strategy, c0, comp)
+                assert len(comp) == p + 1, (engine, c0, comp)
+                assert all(len(links) == 1 for links in comp.values()), (engine, c0, comp)
                 product, head = CycloA.var(p, 0), next(iter(comp))
                 node = head
                 for _ in comp:
                     coeff, node = comp[node][0]
                     product = product * coeff
-                assert node == head, (strategy, c0, comp)
-                assert product == closing[strategy], (strategy, c0, comp)
+                assert node == head, (engine, c0, comp)
+                assert product == closing[engine], (engine, c0, comp)

@@ -6,12 +6,12 @@ import pytest
 
 from pspin.correlators import TauCorrelator, one_point_table, two_point_table
 from pspin.exact import UsageError
-from pspin.numbers import zeta_one_minus_2g
 from pspin.tautology import (
     dilaton_check,
     selection_rule,
     string_check,
 )
+from reference import zeta_one_minus_2g
 
 
 class TestSelectionRule:
