@@ -69,6 +69,12 @@ def _parse_p(raw: str):
     return int(p) if p.denominator == 1 else p
 
 
+def _value_text(row: dict) -> str:
+    """An entry's value as num/den, each side parenthesized when it is a sum."""
+    num, den = row["num"], row["den"]
+    return f"{num}/{den}" if " " not in num and " " not in den else f"({num}) / ({den})"
+
+
 def cmd_intersect(args) -> int:
     p = _parse_p(args.p)
     if args.genus < 0:
@@ -92,9 +98,7 @@ def cmd_intersect(args) -> int:
     print(f"computed {len(data['entries'])} entries (p={data['p']}, points={args.points})")
     for row in data["entries"]:
         marks = " ".join(f"tau({m},{j})" for m, j in zip(row["m"], row["j"]))
-        num, den = row["num"], row["den"]
-        value = f"{num}/{den}" if " " not in num and " " not in den else f"({num}) / ({den})"
-        print(f"  g={row['genus']}  {marks} = {value}")
+        print(f"  g={row['genus']}  {marks} = {_value_text(row)}")
     if args.output:
         path = _out_dir() / args.output
         if args.format == "json":
@@ -103,7 +107,7 @@ def cmd_intersect(args) -> int:
             _write(path, table_to_csv(entries, args.points, p))
         else:
             lines = [
-                f"g={row['genus']} m={row['m']} j={row['j']} value={row['num']}/{row['den']}"
+                f"g={row['genus']} m={row['m']} j={row['j']} value={_value_text(row)}"
                 for row in data["entries"]
             ]
             _write(path, "\n".join(lines) + "\n")

@@ -123,9 +123,7 @@ def two_point_table(p: int, g_max: int, kernel_mode: str = REAL) -> list[TauCorr
     return extract_intersections(p, two_point_series(p, g_max, kernel_mode))
 
 
-def two_point_low_value(
-    p: int, g: int, m: int, kernel_mode: str = REAL
-) -> Fraction | None:
+def two_point_low_value(p: int, g: int, m: int) -> Fraction | None:
     """<tau tau>_g at the a^m grade via the small-a route (m < p required).
 
     Returns None when the grade is discarded (one slot integer-powered).
@@ -135,7 +133,7 @@ def two_point_low_value(
         return None
     if m >= p:
         raise UsageError("small-a route restricted to a-powers below a^p")
-    coeffs = two_point_low_orders(p, g, kernel_mode)
+    coeffs = two_point_low_orders(p, g)
     if m not in coeffs:
         return Fraction(0)
     return calibration_constant(2) * _normalize(coeffs[m], p, g, m)

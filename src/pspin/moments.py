@@ -70,8 +70,8 @@ class MomentSymbol:
     def __post_init__(self):
         if self.n < 0 or self.b < 0 or self.c < 0:
             raise UsageError("moment symbol indices must be >= 0")
-        if self.p < 3:
-            raise UsageError("moment symbol needs p >= 3")
+        if not isinstance(self.p, int) or self.p < 3:
+            raise UsageError("moment symbol needs integer p >= 3")
 
 
 def _vec_add(dst: dict, src: dict, scale) -> None:
@@ -110,19 +110,17 @@ class MomentEngine:
     # -- single-factor reduction (acyclic) ----------------------------------
 
     def reduce_single(self, side: int, n: int, d: int) -> dict[Atom, CycloA]:
-        """Reduce int y^n phi^{(d)}(y) dy (side 1) or ... phi^{(d)}(-a y) dy (side 2)."""
+        """Reduce int y^n phi^{(d)}(y) dy (side 1) or ... phi^{(d)}(-a y) dy (side 2).
+
+        Integration by parts lowers any d >= 1; the callers pass d <= p-1.
+        """
         key = ("S", side, n, d)
         hit = self._s_memo.get(key)
         if hit is not None:
             return hit
         p, c0, one, inv_a = self.p, self.c0, self._one, self._inv_a
         out: dict[Atom, CycloA] = {}
-        if d >= p:
-            k = d - (p - 1)
-            _vec_add(out, self.reduce_single(side, n, k - 1), one * k)
-            tail = self.reduce_single(side, n + 1, k)
-            _vec_add(out, tail, one if side == 1 else -self._a)
-        elif d >= 1:
+        if d >= 1:
             if n == 0:
                 out[("sing", d - 1)] = -one if side == 1 else inv_a
             else:

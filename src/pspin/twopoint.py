@@ -12,19 +12,22 @@ sine order l and the total deformation level rho are tied by l = 2(g-rho)+1,
 and every term is a product moment M(l, D1, D2) with derivative orders
 D_i = sum_r k_r (p-2r) from the deformation multi-indices.
 
-Kernel normalization carries sqrt(p) per phi factor (one factor p per grade);
-this is what makes a single calibration constant work across all p.
+Kernel normalization carries sqrt(p) per phi factor (one factor p per grade),
+and every boundary value phi^{(k)}(0) is the real-kernel moment
+(``phi_deriv_zero`` in real mode) in both kernel modes; the oscillatory p=3
+normalization would rescale each factor and is not used.  This is what makes
+a single calibration constant work across all p and both modes, which differ
+only in the engine's rewrite constant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .airy import CONTOUR, REAL  # kernel modes re-exported
-from .airy import mode_constant, phi_deriv_zero, reduce_order_at_zero
+from .airy import mode_constant, phi_deriv_zero
 from .exact import ExactScalar, LaurentP, Monomial, UsageError
 from .moments import (
     AssembledGrade,
@@ -36,19 +39,6 @@ from .moments import (
 )
 
 _ZERO = ExactScalar.zero()
-
-
-def expansion_boundary_value(p: int, k: int, kernel_mode: str) -> ExactScalar:
-    """Boundary value phi^{(k)}(0) in the expansion normalization.
-
-    The expansion is normalized by the kernel moments p^{(k+1)/p-1}
-    Gamma((k+1)/p) for every mode; the oscillatory p=3 normalization would
-    re-scale each kernel factor and is deliberately not used here, so one
-    calibration constant serves all p and both modes.  The mode enters only
-    through the rewrite constant at order p-1.
-    """
-    _, order = reduce_order_at_zero(p, k)
-    return phi_deriv_zero(p, k, kernel_mode if order is None else REAL)
 
 
 @lru_cache(maxsize=None)
@@ -159,26 +149,16 @@ def grade_monomial(p: int, g: int, m: int) -> Monomial | None:
     return Monomial(((m // p, f1), ((e2_num - f2) // p, f2)))
 
 
-@dataclass
-class GradeLedger:
-    """Non-extractable residues of one grade, kept for reporting."""
-
-    discarded_boundary: dict[tuple[int, int, int], Fraction] = field(default_factory=dict)
-    constant_sector: dict[tuple, dict[int, Fraction]] = field(default_factory=dict)
-
-
 def two_point_series(
-    p: int,
-    g_max: int,
-    kernel_mode: str = REAL,
-    ledgers: dict[int, GradeLedger] | None = None,
+    p: int, g_max: int, kernel_mode: str = REAL
 ) -> dict[int, dict[int, ExactScalar]]:
     """Exact two-point expansion through genus g_max: {g: {m: coefficient}}.
 
     m runs over the extractable a-powers of each grade (``grade_monomial``),
     the shape ``two_point_low_orders`` returns for one grade.  Each coefficient
-    is a single surd class; a second class raises UsageError.  Rewrite-constant
-    leftovers must stay out of doubly-fractional grades; a violation raises
+    is a single surd class; a second class raises UsageError.  Boundary
+    products must stay off the discarded grades and rewrite-constant
+    leftovers out of doubly-fractional ones; a violation raises
     CancellationError (this is a verified property, not an assumption).
     """
     _check_p(p)
@@ -190,21 +170,18 @@ def two_point_series(
     p_scalar = ExactScalar.from_fraction(p)  # sqrt(p) per kernel factor
     for g in range(1, g_max + 1):
         grade = two_point_grade(p, g, kernel_mode)
-        ledger = GradeLedger()
         coeffs: dict[int, ExactScalar] = {}
         for (i, j), poly in grade.boundary.items():
-            pair_value = (
-                expansion_boundary_value(p, i, kernel_mode)
-                * expansion_boundary_value(p, j, kernel_mode)
-                * p_scalar
-            )
+            bad = {m: v for m, v in poly.items() if grade_monomial(p, g, m) is None}
+            if bad:
+                raise CancellationError(
+                    f"boundary residue on discarded grades at genus {g}: "
+                    f"{(i, j)} -> {bad}",
+                    {(i, j): bad},
+                )
+            pair_value = phi_deriv_zero(p, i) * phi_deriv_zero(p, j) * p_scalar
             for m, frac in poly.items():
-                coeff = grade.prefactor.scale(frac) * pair_value
-                if grade_monomial(p, g, m) is None:
-                    if coeff.rational:
-                        ledger.discarded_boundary[(i, j, m)] = frac
-                    continue
-                coeffs[m] = coeffs.get(m, _ZERO) + coeff
+                coeffs[m] = coeffs.get(m, _ZERO) + grade.prefactor.scale(frac) * pair_value
         for atom, poly in grade.constants.items():
             bad = {m: v for m, v in poly.items() if grade_monomial(p, g, m) is not None}
             if bad:
@@ -213,10 +190,7 @@ def two_point_series(
                     f"{atom} -> {bad}",
                     {atom: bad},
                 )
-            ledger.constant_sector[atom] = poly
         series[g] = {m: c for m, c in coeffs.items() if c.rational}
-        if ledgers is not None:
-            ledgers[g] = ledger
     return series
 
 
@@ -226,8 +200,8 @@ def two_point_series(
 
 
 @lru_cache(maxsize=None)
-def _low_orders(p: int, g: int, kernel_mode: str) -> dict[int, ExactScalar]:
-    eng = _engine(p, mode_constant(kernel_mode))
+def _low_orders(p: int, g: int) -> dict[int, ExactScalar]:
+    eng = _engine(p, mode_constant(REAL))
     p_scalar = ExactScalar.from_fraction(p)
     coeffs: dict[int, ExactScalar] = {}
     residues: dict[tuple, ExactScalar] = {}  # (atom, m, surd class) -> coefficient
@@ -235,7 +209,7 @@ def _low_orders(p: int, g: int, kernel_mode: str) -> dict[int, ExactScalar]:
     for base, a0, sym in _grade_terms(p, g, p - 1):
         for t in range(p - a0):
             taylor = Fraction((-1) ** t, factorial(t))
-            term = base * expansion_boundary_value(p, sym.c + t, kernel_mode) * p_scalar
+            term = base * phi_deriv_zero(p, sym.c + t) * p_scalar
             for atom, coeff in eng.reduce_single(1, sym.n + t, sym.b).items():
                 if atom[0] == "zdiv":
                     # scaleless int y^k dy: zero under the scaling
@@ -245,7 +219,7 @@ def _low_orders(p: int, g: int, kernel_mode: str) -> dict[int, ExactScalar]:
                     continue
                 scalar = term
                 if atom[0] == "sing":
-                    scalar = term * expansion_boundary_value(p, atom[1], kernel_mode)
+                    scalar = term * phi_deriv_zero(p, atom[1])
                 for shift, cf in poly_coeffs(coeff, allow_negative=True).items():
                     m = a0 + t + shift
                     if not 0 <= m < p or grade_monomial(p, g, m) is None:
@@ -266,9 +240,7 @@ def _low_orders(p: int, g: int, kernel_mode: str) -> dict[int, ExactScalar]:
     return {m: c for m, c in coeffs.items() if c.rational}
 
 
-def two_point_low_orders(
-    p: int, g: int, kernel_mode: str = REAL
-) -> dict[int, ExactScalar]:
+def two_point_low_orders(p: int, g: int) -> dict[int, ExactScalar]:
     """Grade coefficients of a^m for every m < p, via the small-a expansion.
 
     The second factor is expanded as
@@ -277,13 +249,14 @@ def two_point_low_orders(
     reduce without cycles.  Much cheaper than the exact route for large p,
     and only valid term by term in a, so only below a^p.
 
-    Returns {m: coefficient} for extractable m, cached once per
-    (p, g, kernel_mode) however the arguments are passed.  Irreducible
-    single-kernel integrals must cancel from extractable powers, class by
-    surd class (CancellationError else).
+    The route uses the real kernel (its rewrite constant and moments).
+    Returns {m: coefficient} for extractable m, cached once per (p, g)
+    however the arguments are passed.  Irreducible single-kernel integrals
+    must cancel from extractable powers, class by surd class
+    (CancellationError else).
     """
     _check_grade(p, g)
-    return dict(_low_orders(p, g, kernel_mode))
+    return dict(_low_orders(p, g))
 
 
 two_point_low_orders.cache_info = _low_orders.cache_info

@@ -1,10 +1,13 @@
-"""The traced benchmark's bindings: every pspin name that bench/tracing.py wraps or reads.
+"""The benchmark's bindings: every pspin name that bench/tracing.py wraps or
+reads, and every one that bench/ops.py imports or reads off a pspin module.
 
-``Tracer.install`` looks each target up by name and ``cache_counts`` reads
-``cache_info`` from the cached ones, so a rename or a changed return shape
-would otherwise surface only when a traced benchmark run dies.
+``Tracer.install`` looks each target up by name, ``cache_counts`` reads
+``cache_info`` from the cached ones and the op lists look functions up on
+their modules at call time, so a rename or a changed return shape would
+otherwise surface only when a benchmark run dies.
 """
 
+import ast
 import importlib
 import sys
 from collections import Counter
@@ -55,3 +58,25 @@ def test_grade_contributions_shape(tracing):
     tracing.COUNTERS["twopoint.grade_contributions"](counts, (3, 2), {}, result)
     assert counts["twopoint.contributions"] == len(result)
     assert counts["twopoint.distinct_symbols"] == len({sym for _, _, sym in result})
+
+
+def test_ops_pspin_names_resolve():
+    # every pspin name bench/ops.py imports or reads as <module>.<name> must exist
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "ops.py").read_text())
+    modules, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "pspin":
+            home = importlib.import_module(node.module)
+            for alias in node.names:
+                if node.module == "pspin":
+                    modules[alias.asname or alias.name] = importlib.import_module(
+                        f"pspin.{alias.name}")
+                elif not hasattr(home, alias.name):
+                    missing.append(f"{node.module}.{alias.name}")
+    assert modules
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id in modules]
+    assert reads
+    missing += [f"pspin.{node.value.id}.{node.attr}" for node in reads
+                if not hasattr(modules[node.value.id], node.attr)]
+    assert missing == []

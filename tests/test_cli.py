@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from pspin import golden
 from pspin.cli import main
 from pspin.correlators import one_point_table, two_point_table
+from pspin.moments import CancellationError
 
 
 def run(*argv):
@@ -64,6 +66,32 @@ class TestIntersect:
         assert lines[0] == "p,genus,m,j,num,den"
         assert any(line.endswith("1,864") for line in lines)
 
+    @pytest.mark.parametrize("p,genus,want", [
+        ("3", "1", "g=1 m=[1] j=[0] value=1/12\n"),
+        ("symbolic", "2", "g=1 m=[1] j=[0] value=(p - 1) / (24)\n"
+                          "g=2 m=[3] j=[2] value=(2*p^3 - 7*p^2 + 2*p + 3) / (5760*p)\n"),
+    ], ids=["numeric", "symbolic"])
+    def test_text_output(self, p, genus, want, tmp_path, monkeypatch, capsys):
+        # the file renders each value as stdout does
+        monkeypatch.setenv("PSPIN_OUTPUT_DIR", str(tmp_path))
+        assert run("intersect", "--p", p, "--genus", genus, "--points", "1",
+                   "--format", "text", "--output", "t.txt") == 0
+        assert (tmp_path / "t.txt").read_text() == want
+        out = capsys.readouterr().out
+        for line in want.splitlines():
+            assert f" = {line.split('value=')[1]}\n" in out
+
+    def test_golden_drift_exit_1(self, monkeypatch, capsys):
+        anchor = (2, ((0, 1), (4, 1)))
+        drifted = {3: {**golden.REFERENCE_TWO_POINT[3], anchor: Fraction(1, 865)}}
+        monkeypatch.setattr(golden, "REFERENCE_TWO_POINT", drifted)
+        assert run("intersect", "--p", "3", "--genus", "2", "--points", "2",
+                   "--golden") == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("golden drift: drift at g=2 marks=((0, 1), (4, 1)): "
+                                "expected 1/865, computed 1/864\n")
+        assert "reproduced" not in captured.out
+
     def test_byte_stable_output(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PSPIN_OUTPUT_DIR", str(tmp_path))
         run("intersect", "--p", "3", "--genus", "2", "--points", "2",
@@ -98,6 +126,16 @@ class TestVerify:
     def test_cancellation(self, capsys):
         assert run("verify", "cancellation", "--p", "3", "--genus", "3") == 0
         assert "clean" in capsys.readouterr().out
+
+    def test_cancellation_failure_exit_1(self, monkeypatch, capsys):
+        def residue(p, g, mode):
+            raise CancellationError("irreducible cross terms did not cancel: [0]", {})
+
+        monkeypatch.setattr("pspin.cli.two_point_grade", residue)
+        assert run("verify", "cancellation", "--p", "3", "--genus", "1") == 1
+        captured = capsys.readouterr()
+        assert "cancellation FAILED: irreducible cross terms" in captured.err
+        assert "clean" not in captured.out
 
     @pytest.mark.parametrize("p", ["0", "-3", "2"])
     def test_cancellation_bad_p_usage_error(self, p, capsys):

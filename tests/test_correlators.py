@@ -528,20 +528,26 @@ class TestSeriesShape:
         assert ratio == want
 
     def test_grade_ledger_reporting(self):
-        from pspin.twopoint import GradeLedger
-
-        ledgers: dict[int, object] = {}
-        two_point_series(3, 1, ledgers=ledgers)
-        ledger = ledgers[1]
-        assert isinstance(ledger, GradeLedger)
-        # the rewrite-constant sector is populated in real mode and every
-        # residue recorded there sits on a discarded grade
-        assert ledger.constant_sector
         from pspin.twopoint import grade_monomial
 
-        for poly in ledger.constant_sector.values():
+        # the rewrite-constant sector is populated in real mode and every
+        # residue there sits on a discarded grade
+        constants = two_point_grade(3, 1).constants
+        assert constants
+        for poly in constants.values():
             for m in poly:
                 assert grade_monomial(3, 1, m) is None
+
+    def test_boundary_on_discarded_grade_raises(self, monkeypatch):
+        # a boundary product on a discarded grade (a^3 at p=3, g=1) is a residue
+        from pspin.exact import ExactScalar
+        from pspin.moments import AssembledGrade, CancellationError
+
+        grade = AssembledGrade({(0, 0): {3: F(1)}}, {}, ExactScalar.one())
+        monkeypatch.setattr(twopoint, "two_point_grade", lambda p, g, mode: grade)
+        with pytest.raises(CancellationError, match="discarded grades") as exc:
+            two_point_series(3, 1)
+        assert exc.value.residues == {(0, 0): {3: F(1)}}
 
 
 class TestCrossRoute:
@@ -572,14 +578,15 @@ def test_two_point_grade_one_cache_entry_per_key():
 def test_small_a_grade_built_once_per_key():
     # asking every m < p costs one small-a build, not one per m
     p, g = 10, 2
+    twopoint._low_orders.cache_clear()  # other tests may have built this grade
     before = twopoint.two_point_low_orders.cache_info().misses
     for _ in range(2):
-        values = [two_point_low_value(p, g, m, CONTOUR) for m in range(p)]
-        twopoint.two_point_low_orders(p, g, kernel_mode=CONTOUR)
+        for m in range(p):
+            two_point_low_value(p, g, m)
+        twopoint.two_point_low_orders(p, g)
         assert twopoint.two_point_low_orders.cache_info().misses - before == 1
-    assert values == [two_point_low_value(p, g, m) for m in range(p)]  # modes agree
     with pytest.raises(UsageError):  # m = 11 is extractable, but beyond a^p
-        two_point_low_value(p, g, p + 1, CONTOUR)
+        two_point_low_value(p, g, p + 1)
 
 
 TWO_POINT_ROUTES = {

@@ -386,6 +386,12 @@ class TestBoundaryAtoms:
                 assert value == want, (i, j)
 
 
+@pytest.mark.parametrize("p", [F(7, 2), 3.0, 2], ids=["7_2", "3.0", "2"])
+def test_moment_symbol_refuses_bad_p(p):
+    with pytest.raises(UsageError, match="integer p >= 3"):
+        reduce_moment(MomentSymbol(1, 1, 0, p), F(0))
+
+
 ATOM_KINDS = {"bdry", "irr", "sing", "const", "omega", "zdiv"}
 
 
