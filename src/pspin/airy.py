@@ -13,8 +13,9 @@ Two kernel flavours are carried throughout:
   down here, so contour mode keeps the real-kernel moment values and differs
   from real mode only through the vanishing rewrite constant.
 
-Nothing here evaluates a kernel numerically: the quadrature oracle's Ai
-values come from ``oracle.ai_deriv``.
+Nothing here evaluates a kernel numerically: the quadrature oracle
+(``oracle.quad_moment``) evaluates Ai with its own ``_airy`` and ``_rewrite``
+helpers, and the tests check them through ``oracle.ai_deriv``.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from .exact import DomainError, UsageError
 from .moments import CancellationError
 from .oracle import McConfig, mc_trace_moments, oracle_report, quad_moment
 from .tautology import dilaton_check, selection_rule, string_check
-from .twopoint import REAL, two_point_grade
+from .twopoint import two_point_grade
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -80,7 +80,7 @@ def cmd_intersect(args) -> int:
     if args.genus < 0:
         raise UsageError("--genus must be >= 0")
     if args.points == 2:
-        entries = two_point_table(p, args.genus, args.kernel)
+        entries = two_point_table(p, args.genus)
     else:
         entries = one_point_table(p, args.genus)
     if args.golden:
@@ -117,13 +117,13 @@ def cmd_intersect(args) -> int:
 
 def _verify_insertion(args) -> tuple[bool, dict]:
     check = string_check if args.check == "string" else dilaton_check
-    report = check(two_point_table(args.p, args.genus, args.kernel), args.p)
+    report = check(two_point_table(args.p, args.genus), args.p)
     print(report.render())
     return report.all_passed, report.to_dict()
 
 
 def _verify_selection(args) -> tuple[bool, dict]:
-    table = two_point_table(args.p, args.genus, args.kernel)
+    table = two_point_table(args.p, args.genus)
     ok = all(selection_rule(args.p, e.genus, e.marks) for e in table)
     print(f"selection rule on {len(table)} entries: {'PASS' if ok else 'FAIL'}")
     return ok, {"entries": len(table), "pass": ok}
@@ -132,7 +132,7 @@ def _verify_selection(args) -> tuple[bool, dict]:
 def _verify_cancellation(args) -> tuple[bool, dict]:
     try:
         for g in range(1, args.genus + 1):
-            two_point_grade(args.p, g, args.kernel)
+            two_point_grade(args.p, g)
         print(
             f"cancellation ledger clean for p={args.p}, g<= {args.genus} "
             f"(irreducible cross terms vanish identically)"
@@ -272,7 +272,10 @@ def cmd_verify(args) -> int:
 def cmd_density(args) -> int:
     if args.central_charge is not None:
         k_prime = _rational(args.central_charge, "--central-charge must be a rational")
-        value = density_mod.central_charge_negative_branch(k_prime)
+        try:
+            value = density_mod.central_charge_negative_branch(k_prime)
+        except DomainError as exc:  # the formula's pole is a bad input, not a failure
+            raise UsageError(f"--central-charge: {exc}") from exc
         print(f"central charge at k'={args.central_charge}: {value}")
         return EXIT_OK
     if not (math.isfinite(args.e_min) and math.isfinite(args.e_max)):
@@ -320,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap_i.add_argument("--p", required=True, help="integer p, negative p, or 'symbolic'")
     ap_i.add_argument("--genus", type=int, required=True)
     ap_i.add_argument("--points", type=int, choices=(1, 2), default=2)
-    ap_i.add_argument("--kernel", choices=("real", "contour"), default=REAL)
     ap_i.add_argument("--format", choices=("json", "csv", "text"), default="json")
     ap_i.add_argument("--output", default=None)
     ap_i.add_argument("--golden", action="store_true",
@@ -331,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap_v.add_argument("check", choices=sorted(_VERIFY_DISPATCH))
     ap_v.add_argument("--p", type=int, default=3)
     ap_v.add_argument("--genus", type=int, default=2)
-    ap_v.add_argument("--kernel", choices=("real", "contour"), default=REAL)
     ap_v.add_argument("--a-values", type=float, nargs="+", default=[0.5, 0.8, 1.0])
     ap_v.add_argument("--tol", type=float, default=1e-6)
     ap_v.add_argument("--z", type=float, default=2.0)

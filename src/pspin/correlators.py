@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, e, exp, isfinite, log, log1p
 
+from .airy import REAL
 from .exact import DomainError, ExactScalar, LaurentP, UsageError
 from .onepoint import (
     admissible_one_point_label,
@@ -28,7 +29,7 @@ from .onepoint import (
     selection_rule,
 )
 from .oracle import NumericError, check_size
-from .twopoint import REAL, _check_grade, grade_monomial, two_point_low_orders, two_point_series
+from .twopoint import _check_grade, grade_monomial, two_point_low_orders, two_point_series
 
 
 class CalibrationError(ArithmeticError):

@@ -21,6 +21,7 @@ from math import factorial
 
 from .exact import DomainError, ExactScalar, LaurentP, UsageError
 from .numbers import bernoulli_abs, zeta_even_rational_part
+from .oracle import check_size, gauss_legendre
 
 
 def bernoulli_leading(g: int) -> Fraction:
@@ -112,8 +113,6 @@ def binet_check(z: float) -> tuple[float, float, float]:
     import mpmath
     import numpy as np
 
-    from .oracle import check_size, gauss_legendre
-
     lhs = float(mpmath.digamma(z))
     first = min(0.25, 1.0 / z)
     doublings = math.log2((40.0 / z + 40.0) / first)
@@ -143,6 +142,7 @@ class DensityConfig:
         if n < 3:
             # two points fit the two affine parameters exactly: nothing is compared
             raise UsageError("density grid needs at least 3 samples")
+        check_size(n)  # one digamma call per grid point
         step = (e_max - e_min) / (n - 1)
         return DensityConfig(tuple(e_min + i * step for i in range(n)))
 

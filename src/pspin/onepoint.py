@@ -60,21 +60,20 @@ class OnePointTerm:
     coefficient: LaurentP
 
 
-def one_point_series(g_max: int) -> list[OnePointTerm]:
-    """Exact genus coefficients for g = 1..g_max (symbolic in p)."""
-    if g_max > 16:
+def one_point_term(g: int) -> OnePointTerm:
+    """The genus-g term of the one-point expansion alone (symbolic in p)."""
+    if g > 16:
         # the tests check every g <= 16 by zeta(1-2g) at p=-1 and by the
         # Bernoulli leading term; g <= 16 takes 0.04-0.06 s in process
         # (2-vCPU Xeon, Python 3.11.7, five cold runs)
         raise UsageError("one-point expansion checked through genus 16")
-    out = []
-    p = LaurentP.var()
-    for g in range(1, g_max + 1):
-        coeff = genus_coefficient(g) / p**g
-        if g % 2:
-            coeff = -coeff
-        out.append(OnePointTerm(g, coeff))
-    return out
+    coeff = genus_coefficient(g) / LaurentP.var() ** g
+    return OnePointTerm(g, -coeff if g % 2 else coeff)
+
+
+def one_point_series(g_max: int) -> list[OnePointTerm]:
+    """Exact genus coefficients for g = 1..g_max (symbolic in p)."""
+    return [one_point_term(g) for g in range(1, g_max + 1)]
 
 
 def selection_rule(p, genus: int, marks) -> bool:
@@ -131,7 +130,8 @@ def gamma_ratio_at(p, g: int, j: int) -> Fraction:
 def one_point_value(p, g: int, j: int | None = None) -> Fraction:
     """Exact <tau_{n,j}>_g at fixed rational p (analytic continuation included).
 
-    With j omitted, the admissible spin label at integer p >= 2 is used.
+    With j omitted, the admissible spin label at integer p >= 2 is used; an
+    explicit j there must be a spin 0..p-2.
     """
     if g < 1:
         raise UsageError("genus must be >= 1")
@@ -144,5 +144,6 @@ def one_point_value(p, g: int, j: int | None = None) -> Fraction:
             # spin index would be p-1: the selection rule admits no entry
             return Fraction(0)
         _, j = lab
-    term = one_point_series(g)[g - 1]
-    return term.coefficient.eval(pf) * gamma_ratio_at(pf, g, j)
+    elif pf.denominator == 1 and pf >= 2 and not 0 <= j <= pf - 2:
+        raise UsageError(f"spin j={j} outside 0..{pf - 2} at p={pf}")
+    return one_point_term(g).coefficient.eval(pf) * gamma_ratio_at(pf, g, j)

@@ -26,8 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .airy import CONTOUR, REAL  # kernel modes re-exported
-from .airy import mode_constant, phi_deriv_zero
+from .airy import REAL, mode_constant, phi_deriv_zero
 from .exact import ExactScalar, LaurentP, Monomial, UsageError
 from .moments import (
     AssembledGrade,

@@ -1,5 +1,6 @@
 """The benchmark's bindings: every pspin name that bench/tracing.py wraps or
-reads, and every one that bench/ops.py imports or reads off a pspin module.
+reads, every one that bench/ops.py imports or reads off a pspin module, and
+every command line of bench/clicold.py.
 
 ``Tracer.install`` looks each target up by name, ``cache_counts`` reads
 ``cache_info`` from the cached ones and the op lists look functions up on
@@ -15,19 +16,24 @@ from pathlib import Path
 
 import pytest
 
+from pspin.cli import build_parser
 from pspin.exact import ExactScalar
 from pspin.moments import MomentSymbol
 from pspin.twopoint import grade_contributions
 
 
-@pytest.fixture(scope="module")
-def tracing():
+def _bench_module(name):
     bench = str(Path(__file__).resolve().parents[1] / "bench")
     sys.path.insert(0, bench)
     try:
-        return importlib.import_module("tracing")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(bench)
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _bench_module("tracing")
 
 
 def test_targets_resolve(tracing):
@@ -80,3 +86,13 @@ def test_ops_pspin_names_resolve():
     missing += [f"pspin.{node.value.id}.{node.attr}" for node in reads
                 if not hasattr(modules[node.value.id], node.attr)]
     assert missing == []
+
+
+def test_clicold_commands_parse():
+    # a removed or renamed option that a cli-cold command passes fails here
+    parser = build_parser()
+    commands = _bench_module("clicold").COMMANDS
+    assert commands
+    for cmd in commands:
+        args = parser.parse_args(cmd.argv)
+        assert args.command == cmd.argv[0], cmd.label

@@ -112,6 +112,15 @@ class TestIntersect:
         assert run("intersect", "--p", "symbolic", "--genus", "17", "--points", "1") == 2
         assert "computed" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [("intersect", "--p", "3", "--genus", "1"),
+                                         ("verify", "string")], ids=["intersect", "verify"])
+    def test_kernel_option_gone(self, command, capsys):
+        # every command uses the real kernel; the contour kernel is a library cross-check
+        with pytest.raises(SystemExit) as exc:
+            run(*command, "--kernel", "contour")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kernel contour" in capsys.readouterr().err
+
     def test_negative_genus_usage_error(self, capsys):
         for points in ("1", "2"):
             assert run("intersect", "--p", "3", "--genus", "-1", "--points", points) == 2
@@ -128,7 +137,7 @@ class TestVerify:
         assert "clean" in capsys.readouterr().out
 
     def test_cancellation_failure_exit_1(self, monkeypatch, capsys):
-        def residue(p, g, mode):
+        def residue(p, g):
             raise CancellationError("irreducible cross terms did not cancel: [0]", {})
 
         monkeypatch.setattr("pspin.cli.two_point_grade", residue)
@@ -279,8 +288,13 @@ class TestDensity:
             assert run("density", "--central-charge", raw) == 2, raw
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("usage error: --central-charge"), err
-        # the pole of 2 + 6/(k'-2) is a domain error, not a usage error
-        assert run("density", "--central-charge", "2") == 3
+
+    def test_central_charge_pole_usage_error(self, capsys):
+        # k' = 2 is the pole of 2 + 6/(k'-2): a bad input, not an internal error
+        assert run("density", "--central-charge", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --central-charge: central charge pole at k' = 2\n"
 
     def test_pole_usage_error(self):
         assert run("density", "--e-min", "0", "--e-max", "10", "--samples", "5") == 2
@@ -354,30 +368,34 @@ except SystemExit as exc:
 """
 
 _PROBES = {
-    # probe -> the numeric libraries it may load
-    "import": ("import pspin", []),
-    "help": (_CLI_PROBE.format(argv=["--help"]), []),
-    "intersect": (_CLI_PROBE.format(argv=["intersect", "--p", "3", "--genus", "2"]), []),
-    "airy-quad": (_CLI_PROBE.format(argv=["verify", "airy-quad"]), ["mpmath", "numpy"]),
-    "binet": (_CLI_PROBE.format(argv=["verify", "binet", "--z", "2"]), ["mpmath", "numpy"]),
+    # probe -> the numeric libraries it may load, and whether it runs the CLI
+    "import": ("import pspin", [], False),
+    "help": (_CLI_PROBE.format(argv=["--help"]), [], True),
+    "intersect": (_CLI_PROBE.format(argv=["intersect", "--p", "3", "--genus", "2"]), [], True),
+    "airy-quad": (_CLI_PROBE.format(argv=["verify", "airy-quad"]), ["mpmath", "numpy"], True),
+    "binet": (_CLI_PROBE.format(argv=["verify", "binet", "--z", "2"]), ["mpmath", "numpy"], True),
 }
 
 
-@pytest.mark.parametrize("probe, allowed", list(_PROBES.values()), ids=list(_PROBES))
-def test_sympy_stays_unimported(probe, allowed):
+@pytest.mark.parametrize("probe, allowed, cli", list(_PROBES.values()), ids=list(_PROBES))
+def test_sympy_stays_unimported(probe, allowed, cli):
     # the exact core carries its own coefficient types, the numeric libraries
     # load only inside the functions that use them, and scipy not at all
     script = probe + (
         "\nimport json, sys"
         "\nprint(json.dumps([sorted({'sympy', 'numpy', 'scipy', 'mpmath'} & set(sys.modules)),"
-        " 'pspin.oracle' in sys.modules and 'pspin.density' in sys.modules]))\n"
+        " sorted(m for m in sys.modules if m.startswith('pspin.'))]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    heavy, numeric_modules_loaded = json.loads(proc.stdout.splitlines()[-1])
+    heavy, submodules = json.loads(proc.stdout.splitlines()[-1])
     assert heavy == allowed
-    # the traced benchmark wraps the bindings of both modules once pspin.cli is imported
-    assert numeric_modules_loaded
+    if cli:
+        # the traced benchmark wraps the bindings of both modules once pspin.cli is imported
+        assert {"pspin.oracle", "pspin.density"} <= set(submodules)
+    else:
+        # a bare import loads no submodule: names are imported from their module
+        assert submodules == []
 
 
 def test_no_scipy_import_in_package():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from pspin import moments, twopoint
-from pspin.airy import mode_constant
+from pspin.airy import CONTOUR, REAL, mode_constant
 from pspin.correlators import (
     DegreeInsufficientError,
     FiniteNSource,
@@ -32,8 +32,6 @@ from pspin.moments import assemble_grade
 from pspin.oracle import NumericError
 from pspin.onepoint import genus_coefficient, one_point_series, one_point_value
 from pspin.twopoint import (
-    CONTOUR,
-    REAL,
     _side_terms,
     binomial_tail_coefficient,
     grade_contributions,
@@ -98,6 +96,17 @@ class TestOnePoint:
     def test_genus_below_one_raises(self, g):
         with pytest.raises(UsageError, match="genus must be >= 1"):
             one_point_value(3, g, 0)
+
+    @pytest.mark.parametrize("p, j", [(4, 6), (4, 3), (4, -1), (3, 2), (2, 1)])
+    def test_spin_outside_range_raises(self, p, j):
+        # at integer p >= 2 the spins are 0..p-2
+        with pytest.raises(UsageError, match=f"spin j={j} outside 0..{p - 2}"):
+            one_point_value(p, 2, j)
+
+    def test_continued_labels_keep_any_spin(self):
+        # negative and non-integer p have no spin range: j = 2 > p - 2 stays valid
+        assert one_point_value(-3, 2, 2) == F(1, 144)
+        assert one_point_value(F(7, 2), 2, 2) == F(1, 2016)
 
     def test_p2_is_witten_kdv(self):
         # p=2 labels are tau(3g-2, 0), valued 1/(24^g g!) (Witten's KdV case)

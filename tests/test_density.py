@@ -23,6 +23,7 @@ from pspin.density import (
 )
 from pspin.exact import DomainError, RatP
 from pspin.onepoint import one_point_series
+from pspin.oracle import NumericError
 
 P = RatP.var()
 C = RatP.const
@@ -176,6 +177,11 @@ class TestRho:
             for call in (rho_matrix, rho_blackhole, lambda e: DensityConfig((1.0, e))):
                 with pytest.raises(DomainError):
                     call(e)
+
+    def test_grid_past_size_cap_raises(self):
+        # checked before the n-tuple is built: one digamma call per grid point
+        with pytest.raises(NumericError, match="numeric rule needs"):
+            DensityConfig.linspace(5.0, 50.0, 2**20 + 1)
 
     def test_grid_evaluation(self):
         cfg = DensityConfig.linspace(5, 10, 6)
