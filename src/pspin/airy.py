@@ -55,7 +55,7 @@ def reduce_order_at_zero(p: int, k: int) -> tuple[int, int | None]:
     """
     if k < 0:
         raise DomainError("derivative order must be >= 0")
-    if p < 3:
+    if not isinstance(p, int) or p < 3:
         raise UsageError("derivative rewrite needs integer p >= 3")
     mult = 1
     while k >= p - 1:

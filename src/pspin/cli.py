@@ -29,7 +29,7 @@ from .correlators import (
     two_point_table,
 )
 from .exact import DomainError, UsageError
-from .moments import CancellationError
+from .moments import CancellationError, ReductionCycleError
 from .oracle import McConfig, mc_trace_moments, oracle_report, quad_moment
 from .tautology import dilaton_check, selection_rule, string_check
 from .twopoint import two_point_grade
@@ -298,14 +298,18 @@ def cmd_density(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads -5e-1 and -1/2 as negative numbers, not options.
+    """An ArgumentParser that reads -5e-1 and -1/2 as negative numbers, not options,
+    and takes no abbreviated option.
 
     argparse's own negative-number pattern has neither an exponent nor a
-    fraction; subparsers are built from the parent's class, so they inherit
-    this one.
+    fraction.  Abbreviations would make every unique prefix part of the
+    interface, so that adding or renaming an option changes what an old
+    prefix means.  Subparsers are built from the parent's class, so they
+    inherit both.
     """
 
     def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-\d+/\d+$"
@@ -363,7 +367,7 @@ def main(argv=None) -> int:
     except (UsageError,) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, CancellationError, ArithmeticError) as exc:
+    except (DomainError, CancellationError, ReductionCycleError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return code

@@ -318,6 +318,9 @@ class McConfig:
             raise UsageError("eigenvalues and s values must be finite")
         if not 0 <= self.rng_seed < 2**128:
             raise UsageError("seed must lie in [0, 2^128), the Philox key range")
+        # every sample draws two N x N normal matrices; cap both like any numeric rule
+        check_size(self.sample_count, unit="Monte Carlo samples")
+        check_size(2 * self.N * self.N)
 
 
 _DRAWS_PER_SAMPLE = 4096  # Philox counter stride per sample index

@@ -28,14 +28,7 @@ from math import factorial
 
 from .airy import REAL, mode_constant, phi_deriv_zero
 from .exact import ExactScalar, LaurentP, Monomial, UsageError
-from .moments import (
-    AssembledGrade,
-    CancellationError,
-    MomentSymbol,
-    _engine,
-    assemble_grade,
-    poly_coeffs,
-)
+from .moments import AssembledGrade, CancellationError, MomentSymbol, assemble_grade
 
 _ZERO = ExactScalar.zero()
 
@@ -200,42 +193,19 @@ def two_point_series(
 
 @lru_cache(maxsize=None)
 def _low_orders(p: int, g: int) -> dict[int, ExactScalar]:
-    eng = _engine(p, mode_constant(REAL))
     p_scalar = ExactScalar.from_fraction(p)
     coeffs: dict[int, ExactScalar] = {}
-    residues: dict[tuple, ExactScalar] = {}  # (atom, m, surd class) -> coefficient
-    # below a^p only the constant term 1 of each term's (1+a^p)^{l-1} survives
+    # below a^p only the constant term 1 of each term's (1+a^p)^{l-1} survives;
+    # a0 <= p-1 forces rho1 = 0, so D1 = 0 and a0 = l
     for base, a0, sym in _grade_terms(p, g, p - 1):
-        for t in range(p - a0):
-            taylor = Fraction((-1) ** t, factorial(t))
-            term = base * phi_deriv_zero(p, sym.c + t) * p_scalar
-            for atom, coeff in eng.reduce_single(1, sym.n + t, sym.b).items():
-                if atom[0] == "zdiv":
-                    # scaleless int y^k dy: zero under the scaling
-                    # regularization this route uses (the exact-in-a
-                    # route keeps them and confines them to the
-                    # discarded sectors; extractable output agrees)
-                    continue
-                scalar = term
-                if atom[0] == "sing":
-                    scalar = term * phi_deriv_zero(p, atom[1])
-                for shift, cf in poly_coeffs(coeff, allow_negative=True).items():
-                    m = a0 + t + shift
-                    if not 0 <= m < p or grade_monomial(p, g, m) is None:
-                        continue
-                    part = scalar.scale(taylor * cf)
-                    if atom[0] == "sing":
-                        coeffs[m] = coeffs.get(m, _ZERO) + part
-                    else:
-                        key = (atom, m, part.surd)
-                        residues[key] = residues.get(key, _ZERO) + part
-    leftover = {k: v for k, v in residues.items() if v.rational}
-    if leftover:
-        raise CancellationError(
-            f"irreducible single-kernel residue on extractable grades: "
-            f"{sorted(leftover, key=repr)}",
-            leftover,
-        )
+        for m in range(a0, p):
+            if grade_monomial(p, g, m) is None:
+                continue
+            t = m - a0
+            # int y^m phi(y) dy = (-1)^m (m-1)! phi^{(p-1-m)}(0) for 1 <= m <= p-1
+            scalar = base * phi_deriv_zero(p, sym.c + t) * p_scalar * phi_deriv_zero(p, p - 1 - m)
+            part = scalar.scale(Fraction((-1) ** (t + m) * factorial(m - 1), factorial(t)))
+            coeffs[m] = coeffs.get(m, _ZERO) + part
     return {m: c for m, c in coeffs.items() if c.rational}
 
 
@@ -243,16 +213,18 @@ def two_point_low_orders(p: int, g: int) -> dict[int, ExactScalar]:
     """Grade coefficients of a^m for every m < p, via the small-a expansion.
 
     The second factor is expanded as
-    phi^{(D2)}(-a x) = sum_t (-a)^t/t! phi^{(D2+t)}(0) x^t, which turns every
-    term into a single-kernel moment int x^{l+t} phi^{(D1)}(x) dx; those
-    reduce without cycles.  Much cheaper than the exact route for large p,
-    and only valid term by term in a, so only below a^p.
+    phi^{(D2)}(-a x) = sum_t (-a)^t/t! phi^{(D2+t)}(0) x^t.  Below a^p only
+    terms with rho1 = 0 survive, so D1 = 0 and a0 = l, and the term t leaves
+    int_0^inf y^m phi(y) dy with m = l + t in 1..p-1.  Through
+    y phi = phi^{(p-1)} - c0 and m-1 integrations by parts that integral is
+    (-1)^m (m-1)! phi^{(p-1-m)}(0) plus scaleless int y^k dy terms, which
+    vanish under the scaling regularization this route uses.  No irreducible
+    int phi dy arises (it would need m = 0 mod p), so the route needs neither
+    the rewrite engine nor a residue check.  Valid term by term in a, so
+    only below a^p, and much cheaper than the exact route for large p.
 
-    The route uses the real kernel (its rewrite constant and moments).
-    Returns {m: coefficient} for extractable m, cached once per (p, g)
-    however the arguments are passed.  Irreducible single-kernel integrals
-    must cancel from extractable powers, class by surd class
-    (CancellationError else).
+    The route uses the real kernel's moments.  Returns {m: coefficient} for
+    extractable m, cached once per (p, g) however the arguments are passed.
     """
     _check_grade(p, g)
     return dict(_low_orders(p, g))

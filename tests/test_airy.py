@@ -95,6 +95,14 @@ class TestOdeRewrite:
         with pytest.raises(UsageError):
             phi_deriv_zero(3, 0, "weird")
 
+    @pytest.mark.parametrize("p", [F(7, 2), 3.0])
+    def test_non_integer_p_refused(self, p):
+        # the rewrite ladder steps by p-1 orders, so only an integer p >= 3 ends on 0..p-2
+        with pytest.raises(UsageError, match="integer p >= 3"):
+            reduce_order_at_zero(p, 3)
+        with pytest.raises(UsageError, match="integer p >= 3"):
+            phi_deriv_zero(p, 1)
+
 
 class TestPhiEval:
     """phi at p = 3 in contour mode is Ai, evaluated by oracle.ai_deriv."""

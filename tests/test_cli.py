@@ -14,7 +14,7 @@ import pytest
 from pspin import golden
 from pspin.cli import main
 from pspin.correlators import one_point_table, two_point_table
-from pspin.moments import CancellationError
+from pspin.moments import CancellationError, ReductionCycleError
 
 
 def run(*argv):
@@ -126,6 +126,17 @@ class TestIntersect:
             assert run("intersect", "--p", "3", "--genus", "-1", "--points", points) == 2
         assert "computed" not in capsys.readouterr().out
 
+    def test_zero_p_usage_error(self, capsys):
+        assert run("intersect", "--p", "0", "--genus", "1") == 2
+        assert capsys.readouterr().err == "usage error: --p must be nonzero\n"
+
+    def test_abbreviated_option_refused(self, capsys):
+        # a unique prefix is not the option: --gold does not run as --golden
+        with pytest.raises(SystemExit) as exc:
+            run("intersect", "--p", "3", "--genus", "2", "--gold")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --gold" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_string_pass(self, capsys):
@@ -145,6 +156,15 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "cancellation FAILED: irreducible cross terms" in captured.err
         assert "clean" not in captured.out
+
+    def test_reduction_cycle_exit_3(self, monkeypatch, capsys):
+        # a degenerate ring or an oversized closure is an internal error, not a failed check
+        def degenerate(p, g):
+            raise ReductionCycleError("closure from ('M', 1, 0, 0) exceeds bound")
+
+        monkeypatch.setattr("pspin.cli.two_point_grade", degenerate)
+        assert run("verify", "cancellation", "--p", "3", "--genus", "1") == 3
+        assert capsys.readouterr().err == "error: closure from ('M', 1, 0, 0) exceeds bound\n"
 
     @pytest.mark.parametrize("p", ["0", "-3", "2"])
     def test_cancellation_bad_p_usage_error(self, p, capsys):
@@ -169,6 +189,14 @@ class TestVerify:
     def test_mc_too_few_samples_usage_error(self):
         for samples in ("1", "0", "-5"):
             assert run("verify", "mc", "--samples", samples) == 2, samples
+
+    def test_mc_past_sample_cap_exit_3(self, monkeypatch, capsys):
+        def no_sampling(cfg):
+            raise AssertionError("sampling ran before the cap was checked")
+
+        monkeypatch.setattr("pspin.cli.mc_trace_moments", no_sampling)
+        assert run("verify", "mc", "--samples", str(2**20 + 1)) == 3
+        assert "Monte Carlo samples (cap 1048576)" in capsys.readouterr().err
 
     def test_mc_zero_stderr_is_no_pass(self, monkeypatch, capsys):
         # a zero spread away from the exact value is a failure, not |z| = 0

@@ -558,6 +558,17 @@ class TestSeriesShape:
             two_point_series(3, 1)
         assert exc.value.residues == {(0, 0): {3: F(1)}}
 
+    def test_constant_on_extractable_grade_raises(self, monkeypatch):
+        # a rewrite-constant residue on an extractable grade (a^1 at p=3, g=1)
+        from pspin.exact import ExactScalar
+        from pspin.moments import AssembledGrade, CancellationError
+
+        grade = AssembledGrade({}, {("sing", 0): {1: F(1)}}, ExactScalar.one())
+        monkeypatch.setattr(twopoint, "two_point_grade", lambda p, g, mode: grade)
+        with pytest.raises(CancellationError, match=r"extractable grades.*\('sing', 0\)") as exc:
+            two_point_series(3, 1)
+        assert exc.value.residues == {("sing", 0): {1: F(1)}}
+
 
 class TestCrossRoute:
     @pytest.mark.parametrize("p,g", [(6, 2), (7, 2), (8, 2)])

@@ -237,6 +237,19 @@ class TestAssembleGrade:
             assemble_grade([(ExactScalar.one(), 0, sym)], F(0))
         assert exc.value.residues
 
+    @pytest.mark.parametrize("contributions, message", [
+        ([], "empty grade"),
+        ([(ES.one(), 0, MomentSymbol(0, 2, 0, 3)), (ES.one(), 0, MomentSymbol(0, 2, 0, 4))],
+         "mixed p"),
+        ([(ES.one(), 0, MomentSymbol(0, 2, 0, 3)), (ES.pi(1), 0, MomentSymbol(0, 1, 0, 3))],
+         "not proportional"),
+    ], ids=["empty", "mixed-p", "not-proportional"])
+    def test_combine_refuses_malformed_grade(self, contributions, message):
+        from pspin.moments import combine_contributions
+
+        with pytest.raises(UsageError, match=message):
+            combine_contributions(contributions)
+
     def test_constant_sector_confined(self):
         # rewrite-constant leftovers live only on integer-exponent grades
         from pspin.twopoint import grade_monomial
@@ -456,3 +469,17 @@ def test_every_cycle_is_a_ring(p):
                     product = product * coeff
                 assert node == head, (engine, c0, comp)
                 assert product == closing[engine], (engine, c0, comp)
+
+
+@pytest.mark.parametrize("p", range(3, 13))
+def test_single_kernel_moment_closed_form(p):
+    """int y^m phi(y) dy = (-1)^m (m-1)! phi^{(p-1-m)}(0) + scaleless terms, 1 <= m <= p-1.
+
+    The small-a two-point route uses this closed form in place of the engine.
+    """
+    from math import factorial
+
+    engine = MomentEngine(p, F(1))
+    for m in range(1, p):
+        got = {atom: c for atom, c in engine.reduce_single(1, m, 0).items() if atom[0] != "zdiv"}
+        assert got == {("sing", p - 1 - m): CycloA.var(p, 0) * ((-1) ** m * factorial(m - 1))}, m

@@ -166,6 +166,15 @@ class TestMonteCarlo:
             with pytest.raises(UsageError):
                 McConfig(2, (0.5, -0.5), (0.3,), sample_count=count)
 
+    def test_size_caps(self):
+        # both caps are checked when the config is built, before any sampling
+        McConfig(4, (1.0, -1.0, 2.0, -2.0), (0.3,), sample_count=2**20)
+        with pytest.raises(NumericError, match="Monte Carlo samples"):
+            McConfig(4, (1.0, -1.0, 2.0, -2.0), (0.3,), sample_count=2**20 + 1)
+        McConfig(724, (0.0,) * 724, (0.3,), sample_count=2)  # 2 N^2 = 1048352
+        with pytest.raises(NumericError, match="array entries"):
+            McConfig(725, (0.0,) * 725, (0.3,), sample_count=2)  # 2 N^2 = 1051250
+
     def test_n_below_one_rejected(self):
         # N = 0 used to pass and end in a ZeroDivisionError in the chunk rule
         for n in (0, -1):
