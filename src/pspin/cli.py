@@ -148,6 +148,14 @@ def _check_tol(tol: float) -> None:
         raise UsageError(f"--tol must be positive, got {tol}")
 
 
+# (n, b, c) of the p=3 product moments that ``verify airy-quad`` checks
+_AIRY_QUAD_SYMBOLS = (
+    (5, 0, 0), (1, 2, 0), (1, 0, 2), (1, 1, 1), (3, 1, 0), (3, 0, 1),
+    (7, 0, 0), (5, 1, 0), (5, 0, 1), (3, 1, 1), (3, 2, 0), (3, 0, 2),
+    (1, 3, 0), (1, 0, 3), (1, 2, 1), (1, 1, 2), (0, 2, 0), (0, 1, 1),
+)
+
+
 def _verify_airy_quad(args) -> tuple[bool, dict]:
     from .airy import phi_deriv_zero
     from .moments import MomentSymbol, reduce_moment, reduction_numeric
@@ -160,16 +168,11 @@ def _verify_airy_quad(args) -> tuple[bool, dict]:
         0: float(phi_deriv_zero(3, 0, "contour").numeric(30)),
         1: float(phi_deriv_zero(3, 1, "contour").numeric(30)),
     }
-    symbols = [
-        (5, 0, 0), (1, 2, 0), (1, 0, 2), (1, 1, 1), (3, 1, 0), (3, 0, 1),
-        (7, 0, 0), (5, 1, 0), (5, 0, 1), (3, 1, 1), (3, 2, 0), (3, 0, 2),
-        (1, 3, 0), (1, 0, 3), (1, 2, 1), (1, 1, 2), (0, 2, 0), (0, 1, 1),
-    ]
     reports = []
     ok = True
     for a in args.a_values:
         irr = {c: quad_moment(0, 0, c, a) for c in (0, 1)}
-        for (n, b, c) in symbols:
+        for (n, b, c) in _AIRY_QUAD_SYMBOLS:
             red = reduce_moment(MomentSymbol(n, b, c, 3), ode_constant=Fraction(0))
             rhs = reduction_numeric(red, a, bvals, irr)
             lhs = quad_moment(n, b, c, a)
@@ -331,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap_i.add_argument("--output", default=None)
     ap_i.add_argument("--golden", action="store_true",
                       help="compare against the bundled reference tables")
-    ap_i.set_defaults(func=cmd_intersect)
+    ap_i.set_defaults(func=cmd_intersect, parser=ap_i)
 
     ap_v = sub.add_parser("verify", help="run verification checks")
     ap_v.add_argument("check", choices=sorted(_VERIFY_DISPATCH))
@@ -346,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap_v.add_argument("--samples", type=int, default=100_000)
     ap_v.add_argument("--seed", type=int, default=20121220)
     ap_v.add_argument("--output", default=None)
-    ap_v.set_defaults(func=cmd_verify)
+    ap_v.set_defaults(func=cmd_verify, parser=ap_v)
 
     ap_d = sub.add_parser("density", help="density of states and coset comparison")
     ap_d.add_argument("--e-min", type=float, default=5.0)
@@ -355,13 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap_d.add_argument("--central-charge", default=None,
                       help="evaluate the continued central charge at k' and exit")
     ap_d.add_argument("--output", default=None)
-    ap_d.set_defaults(func=cmd_density)
+    ap_d.set_defaults(func=cmd_density, parser=ap_d)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # the subcommand reports them, with its own usage line (exit 2)
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         code = args.func(args)
     except (UsageError,) as exc:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .exact import DomainError, ExactScalar, LaurentP, UsageError
@@ -147,12 +146,11 @@ class DensityConfig:
         return DensityConfig(tuple(e_min + i * step for i in range(n)))
 
 
-@lru_cache(maxsize=None)
-def _re_psi_imag_axis(e: float, dps: int = 30) -> float:
-    """Re psi(iE); cached, as the density comparison needs it twice per point."""
+def _re_psi_imag_axis(e: float) -> float:
+    """Re psi(iE), evaluated at 30 digits."""
     import mpmath
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(30):
         return float(mpmath.re(mpmath.digamma(mpmath.mpc(0, e))))
 
 
@@ -202,12 +200,14 @@ def blackhole_density_compare(cfg: DensityConfig) -> AffineFitReport:
     defines the simplified coset density (half-shift terms dropped), i.e.
     against d/dE Im log Gamma(iE) - pi/2; the explicit -1/(2E) pole term is
     itself a dropped half-term and is reported separately: keeping it adds a
-    genuine O(1/E) non-affine deviation (max_residual_full).
+    genuine O(1/E) non-affine deviation (max_residual_full).  One Re psi(iE)
+    per point feeds all three, as in rho_blackhole and rho_matrix.
     """
-    xs = [rho_blackhole(e) for e in cfg.e_grid]
+    psis = [_re_psi_imag_axis(e) for e in cfg.e_grid]
+    xs = [-(2.0 / math.pi) * psi for psi in psis]
     # read Re psi(iE) - pi/2 directly: adding 1/(2E) back onto rho_matrix
     # cancels catastrophically at small E
-    ys = [_re_psi_imag_axis(e) - math.pi / 2.0 for e in cfg.e_grid]
+    ys = [psi - math.pi / 2.0 for psi in psis]
     n = len(xs)
     sx, sy = sum(xs), sum(ys)
     sxx = sum(x * x for x in xs)
@@ -220,11 +220,11 @@ def blackhole_density_compare(cfg: DensityConfig) -> AffineFitReport:
     rows = []
     max_res = 0.0
     max_res_full = 0.0
-    for (e, rho), x, y in zip(rho_density(cfg), xs, ys):
+    for e, psi, x, y in zip(cfg.e_grid, psis, xs, ys):
         fit = alpha * x + beta
         res = y - fit
         max_res = max(max_res, abs(res))
-        max_res_full = max(max_res_full, abs(rho - fit))
+        max_res_full = max(max_res_full, abs(psi - math.pi / 2.0 - 1.0 / (2.0 * e) - fit))
         rows.append((e, y, x, res))
     # a subnormal E overflows the pole term 1/(2E)
     values = [alpha, beta, max_res_full] + [v for row in rows for v in row[1:]]

@@ -472,12 +472,12 @@ class LaurentP:
 RatP = LaurentP  # former name of the p-valued type, kept for importers
 
 
-def _cancel_cyclo(num: dict[int, int], p: int, limit: float) -> tuple[dict[int, int], int]:
+def _cancel_cyclo(num: dict[int, int], p: int, limit: int) -> tuple[dict[int, int], int]:
     """(num / (1+a^p)^i, i) for the largest i <= limit that divides num exactly.
 
-    num holds integer coefficients; 1 + a^p is monic, so the quotients stay
-    integral, and by Gauss's lemma they keep the content of num.
-    """
+    The limit is always m, the denominator power of the ``CycloA`` being
+    built.  1 + a^p is monic, so quotients of num's integer coefficients stay
+    integral, and by Gauss's lemma they keep the content of num."""
     i = 0
     while i < limit and len(num) > 1:  # a monomial is never divisible
         rem, quo = dict(num), {}
@@ -505,9 +505,11 @@ class CycloA:
     and divide by 1 + a^p, the only cycle denominator, so their coefficients
     live in Q[a, 1/a, 1/(1+a^p)] for the p of the engine.  N is a Laurent
     polynomial in a.  The form is canonical (N is not divisible by 1 + a^p
-    when m > 0), so equality is structural and addition and multiplication
-    need no gcd, only a trial division by 1 + a^p.  Operands built for
-    different p raise UsageError.
+    when m > 0), so equality is structural.  The engine multiplies only by
+    monomials c a^j (``times_monomial``), coprime to 1 + a^p, so on its path
+    only addition and ``times_cyclo(k < 0)`` trial-divide by 1 + a^p (the
+    general product, notation for the tests, does too).  There is no general
+    inverse, and operands built for different p raise UsageError.
     """
 
     __slots__ = ("p", "num", "m")
@@ -552,24 +554,18 @@ class CycloA:
     def __sub__(self, other: "CycloA") -> "CycloA":
         return self + (-other)
 
+    def times_monomial(self, c, j: int = 0) -> "CycloA":
+        """self * c a^j for an int or Fraction c: N shifted and scaled, m kept."""
+        nums = {e + j: n * c.numerator for e, n in self.num.nums.items()} if c else {}
+        num = LaurentP._reduced(nums, self.num.den * c.denominator)
+        return CycloA._canonical(self.p, num, self.m)
+
     def __mul__(self, other) -> "CycloA":
         if not isinstance(other, CycloA):
-            return CycloA._canonical(self.p, self.num.scale(other), self.m)
+            return self.times_monomial(Fraction(other))
         return CycloA(self.p, self._over(self.m, other) * other.num, self.m + other.m)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "CycloA":
-        """1/self; DomainError unless self = c * a^j * (1+a^p)^i with c != 0."""
-        num, i = _cancel_cyclo(self.num.nums, self.p, math.inf)
-        if len(num) != 1:
-            raise DomainError(f"{self} is not c*a^j*(1+a^{self.p})^i; its inverse leaves the ring")
-        ((j, c),) = num.items()  # self = c/den * a^j * (1+a^p)^(i - m)
-        inv = LaurentP._reduced({-j: self.num.den if c > 0 else -self.num.den}, abs(c))
-        k = self.m - i
-        if k > 0:
-            return CycloA._canonical(self.p, inv * _cyclo_power(self.p, k), 0)
-        return CycloA._canonical(self.p, inv, -k)
 
     def times_cyclo(self, k: int) -> "CycloA":
         """self * (1+a^p)^k, shifting the denominator power instead of dividing."""
@@ -579,14 +575,9 @@ class CycloA:
             return CycloA._canonical(self.p, self.num, self.m - k)
         return CycloA._canonical(self.p, self.num * _cyclo_power(self.p, k - self.m), 0)
 
-    def __truediv__(self, other) -> "CycloA":
-        if not isinstance(other, CycloA):
-            return self * (1 / Fraction(other))
-        return self * other.inverse()
-
     def __pow__(self, k: int) -> "CycloA":
         if k < 0:
-            return self.inverse() ** -k
+            raise UsageError("CycloA has no general inverse; use CycloA.var or times_cyclo")
         out = CycloA.var(self.p, 0)
         for _ in range(k):
             out = out * self

@@ -13,13 +13,14 @@ terms at infinity set to zero by regularization) reduces every such symbol to
 * rewrite-constant leftovers (single-factor integrals), tracked separately.
 
 The graph of product symbols has cycles, and solving them is what produces
-the characteristic (1 + a^p) denominators.  Each cycle is a ring of p+1
-symbols, each linking once into it, whose link coefficients multiply to -a^p.
-One pass of Tarjan's SCC algorithm builds the graph as it walks it (every
-other part of a rewrite step is resolved at once) and solves each ring
-exactly, by walking it once, as soon as the pass closes it.  Every
-coefficient is a ``CycloA``, N(a)/(1+a^p)^m; a component that is not a
-ring, or whose pivot is not c a^j (1+a^p)^i, raises ReductionCycleError.
+the characteristic (1 + a^p) denominators.  Every multiplier a rule applies
+is a monomial c a^j, carried as the pair (c, j); every stored coefficient is
+a ``CycloA``, N(a)/(1+a^p)^m.  Each cycle is a ring of p+1 symbols, each
+linking once into it, whose links must multiply to -a^p (-a^-p when
+mirrored).  One pass of Tarjan's SCC algorithm builds the graph as it walks
+it (every other part of a rewrite step is resolved at once) and solves each
+ring exactly, by walking it once, as soon as the pass closes it; any other
+component raises ReductionCycleError.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from .exact import CycloA, DomainError, ExactScalar, UsageError
 
 Atom = tuple
 Node = tuple
-Links = list[tuple[CycloA, Node]]
+Mono = tuple[Fraction, int]  # (c, j) stands for the multiplier c a^j
+Links = list[tuple[Mono, Node]]
 
 
 class ReductionCycleError(RuntimeError):
@@ -74,19 +76,20 @@ class MomentSymbol:
             raise UsageError("moment symbol needs integer p >= 3")
 
 
-def _vec_add(dst: dict, src: dict, scale) -> None:
+def _vec_add(dst: dict, src: dict, mono: Mono) -> None:
+    c, j = mono  # dst += c a^j src; entries that cancel are removed
     for k, v in src.items():
         cur = dst.get(k)
-        nv = v * scale if cur is None else cur + v * scale
+        nv = v.times_monomial(c, j) if cur is None else cur + v.times_monomial(c, j)
         if nv:
             dst[k] = nv
         elif cur is not None:
             del dst[k]
 
 
-def _scaled(src: dict, scale) -> dict:
+def _scaled(src: dict, mono: Mono) -> dict:
     out: dict = {}
-    _vec_add(out, src, scale)
+    _vec_add(out, src, mono)
     return out
 
 
@@ -102,8 +105,6 @@ class MomentEngine:
         self.p = p
         self.c0 = Fraction(ode_constant)
         self._one = CycloA.var(p, 0)
-        self._a = CycloA.var(p)
-        self._inv_a = CycloA.var(p, -1)
         self._memo: dict[Node, dict[Atom, CycloA]] = {}
         self._s_memo: dict[Node, dict[Atom, CycloA]] = {}
 
@@ -118,23 +119,22 @@ class MomentEngine:
         hit = self._s_memo.get(key)
         if hit is not None:
             return hit
-        p, c0, one, inv_a = self.p, self.c0, self._one, self._inv_a
+        p, c0, one = self.p, self.c0, self._one
         out: dict[Atom, CycloA] = {}
         if d >= 1:
             if n == 0:
-                out[("sing", d - 1)] = -one if side == 1 else inv_a
+                out[("sing", d - 1)] = CycloA(p, {0: -1} if side == 1 else {-1: 1})
             else:
                 prev = self.reduce_single(side, n - 1, d - 1)
-                _vec_add(out, prev, one * -n if side == 1 else inv_a * n)
+                _vec_add(out, prev, (-n, 0) if side == 1 else (n, -1))
         elif n >= 1:
             # y phi = phi^{(p-1)} - c0 (side 1); y phi(-ay) = -(phi^{(p-1)}(-ay) - c0)/a
             prev = self.reduce_single(side, n - 1, p - 1)
-            _vec_add(out, prev, one if side == 1 else -inv_a)
+            _vec_add(out, prev, (1, 0) if side == 1 else (-1, -1))
             if c0:
-                zc = one * -c0 if side == 1 else inv_a * c0
-                _vec_add(out, {("zdiv", n - 1): zc}, one)
+                _vec_add(out, {("zdiv", n - 1): one}, (-c0, 0) if side == 1 else (c0, -1))
         else:
-            out[("omega",)] = one if side == 1 else inv_a
+            out[("omega",)] = CycloA.var(p, 0 if side == 1 else -1)
         self._s_memo[key] = out
         return out
 
@@ -143,34 +143,34 @@ class MomentEngine:
     def rule(self, node: Node) -> tuple[Links, dict[Atom, CycloA]]:
         """One rewrite step: (links, rhs).
 
-        links are the (CycloA coefficient, ('M', n, b, c)) pairs that stay in
-        the rewrite graph; rhs is the step's already-resolved atom vector
-        (single-factor reductions, boundary products and T_c atoms), a fresh
-        dict on every call.
+        links are the ((c, j), ('M', n, b, c)) pairs that stay in the rewrite
+        graph, each coefficient the monomial c a^j; rhs is the step's
+        already-resolved atom vector (single-factor reductions, boundary
+        products and T_c atoms), a fresh dict on every call.
         """
         _, n, b, c = node
-        p, c0, one, a = self.p, self.c0, self._one, self._a
+        p, c0 = self.p, self.c0
         if b >= p:  # derivative rewrite, side 1 (k >= 1)
             k = b - (p - 1)
-            return [(one * k, ("M", n, k - 1, c)), (one, ("M", n + 1, k, c))], {}
+            return [((k, 0), ("M", n, k - 1, c)), ((1, 0), ("M", n + 1, k, c))], {}
         if c >= p:  # derivative rewrite, side 2 (k >= 1)
             k = c - (p - 1)
-            return [(one * k, ("M", n, b, k - 1)), (-a, ("M", n + 1, b, k))], {}
+            return [((k, 0), ("M", n, b, k - 1)), ((-1, 1), ("M", n + 1, b, k))], {}
         if c == p - 1 and b == 0:
             # phi^{(p-1)}(-ay) = -a y phi(-ay) + c0
-            rhs = _scaled(self.reduce_single(1, n, 0), one * c0) if c0 else {}
-            return [(-a, ("M", n + 1, 0, 0))], rhs
+            rhs = _scaled(self.reduce_single(1, n, 0), (c0, 0)) if c0 else {}
+            return [((-1, 1), ("M", n + 1, 0, 0))], rhs
         if b >= 1:  # integrate the side-1 factor by parts
             if n == 0:
-                links, rhs = [], _scaled(self._bdry_vector(b - 1, c), -one)
+                links, rhs = [], _scaled(self._bdry_vector(b - 1, c), (-1, 0))
             else:
-                links, rhs = [(one * -n, ("M", n - 1, b - 1, c))], {}
-            links.append((a, ("M", n, b - 1, c + 1)))
+                links, rhs = [((-n, 0), ("M", n - 1, b - 1, c))], {}
+            links.append(((1, 1), ("M", n, b - 1, c + 1)))
             return links, rhs
         if n >= 1:  # b == 0: raise through y phi = phi^{(p-1)} - c0
-            rhs = _scaled(self.reduce_single(2, n - 1, c), one * -c0) if c0 else {}
-            return [(one, ("M", n - 1, p - 1, c))], rhs
-        return [], {("irr", c): one}
+            rhs = _scaled(self.reduce_single(2, n - 1, c), (-c0, 0)) if c0 else {}
+            return [((1, 0), ("M", n - 1, p - 1, c))], rhs
+        return [], {("irr", c): self._one}
 
     # -- closure + SCC solve ---------------------------------------------------
 
@@ -191,14 +191,14 @@ class MomentEngine:
         """
         mi, oi = reduce_order_at_zero(self.p, i)
         mj, oj = reduce_order_at_zero(self.p, j)
-        scale = self._one * (mi * mj)
+        scale = Fraction(mi * mj)
         orders = sorted(o for o in (oi, oj) if o is not None)
         if len(orders) == 2:
-            return {("bdry", *orders): scale}
+            return {("bdry", *orders): self._one.times_monomial(scale)}
         if not self.c0:
             return {}
-        scale = scale * self.c0 ** (2 - len(orders))
-        return {("sing", *orders) if orders else ("const",): scale}
+        scale *= self.c0 ** (2 - len(orders))
+        return {("sing", *orders) if orders else ("const",): self._one.times_monomial(scale)}
 
     def _reduce_node(self, root: Node) -> dict[Atom, CycloA]:
         """Tarjan's SCC pass over the unreduced product symbols reachable from root.
@@ -253,11 +253,11 @@ class MomentEngine:
         A lone symbol keeps its rhs.  A cycle must be a ring, each member
         linking once into it: X_i = r_i + c_i X_{i+1}, closing at the head X_0.
         One walk gives X_0 (1 - c_0...c_{k-1}) = sum_i c_0...c_{i-1} r_i, and
-        the other members follow backwards.  A second link into the component,
-        or a pivot 1 - c_0...c_{k-1} outside c a^j (1+a^p)^i (zero included),
-        raises ReductionCycleError.
+        the other members follow backwards.  Closing at -a^p (-a^-p) gives the
+        pivot 1 + a^p (a^-p (1 + a^p)).  A second link into the component, or
+        any other closing, raises ReductionCycleError.
         """
-        ring: dict[Node, tuple[CycloA, Node]] = {}
+        ring: dict[Node, tuple[Mono, Node]] = {}
         for node in comp:
             links, rhs = edges[node]
             for coeff, nxt in links:
@@ -273,17 +273,17 @@ class MomentEngine:
             return
         walk: list[Node] = []
         total: dict[Atom, CycloA] = {}
-        prod, node = self._one, head
+        c, j, node = 1, 0, head
         for _ in comp:
             walk.append(node)
-            _vec_add(total, edges[node][1], prod)
-            coeff, node = ring[node]
-            prod = prod * coeff
-        try:
-            inv = (self._one - prod).inverse()
-        except DomainError as exc:
-            raise ReductionCycleError(f"degenerate cycle through {head}: {exc}") from exc
-        self._memo[head] = _scaled(total, inv)
+            _vec_add(total, edges[node][1], (c, j))
+            (ci, ji), node = ring[node]
+            c, j = c * ci, j + ji
+        if (c, abs(j)) != (-1, self.p):
+            pivot = self._one - CycloA(self.p, {j: c})
+            raise ReductionCycleError(f"degenerate cycle through {head}: pivot {pivot}")
+        shift = self.p if j < 0 else 0
+        self._memo[head] = {k: v.times_monomial(1, shift).times_cyclo(-1) for k, v in total.items()}
         for node in reversed(walk[1:]):
             coeff, nxt = ring[node]
             rhs = edges[node][1]
@@ -370,9 +370,9 @@ def combine_contributions(
     hyperbolic sine order n.  The weights a^k * (scalar / unit) are summed
     per symbol, so every distinct symbol is reduced once; each coefficient
     of its vector takes (1+a^p)^{n-1} as a shift of its denominator power
-    (``CycloA.times_cyclo``) and is scaled once by the summed weight.  A
-    symbol whose weights sum to zero is still reduced, so a degenerate
-    rewrite cycle raises ReductionCycleError either way.
+    (``CycloA.times_cyclo``), and the vector is scaled by each monomial
+    ratio * a^k of the summed weight.  A symbol whose weights sum to zero is
+    still reduced, so a degenerate rewrite cycle raises ReductionCycleError.
 
     Every irreducible cross-term coefficient must cancel identically as a
     rational function of a; a nonzero residue raises CancellationError with
@@ -392,8 +392,10 @@ def combine_contributions(
         w[a_pow] = w.get(a_pow, Fraction(0)) + ratio
     acc: dict[Atom, CycloA] = {}
     for sym, w in weights.items():
-        vec = reduce_moment(sym, ode_constant).items()
-        _vec_add(acc, {atom: c.times_cyclo(sym.n - 1) for atom, c in vec}, CycloA(sym.p, w))
+        vec = reduce_moment(sym, ode_constant)
+        vec = {atom: c.times_cyclo(sym.n - 1) for atom, c in vec.items()}
+        for a_pow, ratio in w.items():
+            _vec_add(acc, vec, (ratio, a_pow))
     residues = {rest[0]: coeff for (kind, *rest), coeff in acc.items() if kind == "irr"}
     if residues:
         raise CancellationError(

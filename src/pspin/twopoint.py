@@ -154,9 +154,11 @@ def two_point_series(
     CancellationError (this is a verified property, not an assumption).
     """
     _check_p(p)
+    # cost bound (in process, 2 vCPUs): genus 2 took 0.38/1.6/3.2 s at p=50/100/150, and
+    # genus 1 0.42/1.7/7.9 s at p=100/200/400; the small-a route has no bound
+    if p > 100:
+        raise UsageError("exact-in-a route supports p <= 100")
     if g_max > 3 or (g_max > 2 and p > 3):
-        # cost bound: genus 3 exact-in-a only at p=3; larger p goes through
-        # the small-a route (two_point_low_orders)
         raise UsageError("exact-in-a route supports g<=3 at p=3, g<=2 for p>=4")
     series: dict[int, dict[int, ExactScalar]] = {}
     p_scalar = ExactScalar.from_fraction(p)  # sqrt(p) per kernel factor

@@ -19,27 +19,27 @@ class MirrorEngine(MomentEngine):
 
     def rule(self, node):
         _, n, b, c = node
-        p, c0, one, inv_a = self.p, self.c0, self._one, self._inv_a
+        p, c0 = self.p, self.c0
         if b >= p or c >= p:
             return super().rule(node)
         if b == p - 1 and c == 0:
             # phi^{(p-1)}(y) = y phi(y) + c0
-            rhs = _scaled(self.reduce_single(2, n, 0), one * c0) if c0 else {}
-            return [(one, ("M", n + 1, 0, 0))], rhs
+            rhs = _scaled(self.reduce_single(2, n, 0), (c0, 0)) if c0 else {}
+            return [((1, 0), ("M", n + 1, 0, 0))], rhs
         if c >= 1:  # integrate the side-2 factor by parts
             if n == 0:
-                links, rhs = [], _scaled(self._bdry_vector(b, c - 1), inv_a)
+                links, rhs = [], _scaled(self._bdry_vector(b, c - 1), (1, -1))
             else:
-                links, rhs = [(inv_a * n, ("M", n - 1, b, c - 1))], {}
-            links.append((inv_a, ("M", n, b + 1, c - 1)))
+                links, rhs = [((n, -1), ("M", n - 1, b, c - 1))], {}
+            links.append(((1, -1), ("M", n, b + 1, c - 1)))
             return links, rhs
         if n >= 1:  # c == 0: raise through y phi(-ay) = -(phi^{(p-1)}(-ay) - c0)/a
-            rhs = _scaled(self.reduce_single(1, n - 1, b), inv_a * c0) if c0 else {}
-            return [(-inv_a, ("M", n - 1, b, p - 1))], rhs
+            rhs = _scaled(self.reduce_single(1, n - 1, b), (c0, -1)) if c0 else {}
+            return [((-1, -1), ("M", n - 1, b, p - 1))], rhs
         if b >= 1:
             # normalize mirror irreducibles M(0,b,0) into the library's T basis
             return [], dict(reduce_moment(MomentSymbol(0, b, 0, p), c0))
-        return [], {("irr", 0): one}
+        return [], {("irr", 0): self._one}
 
 
 @lru_cache(maxsize=None)

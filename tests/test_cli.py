@@ -130,6 +130,22 @@ class TestIntersect:
         assert run("intersect", "--p", "0", "--genus", "1") == 2
         assert capsys.readouterr().err == "usage error: --p must be nonzero\n"
 
+    def test_p_past_exact_route_bound_exit_2(self, capsys):
+        assert run("intersect", "--p", "101", "--genus", "1") == 2
+        assert capsys.readouterr().err == "usage error: exact-in-a route supports p <= 100\n"
+
+    @pytest.mark.parametrize("argv, unknown", [
+        (("intersect", "--p", "3", "--genus", "2", "--gold"), "--gold"),
+        (("verify", "string", "--bogus", "1"), "--bogus 1"),
+    ], ids=["intersect", "verify"])
+    def test_unknown_option_shows_subcommand_usage(self, argv, unknown, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: pspin {argv[0]} ")
+        assert err.endswith(f"pspin {argv[0]}: error: unrecognized arguments: {unknown}\n")
+
     def test_abbreviated_option_refused(self, capsys):
         # a unique prefix is not the option: --gold does not run as --golden
         with pytest.raises(SystemExit) as exc:

@@ -36,6 +36,7 @@ from pspin.twopoint import (
     binomial_tail_coefficient,
     grade_contributions,
     two_point_grade,
+    two_point_low_orders,
     two_point_series,
 )
 from reference import mirror_reduce, zeta_one_minus_2g
@@ -500,6 +501,12 @@ class TestSpotValues:
     def test_exact_route_cost_guard(self):
         with pytest.raises(UsageError):
             two_point_table(4, 3)
+
+    def test_exact_route_p_bound(self):
+        # refused before any grade is built; the small-a route has no p bound
+        with pytest.raises(UsageError, match="p <= 100"):
+            two_point_series(101, 1)
+        assert two_point_low_orders(101, 1)
 
     def test_reduction_render_golden(self):
         from pspin.moments import MomentSymbol, reduce_moment

@@ -216,13 +216,10 @@ class TestBlackholeComparison:
             blackhole_density_compare(DensityConfig.linspace(1e-320, 1.0, 5))
 
     def test_one_digamma_per_grid_point(self, monkeypatch):
-        # rho_matrix and rho_blackhole share Re psi(iE): one evaluation per point
-        from pspin import density
-
+        # the fit's three densities share Re psi(iE): one evaluation per point
         calls = []
         digamma = mpmath.digamma
         monkeypatch.setattr(mpmath, "digamma", lambda z: calls.append(z) or digamma(z))
-        density._re_psi_imag_axis.cache_clear()
         blackhole_density_compare(DensityConfig.linspace(6.5, 65.0, 37))
         assert len(calls) == 37
 

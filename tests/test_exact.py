@@ -260,13 +260,6 @@ class RefCyclo:
             return RefCyclo(self.p, self.num.scale(other), self.m)
         return RefCyclo(self.p, self.num * other.num, self.m + other.m)
 
-    def inverse(self):
-        num, i = _ref_cancel(self.num.coeffs, self.p, math.inf)
-        if len(num) != 1:
-            raise DomainError("inverse leaves the ring")
-        ((j, c),) = num.items()
-        return RefCyclo(self.p, RefCyclo(self.p, {-j: 1 / c})._over(self.m), i)
-
     def __pow__(self, k):
         out = RefCyclo(self.p, {0: 1})
         for _ in range(k):
@@ -369,21 +362,15 @@ def test_cyclo_matches_reference(p, args1, args2, c, a, n):
     _same_cyclo(x1 * x2, r1 * r2)
     _same_cyclo(x1 * c, r1 * c)
     _same_cyclo(x1 ** n, r1 ** n)
-    new_inv, ref_inv = _outcome(x1.inverse), _outcome(r1.inverse)
-    if isinstance(ref_inv, RefCyclo):
-        _same_cyclo(new_inv, ref_inv)
-    else:
-        assert new_inv is ref_inv
     assert _outcome(lambda: x1.eval(a)) == _outcome(lambda: r1.eval(a))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(3, 7), nonzero, st.integers(-4, 4), st.integers(0, 3), st.integers(0, 3))
-def test_cyclo_inverse_matches_reference(p, c, j, i, m):
-    # c a^j (1+a^p)^i / (1+a^p)^m: exactly the invertible elements
-    x, r = _cyclo_pair(p, {j: c}, i, m)
-    _same_cyclo(x.inverse(), r.inverse())
-    assert x * x.inverse() == CycloA.var(p, 0)
+@given(st.integers(3, 7), cyclo_args, fractions, st.integers(-4, 4))
+def test_times_monomial_matches_reference(p, args, c, j):
+    # the engine's only product: a shifted, scaled numerator over the same (1+a^p)^m
+    x, r = _cyclo_pair(p, *args)
+    _same_cyclo(x.times_monomial(c, j), r * RefCyclo(p, {j: c}))
 
 
 @settings(max_examples=100, deadline=None)
@@ -399,26 +386,19 @@ def test_cyclo_equal_values_equal_objects(p, args1, args2, c):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(3, 7), cyclo_args, st.integers(-2, 4))
 def test_times_cyclo_matches_multiplication(p, args, k):
-    # the denominator shift equals plain multiplication by (1+a^p)^k
+    # the denominator shift equals plain multiplication by (1+a^p)^k, or for
+    # k < 0 the constructor's form over (1+a^p)^(m-k)
     x, _ = _cyclo_pair(p, *args)
-    want = x * CycloA(p, {0: 1, p: 1}) ** k
+    want = x * CycloA(p, {0: 1, p: 1}) ** k if k >= 0 else CycloA(p, x.num, x.m - k)
     got = x.times_cyclo(k)
     assert got == want and hash(got) == hash(want)
     assert (got.num.nums, got.num.den, got.m) == (want.num.nums, want.num.den, want.m)
 
 
-class TestCycloPower:
-    def test_negative_power_is_inverse(self):
-        a = CycloA.var(3)
-        assert a ** -1 == CycloA.var(3, -1)
-        assert str(a ** -1) == "1/a"
-        x = CycloA(3, {1: 2, 4: 2}, 3)  # 2a / (1+a^3)^2
-        assert x ** -2 == (x * x).inverse()
-        assert x ** -2 * x ** 2 == CycloA.var(3, 0)
-
-    def test_negative_power_outside_ring_raises(self):
-        with pytest.raises(DomainError):
-            CycloA(3, {1: 1, 0: 2}) ** -1
+def test_cyclo_negative_power_refused():
+    # CycloA has no general inverse: a^-1 is spelled CycloA.var(p, -1)
+    with pytest.raises(UsageError, match="no general inverse"):
+        CycloA.var(3) ** -1
 
 
 class TestRepr:

@@ -1,6 +1,7 @@
 """Moment reduction: fixtures, confluence, linearity, cancellation, numerics."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -46,14 +47,14 @@ def M(n, b, c, p=3, c0=0, mirror=False):
 class TestClosedForms:
     def test_k1(self):
         # int phi'' phi(-ay) = -(1+a)/(1+a^3) phi(0) phi'(0)
-        assert M(0, 2, 0) == {("bdry", 0, 1): -(one + a) / (one + a**3)}
+        assert M(0, 2, 0) == {("bdry", 0, 1): (-(one + a)).times_cyclo(-1)}
 
     def test_k2_and_ibp_relation(self):
         # int phi' phi'(-ay) = (a^2-1)/(1+a^3) phi(0) phi'(0),
         # consistent with K1 = -phi(0)phi'(0) + a K2 (one integration by parts)
         k1 = M(0, 2, 0)[("bdry", 0, 1)]
         k2 = M(0, 1, 1)[("bdry", 0, 1)]
-        assert k2 == (a**2 - one) / (one + a**3)
+        assert k2 == (a**2 - one).times_cyclo(-1)
         assert k1 == -one + a * k2
 
     def test_k2_vanishes_at_unit_ratio(self):
@@ -65,25 +66,28 @@ class TestClosedForms:
     def test_i2_identity(self):
         # (1+a^3) I2 = phi(0)^2 - 2a T with T = int phi(y) phi'(-ay) dy
         assert M(1, 2, 0) == {
-            ("bdry", 0, 0): one / (one + a**3),
-            ("irr", 1): -2 * a / (one + a**3),
+            ("bdry", 0, 0): one.times_cyclo(-1),
+            ("irr", 1): (-2 * a).times_cyclo(-1),
         }
 
     def test_i2_ode_prestep(self):
         # substituting the rewrite directly: int y phi'' phi(-ay) = int y^2 phi phi(-ay)
         assert vec(M(1, 2, 0)) == vec(M(2, 0, 0))
 
-    def test_non_conforming_pivot_raises(self):
-        # a forced cycle X = a X has pivot 1 - a, which is not c a^j (1+a^p)^i
+    @pytest.mark.parametrize("closing, pivot", [
+        ((1, 1), "-a + 1"), ((1, 3), "-a**3 + 1"), ((-2, 3), "2*a**3 + 1"),
+    ], ids=["a", "a^p", "-2a^p"])
+    def test_non_conforming_pivot_raises(self, closing, pivot):
+        # a forced cycle X = c a^j X has pivot 1 - c a^j; a ring must close at -a^p
         from pspin import moments
 
         loop = ("M", 2, 1, 1)
 
         class LoopEngine(moments.MomentEngine):
             def rule(self, node):
-                return ([(a, loop)], {}) if node == loop else super().rule(node)
+                return ([(closing, loop)], {}) if node == loop else super().rule(node)
 
-        with pytest.raises(moments.ReductionCycleError):
+        with pytest.raises(moments.ReductionCycleError, match=f"pivot {re.escape(pivot)}$"):
             LoopEngine(3, F(0)).reduce(MomentSymbol(2, 1, 1, 3))
 
     def test_second_link_into_cycle_raises(self):
@@ -96,9 +100,9 @@ class TestClosedForms:
         class TwoLinkEngine(moments.MomentEngine):
             def rule(self, node):
                 if node == x:
-                    return [(-(a**3), x), (one, y)], {("irr", 0): one}
+                    return [((-1, 3), x), ((1, 0), y)], {("irr", 0): one}
                 if node == y:
-                    return [(a**3, x)], {("irr", 1): one}
+                    return [((1, 3), x)], {("irr", 1): one}
                 return super().rule(node)
 
         with pytest.raises(moments.ReductionCycleError, match="links twice"):
@@ -143,8 +147,8 @@ class TestGenus3Relations:
 
     def test_j10(self, J):
         want = self.add(
-            self.scaled(J["K1"], 2 * a**3 / (one + a**3)),
-            self.scaled(J["K2"], -(a**3) / (one + a**3)),
+            self.scaled(J["K1"], (2 * a**3).times_cyclo(-1)),
+            self.scaled(J["K2"], (-(a**3)).times_cyclo(-1)),
         )
         assert J[10] == want
 
@@ -153,29 +157,29 @@ class TestGenus3Relations:
 
     def test_j8_closed_form(self, J):
         L = {("bdry", 0, 1): one}
-        coeff = (a**3 + 2 * a**4 - 2 * a**6 - a**7) / (one + a**3) ** 2
+        coeff = (a**3 + 2 * a**4 - 2 * a**6 - a**7).times_cyclo(-2)
         assert J[8] == self.scaled(L, coeff)
 
     def test_j7_j6_j5(self, J):
-        assert J[7] == self.scaled(J[8], one / a**3)
-        assert J[6] == self.scaled(J[7], 6 * a**3 / (one + a**3))
-        assert J[5] == self.scaled(J[6], -one / a**3)
+        assert J[7] == self.scaled(J[8], CycloA.var(3, -3))
+        assert J[6] == self.scaled(J[7], (6 * a**3).times_cyclo(-1))
+        assert J[5] == self.scaled(J[6], -CycloA.var(3, -3))
 
     def test_j4(self, J):
         assert J[4] == self.add(self.scaled(J[5], a**3), self.scaled(J[9], -3 * one))
 
     def test_j123(self, J):
         assert J[1] == self.add(
-            self.scaled(J[5], 30 * one / (one + a**3)),
-            self.scaled(J[3], 12 * one / (one + a**3)),
+            self.scaled(J[5], (30 * one).times_cyclo(-1)),
+            self.scaled(J[3], (12 * one).times_cyclo(-1)),
         )
         assert J[2] == self.add(
-            self.scaled(J[5], -5 * one / (one + a**3)),
-            self.scaled(J[4], 4 * one / (one + a**3)),
+            self.scaled(J[5], (-5 * one).times_cyclo(-1)),
+            self.scaled(J[4], (4 * one).times_cyclo(-1)),
         )
         assert J[3] == self.add(
-            self.scaled(J[5], -5 * a**3 / (one + a**3)),
-            self.scaled(J[4], -4 * one / (one + a**3)),
+            self.scaled(J[5], (-5 * a**3).times_cyclo(-1)),
+            self.scaled(J[4], (-4 * one).times_cyclo(-1)),
         )
 
 
@@ -225,7 +229,7 @@ class TestAssembleGrade:
         sym = MomentSymbol(0, 2, 0, 3)
         acc, unit = combine_contributions([(ExactScalar.one(), 0, sym)], F(0))
         # a contribution with no irreducible part passes through, times (1+a^3)^(n-1)
-        assert acc == {("bdry", 0, 1): -(one + a) / (one + a**3) ** 2}
+        assert acc == {("bdry", 0, 1): (-(one + a)).times_cyclo(-2)}
         assert unit == ExactScalar.one()
 
     def test_t_residue_raises(self):
@@ -320,7 +324,7 @@ class TestGroupedCombine:
         for scalar, a_pow, sym in contributions:
             ratio = scalar.proportional_ratio(unit)
             sinh = (CycloA.var(sym.p, 0) + CycloA.var(sym.p, sym.p)) ** (sym.n - 1)
-            weight = CycloA.var(sym.p) ** a_pow * ratio.numerator / ratio.denominator * sinh
+            weight = CycloA.var(sym.p) ** a_pow * ratio * sinh
             for atom, coeff in M(sym.n, sym.b, sym.c, sym.p, c0).items():
                 acc[atom] = acc.get(atom, CycloA(sym.p)) + coeff * weight
         return {atom: coeff for atom, coeff in acc.items() if coeff}
@@ -367,7 +371,7 @@ class TestGroupedCombine:
         class LoopEngine(moments.MomentEngine):
             def rule(self, node):
                 # X = X: the cycle's linear system is singular
-                return ([(one, loop)], {}) if node == loop else super().rule(node)
+                return ([((1, 0), loop)], {}) if node == loop else super().rule(node)
 
         engine = LoopEngine(3, F(0))
         monkeypatch.setattr(moments, "_engine", lambda p, c0: engine)
@@ -410,7 +414,8 @@ ATOM_KINDS = {"bdry", "irr", "sing", "const", "omega", "zdiv"}
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6])
 def test_rule_links_are_product_symbols(p):
-    """Over the closure of the genus-2 grade symbols, rule links only ('M', n, b, c) nodes."""
+    """Over the closure of the genus-2 grade symbols, rule links only ('M', n, b, c)
+    nodes, each with a monomial coefficient c a^j given as the pair (c, j)."""
     roots = {("M", sym.n, sym.b, sym.c) for _, _, sym in grade_contributions(p, 2)}
     for engine in (MomentEngine, MirrorEngine):
         for c0 in (0, 1):
@@ -422,8 +427,9 @@ def test_rule_links_are_product_symbols(p):
                     continue
                 seen.add(node)
                 links, rhs = eng.rule(node)
-                for _, nxt in links:
+                for (c, j), nxt in links:
                     assert nxt[0] == "M" and len(nxt) == 4, (engine, c0, node, nxt)
+                    assert isinstance(c, (int, F)) and c and isinstance(j, int), (node, c, j)
                     stack.append(nxt)
                 assert {atom[0] for atom in rhs} <= ATOM_KINDS, (engine, c0, node)
 
@@ -432,12 +438,12 @@ def test_rule_links_are_product_symbols(p):
 def test_every_cycle_is_a_ring(p):
     """Each component the solver receives is a lone symbol or a ring of p+1 symbols.
 
-    Every ring member links once into it, and the link coefficients multiply
+    Every ring member links once into it, and the link monomials multiply
     to -a^p (library orientation) or -a^-p (mirrored), so the ring's pivot is
     1 + a^{+-p}.
     """
     g_max = 4 if p == 3 else 2
-    closing = {MomentEngine: -CycloA.var(p, p), MirrorEngine: -CycloA.var(p, -p)}
+    closing = {MomentEngine: (-1, p), MirrorEngine: (-1, -p)}
 
     components = []  # each one as {member: its links into the component}
 
@@ -462,11 +468,11 @@ def test_every_cycle_is_a_ring(p):
             for comp in rings:
                 assert len(comp) == p + 1, (engine, c0, comp)
                 assert all(len(links) == 1 for links in comp.values()), (engine, c0, comp)
-                product, head = CycloA.var(p, 0), next(iter(comp))
+                product, head = (1, 0), next(iter(comp))
                 node = head
                 for _ in comp:
-                    coeff, node = comp[node][0]
-                    product = product * coeff
+                    (c, j), node = comp[node][0]
+                    product = (product[0] * c, product[1] + j)
                 assert node == head, (engine, c0, comp)
                 assert product == closing[engine], (engine, c0, comp)
 
@@ -483,3 +489,26 @@ def test_single_kernel_moment_closed_form(p):
     for m in range(1, p):
         got = {atom: c for atom, c in engine.reduce_single(1, m, 0).items() if atom[0] != "zdiv"}
         assert got == {("sing", p - 1 - m): CycloA.var(p, 0) * ((-1) ** m * factorial(m - 1))}, m
+
+
+def test_library_path_has_no_general_product(monkeypatch):
+    """Grade assembly and the airy-quad reductions never multiply two CycloA values.
+
+    Every engine multiplier is a monomial c a^j (``CycloA.times_monomial``);
+    a general product would bring back a trial division per step.
+    """
+    from pspin import moments, twopoint
+    from pspin.cli import _AIRY_QUAD_SYMBOLS
+
+    def refuse(self, other):
+        raise AssertionError(f"general CycloA product on the library path: {self} * {other}")
+
+    monkeypatch.setattr(CycloA, "__mul__", refuse)
+    monkeypatch.setattr(CycloA, "__rmul__", refuse)
+    moments._engine.cache_clear()
+    twopoint._assembled_grade.cache_clear()
+    for p, g in [(3, 4), (4, 3), (5, 2)]:
+        for mode in (REAL, CONTOUR):
+            two_point_grade(p, g, mode)
+    for n, b, c in _AIRY_QUAD_SYMBOLS:
+        reduce_moment(MomentSymbol(n, b, c, 3), F(0))
