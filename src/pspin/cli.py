@@ -32,7 +32,7 @@ from .exact import DomainError, UsageError
 from .moments import CancellationError, ReductionCycleError
 from .oracle import McConfig, mc_trace_moments, oracle_report, quad_moment
 from .tautology import dilaton_check, selection_rule, string_check
-from .twopoint import two_point_grade
+from .twopoint import check_exact_route, two_point_grade
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -130,6 +130,7 @@ def _verify_selection(args) -> tuple[bool, dict]:
 
 
 def _verify_cancellation(args) -> tuple[bool, dict]:
+    check_exact_route(args.p, args.genus)  # the grades of the tables it vouches for
     try:
         for g in range(1, args.genus + 1):
             two_point_grade(args.p, g)

@@ -7,7 +7,9 @@ into an intersection number by
 
 where the sign tracks the contour phase per genus unit and kappa_n is one
 constant per marked-point count, fixed by a single anchor value and then
-frozen; every other table entry must follow with no further freedom.
+frozen; every other table entry must follow with no further freedom.  The
+two-point routes (``twopoint``) apply everything but kappa_2 term by term
+and return rationals; this module only multiplies by kappa_n.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import lru_cache
 from math import ceil, e, exp, isfinite, log, log1p
 
 from .airy import REAL
-from .exact import DomainError, ExactScalar, LaurentP, UsageError
+from .exact import DomainError, LaurentP, UsageError
 from .onepoint import (
     admissible_one_point_label,
     one_point_series,
@@ -29,11 +31,13 @@ from .onepoint import (
     selection_rule,
 )
 from .oracle import NumericError, check_size
-from .twopoint import _check_grade, grade_monomial, two_point_low_orders, two_point_series
-
-
-class CalibrationError(ArithmeticError):
-    """A normalized coefficient failed to reduce to a pure rational."""
+from .twopoint import (
+    CalibrationError,
+    _check_grade,
+    grade_monomial,
+    two_point_low_orders,
+    two_point_series,
+)
 
 
 @dataclass(frozen=True)
@@ -50,11 +54,6 @@ class TauCorrelator:
 
     def key(self) -> tuple:
         return (self.genus, self.marks)
-
-
-def spin_factor(p: int, j: int) -> ExactScalar:
-    """Gamma(1 - (1+j)/p), the spin factor of one marked point."""
-    return ExactScalar.gamma(1 - Fraction(1 + j, p))
 
 
 @lru_cache(maxsize=None)
@@ -75,40 +74,22 @@ def calibration_constant(npoints: int) -> Fraction:
             raise CalibrationError(f"one-point calibration is not constant: {coefficient}")
         return kappa
     if npoints == 2:
-        coeff = two_point_series(3, 2, REAL)[2][2]  # a^2 grade: (0,1),(4,1)
-        return Fraction(1, 864) / _normalize(coeff, 3, 2, 2)
+        return Fraction(1, 864) / two_point_series(3, 2, REAL)[2][2]  # a^2: (0,1),(4,1)
     raise UsageError("calibration defined for 1 or 2 marked points")
 
 
-def _normalize(coeff: ExactScalar, p: int, g: int, m: int) -> Fraction:
-    """(-1)^g coeff / (p^g prod spin factors) at the a^m grade; must be rational.
+def extract_intersections(p: int, series: dict[int, dict[int, Fraction]]) -> list[TauCorrelator]:
+    """Intersection numbers from a two-point series {g: {m: <tau tau>_g / kappa_2}}.
 
-    The spins are those of the grade's monomial; every route turns a grade
-    coefficient into an intersection number through here (times kappa_2).
-    """
-    out = coeff
-    for j in grade_monomial(p, g, m).spins():
-        out = out / spin_factor(p, j)
-    out = out.scale(Fraction((-1) ** g, p**g))
-    if not out.is_rational:
-        raise CalibrationError(
-            f"non-rational residue after normalization: {out.render()}"
-        )
-    return out.as_fraction()
-
-
-def extract_intersections(p: int, series: dict[int, dict[int, ExactScalar]]) -> list[TauCorrelator]:
-    """Intersection numbers from a two-point expansion {g: {m: coefficient}}.
-
-    Divides by the spin factors, applies (-1)^g/p^g and the calibrated
-    constant, and checks the selection rule on every nonzero entry.  Entries
-    come in genus order, then by the a-power m.
+    Multiplies by the calibrated constant, labels each nonzero entry by its
+    grade's monomial and checks the selection rule on it.  Entries come in
+    genus order, then by the a-power m.
     """
     kappa = calibration_constant(2)
     out: list[TauCorrelator] = []
     for g in sorted(series):
         for m in sorted(series[g]):
-            value = kappa * _normalize(series[g][m], p, g, m)
+            value = kappa * series[g][m]
             if value == 0:
                 continue
             marks = tuple((k, f - 1) for k, f in grade_monomial(p, g, m).slots)
@@ -134,10 +115,7 @@ def two_point_low_value(p: int, g: int, m: int) -> Fraction | None:
         return None
     if m >= p:
         raise UsageError("small-a route restricted to a-powers below a^p")
-    coeffs = two_point_low_orders(p, g)
-    if m not in coeffs:
-        return Fraction(0)
-    return calibration_constant(2) * _normalize(coeffs[m], p, g, m)
+    return calibration_constant(2) * two_point_low_orders(p, g).get(m, 0)
 
 
 # p = -3: the labels admissible on the positive-p side of each genus family

@@ -14,14 +14,18 @@ with exact ``Fraction`` arithmetic everywhere.  Canonicalization rules:
 * Radicals are stored as prime -> exponent with exponents in (0, 1), so
   4^(1/4) and 2^(1/2) normalize identically.
 
-Equal canonical forms mean equal values, but not the converse:
-Gamma(1/3) Gamma(2/3) and 2 pi / sqrt(3) are two forms of one value.  The
-engine never needs such an identity, because the spin factors cancel the
-Gamma tokens of the kernel moments symbol by symbol.  Where one would be
-needed the engine fails loudly, never silently: ``+`` of non-proportional
-forms raises UsageError, the extraction's normalization raises
-CalibrationError and the small-a residues raise CancellationError.  The
-numeric value is preserved by construction (tested against an mpmath oracle).
+``ExactScalar`` is a monomial in these tokens: it multiplies, scales and
+compares, and has no sum, difference or quotient.  Equal canonical forms
+mean equal values, but not the converse: Gamma(1/3) Gamma(2/3) and
+2 pi / sqrt(3) are two forms of one value.  The engine never needs such an
+identity, because the spin factors cancel the Gamma tokens of the boundary
+values pair by pair, before anything is summed.  Where one would be needed
+the engine fails loudly, never silently: a grade scalar not proportional to
+its grade's unit raises UsageError (``combine_contributions``), an
+irrational leftover of the two-point normalization raises CalibrationError
+(``twopoint._pair_weight``), and a cross term or residue that does not
+cancel raises CancellationError.  The numeric value is preserved by
+construction (tested against an mpmath oracle).
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class ExactScalar:
-    """Canonical exact coefficient. Immutable; safe to share."""
+    """Canonical exact monomial: a product of tokens, no sums. Immutable; safe to share."""
 
     rational: Fraction = Fraction(0)
     pi_pow: int = 0
@@ -160,28 +164,6 @@ class ExactScalar:
         factor, pi_pow, radical, gammas = _surd_product(self.surd, other.surd)
         return ExactScalar(rat * factor, pi_pow, radical, gammas)
 
-    def __pow__(self, k: int) -> "ExactScalar":
-        if k == 0:
-            return ExactScalar.one()
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
-
-    def inverse(self) -> "ExactScalar":
-        if self.rational == 0:
-            raise ZeroDivisionError("inverse of zero ExactScalar")
-        factor, pi_pow, radical, gammas = _surd_product(_ONE_SURD, self.surd, inverse=True)
-        return ExactScalar(factor / self.rational, pi_pow, radical, gammas)
-
-    def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
-        return self * other.inverse()
-
-    def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.rational, self.pi_pow, self.radical, self.gammas)
-
     def scale(self, r) -> "ExactScalar":
         r = Fraction(r)
         if r == 0:
@@ -202,33 +184,11 @@ class ExactScalar:
             return Fraction(0)
         return None
 
-    def __add__(self, other: "ExactScalar") -> "ExactScalar":
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        if other.rational == 0:
-            return self
-        if self.rational == 0:
-            return other
-        ratio = self.proportional_ratio(other)
-        if ratio is None:
-            raise UsageError(
-                f"cannot add non-proportional exact scalars {self} and {other}"
-            )
-        return other.scale(ratio + 1)
-
-    def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        return self + (-other)
-
     # -- predicates / conversions --------------------------------------------
 
     @property
     def is_rational(self) -> bool:
         return self.pi_pow == 0 and not self.radical and not self.gammas
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise UsageError(f"{self} is not a pure rational")
-        return self.rational
 
     def numeric(self, prec: int = 50):
         """High-precision numeric value via mpmath."""
@@ -288,12 +248,9 @@ def _norm_radical(rad: dict[int, Fraction]) -> tuple[Fraction, tuple[tuple[int, 
     return mult, tuple(sorted(out.items()))
 
 
-_ONE_SURD = (0, (), ())
-
-
 @lru_cache(maxsize=1 << 14)
-def _surd_product(x: tuple, y: tuple, inverse: bool = False) -> tuple:
-    """Canonical irrational part of x * y (x / y with ``inverse``).
+def _surd_product(x: tuple, y: tuple) -> tuple:
+    """Canonical irrational part of x * y.
 
     x and y are irrational parts (pi_pow, radical, gammas).  Returns
     (rational factor, pi_pow, radical, gammas), where the factor collects
@@ -301,16 +258,15 @@ def _surd_product(x: tuple, y: tuple, inverse: bool = False) -> tuple:
     irrational parts only, so every product of two scalars from the same two
     surd classes shares one entry, and the product is rat_x * rat_y * factor.
     """
-    sign = -1 if inverse else 1
     rad: dict[int, Fraction] = dict(x[1])
     for prime, e in y[1]:
-        rad[prime] = rad.get(prime, Fraction(0)) + sign * e
+        rad[prime] = rad.get(prime, Fraction(0)) + e
     factor, radical = _norm_radical(rad)
     gam: dict[Fraction, int] = dict(x[2])
     for q, m in y[2]:
-        gam[q] = gam.get(q, 0) + sign * m
+        gam[q] = gam.get(q, 0) + m
     gammas = tuple(sorted((q, m) for q, m in gam.items() if m != 0))
-    return factor, x[0] + sign * y[0], radical, gammas
+    return factor, x[0] + y[0], radical, gammas
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +425,7 @@ class LaurentP:
         return f"LaurentP({self})"
 
 
-RatP = LaurentP  # former name of the p-valued type, kept for importers
+RatP = LaurentP  # former name of the p-valued type; bench/ops.py still imports it
 
 
 def _cancel_cyclo(num: dict[int, int], p: int, limit: int) -> tuple[dict[int, int], int]:

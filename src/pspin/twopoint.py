@@ -30,8 +30,6 @@ from .airy import REAL, mode_constant, phi_deriv_zero
 from .exact import ExactScalar, LaurentP, Monomial, UsageError
 from .moments import AssembledGrade, CancellationError, MomentSymbol, assemble_grade
 
-_ZERO = ExactScalar.zero()
-
 
 @lru_cache(maxsize=None)
 def binomial_tail_coefficient(r: int) -> LaurentP:
@@ -141,18 +139,12 @@ def grade_monomial(p: int, g: int, m: int) -> Monomial | None:
     return Monomial(((m // p, f1), ((e2_num - f2) // p, f2)))
 
 
-def two_point_series(
-    p: int, g_max: int, kernel_mode: str = REAL
-) -> dict[int, dict[int, ExactScalar]]:
-    """Exact two-point expansion through genus g_max: {g: {m: coefficient}}.
+class CalibrationError(ArithmeticError):
+    """A grade coefficient failed to normalize to a pure rational."""
 
-    m runs over the extractable a-powers of each grade (``grade_monomial``),
-    the shape ``two_point_low_orders`` returns for one grade.  Each coefficient
-    is a single surd class; a second class raises UsageError.  Boundary
-    products must stay off the discarded grades and rewrite-constant
-    leftovers out of doubly-fractional ones; a violation raises
-    CancellationError (this is a verified property, not an assumption).
-    """
+
+def check_exact_route(p: int, g_max: int) -> None:
+    """Refuse (p, g_max) outside the exact-in-a route's cost bound (UsageError)."""
     _check_p(p)
     # cost bound (in process, 2 vCPUs): genus 2 took 0.38/1.6/3.2 s at p=50/100/150, and
     # genus 1 0.42/1.7/7.9 s at p=100/200/400; the small-a route has no bound
@@ -160,22 +152,65 @@ def two_point_series(
         raise UsageError("exact-in-a route supports p <= 100")
     if g_max > 3 or (g_max > 2 and p > 3):
         raise UsageError("exact-in-a route supports g<=3 at p=3, g<=2 for p>=4")
-    series: dict[int, dict[int, ExactScalar]] = {}
-    p_scalar = ExactScalar.from_fraction(p)  # sqrt(p) per kernel factor
+
+
+@lru_cache(maxsize=None)
+def _pair_weight(p: int, g: int, m: int, i: int, k: int) -> Fraction:
+    """One boundary product's share of <tau tau>_g / kappa_2, a Fraction:
+
+    (-1)^g p^(2g/p+1-g) phi^(i)(0) phi^(k)(0) / prod_j Gamma(1-(1+j)/p),
+    with j the spins of the a^m grade's monomial.  A grade term
+    r p^(2g/p) a^m phi^(i)(0) phi^(k)(0), times the kernels' factor p
+    (sqrt(p) each), contributes r times this weight: the extraction divides
+    by p^g and the spin factors, and (-1)^g tracks the contour phase per
+    genus unit.  The spin factors cancel the Gamma tokens of the boundary
+    values phi^(k)(0) = p^((k+1)/p-1) Gamma((k+1)/p); an irrational leftover
+    raises CalibrationError.
+    """
+    w = ExactScalar.rational_power(p, Fraction(2 * g, p) + 1 - g)
+    w = w * phi_deriv_zero(p, i) * phi_deriv_zero(p, k)
+    for j in grade_monomial(p, g, m).spins():
+        w = w * ExactScalar.gamma(1 - Fraction(1 + j, p), -1)
+    if not w.is_rational:
+        raise CalibrationError(
+            f"non-rational residue after normalization at genus {g}, a^{m}, "
+            f"pair {(i, k)}: {w.render()}"
+        )
+    return w.rational * (-1) ** g
+
+
+def _grade_ratio(p: int, g: int, scalar: ExactScalar) -> Fraction:
+    """scalar / p^(2g/p), which must be rational (CalibrationError otherwise)."""
+    ratio = scalar.proportional_ratio(ExactScalar.rational_power(p, Fraction(2 * g, p)))
+    if ratio is None:
+        raise CalibrationError(f"genus-{g} scalar {scalar.render()} is not rational times p^(2g/p)")
+    return ratio
+
+
+def two_point_series(
+    p: int, g_max: int, kernel_mode: str = REAL
+) -> dict[int, dict[int, Fraction]]:
+    """Exact two-point expansion through genus g_max: {g: {m: <tau tau>_g / kappa_2}}.
+
+    m runs over the extractable a-powers of each grade (``grade_monomial``),
+    the shape ``two_point_low_orders`` returns for one grade; zero entries
+    are dropped.  Each boundary entry is normalized by ``_pair_weight``,
+    which raises CalibrationError on an irrational leftover.  Boundary
+    products must stay off the discarded grades and rewrite-constant
+    leftovers out of doubly-fractional ones; a violation raises
+    CancellationError (this is a verified property, not an assumption).
+    """
+    check_exact_route(p, g_max)
+    series: dict[int, dict[int, Fraction]] = {}
     for g in range(1, g_max + 1):
         grade = two_point_grade(p, g, kernel_mode)
-        coeffs: dict[int, ExactScalar] = {}
-        for (i, j), poly in grade.boundary.items():
+        for pair, poly in grade.boundary.items():
             bad = {m: v for m, v in poly.items() if grade_monomial(p, g, m) is None}
             if bad:
                 raise CancellationError(
-                    f"boundary residue on discarded grades at genus {g}: "
-                    f"{(i, j)} -> {bad}",
-                    {(i, j): bad},
+                    f"boundary residue on discarded grades at genus {g}: {pair} -> {bad}",
+                    {pair: bad},
                 )
-            pair_value = phi_deriv_zero(p, i) * phi_deriv_zero(p, j) * p_scalar
-            for m, frac in poly.items():
-                coeffs[m] = coeffs.get(m, _ZERO) + grade.prefactor.scale(frac) * pair_value
         for atom, poly in grade.constants.items():
             bad = {m: v for m, v in poly.items() if grade_monomial(p, g, m) is not None}
             if bad:
@@ -184,7 +219,12 @@ def two_point_series(
                     f"{atom} -> {bad}",
                     {atom: bad},
                 )
-        series[g] = {m: c for m, c in coeffs.items() if c.rational}
+        ratio = _grade_ratio(p, g, grade.prefactor)
+        coeffs: dict[int, Fraction] = {}
+        for (i, k), poly in grade.boundary.items():
+            for m, frac in poly.items():
+                coeffs[m] = coeffs.get(m, 0) + ratio * frac * _pair_weight(p, g, m, i, k)
+        series[g] = {m: c for m, c in coeffs.items() if c}
     return series
 
 
@@ -194,25 +234,24 @@ def two_point_series(
 
 
 @lru_cache(maxsize=None)
-def _low_orders(p: int, g: int) -> dict[int, ExactScalar]:
-    p_scalar = ExactScalar.from_fraction(p)
-    coeffs: dict[int, ExactScalar] = {}
+def _low_orders(p: int, g: int) -> dict[int, Fraction]:
+    coeffs: dict[int, Fraction] = {}
     # below a^p only the constant term 1 of each term's (1+a^p)^{l-1} survives;
     # a0 <= p-1 forces rho1 = 0, so D1 = 0 and a0 = l
     for base, a0, sym in _grade_terms(p, g, p - 1):
+        ratio = _grade_ratio(p, g, base)
         for m in range(a0, p):
             if grade_monomial(p, g, m) is None:
                 continue
             t = m - a0
             # int y^m phi(y) dy = (-1)^m (m-1)! phi^{(p-1-m)}(0) for 1 <= m <= p-1
-            scalar = base * phi_deriv_zero(p, sym.c + t) * p_scalar * phi_deriv_zero(p, p - 1 - m)
-            part = scalar.scale(Fraction((-1) ** (t + m) * factorial(m - 1), factorial(t)))
-            coeffs[m] = coeffs.get(m, _ZERO) + part
-    return {m: c for m, c in coeffs.items() if c.rational}
+            part = ratio * Fraction((-1) ** (t + m) * factorial(m - 1), factorial(t))
+            coeffs[m] = coeffs.get(m, 0) + part * _pair_weight(p, g, m, sym.c + t, p - 1 - m)
+    return {m: c for m, c in coeffs.items() if c}
 
 
-def two_point_low_orders(p: int, g: int) -> dict[int, ExactScalar]:
-    """Grade coefficients of a^m for every m < p, via the small-a expansion.
+def two_point_low_orders(p: int, g: int) -> dict[int, Fraction]:
+    """<tau tau>_g / kappa_2 at every a^m with m < p, via the small-a expansion.
 
     The second factor is expanded as
     phi^{(D2)}(-a x) = sum_t (-a)^t/t! phi^{(D2+t)}(0) x^t.  Below a^p only
@@ -225,8 +264,10 @@ def two_point_low_orders(p: int, g: int) -> dict[int, ExactScalar]:
     the rewrite engine nor a residue check.  Valid term by term in a, so
     only below a^p, and much cheaper than the exact route for large p.
 
-    The route uses the real kernel's moments.  Returns {m: coefficient} for
-    extractable m, cached once per (p, g) however the arguments are passed.
+    The route uses the real kernel's moments and normalizes each term with
+    ``_pair_weight``, as the exact route does.  Returns {m: value} for the
+    extractable m with a nonzero value, cached once per (p, g) however the
+    arguments are passed.
     """
     _check_grade(p, g)
     return dict(_low_orders(p, g))

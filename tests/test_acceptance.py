@@ -25,7 +25,7 @@ from pspin.density import (
     large_p_check,
     zeta_identity_exact,
 )
-from pspin.exact import RatP
+from pspin.exact import LaurentP
 from pspin.moments import CancellationError
 from pspin.onepoint import one_point_series, one_point_value
 from pspin.oracle import McConfig, mc_trace_moments, quad_moment
@@ -33,8 +33,8 @@ from pspin.tautology import string_check
 from pspin.twopoint import two_point_grade
 from reference import zeta_one_minus_2g
 
-P = RatP.var()
-C = RatP.const
+P = LaurentP.var()
+C = LaurentP.const
 
 
 def report(number: int, ok: bool, label: str):

@@ -130,6 +130,18 @@ class TestIntersect:
         assert run("intersect", "--p", "0", "--genus", "1") == 2
         assert capsys.readouterr().err == "usage error: --p must be nonzero\n"
 
+    def test_mixed_surd_classes_exit_3(self, monkeypatch, capsys):
+        # two boundary pairs on one a-power: (0, 0) cannot normalize to a rational
+        from pspin import twopoint
+        from pspin.exact import ExactScalar
+        from pspin.moments import AssembledGrade
+
+        grade = AssembledGrade({(0, 0): {1: Fraction(1)}, (1, 1): {1: Fraction(1)}}, {},
+                               ExactScalar.rational_power(3, Fraction(2, 3)))
+        monkeypatch.setattr(twopoint, "two_point_grade", lambda p, g, mode: grade)
+        assert run("intersect", "--p", "3", "--genus", "1") == 3
+        assert capsys.readouterr().err.startswith("error: non-rational residue")
+
     def test_p_past_exact_route_bound_exit_2(self, capsys):
         assert run("intersect", "--p", "101", "--genus", "1") == 2
         assert capsys.readouterr().err == "usage error: exact-in-a route supports p <= 100\n"
@@ -187,6 +199,18 @@ class TestVerify:
         # every two-point route refuses p < 3 before any arithmetic on p
         assert run("verify", "cancellation", "--p", p, "--genus", "1") == 2
         assert "p >= 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p, genus, bound", [
+        ("101", "1", "p <= 100"), ("4", "3", "g<=2 for p>=4"),
+    ], ids=["p101", "p4_g3"])
+    def test_cancellation_keeps_exact_route_bounds(self, p, genus, bound, monkeypatch, capsys):
+        # refused with the tables' bounds before any grade is built
+        def build(p, g):
+            raise AssertionError("grade built past the exact route's bounds")
+
+        monkeypatch.setattr("pspin.cli.two_point_grade", build)
+        assert run("verify", "cancellation", "--p", p, "--genus", genus) == 2
+        assert bound in capsys.readouterr().err
 
     def test_binet(self, capsys):
         assert run("verify", "binet", "--z", "2", "--tol", "1e-8") == 0

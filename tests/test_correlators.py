@@ -27,7 +27,7 @@ from pspin.correlators import (
     two_point_table,
 )
 from pspin.density import bernoulli_leading
-from pspin.exact import RatP, UsageError
+from pspin.exact import LaurentP, UsageError
 from pspin.moments import assemble_grade
 from pspin.oracle import NumericError
 from pspin.onepoint import genus_coefficient, one_point_series, one_point_value
@@ -41,8 +41,8 @@ from pspin.twopoint import (
 )
 from reference import mirror_reduce, zeta_one_minus_2g
 
-P = RatP.var()
-C = RatP.const
+P = LaurentP.var()
+C = LaurentP.const
 
 
 def table_map(p, g_max, mode=REAL):
@@ -52,19 +52,17 @@ def table_map(p, g_max, mode=REAL):
 class TestCalibration:
     def test_constants(self):
         # one constant per marked-point count, from the designated anchors
-        from pspin.correlators import _normalize
-
         assert calibration_constant(1) == 1
         assert calibration_constant(2) == -1
         # read from the real series; the contour series gives the same constant
-        assert F(1, 864) / _normalize(two_point_series(3, 2, CONTOUR)[2][2], 3, 2, 2) == -1
+        assert F(1, 864) / two_point_series(3, 2, CONTOUR)[2][2] == -1
 
     def test_non_rational_residue_raises(self):
-        from pspin.correlators import CalibrationError, _normalize
-        from pspin.exact import ExactScalar
+        from pspin.twopoint import CalibrationError, _pair_weight
 
-        with pytest.raises(CalibrationError):
-            _normalize(ExactScalar.pi(), 3, 1, 1)  # the a^1 grade, spins (0, 0)
+        # the a^1 grade has spins (0, 0), whose Gamma(2/3)^2 cannot cancel phi(0)^2
+        with pytest.raises(CalibrationError, match=r"a\^1, pair \(0, 0\): .*Gamma\(1/3\)\^2"):
+            _pair_weight(3, 1, 1, 0, 0)
 
 
 class TestOnePoint:
@@ -534,14 +532,14 @@ class TestSeriesShape:
         cb = [s[m] for m in (3, 7)]
         assert ca[0] == ca[1] == ca[2]
         assert cb[0] == cb[1]
-        # coefficient ratio (1/4)(phi'')^2 : (1/12)(phi)^2 = 3 phi''(0)^2/phi(0)^2
+        # coefficient ratio (1/4)(phi'')^2 : (1/12)(phi)^2 = 3 phi''(0)^2/phi(0)^2,
+        # each over its spin factors: Gamma(3/4)^2 at a^1, Gamma(1/4)^2 at a^3
         from pspin.airy import phi_deriv_zero
+        from pspin.exact import ExactScalar as ES
 
-        ratio = ca[0] / cb[0]
-        want = (
-            (phi_deriv_zero(4, 2) / phi_deriv_zero(4, 0)) ** 2
-        ).scale(F(3))
-        assert ratio == want
+        a1 = phi_deriv_zero(4, 2) * phi_deriv_zero(4, 2) * ES.gamma(F(3, 4), -2)
+        a3 = phi_deriv_zero(4, 0) * phi_deriv_zero(4, 0) * ES.gamma(F(1, 4), -2)
+        assert ca[0] / cb[0] == 3 * a1.proportional_ratio(a3) == 12
 
     def test_grade_ledger_reporting(self):
         from pspin.twopoint import grade_monomial
@@ -553,6 +551,21 @@ class TestSeriesShape:
         for poly in constants.values():
             for m in poly:
                 assert grade_monomial(3, 1, m) is None
+
+    @pytest.mark.parametrize("p, g", [(p, g) for p in range(3, 10) for g in (1, 2)] + [(3, 3)])
+    def test_one_boundary_pair_per_a_power(self, p, g):
+        # the pair whose boundary values the a^m grade's spin factors cancel, and
+        # no other, reaches each extractable a-power; so no coefficient is a sum of
+        # surd classes, and each pair normalizes to a rational on its own
+        from pspin.twopoint import grade_monomial
+
+        boundary = two_point_grade(p, g).boundary
+        reached = {m for poly in boundary.values() for m in poly}
+        assert reached
+        for m in reached:
+            assert grade_monomial(p, g, m) is not None
+            pairs = [pair for pair, poly in boundary.items() if poly.get(m)]
+            assert pairs == [tuple(sorted((p - 1 - m % p, p - 1 - (2 * g - m) % p)))], m
 
     def test_boundary_on_discarded_grade_raises(self, monkeypatch):
         # a boundary product on a discarded grade (a^3 at p=3, g=1) is a residue
@@ -731,7 +744,7 @@ def test_grade_matches_per_multiset_contributions(p, monkeypatch):
 
 
 def _genus_coefficient_field_route(g):
-    """C_g(p) summed term by term in RatP field arithmetic."""
+    """C_g(p) summed term by term in LaurentP field arithmetic."""
     total = C(0)
     for multi in _deformation_multisets(g, g):
         term = C(1)

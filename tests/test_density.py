@@ -21,12 +21,12 @@ from pspin.density import (
     rho_matrix,
     zeta_identity_exact,
 )
-from pspin.exact import DomainError, RatP
+from pspin.exact import DomainError, LaurentP
 from pspin.onepoint import one_point_series
 from pspin.oracle import NumericError
 
-P = RatP.var()
-C = RatP.const
+P = LaurentP.var()
+C = LaurentP.const
 
 
 def log_sinh_partial_sum(sigma: float, order: int) -> float:

@@ -16,7 +16,6 @@ from pspin.exact import (
     ExactScalar as ES,
     LaurentP,
     PoleError,
-    RatP,
     UsageError,
     _norm_radical,
     _terms_text,
@@ -26,8 +25,8 @@ from pspin.exact import (
 class TestGammaNormalize:
     def test_airy_product_identity(self):
         # Ai(0) Ai'(0) = -Gamma(1/3)Gamma(2/3)/(2 pi)^2 = -1/(2 pi sqrt(3))
-        ai0 = ES.rational_power(3, F(-2, 3)) / ES.gamma(F(2, 3))
-        aip0 = -(ES.rational_power(3, F(-1, 3)) / ES.gamma(F(1, 3)))
+        ai0 = ES.rational_power(3, F(-2, 3)) * ES.gamma(F(2, 3), -1)
+        aip0 = (ES.rational_power(3, F(-1, 3)) * ES.gamma(F(1, 3), -1)).scale(-1)
         prod = ai0 * aip0
         # value preservation against a floating oracle
         assert abs(float(prod) - float(mpmath.airyai(0) * mpmath.airyai(0, 1))) < 1e-12
@@ -40,8 +39,7 @@ class TestGammaNormalize:
         assert x.gammas == ((F(1, 3), 1), (F(2, 3), 1)) and not y.gammas
         with mpmath.workdps(40):
             assert abs(x.numeric(40) - y.numeric(40)) < mpmath.mpf(10) ** -40 * abs(y.numeric(40))
-        with pytest.raises(UsageError):
-            _ = x + y
+        assert x.proportional_ratio(y) is None
 
     def test_gamma_pole_rejected(self):
         with pytest.raises(DomainError):
@@ -84,26 +82,13 @@ class TestExactArithmetic:
         assert ES.sqrt(8) == ES.sqrt(2).scale(2)
         assert ES.rational_power(3, F(5, 3)) == ES.rational_power(3, F(2, 3)).scale(3)
 
-    def test_add_proportional(self):
-        a = ES.gamma(F(1, 5)).scale(F(2, 3))
-        b = ES.gamma(F(1, 5)).scale(F(1, 3))
-        assert a + b == ES.gamma(F(1, 5))
-        assert a + (-a) == ES.zero()  # grade sums drop cancelled coefficients
-        assert ES.zero() + ES.pi() == ES.pi() == ES.pi() + ES.zero()
-        with pytest.raises(UsageError):
-            _ = a + ES.pi()
-
-    def test_division_cancels_tokens(self):
-        x = ES.gamma(F(2, 5)) * ES.gamma(F(1, 5))
-        y = x / ES.gamma(F(1, 5))
-        assert y == ES.gamma(F(2, 5))
 
 
 class TestLaurentAndRatP:
     def test_laurent_eval_examples(self):
         # one-point genus-2 coefficient vanishes at p=3 through the (p-3) factor
-        p = RatP.var()
-        c = RatP.const
+        p = LaurentP.var()
+        c = LaurentP.const
         g2 = (p - c(1)) * (p - c(3)) * (c(1) + c(2) * p) / (p.scale(5760))
         assert g2.eval(3) == 0
         # continued to p=-1 with the Gamma-ratio Gamma(4)/Gamma(2) = 6
@@ -113,8 +98,8 @@ class TestLaurentAndRatP:
 
     def test_pole_reporting(self):
         # p-valued results are polynomials over a power of p: poles sit at p=0
-        p = RatP.var()
-        f = RatP.const(1) / p ** 3
+        p = LaurentP.var()
+        f = LaurentP.const(1) / p ** 3
         with pytest.raises(PoleError) as exc:
             f.eval(0)
         assert exc.value.order == 3
@@ -123,11 +108,11 @@ class TestLaurentAndRatP:
         assert g.eval(0) == -2
         # any divisor other than a monomial c*p^k leaves the type
         with pytest.raises(DomainError):
-            (p ** 2 - RatP.const(4)) / (p - RatP.const(2))
+            (p ** 2 - LaurentP.const(4)) / (p - LaurentP.const(2))
 
     def test_eval_multiplicative(self):
-        p = RatP.var()
-        f = (p - RatP.const(1)) / p.scale(2)
+        p = LaurentP.var()
+        f = (p - LaurentP.const(1)) / p.scale(2)
         g = (p ** 2).scale(F(3, 7)) / p ** 3
         for q in (F(3), F(-4), F(7, 3)):
             assert (f * g).eval(q) == f.eval(q) * g.eval(q)
@@ -137,7 +122,7 @@ class TestLaurentAndRatP:
         assert str(lp) == "2*p^3 - 7*p^2 + 2*p + 3"
 
     def test_leading(self):
-        p = RatP.var()
+        p = LaurentP.var()
         f = (p ** 3).scale(2) / (p.scale(5760))
         assert f.leading() == (2, F(1, 2880))
 
@@ -150,8 +135,8 @@ class TestLaurentAndRatP:
 )
 def test_ratp_eval_is_multiplicative(q, cs1, cs2):
     def build(cs):
-        p = RatP.var()
-        out = RatP.const(0)
+        p = LaurentP.var()
+        out = LaurentP.const(0)
         for e, c in enumerate(cs):
             out = out + (p ** e).scale(c)
         return out
@@ -431,11 +416,6 @@ def _ref_mul(x, y):
     return ES(rat * factor, x.pi_pow + y.pi_pow, radical, gammas)
 
 
-def _ref_inverse(x):
-    factor, radical = _norm_radical({p: -e for p, e in x.radical})
-    return ES(factor / x.rational, -x.pi_pow, radical, tuple((q, -m) for q, m in x.gammas))
-
-
 def _ref_gamma(arg, mult):
     a, rat = F(arg), F(1)
     while a > 1:
@@ -470,6 +450,4 @@ scalars = st.lists(factors, min_size=1, max_size=5).map(
 def test_cached_products_match_uncached(x, y, q, mult):
     assert x * y == _ref_mul(x, y)
     assert x * x == _ref_mul(x, x)
-    assert x.inverse() == _ref_inverse(x)
-    assert x / y == _ref_mul(x, _ref_inverse(y))
     assert ES.gamma(q, mult) == _ref_gamma(q, mult)
