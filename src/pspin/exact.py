@@ -21,8 +21,9 @@ mean equal values, but not the converse: Gamma(1/3) Gamma(2/3) and
 identity, because the spin factors cancel the Gamma tokens of the boundary
 values pair by pair, before anything is summed.  Where one would be needed
 the engine fails loudly, never silently: a grade scalar not proportional to
-its grade's unit raises UsageError (``combine_contributions``), an
-irrational leftover of the two-point normalization raises CalibrationError
+its grade's unit raises UsageError (``combine_contributions``), a boundary
+pair whose Gamma tokens the spin factors do not cancel raises
+CalibrationError, decided on integers with no scalar product
 (``twopoint._pair_weight``), and a cross term or residue that does not
 cancel raises CancellationError.  The numeric value is preserved by
 construction (tested against an mpmath oracle).
@@ -248,15 +249,11 @@ def _norm_radical(rad: dict[int, Fraction]) -> tuple[Fraction, tuple[tuple[int, 
     return mult, tuple(sorted(out.items()))
 
 
-@lru_cache(maxsize=1 << 14)
 def _surd_product(x: tuple, y: tuple) -> tuple:
-    """Canonical irrational part of x * y.
+    """Canonical irrational part of x * y, for irrational parts (pi_pow, radical, gammas).
 
-    x and y are irrational parts (pi_pow, radical, gammas).  Returns
-    (rational factor, pi_pow, radical, gammas), where the factor collects
-    prime^floor(e) from the merged radical exponents.  It depends on the
-    irrational parts only, so every product of two scalars from the same two
-    surd classes shares one entry, and the product is rat_x * rat_y * factor.
+    Returns (rational factor, pi_pow, radical, gammas), where the factor
+    collects prime^floor(e) from the merged radical exponents.
     """
     rad: dict[int, Fraction] = dict(x[1])
     for prime, e in y[1]:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .airy import REAL, mode_constant, phi_deriv_zero
+from .airy import REAL, mode_constant, phi_deriv_zero, reduce_order_at_zero
 from .exact import ExactScalar, LaurentP, Monomial, UsageError
 from .moments import AssembledGrade, CancellationError, MomentSymbol, assemble_grade
 
@@ -163,20 +163,31 @@ def _pair_weight(p: int, g: int, m: int, i: int, k: int) -> Fraction:
     r p^(2g/p) a^m phi^(i)(0) phi^(k)(0), times the kernels' factor p
     (sqrt(p) each), contributes r times this weight: the extraction divides
     by p^g and the spin factors, and (-1)^g tracks the contour phase per
-    genus unit.  The spin factors cancel the Gamma tokens of the boundary
-    values phi^(k)(0) = p^((k+1)/p-1) Gamma((k+1)/p); an irrational leftover
-    raises CalibrationError.
+    genus unit.
+
+    Decided on integers.  With (mult, o) = ``reduce_order_at_zero`` for each
+    order, phi^(i)(0) = mult p^((o+1)/p-1) Gamma((o+1)/p), and the spin
+    factors are Gamma(1 - f/p) for the monomial's slots f1 = m mod p and
+    f2 = (2g-m) mod p.  The opaque Gamma tokens cancel exactly when both
+    orders exist and {o_i+1, o_k+1} = {p-f1, p-f2}; then the weight is
+    (-1)^g mult_i mult_k p^E with E = (2g+2p-f1-f2)/p - 1 - g, an integer
+    because f1 + f2 = 2g (mod p).  Any other pair leaves an irrational
+    residue and raises CalibrationError, whose message renders the leftover.
     """
-    w = ExactScalar.rational_power(p, Fraction(2 * g, p) + 1 - g)
-    w = w * phi_deriv_zero(p, i) * phi_deriv_zero(p, k)
-    for j in grade_monomial(p, g, m).spins():
-        w = w * ExactScalar.gamma(1 - Fraction(1 + j, p), -1)
-    if not w.is_rational:
+    mult_i, o_i = reduce_order_at_zero(p, i)
+    mult_k, o_k = reduce_order_at_zero(p, k)
+    f1, f2 = m % p, (2 * g - m) % p
+    if o_i is None or o_k is None or sorted((o_i + 1, o_k + 1)) != sorted((p - f1, p - f2)):
+        w = ExactScalar.rational_power(p, Fraction(2 * g, p) + 1 - g)
+        w = w * phi_deriv_zero(p, i) * phi_deriv_zero(p, k)
+        for j in grade_monomial(p, g, m).spins():
+            w = w * ExactScalar.gamma(1 - Fraction(1 + j, p), -1)
         raise CalibrationError(
             f"non-rational residue after normalization at genus {g}, a^{m}, "
             f"pair {(i, k)}: {w.render()}"
         )
-    return w.rational * (-1) ** g
+    e = (2 * g + 2 * p - f1 - f2) // p - 1 - g
+    return (-1) ** g * mult_i * mult_k * Fraction(p) ** e
 
 
 def _grade_ratio(p: int, g: int, scalar: ExactScalar) -> Fraction:

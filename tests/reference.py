@@ -5,13 +5,20 @@ orientation: it integrates the phi^{(c)}(-a y) factor by parts and raises
 c = 0 through y phi(-ay) = -(phi^{(p-1)}(-ay) - c0)/a, so its rewrite rings
 close at -a^-p where the library's close at -a^p.  The two orientations walk
 different graphs, so agreement of their fixed points is a confluence check.
+
+``ref_pair_weight`` derives a two-point pair weight by multiplying the
+boundary values and spin factors as ``ExactScalar`` tokens and testing the
+product for rationality, where the library decides it on integers.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
+from pspin.airy import phi_deriv_zero
+from pspin.exact import ExactScalar
 from pspin.moments import MomentEngine, MomentSymbol, _scaled, reduce_moment
 from pspin.numbers import bernoulli_std
+from pspin.twopoint import CalibrationError, grade_monomial
 
 
 class MirrorEngine(MomentEngine):
@@ -55,3 +62,28 @@ def mirror_reduce(sym: MomentSymbol, ode_constant: Fraction = Fraction(1)) -> di
 def zeta_one_minus_2g(g: int) -> Fraction:
     """Exact zeta(1-2g) = -B_{2g}/(2g) for g >= 1: -1/12, 1/120, -1/252, ..."""
     return -bernoulli_std(2 * g) / (2 * g)
+
+
+@lru_cache(maxsize=None)
+def _ref_grade_unit(p: int, g: int, m: int) -> ExactScalar:
+    """p^(2g/p+1-g) / prod_j Gamma(1-(1+j)/p) over the a^m grade's spins j."""
+    w = ExactScalar.rational_power(p, Fraction(2 * g, p) + 1 - g)
+    for j in grade_monomial(p, g, m).spins():
+        w = w * ExactScalar.gamma(1 - Fraction(1 + j, p), -1)
+    return w
+
+
+def ref_pair_weight(p: int, g: int, m: int, i: int, k: int) -> Fraction:
+    """``twopoint._pair_weight`` through ExactScalar products (same value or error).
+
+    (-1)^g p^(2g/p+1-g) phi^(i)(0) phi^(k)(0) / prod_j Gamma(1-(1+j)/p) over
+    the spins j of the a^m grade's monomial, or CalibrationError when the
+    product keeps an irrational token.
+    """
+    w = _ref_grade_unit(p, g, m) * phi_deriv_zero(p, i) * phi_deriv_zero(p, k)
+    if not w.is_rational:
+        raise CalibrationError(
+            f"non-rational residue after normalization at genus {g}, a^{m}, "
+            f"pair {(i, k)}: {w.render()}"
+        )
+    return w.rational * (-1) ** g

@@ -39,7 +39,7 @@ from pspin.twopoint import (
     two_point_low_orders,
     two_point_series,
 )
-from reference import mirror_reduce, zeta_one_minus_2g
+from reference import mirror_reduce, ref_pair_weight, zeta_one_minus_2g
 
 P = LaurentP.var()
 C = LaurentP.const
@@ -63,6 +63,26 @@ class TestCalibration:
         # the a^1 grade has spins (0, 0), whose Gamma(2/3)^2 cannot cancel phi(0)^2
         with pytest.raises(CalibrationError, match=r"a\^1, pair \(0, 0\): .*Gamma\(1/3\)\^2"):
             _pair_weight(3, 1, 1, 0, 0)
+
+    @pytest.mark.parametrize("p, g", [(p, g) for p in range(3, 10) for g in (1, 2)] + [(3, 3)])
+    def test_pair_weight_matches_reference(self, p, g):
+        # the integer rule gives the ExactScalar product's value, or its error
+        # and message; p = 4, 8, 9 split p^e into radicals by prime
+        from pspin.twopoint import CalibrationError, _pair_weight, grade_monomial
+
+        for m in range(2 * g * (p + 1) + 1):
+            if grade_monomial(p, g, m) is None:
+                continue
+            for i in range(p + 2):
+                for k in range(p + 2):
+                    try:
+                        want = ref_pair_weight(p, g, m, i, k)
+                    except CalibrationError as exc:
+                        with pytest.raises(CalibrationError) as got:
+                            _pair_weight(p, g, m, i, k)
+                        assert str(got.value) == str(exc), (m, i, k)
+                    else:
+                        assert _pair_weight(p, g, m, i, k) == want, (m, i, k)
 
 
 class TestOnePoint:
@@ -627,6 +647,28 @@ def test_small_a_grade_built_once_per_key():
         assert twopoint.two_point_low_orders.cache_info().misses - before == 1
     with pytest.raises(UsageError):  # m = 11 is extractable, but beyond a^p
         two_point_low_value(p, g, p + 1)
+
+
+def test_pair_weights_build_no_exact_scalar_product(monkeypatch):
+    """Both two-point routes normalize on integers: no ExactScalar product or Gamma token.
+
+    Only a pair that leaves an irrational residue builds ExactScalar tokens,
+    to render its CalibrationError.
+    """
+    from pspin import airy
+    from pspin.exact import ExactScalar
+
+    def refuse(*args):
+        raise AssertionError(f"ExactScalar product or Gamma token on the success path: {args}")
+
+    monkeypatch.setattr(ExactScalar, "__mul__", refuse)
+    monkeypatch.setattr(ExactScalar, "gamma", refuse)
+    for cached in (twopoint._pair_weight, twopoint._assembled_grade, twopoint._low_orders,
+                   moments._engine, airy._moment):
+        cached.cache_clear()
+    for p, g in [(3, 3), (5, 2), (9, 2)]:
+        assert two_point_series(p, g)[g]
+    assert two_point_low_orders(13, 3)
 
 
 TWO_POINT_ROUTES = {

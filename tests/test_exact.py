@@ -396,12 +396,12 @@ class TestRepr:
 
 
 # ---------------------------------------------------------------------------
-# ExactScalar products through the surd-class cache against the uncached route
+# ExactScalar products and Gamma tokens against a from-scratch canonicalization
 # ---------------------------------------------------------------------------
 
 
 def _ref_mul(x, y):
-    """x * y canonicalized from scratch, without the surd-class cache."""
+    """x * y canonicalized from scratch, without ``_surd_product``."""
     rat = x.rational * y.rational
     if rat == 0:
         return ES.zero()
