@@ -20,13 +20,12 @@ mean equal values, but not the converse: Gamma(1/3) Gamma(2/3) and
 2 pi / sqrt(3) are two forms of one value.  The engine never needs such an
 identity, because the spin factors cancel the Gamma tokens of the boundary
 values pair by pair, before anything is summed.  Where one would be needed
-the engine fails loudly, never silently: a grade scalar not proportional to
-its grade's unit raises UsageError (``combine_contributions``), a boundary
-pair whose Gamma tokens the spin factors do not cancel raises
-CalibrationError, decided on integers with no scalar product
-(``twopoint._pair_weight``), and a cross term or residue that does not
-cancel raises CancellationError.  The numeric value is preserved by
-construction (tested against an mpmath oracle).
+the engine fails loudly, never silently: a boundary pair whose Gamma
+tokens the spin factors do not cancel raises CalibrationError, decided on
+integers with no scalar product (``twopoint._pair_weight``), and a cross
+term or residue that does not cancel raises CancellationError.  The
+numeric value is preserved by construction (tested against an mpmath
+oracle).
 """
 
 from __future__ import annotations
@@ -170,20 +169,6 @@ class ExactScalar:
         if r == 0:
             return ExactScalar.zero()
         return ExactScalar(self.rational * r, self.pi_pow, self.radical, self.gammas)
-
-    def proportional_ratio(self, other: "ExactScalar") -> Optional[Fraction]:
-        """self / other when the quotient is a pure rational, else None."""
-        if other.rational == 0:
-            return None
-        if (
-            self.pi_pow == other.pi_pow
-            and self.radical == other.radical
-            and self.gammas == other.gammas
-        ):
-            return self.rational / other.rational
-        if self.rational == 0:
-            return Fraction(0)
-        return None
 
     # -- predicates / conversions --------------------------------------------
 

@@ -351,7 +351,8 @@ class AssembledGrade:
 
     boundary: (i, j) -> {a-power: Fraction} multiplying phi^{(i)}(0) phi^{(j)}(0)
     constants: atom -> {a-power: Fraction} rewrite-constant sector
-    prefactor: common ExactScalar (pure p-power) for the whole grade
+    prefactor: the grade's common ExactScalar, for display; the contribution
+    weights are relative to it
     """
 
     boundary: dict[tuple[int, int], dict[int, Fraction]]
@@ -360,19 +361,21 @@ class AssembledGrade:
 
 
 def combine_contributions(
-    contributions: list[tuple[ExactScalar, int, MomentSymbol]],
+    contributions: list[tuple[Fraction, int, MomentSymbol]],
     ode_constant: Fraction = Fraction(1),
-) -> tuple[dict[Atom, CycloA], ExactScalar]:
-    """Reduce and sum contributions; returns (CycloA atom vector, unit).
+) -> dict[Atom, CycloA]:
+    """Reduce and sum contributions; returns the CycloA atom vector.
 
-    A contribution (scalar, k, M(n, b, c)) stands for
-    scalar * a^k * (1+a^p)^{n-1} * M(n, b, c), a two-point expansion term of
-    hyperbolic sine order n.  The weights a^k * (scalar / unit) are summed
-    per symbol, so every distinct symbol is reduced once; each coefficient
-    of its vector takes (1+a^p)^{n-1} as a shift of its denominator power
+    A contribution (w, k, M(n, b, c)) stands for
+    w * a^k * (1+a^p)^{n-1} * M(n, b, c), a two-point expansion term of
+    hyperbolic sine order n, with the Fraction w relative to the grade's
+    common scalar.  The weights w * a^k are summed per symbol, so every
+    distinct symbol is reduced once; each coefficient of its vector takes
+    (1+a^p)^{n-1} as a shift of its denominator power
     (``CycloA.times_cyclo``), and the vector is scaled by each monomial
-    ratio * a^k of the summed weight.  A symbol whose weights sum to zero is
-    still reduced, so a degenerate rewrite cycle raises ReductionCycleError.
+    ratio * a^k of the summed weight.  A symbol whose
+    weights sum to zero is still reduced, so a degenerate rewrite cycle
+    raises ReductionCycleError.
 
     Every irreducible cross-term coefficient must cancel identically as a
     rational function of a; a nonzero residue raises CancellationError with
@@ -382,14 +385,10 @@ def combine_contributions(
         raise UsageError("empty grade")
     if len({sym.p for _, _, sym in contributions}) != 1:
         raise UsageError("mixed p in one grade")
-    unit = contributions[0][0]
     weights: dict[MomentSymbol, dict[int, Fraction]] = {}
-    for scalar, a_pow, sym in contributions:
-        ratio = scalar.proportional_ratio(unit)
-        if ratio is None:
-            raise UsageError(f"contribution scalar {scalar} not proportional to grade unit {unit}")
+    for weight, a_pow, sym in contributions:
         w = weights.setdefault(sym, {})
-        w[a_pow] = w.get(a_pow, Fraction(0)) + ratio
+        w[a_pow] = w.get(a_pow, Fraction(0)) + weight
     acc: dict[Atom, CycloA] = {}
     for sym, w in weights.items():
         vec = reduce_moment(sym, ode_constant)
@@ -401,15 +400,19 @@ def combine_contributions(
         raise CancellationError(
             f"irreducible cross terms did not cancel: {sorted(residues)}", residues
         )
-    return acc, unit
+    return acc
 
 
 def assemble_grade(
-    contributions: list[tuple[ExactScalar, int, MomentSymbol]],
+    contributions: list[tuple[Fraction, int, MomentSymbol]],
+    prefactor: ExactScalar,
     ode_constant: Fraction = Fraction(1),
 ) -> AssembledGrade:
-    """Full grade assembly: cancellation checked, boundary part polynomial."""
-    acc, unit = combine_contributions(contributions, ode_constant)
+    """Full grade assembly: cancellation checked, boundary part polynomial.
+
+    The prefactor is the grade's common scalar; it is stored, never read.
+    """
+    acc = combine_contributions(contributions, ode_constant)
     boundary: dict[tuple[int, int], dict[int, Fraction]] = {}
     constants: dict[Atom, dict[int, Fraction]] = {}
     for atom, coeff in acc.items():
@@ -417,4 +420,4 @@ def assemble_grade(
             boundary[(atom[1], atom[2])] = poly_coeffs(coeff)
         else:
             constants[atom] = poly_coeffs(coeff, allow_negative=True)
-    return AssembledGrade(boundary, constants, unit)
+    return AssembledGrade(boundary, constants, prefactor)

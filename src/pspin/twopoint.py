@@ -72,16 +72,24 @@ def _side_terms(p: int, rho: int) -> tuple[tuple[Fraction, int, int], ...]:
     return tuple(out)
 
 
-def _grade_terms(p: int, g: int, a_max: int | None = None):
-    """Expansion terms at genus g: (base scalar, a0, moment symbol M(l, D1, D2)).
+def _grade_unit(g: int) -> Fraction:
+    """Rational part of u_g = p^(2g/p) / (4^g (2g+1)!), the grade's leading-term scalar."""
+    return Fraction(1, 4**g * factorial(2 * g + 1))
 
-    A term stands for base * a^a0 * (1+a^p)^{l-1} * M(l, D1, D2), with the
-    hyperbolic sine order l = 2(g - rho) + 1; grade assembly applies the
-    factor.  Terms with a0 > a_max are skipped before their scalars are built.
+
+def _grade_terms(p: int, g: int, a_max: int | None = None):
+    """Expansion terms at genus g: (weight w, a0, moment symbol M(l, D1, D2)).
+
+    A term stands for w * u_g * a^a0 * (1+a^p)^{l-1} * M(l, D1, D2), with the
+    hyperbolic sine order l = 2(g - rho) + 1 and u_g = p^(2g/p) / (4^g (2g+1)!)
+    the scalar of the leading term (rho = 0, l = 2g+1), whose w is 1.  Every
+    term carries p^(2g/p), so w = 4^rho (2g+1)!/l! * c1 c2 / p^(K1+K2) is a
+    Fraction; grade assembly applies the factor.  Terms with a0 > a_max are
+    skipped.
     """
     for rho in range(g + 1):
         l = 2 * (g - rho) + 1
-        sinh_rational = Fraction(1, 2 ** (l - 1) * factorial(l))
+        sinh_ratio = Fraction(4**rho * factorial(2 * g + 1), factorial(l))
         for rho1 in range(rho + 1):
             a0 = l + 2 * rho1 * (p + 1)
             if a_max is not None and a0 > a_max:
@@ -89,13 +97,12 @@ def _grade_terms(p: int, g: int, a_max: int | None = None):
             rho2 = rho - rho1
             for c1, k1, d1 in _side_terms(p, rho1):
                 for c2, k2, d2 in _side_terms(p, rho2):
-                    base = ExactScalar.rational_power(p, Fraction(2 * g, p) - k1 - k2)
-                    base = base.scale(sinh_rational * c1 * c2)
-                    yield base, a0, MomentSymbol(l, d1, d2, p)
+                    w = sinh_ratio * c1 * c2 / p ** (k1 + k2)
+                    yield w, a0, MomentSymbol(l, d1, d2, p)
 
 
-def grade_contributions(p: int, g: int) -> list[tuple[ExactScalar, int, MomentSymbol]]:
-    """All (scalar, a-power, moment symbol) contributions at genus g, as _grade_terms."""
+def grade_contributions(p: int, g: int) -> list[tuple[Fraction, int, MomentSymbol]]:
+    """All (weight, a-power, moment symbol) contributions at genus g, as _grade_terms."""
     return list(_grade_terms(p, g)) if g >= 1 else []
 
 
@@ -112,7 +119,8 @@ def _check_grade(p: int, g: int) -> None:  # every per-grade route also refuses 
 
 @lru_cache(maxsize=None)
 def _assembled_grade(p: int, g: int, kernel_mode: str) -> AssembledGrade:
-    return assemble_grade(grade_contributions(p, g), mode_constant(kernel_mode))
+    prefactor = ExactScalar.rational_power(p, Fraction(2 * g, p)).scale(_grade_unit(g))
+    return assemble_grade(grade_contributions(p, g), prefactor, mode_constant(kernel_mode))
 
 
 def two_point_grade(p: int, g: int, kernel_mode: str = REAL) -> AssembledGrade:
@@ -190,14 +198,6 @@ def _pair_weight(p: int, g: int, m: int, i: int, k: int) -> Fraction:
     return (-1) ** g * mult_i * mult_k * Fraction(p) ** e
 
 
-def _grade_ratio(p: int, g: int, scalar: ExactScalar) -> Fraction:
-    """scalar / p^(2g/p), which must be rational (CalibrationError otherwise)."""
-    ratio = scalar.proportional_ratio(ExactScalar.rational_power(p, Fraction(2 * g, p)))
-    if ratio is None:
-        raise CalibrationError(f"genus-{g} scalar {scalar.render()} is not rational times p^(2g/p)")
-    return ratio
-
-
 def two_point_series(
     p: int, g_max: int, kernel_mode: str = REAL
 ) -> dict[int, dict[int, Fraction]]:
@@ -230,11 +230,11 @@ def two_point_series(
                     f"{atom} -> {bad}",
                     {atom: bad},
                 )
-        ratio = _grade_ratio(p, g, grade.prefactor)
+        unit = _grade_unit(g)
         coeffs: dict[int, Fraction] = {}
         for (i, k), poly in grade.boundary.items():
             for m, frac in poly.items():
-                coeffs[m] = coeffs.get(m, 0) + ratio * frac * _pair_weight(p, g, m, i, k)
+                coeffs[m] = coeffs.get(m, 0) + unit * frac * _pair_weight(p, g, m, i, k)
         series[g] = {m: c for m, c in coeffs.items() if c}
     return series
 
@@ -247,16 +247,16 @@ def two_point_series(
 @lru_cache(maxsize=None)
 def _low_orders(p: int, g: int) -> dict[int, Fraction]:
     coeffs: dict[int, Fraction] = {}
+    unit = _grade_unit(g)
     # below a^p only the constant term 1 of each term's (1+a^p)^{l-1} survives;
     # a0 <= p-1 forces rho1 = 0, so D1 = 0 and a0 = l
-    for base, a0, sym in _grade_terms(p, g, p - 1):
-        ratio = _grade_ratio(p, g, base)
+    for w, a0, sym in _grade_terms(p, g, p - 1):
         for m in range(a0, p):
             if grade_monomial(p, g, m) is None:
                 continue
             t = m - a0
             # int y^m phi(y) dy = (-1)^m (m-1)! phi^{(p-1-m)}(0) for 1 <= m <= p-1
-            part = ratio * Fraction((-1) ** (t + m) * factorial(m - 1), factorial(t))
+            part = unit * w * Fraction((-1) ** (t + m) * factorial(m - 1), factorial(t))
             coeffs[m] = coeffs.get(m, 0) + part * _pair_weight(p, g, m, sym.c + t, p - 1 - m)
     return {m: c for m, c in coeffs.items() if c}
 

@@ -67,7 +67,7 @@ class TestDerivZero:
         # real-kernel product carries the same Gamma content, opposite sign
         # (the two contour phases sqrt(3)/(2 pi) multiply to 3/(4 pi^2))
         real_prod = phi_deriv_zero(3, 0, REAL) * phi_deriv_zero(3, 1, REAL)
-        assert real_prod.proportional_ratio(prod * ES.pi(2)) == F(-4, 3)
+        assert real_prod == (prod * ES.pi(2)).scale(F(-4, 3))
 
 
 class TestOdeRewrite:

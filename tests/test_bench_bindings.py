@@ -12,12 +12,12 @@ import ast
 import importlib
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from pspin.cli import build_parser
-from pspin.exact import ExactScalar
 from pspin.moments import MomentSymbol
 from pspin.twopoint import grade_contributions
 
@@ -56,14 +56,18 @@ def test_cached_expose_cache_info(tracing):
 def test_grade_contributions_shape(tracing):
     result = grade_contributions(3, 2)
     assert result
-    for scalar, a_pow, sym in result:
-        assert isinstance(scalar, ExactScalar)
+    for weight, a_pow, sym in result:
+        assert isinstance(weight, Fraction)
         assert isinstance(a_pow, int) and not isinstance(a_pow, bool)
         assert isinstance(sym, MomentSymbol)
     counts = Counter()
     tracing.COUNTERS["twopoint.grade_contributions"](counts, (3, 2), {}, result)
     assert counts["twopoint.contributions"] == len(result)
     assert counts["twopoint.distinct_symbols"] == len({sym for _, _, sym in result})
+    # weights are relative to each grade's leading term, which comes first
+    for p in range(3, 10):
+        for g in range(1, 4):
+            assert grade_contributions(p, g)[0][0] == 1, (p, g)
 
 
 def test_ops_pspin_names_resolve():

@@ -559,7 +559,8 @@ class TestSeriesShape:
 
         a1 = phi_deriv_zero(4, 2) * phi_deriv_zero(4, 2) * ES.gamma(F(3, 4), -2)
         a3 = phi_deriv_zero(4, 0) * phi_deriv_zero(4, 0) * ES.gamma(F(1, 4), -2)
-        assert ca[0] / cb[0] == 3 * a1.proportional_ratio(a3) == 12
+        assert a1 == a3.scale(4)
+        assert ca[0] / cb[0] == 3 * 4
 
     def test_grade_ledger_reporting(self):
         from pspin.twopoint import grade_monomial
@@ -652,8 +653,10 @@ def test_small_a_grade_built_once_per_key():
 def test_pair_weights_build_no_exact_scalar_product(monkeypatch):
     """Both two-point routes normalize on integers: no ExactScalar product or Gamma token.
 
-    Only a pair that leaves an irrational residue builds ExactScalar tokens,
-    to render its CalibrationError.
+    Grade terms are Fractions, so term generation and the small-a route build
+    no ExactScalar at all, and the exact route builds only each assembled
+    grade's display prefactor.  Only a pair that leaves an irrational residue
+    builds ExactScalar tokens, to render its CalibrationError.
     """
     from pspin import airy
     from pspin.exact import ExactScalar
@@ -661,14 +664,39 @@ def test_pair_weights_build_no_exact_scalar_product(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"ExactScalar product or Gamma token on the success path: {args}")
 
+    built = []
+    init, rational_power, scale = ExactScalar.__init__, ExactScalar.rational_power, ExactScalar.scale
+
+    def counting_init(self, *args, **kwargs):
+        built.append("init")
+        init(self, *args, **kwargs)
+
+    def counting_rational_power(base, exp):
+        built.append("rational_power")
+        return rational_power(base, exp)
+
+    def counting_scale(self, r):
+        built.append("scale")
+        return scale(self, r)
+
     monkeypatch.setattr(ExactScalar, "__mul__", refuse)
     monkeypatch.setattr(ExactScalar, "gamma", refuse)
+    monkeypatch.setattr(ExactScalar, "__init__", counting_init)
+    monkeypatch.setattr(ExactScalar, "rational_power", staticmethod(counting_rational_power))
+    monkeypatch.setattr(ExactScalar, "scale", counting_scale)
     for cached in (twopoint._pair_weight, twopoint._assembled_grade, twopoint._low_orders,
                    moments._engine, airy._moment):
         cached.cache_clear()
-    for p, g in [(3, 3), (5, 2), (9, 2)]:
-        assert two_point_series(p, g)[g]
+    cases = [(3, 3), (5, 2), (9, 2)]
+    for p, g in cases:
+        assert grade_contributions(p, g)
     assert two_point_low_orders(13, 3)
+    assert built == []
+    for p, g in cases:
+        built.clear()
+        assert two_point_series(p, g)[g]
+        # per grade: p^(2g/p), then its scaled copy, the stored prefactor
+        assert built == ["rational_power", "init", "scale", "init"] * g, (p, g)
 
 
 TWO_POINT_ROUTES = {
@@ -702,7 +730,9 @@ def test_mirror_engine_tables_identical(monkeypatch):
     want = {case: two_point_grade(3, case[1], case[0]) for case in cases}
     monkeypatch.setattr(moments, "reduce_moment", mirror_reduce)
     for mode, g in cases:
-        mirrored = assemble_grade(grade_contributions(3, g), mode_constant(mode))
+        mirrored = assemble_grade(
+            grade_contributions(3, g), want[mode, g].prefactor, mode_constant(mode)
+        )
         assert mirrored == want[mode, g], (mode, g)
 
 
@@ -782,7 +812,7 @@ def test_grade_matches_per_multiset_contributions(p, monkeypatch):
     monkeypatch.setattr(twopoint, "_side_terms", _multiset_side_terms)
     per_multiset = grade_contributions(p, 4)
     assert (len(per_multiset), len(merged)) == (36, 34)
-    assert assemble_grade(per_multiset, mode_constant(REAL)) == grade
+    assert assemble_grade(per_multiset, grade.prefactor, mode_constant(REAL)) == grade
 
 
 def _genus_coefficient_field_route(g):

@@ -223,31 +223,25 @@ class TestAssembleGrade:
                     assert poly.get(top - m) == coeff  # s1 <-> s2 symmetry
 
     def test_single_contribution_passthrough(self):
-        from pspin.exact import ExactScalar
         from pspin.moments import combine_contributions
 
         sym = MomentSymbol(0, 2, 0, 3)
-        acc, unit = combine_contributions([(ExactScalar.one(), 0, sym)], F(0))
+        acc = combine_contributions([(F(1), 0, sym)], F(0))
         # a contribution with no irreducible part passes through, times (1+a^3)^(n-1)
         assert acc == {("bdry", 0, 1): (-(one + a)).times_cyclo(-2)}
-        assert unit == ExactScalar.one()
 
     def test_t_residue_raises(self):
-        from pspin.exact import ExactScalar
-
         # a lone I2 contribution leaves an uncancelled T coefficient
         sym = MomentSymbol(1, 2, 0, 3)
         with pytest.raises(CancellationError) as exc:
-            assemble_grade([(ExactScalar.one(), 0, sym)], F(0))
+            assemble_grade([(F(1), 0, sym)], ES.one(), F(0))
         assert exc.value.residues
 
     @pytest.mark.parametrize("contributions, message", [
         ([], "empty grade"),
-        ([(ES.one(), 0, MomentSymbol(0, 2, 0, 3)), (ES.one(), 0, MomentSymbol(0, 2, 0, 4))],
+        ([(F(1), 0, MomentSymbol(0, 2, 0, 3)), (F(1), 0, MomentSymbol(0, 2, 0, 4))],
          "mixed p"),
-        ([(ES.one(), 0, MomentSymbol(0, 2, 0, 3)), (ES.pi(1), 0, MomentSymbol(0, 1, 0, 3))],
-         "not proportional"),
-    ], ids=["empty", "mixed-p", "not-proportional"])
+    ], ids=["empty", "mixed-p"])
     def test_combine_refuses_malformed_grade(self, contributions, message):
         from pspin.moments import combine_contributions
 
@@ -319,12 +313,10 @@ class TestGroupedCombine:
     def per_contribution_sum(contributions, c0):
         # the ungrouped route: reduce and scale every contribution on its own,
         # multiplying by the expanded (1+a^p)^(n-1) in plain CycloA arithmetic
-        unit = contributions[0][0]
         acc = {}
-        for scalar, a_pow, sym in contributions:
-            ratio = scalar.proportional_ratio(unit)
+        for w, a_pow, sym in contributions:
             sinh = (CycloA.var(sym.p, 0) + CycloA.var(sym.p, sym.p)) ** (sym.n - 1)
-            weight = CycloA.var(sym.p) ** a_pow * ratio * sinh
+            weight = CycloA.var(sym.p) ** a_pow * w * sinh
             for atom, coeff in M(sym.n, sym.b, sym.c, sym.p, c0).items():
                 acc[atom] = acc.get(atom, CycloA(sym.p)) + coeff * weight
         return {atom: coeff for atom, coeff in acc.items() if coeff}
@@ -336,8 +328,8 @@ class TestGroupedCombine:
         from pspin.twopoint import grade_contributions
 
         contribs = grade_contributions(p, g)
-        acc, unit = combine_contributions(contribs, F(c0))
-        assert unit == contribs[0][0]
+        acc = combine_contributions(contribs, F(c0))
+        assert contribs[0][0] == 1
         assert acc == self.per_contribution_sum(contribs, c0)
 
     def test_each_symbol_reduced_once(self, monkeypatch):
@@ -364,7 +356,6 @@ class TestGroupedCombine:
 
     def test_zero_weight_symbol_on_degenerate_cycle_raises(self, monkeypatch):
         from pspin import moments
-        from pspin.exact import ExactScalar
 
         loop = ("M", 2, 1, 1)
 
@@ -376,9 +367,8 @@ class TestGroupedCombine:
         engine = LoopEngine(3, F(0))
         monkeypatch.setattr(moments, "_engine", lambda p, c0: engine)
         sym = MomentSymbol(2, 1, 1, 3)
-        unit = ExactScalar.one()
         # the two weights cancel, yet the symbol must still be reduced
-        contribs = [(unit, 4, sym), (unit.scale(-1), 4, sym)]
+        contribs = [(F(1), 4, sym), (F(-1), 4, sym)]
         with pytest.raises(moments.ReductionCycleError):
             moments.combine_contributions(contribs, F(0))
 
