@@ -106,15 +106,15 @@ def two_point_table(p: int, g_max: int, kernel_mode: str = REAL) -> list[TauCorr
 
 
 def two_point_low_value(p: int, g: int, m: int) -> Fraction | None:
-    """<tau tau>_g at the a^m grade via the small-a route (m < p required).
+    """<tau tau>_g at the a^m grade via the small-a route (0 <= m < p required).
 
     Returns None when the grade is discarded (one slot integer-powered).
     """
     _check_grade(p, g)
+    if not 0 <= m < p:
+        raise UsageError("small-a route restricted to a-powers a^m with 0 <= m < p")
     if grade_monomial(p, g, m) is None:
         return None
-    if m >= p:
-        raise UsageError("small-a route restricted to a-powers below a^p")
     return calibration_constant(2) * two_point_low_orders(p, g).get(m, 0)
 
 

@@ -118,18 +118,10 @@ class ExactScalar:
             if b != 0 and e.denominator == 1:
                 return ExactScalar(b ** int(e))
             raise DomainError(f"fractional power of non-positive base {b}")
-        rat = Fraction(1)
-        rad: dict[int, Fraction] = {}
-        for prime, mult in list(_factorize(b.numerator)) + [
-            (q, -m) for q, m in _factorize(b.denominator)
-        ]:
-            pe = e * mult
-            whole = pe.numerator // pe.denominator
-            frac = pe - whole
-            rat *= Fraction(prime) ** whole
-            if frac:  # each prime occurs once, in the numerator or the denominator
-                rad[prime] = frac
-        return ExactScalar(rat, radical=tuple(sorted(rad.items())))
+        rad = {prime: e * mult for prime, mult in _factorize(b.numerator)}
+        rad.update((q, -e * m) for q, m in _factorize(b.denominator))  # coprime to the numerator
+        rat, radical = _norm_radical(rad)
+        return ExactScalar(rat, radical=radical)
 
     @staticmethod
     def gamma(arg, mult: int = 1) -> "ExactScalar":

@@ -10,7 +10,8 @@ terms at infinity set to zero by regularization) reduces every such symbol to
 
 * boundary products  phi^{(i)}(0) phi^{(j)}(0)  with coefficients in Q(a),
 * irreducible cross terms T_c = int phi(y) phi^{(c)}(-a y) dy,
-* rewrite-constant leftovers (single-factor integrals), tracked separately.
+* rewrite-constant leftovers (single-factor integrals), tracked separately;
+  c0 multiplies only these terminal atoms, so c0 = 0 is c0 = 1 without them.
 
 The graph of product symbols has cycles, and solving them is what produces
 the characteristic (1 + a^p) denominators.  Every multiplier a rule applies
@@ -94,16 +95,15 @@ def _scaled(src: dict, mono: Mono) -> dict:
 
 
 class MomentEngine:
-    """Shared reduction engine for one (p, rewrite constant).
+    """Shared reduction engine for one p, at the rewrite constant c0 = 1.
 
     Below the derivative rewrites, the rules integrate the side-1 factor
-    phi^{(b)}(y) by parts and raise b = 0 through y phi = phi^{(p-1)} - c0,
+    phi^{(b)}(y) by parts and raise b = 0 through y phi = phi^{(p-1)} - 1,
     so every irreducible cross term lands on T_c = M(0, 0, c).
     """
 
-    def __init__(self, p: int, ode_constant: Fraction = Fraction(1)):
+    def __init__(self, p: int):
         self.p = p
-        self.c0 = Fraction(ode_constant)
         self._one = CycloA.var(p, 0)
         self._memo: dict[Node, dict[Atom, CycloA]] = {}
         self._s_memo: dict[Node, dict[Atom, CycloA]] = {}
@@ -119,7 +119,7 @@ class MomentEngine:
         hit = self._s_memo.get(key)
         if hit is not None:
             return hit
-        p, c0, one = self.p, self.c0, self._one
+        p, one = self.p, self._one
         out: dict[Atom, CycloA] = {}
         if d >= 1:
             if n == 0:
@@ -128,11 +128,10 @@ class MomentEngine:
                 prev = self.reduce_single(side, n - 1, d - 1)
                 _vec_add(out, prev, (-n, 0) if side == 1 else (n, -1))
         elif n >= 1:
-            # y phi = phi^{(p-1)} - c0 (side 1); y phi(-ay) = -(phi^{(p-1)}(-ay) - c0)/a
+            # y phi = phi^{(p-1)} - 1 (side 1); y phi(-ay) = -(phi^{(p-1)}(-ay) - 1)/a
             prev = self.reduce_single(side, n - 1, p - 1)
             _vec_add(out, prev, (1, 0) if side == 1 else (-1, -1))
-            if c0:
-                _vec_add(out, {("zdiv", n - 1): one}, (-c0, 0) if side == 1 else (c0, -1))
+            _vec_add(out, {("zdiv", n - 1): one}, (-1, 0) if side == 1 else (1, -1))
         else:
             out[("omega",)] = CycloA.var(p, 0 if side == 1 else -1)
         self._s_memo[key] = out
@@ -149,7 +148,7 @@ class MomentEngine:
         products and T_c atoms), a fresh dict on every call.
         """
         _, n, b, c = node
-        p, c0 = self.p, self.c0
+        p = self.p
         if b >= p:  # derivative rewrite, side 1 (k >= 1)
             k = b - (p - 1)
             return [((k, 0), ("M", n, k - 1, c)), ((1, 0), ("M", n + 1, k, c))], {}
@@ -157,9 +156,8 @@ class MomentEngine:
             k = c - (p - 1)
             return [((k, 0), ("M", n, b, k - 1)), ((-1, 1), ("M", n + 1, b, k))], {}
         if c == p - 1 and b == 0:
-            # phi^{(p-1)}(-ay) = -a y phi(-ay) + c0
-            rhs = _scaled(self.reduce_single(1, n, 0), (c0, 0)) if c0 else {}
-            return [((-1, 1), ("M", n + 1, 0, 0))], rhs
+            # phi^{(p-1)}(-ay) = -a y phi(-ay) + 1
+            return [((-1, 1), ("M", n + 1, 0, 0))], dict(self.reduce_single(1, n, 0))
         if b >= 1:  # integrate the side-1 factor by parts
             if n == 0:
                 links, rhs = [], _scaled(self._bdry_vector(b - 1, c), (-1, 0))
@@ -167,8 +165,8 @@ class MomentEngine:
                 links, rhs = [((-n, 0), ("M", n - 1, b - 1, c))], {}
             links.append(((1, 1), ("M", n, b - 1, c + 1)))
             return links, rhs
-        if n >= 1:  # b == 0: raise through y phi = phi^{(p-1)} - c0
-            rhs = _scaled(self.reduce_single(2, n - 1, c), (-c0, 0)) if c0 else {}
+        if n >= 1:  # b == 0: raise through y phi = phi^{(p-1)} - 1
+            rhs = _scaled(self.reduce_single(2, n - 1, c), (-1, 0))
             return [((1, 0), ("M", n - 1, p - 1, c))], rhs
         return [], {("irr", c): self._one}
 
@@ -193,12 +191,8 @@ class MomentEngine:
         mj, oj = reduce_order_at_zero(self.p, j)
         scale = Fraction(mi * mj)
         orders = sorted(o for o in (oi, oj) if o is not None)
-        if len(orders) == 2:
-            return {("bdry", *orders): self._one.times_monomial(scale)}
-        if not self.c0:
-            return {}
-        scale *= self.c0 ** (2 - len(orders))
-        return {("sing", *orders) if orders else ("const",): self._one.times_monomial(scale)}
+        kind = "bdry" if len(orders) == 2 else "sing" if orders else "const"
+        return {(kind, *orders): self._one.times_monomial(scale)}
 
     def _reduce_node(self, root: Node) -> dict[Atom, CycloA]:
         """Tarjan's SCC pass over the unreduced product symbols reachable from root.
@@ -292,13 +286,24 @@ class MomentEngine:
 
 
 @lru_cache(maxsize=None)
-def _engine(p: int, c0: Fraction) -> MomentEngine:
-    return MomentEngine(p, c0)
+def _engine(p: int) -> MomentEngine:
+    return MomentEngine(p)
 
 
-def reduce_moment(sym: MomentSymbol, ode_constant: Fraction = Fraction(1)) -> dict[Atom, CycloA]:
-    """Reduce one moment symbol to its fixed-point atom vector (memoized per engine; read only)."""
-    return _engine(sym.p, Fraction(ode_constant)).reduce(sym)
+def reduce_moment(sym: MomentSymbol, ode_constant=1) -> dict[Atom, CycloA]:
+    """Reduce one moment symbol under phi^{(p-1)} = y phi + c0 with c0 = ode_constant.
+
+    c0 = 1 returns the engine's memo entry (read only), c0 = 0 a fresh dict
+    of its 'bdry' and 'irr' atoms in the same order; any other c0 raises
+    UsageError.  One engine per p serves both.
+    """
+    return _at_rewrite_constant(_engine(sym.p).reduce(sym), ode_constant)
+
+
+def _at_rewrite_constant(vec: dict[Atom, CycloA], c0) -> dict[Atom, CycloA]:
+    if c0 not in (0, 1):
+        raise UsageError(f"rewrite constant must be 0 or 1, got {c0}")
+    return vec if c0 else {atom: coeff for atom, coeff in vec.items() if atom[0] in ("bdry", "irr")}
 
 
 def eval_coefficient(coeff: CycloA, a: float) -> float:
@@ -350,7 +355,7 @@ class AssembledGrade:
     """One total-degree grade of a two-point expansion, exact in a.
 
     boundary: (i, j) -> {a-power: Fraction} multiplying phi^{(i)}(0) phi^{(j)}(0)
-    constants: atom -> {a-power: Fraction} rewrite-constant sector
+    constants: atom -> {a-power: Fraction} rewrite-constant sector (empty at c0 = 0)
     prefactor: the grade's common ExactScalar, for display; the contribution
     weights are relative to it
     """
@@ -362,9 +367,8 @@ class AssembledGrade:
 
 def combine_contributions(
     contributions: list[tuple[Fraction, int, MomentSymbol]],
-    ode_constant: Fraction = Fraction(1),
 ) -> dict[Atom, CycloA]:
-    """Reduce and sum contributions; returns the CycloA atom vector.
+    """Reduce and sum contributions at c0 = 1; returns the CycloA atom vector.
 
     A contribution (w, k, M(n, b, c)) stands for
     w * a^k * (1+a^p)^{n-1} * M(n, b, c), a two-point expansion term of
@@ -391,7 +395,7 @@ def combine_contributions(
         w[a_pow] = w.get(a_pow, Fraction(0)) + weight
     acc: dict[Atom, CycloA] = {}
     for sym, w in weights.items():
-        vec = reduce_moment(sym, ode_constant)
+        vec = reduce_moment(sym)
         vec = {atom: c.times_cyclo(sym.n - 1) for atom, c in vec.items()}
         for a_pow, ratio in w.items():
             _vec_add(acc, vec, (ratio, a_pow))
@@ -406,13 +410,13 @@ def combine_contributions(
 def assemble_grade(
     contributions: list[tuple[Fraction, int, MomentSymbol]],
     prefactor: ExactScalar,
-    ode_constant: Fraction = Fraction(1),
 ) -> AssembledGrade:
-    """Full grade assembly: cancellation checked, boundary part polynomial.
+    """Full grade assembly at c0 = 1: cancellation checked, boundary part polynomial.
 
     The prefactor is the grade's common scalar; it is stored, never read.
+    At c0 = 0 the grade is the same without its constants.
     """
-    acc = combine_contributions(contributions, ode_constant)
+    acc = combine_contributions(contributions)
     boundary: dict[tuple[int, int], dict[int, Fraction]] = {}
     constants: dict[Atom, dict[int, Fraction]] = {}
     for atom, coeff in acc.items():

@@ -16,8 +16,8 @@ Kernel normalization carries sqrt(p) per phi factor (one factor p per grade),
 and every boundary value phi^{(k)}(0) is the real-kernel moment
 (``phi_deriv_zero`` in real mode) in both kernel modes; the oscillatory p=3
 normalization would rescale each factor and is not used.  This is what makes
-a single calibration constant work across all p and both modes, which differ
-only in the engine's rewrite constant.
+a single calibration constant work across all p and both modes, whose tables
+are equal: a contour grade is a real one without its rewrite constants.
 """
 
 from __future__ import annotations
@@ -118,18 +118,20 @@ def _check_grade(p: int, g: int) -> None:  # every per-grade route also refuses 
 
 
 @lru_cache(maxsize=None)
-def _assembled_grade(p: int, g: int, kernel_mode: str) -> AssembledGrade:
+def _assembled_grade(p: int, g: int) -> AssembledGrade:
     prefactor = ExactScalar.rational_power(p, Fraction(2 * g, p)).scale(_grade_unit(g))
-    return assemble_grade(grade_contributions(p, g), prefactor, mode_constant(kernel_mode))
+    return assemble_grade(grade_contributions(p, g), prefactor)
 
 
 def two_point_grade(p: int, g: int, kernel_mode: str = REAL) -> AssembledGrade:
     """Assembled genus-g grade; raises CancellationError on a T-type residue.
 
-    Cached once per (p, g, kernel_mode), however the arguments are passed.
+    Assembled once per (p, g) for both modes, however the arguments are
+    passed; the contour grade is the real one without its constants.
     """
     _check_grade(p, g)
-    return _assembled_grade(p, g, kernel_mode)
+    real, grade = mode_constant(kernel_mode), _assembled_grade(p, g)
+    return grade if real else AssembledGrade(grade.boundary, {}, grade.prefactor)
 
 
 two_point_grade.cache_info = _assembled_grade.cache_info

@@ -2,9 +2,10 @@
 
 ``MirrorEngine`` reduces product moments with the mirrored (side-2) rule
 orientation: it integrates the phi^{(c)}(-a y) factor by parts and raises
-c = 0 through y phi(-ay) = -(phi^{(p-1)}(-ay) - c0)/a, so its rewrite rings
+c = 0 through y phi(-ay) = -(phi^{(p-1)}(-ay) - 1)/a, so its rewrite rings
 close at -a^-p where the library's close at -a^p.  The two orientations walk
 different graphs, so agreement of their fixed points is a confluence check.
+Like the library engine it reduces at c0 = 1 and projects to c0 = 0.
 
 ``ref_pair_weight`` derives a two-point pair weight by multiplying the
 boundary values and spin factors as ``ExactScalar`` tokens and testing the
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 from pspin.airy import phi_deriv_zero
 from pspin.exact import ExactScalar
-from pspin.moments import MomentEngine, MomentSymbol, _scaled, reduce_moment
+from pspin.moments import MomentEngine, MomentSymbol, _at_rewrite_constant, _scaled, reduce_moment
 from pspin.numbers import bernoulli_std
 from pspin.twopoint import CalibrationError, grade_monomial
 
@@ -26,13 +27,12 @@ class MirrorEngine(MomentEngine):
 
     def rule(self, node):
         _, n, b, c = node
-        p, c0 = self.p, self.c0
+        p = self.p
         if b >= p or c >= p:
             return super().rule(node)
         if b == p - 1 and c == 0:
-            # phi^{(p-1)}(y) = y phi(y) + c0
-            rhs = _scaled(self.reduce_single(2, n, 0), (c0, 0)) if c0 else {}
-            return [((1, 0), ("M", n + 1, 0, 0))], rhs
+            # phi^{(p-1)}(y) = y phi(y) + 1
+            return [((1, 0), ("M", n + 1, 0, 0))], dict(self.reduce_single(2, n, 0))
         if c >= 1:  # integrate the side-2 factor by parts
             if n == 0:
                 links, rhs = [], _scaled(self._bdry_vector(b, c - 1), (1, -1))
@@ -40,23 +40,23 @@ class MirrorEngine(MomentEngine):
                 links, rhs = [((n, -1), ("M", n - 1, b, c - 1))], {}
             links.append(((1, -1), ("M", n, b + 1, c - 1)))
             return links, rhs
-        if n >= 1:  # c == 0: raise through y phi(-ay) = -(phi^{(p-1)}(-ay) - c0)/a
-            rhs = _scaled(self.reduce_single(1, n - 1, b), (c0, -1)) if c0 else {}
+        if n >= 1:  # c == 0: raise through y phi(-ay) = -(phi^{(p-1)}(-ay) - 1)/a
+            rhs = _scaled(self.reduce_single(1, n - 1, b), (1, -1))
             return [((-1, -1), ("M", n - 1, b, p - 1))], rhs
         if b >= 1:
             # normalize mirror irreducibles M(0,b,0) into the library's T basis
-            return [], dict(reduce_moment(MomentSymbol(0, b, 0, p), c0))
+            return [], dict(reduce_moment(MomentSymbol(0, b, 0, p)))
         return [], {("irr", 0): self._one}
 
 
 @lru_cache(maxsize=None)
-def _mirror_engine(p: int, c0: Fraction) -> MirrorEngine:
-    return MirrorEngine(p, c0)
+def _mirror_engine(p: int) -> MirrorEngine:
+    return MirrorEngine(p)
 
 
-def mirror_reduce(sym: MomentSymbol, ode_constant: Fraction = Fraction(1)) -> dict:
-    """``reduce_moment`` through the mirrored orientation (memoized per engine)."""
-    return _mirror_engine(sym.p, Fraction(ode_constant)).reduce(sym)
+def mirror_reduce(sym: MomentSymbol, ode_constant=1) -> dict:
+    """``reduce_moment`` through the mirrored orientation (memoized per p)."""
+    return _at_rewrite_constant(_mirror_engine(sym.p).reduce(sym), ode_constant)
 
 
 def zeta_one_minus_2g(g: int) -> Fraction:

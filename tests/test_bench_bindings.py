@@ -1,15 +1,17 @@
 """The benchmark's bindings: every pspin name that bench/tracing.py wraps or
-reads, every one that bench/ops.py imports or reads off a pspin module, and
-every command line of bench/clicold.py.
+reads, every one that bench/ops.py imports or reads off a pspin module, the
+signature of every call bench/ops.py makes into pspin, and every command line
+of bench/clicold.py.
 
 ``Tracer.install`` looks each target up by name, ``cache_counts`` reads
 ``cache_info`` from the cached ones and the op lists look functions up on
-their modules at call time, so a rename or a changed return shape would
-otherwise surface only when a benchmark run dies.
+their modules at call time, so a rename, a changed signature or a changed
+return shape would otherwise surface only when a benchmark run dies.
 """
 
 import ast
 import importlib
+import inspect
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -70,19 +72,34 @@ def test_grade_contributions_shape(tracing):
             assert grade_contributions(p, g)[0][0] == 1, (p, g)
 
 
-def test_ops_pspin_names_resolve():
-    # every pspin name bench/ops.py imports or reads as <module>.<name> must exist
-    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "ops.py").read_text())
-    modules, missing = {}, []
+def _ops_tree():
+    return ast.parse((Path(__file__).resolve().parents[1] / "bench" / "ops.py").read_text())
+
+
+def _ops_pspin_imports(tree):
+    """{local name: object} for every name bench/ops.py imports from pspin."""
+    names = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "pspin":
             home = importlib.import_module(node.module)
             for alias in node.names:
                 if node.module == "pspin":
-                    modules[alias.asname or alias.name] = importlib.import_module(
+                    names[alias.asname or alias.name] = importlib.import_module(
                         f"pspin.{alias.name}")
-                elif not hasattr(home, alias.name):
-                    missing.append(f"{node.module}.{alias.name}")
+                elif hasattr(home, alias.name):
+                    names[alias.asname or alias.name] = getattr(home, alias.name)
+    return names
+
+
+def test_ops_pspin_names_resolve():
+    # every pspin name bench/ops.py imports or reads as <module>.<name> must exist
+    tree = _ops_tree()
+    missing = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "pspin"
+               and node.module != "pspin"
+               for alias in node.names
+               if not hasattr(importlib.import_module(node.module), alias.name)]
+    modules = {k: v for k, v in _ops_pspin_imports(tree).items() if inspect.ismodule(v)}
     assert modules
     reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
              and isinstance(node.value, ast.Name) and node.value.id in modules]
@@ -90,6 +107,41 @@ def test_ops_pspin_names_resolve():
     missing += [f"pspin.{node.value.id}.{node.attr}" for node in reads
                 if not hasattr(modules[node.value.id], node.attr)]
     assert missing == []
+
+
+def _resolve(expr, names):
+    """The pspin object a call target such as ``moments.reduce_moment`` names, or None."""
+    if isinstance(expr, ast.Name):
+        return names.get(expr.id)
+    if isinstance(expr, ast.Attribute):
+        owner = _resolve(expr.value, names)
+        return None if owner is None else getattr(owner, expr.attr, None)
+    return None
+
+
+def test_ops_pspin_calls_bind():
+    # every call bench/ops.py makes into pspin must bind to the callee's current
+    # signature: its positional count and its keyword names
+    tree = _ops_tree()
+    names = _ops_pspin_imports(tree)
+    bound, failures = set(), []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = _resolve(node.func, names)
+        if fn is None or inspect.ismodule(fn):
+            continue
+        target = ast.unparse(node.func)
+        assert not any(isinstance(arg, ast.Starred) for arg in node.args), target
+        assert all(kw.arg is not None for kw in node.keywords), target
+        try:
+            inspect.signature(fn).bind(*node.args, **{kw.arg: kw.value for kw in node.keywords})
+        except TypeError as exc:
+            failures.append(f"line {node.lineno}: {target}: {exc}")
+        bound.add(target)
+    assert {"moments.reduce_moment", "correlators.general_p_interpolate",
+            "twopoint.two_point_grade", "McConfig"} <= bound
+    assert failures == []
 
 
 def test_clicold_commands_parse():

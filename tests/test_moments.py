@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pspin.airy import CONTOUR, REAL, mode_constant, phi_deriv_zero
+from pspin.airy import CONTOUR, REAL, phi_deriv_zero
 from pspin.exact import CycloA, ExactScalar as ES, UsageError
 from pspin.moments import (
     CancellationError,
@@ -88,7 +88,7 @@ class TestClosedForms:
                 return ([(closing, loop)], {}) if node == loop else super().rule(node)
 
         with pytest.raises(moments.ReductionCycleError, match=f"pivot {re.escape(pivot)}$"):
-            LoopEngine(3, F(0)).reduce(MomentSymbol(2, 1, 1, 3))
+            LoopEngine(3).reduce(MomentSymbol(2, 1, 1, 3))
 
     def test_second_link_into_cycle_raises(self):
         # X = -a^3 X + Y + T_0 and Y = a^3 X + T_1 has determinant 1, so the
@@ -106,7 +106,7 @@ class TestClosedForms:
                 return super().rule(node)
 
         with pytest.raises(moments.ReductionCycleError, match="links twice"):
-            TwoLinkEngine(3, F(0)).reduce(MomentSymbol(2, 1, 1, 3))
+            TwoLinkEngine(3).reduce(MomentSymbol(2, 1, 1, 3))
 
 
 class TestGenus3Relations:
@@ -226,15 +226,19 @@ class TestAssembleGrade:
         from pspin.moments import combine_contributions
 
         sym = MomentSymbol(0, 2, 0, 3)
-        acc = combine_contributions([(F(1), 0, sym)], F(0))
-        # a contribution with no irreducible part passes through, times (1+a^3)^(n-1)
-        assert acc == {("bdry", 0, 1): (-(one + a)).times_cyclo(-2)}
+        acc = combine_contributions([(F(1), 0, sym)])
+        # a contribution with no irreducible part passes through, times (1+a^3)^(n-1),
+        # its rewrite-constant atom included
+        assert acc == {
+            ("bdry", 0, 1): (-(one + a)).times_cyclo(-2),
+            ("omega",): (2 * a**2).times_cyclo(-2),
+        }
 
     def test_t_residue_raises(self):
         # a lone I2 contribution leaves an uncancelled T coefficient
         sym = MomentSymbol(1, 2, 0, 3)
         with pytest.raises(CancellationError) as exc:
-            assemble_grade([(F(1), 0, sym)], ES.one(), F(0))
+            assemble_grade([(F(1), 0, sym)], ES.one())
         assert exc.value.residues
 
     @pytest.mark.parametrize("contributions, message", [
@@ -328,7 +332,9 @@ class TestGroupedCombine:
         from pspin.twopoint import grade_contributions
 
         contribs = grade_contributions(p, g)
-        acc = combine_contributions(contribs, F(c0))
+        acc = combine_contributions(contribs)
+        if c0 == 0:  # the c0 = 0 sum is the 'bdry'/'irr' part of the c0 = 1 sum
+            acc = {atom: coeff for atom, coeff in acc.items() if atom[0] in ("bdry", "irr")}
         assert contribs[0][0] == 1
         assert acc == self.per_contribution_sum(contribs, c0)
 
@@ -348,7 +354,7 @@ class TestGroupedCombine:
         monkeypatch.setattr(moments, "reduce_moment", counting)
         # at p=3 every term is its own symbol; at (4, 3) symbols repeat
         contribs = grade_contributions(4, 3)
-        moments.combine_contributions(contribs, F(1))
+        moments.combine_contributions(contribs)
         distinct = {sym for _, _, sym in contribs}
         assert (len(contribs), len(distinct)) == (16, 13)
         assert set(calls) == distinct
@@ -364,13 +370,13 @@ class TestGroupedCombine:
                 # X = X: the cycle's linear system is singular
                 return ([((1, 0), loop)], {}) if node == loop else super().rule(node)
 
-        engine = LoopEngine(3, F(0))
-        monkeypatch.setattr(moments, "_engine", lambda p, c0: engine)
+        engine = LoopEngine(3)
+        monkeypatch.setattr(moments, "_engine", lambda p: engine)
         sym = MomentSymbol(2, 1, 1, 3)
         # the two weights cancel, yet the symbol must still be reduced
         contribs = [(F(1), 4, sym), (F(-1), 4, sym)]
         with pytest.raises(moments.ReductionCycleError):
-            moments.combine_contributions(contribs, F(0))
+            moments.combine_contributions(contribs)
 
 
 class TestBoundaryAtoms:
@@ -379,16 +385,16 @@ class TestBoundaryAtoms:
     @pytest.mark.parametrize("mode", [REAL, CONTOUR])
     @pytest.mark.parametrize("p", [3, 4, 5, 6])
     def test_bdry_vector_matches_phi_deriv_zero(self, p, mode):
-        eng = _engine(p, mode_constant(mode))
+        eng = _engine(p)
         for i in range(2 * p + 2):
             for j in range(2 * p + 2):
                 want = phi_deriv_zero(p, i, mode) * phi_deriv_zero(p, j, mode)
-                vec = eng._bdry_vector(i, j)
-                if not vec:  # a factor reduced to the vanishing rewrite constant
+                (((kind, *orders), coeff),) = eng._bdry_vector(i, j).items()  # one atom
+                assert kind in ("bdry", "sing", "const")
+                if kind != "bdry" and mode == CONTOUR:
+                    # a factor reduced to the rewrite constant, which vanishes here
                     assert want == ES.zero(), (i, j)
                     continue
-                (((kind, *orders), coeff),) = vec.items()  # one atom, never a sum
-                assert kind in ("bdry", "sing", "const")
                 atom = ES.one()
                 for k in orders:
                     atom = atom * phi_deriv_zero(p, k, mode)
@@ -410,20 +416,19 @@ def test_rule_links_are_product_symbols(p):
     nodes, each with a monomial coefficient c a^j given as the pair (c, j)."""
     roots = {("M", sym.n, sym.b, sym.c) for _, _, sym in grade_contributions(p, 2)}
     for engine in (MomentEngine, MirrorEngine):
-        for c0 in (0, 1):
-            eng = engine(p, F(c0))
-            seen, stack = set(), list(roots)
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                links, rhs = eng.rule(node)
-                for (c, j), nxt in links:
-                    assert nxt[0] == "M" and len(nxt) == 4, (engine, c0, node, nxt)
-                    assert isinstance(c, (int, F)) and c and isinstance(j, int), (node, c, j)
-                    stack.append(nxt)
-                assert {atom[0] for atom in rhs} <= ATOM_KINDS, (engine, c0, node)
+        eng = engine(p)
+        seen, stack = set(), list(roots)
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            links, rhs = eng.rule(node)
+            for (c, j), nxt in links:
+                assert nxt[0] == "M" and len(nxt) == 4, (engine, node, nxt)
+                assert isinstance(c, (int, F)) and c and isinstance(j, int), (node, c, j)
+                stack.append(nxt)
+            assert {atom[0] for atom in rhs} <= ATOM_KINDS, (engine, node)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8])
@@ -449,24 +454,23 @@ def test_every_cycle_is_a_ring(p):
                 )
                 super()._solve_component(comp, edges)
 
-        for c0 in (0, 1):
-            components.clear()
-            eng = RecordingEngine(p, F(c0))
-            for g in range(1, g_max + 1):
-                for _, _, sym in grade_contributions(p, g):
-                    eng.reduce(sym)
-            rings = [comp for comp in components if any(comp.values())]
-            assert rings, (engine, c0)
-            for comp in rings:
-                assert len(comp) == p + 1, (engine, c0, comp)
-                assert all(len(links) == 1 for links in comp.values()), (engine, c0, comp)
-                product, head = (1, 0), next(iter(comp))
-                node = head
-                for _ in comp:
-                    (c, j), node = comp[node][0]
-                    product = (product[0] * c, product[1] + j)
-                assert node == head, (engine, c0, comp)
-                assert product == closing[engine], (engine, c0, comp)
+        components.clear()
+        eng = RecordingEngine(p)
+        for g in range(1, g_max + 1):
+            for _, _, sym in grade_contributions(p, g):
+                eng.reduce(sym)
+        rings = [comp for comp in components if any(comp.values())]
+        assert rings, engine
+        for comp in rings:
+            assert len(comp) == p + 1, (engine, comp)
+            assert all(len(links) == 1 for links in comp.values()), (engine, comp)
+            product, head = (1, 0), next(iter(comp))
+            node = head
+            for _ in comp:
+                (c, j), node = comp[node][0]
+                product = (product[0] * c, product[1] + j)
+            assert node == head, (engine, comp)
+            assert product == closing[engine], (engine, comp)
 
 
 @pytest.mark.parametrize("p", range(3, 13))
@@ -477,7 +481,7 @@ def test_single_kernel_moment_closed_form(p):
     """
     from math import factorial
 
-    engine = MomentEngine(p, F(1))
+    engine = MomentEngine(p)
     for m in range(1, p):
         got = {atom: c for atom, c in engine.reduce_single(1, m, 0).items() if atom[0] != "zdiv"}
         assert got == {("sing", p - 1 - m): CycloA.var(p, 0) * ((-1) ** m * factorial(m - 1))}, m
@@ -504,3 +508,52 @@ def test_library_path_has_no_general_product(monkeypatch):
             two_point_grade(p, g, mode)
     for n, b, c in _AIRY_QUAD_SYMBOLS:
         reduce_moment(MomentSymbol(n, b, c, 3), F(0))
+
+
+class ZeroConstantEngine(MomentEngine):
+    """The c0 = 0 rules: a single-factor integral and a boundary factor that
+    reduces to the rewrite constant both vanish."""
+
+    def reduce_single(self, side, n, d):
+        return {}
+
+    def _bdry_vector(self, i, j):
+        return {atom: c for atom, c in super()._bdry_vector(i, j).items() if atom[0] == "bdry"}
+
+
+def test_zero_constant_is_the_constant_sector_dropped():
+    """c0 multiplies only terminal atoms, so reducing at c0 = 1 and dropping the
+    rewrite-constant sector gives the c0 = 0 engine's vector, key order included."""
+    from pspin.cli import _AIRY_QUAD_SYMBOLS
+
+    roots = {(p, (sym.n, sym.b, sym.c)) for p in range(3, 9) for g in (1, 2)
+             for _, _, sym in grade_contributions(p, g)}
+    assert len(roots) == 63
+    roots |= {(3, nbc) for nbc in _AIRY_QUAD_SYMBOLS}  # 6 of the 18 are grade roots
+    assert len(roots) == 75
+    engines = {p: ZeroConstantEngine(p) for p in range(3, 9)}
+    for p, nbc in sorted(roots):
+        sym = MomentSymbol(*nbc, p)
+        want = engines[p].reduce(sym)
+        assert list(reduce_moment(sym, 0).items()) == list(want.items()), (p, nbc)
+        assert mirror_reduce(sym, 0) == want, (p, nbc)  # another graph, another key order
+
+
+@pytest.mark.parametrize("c0", [F(1, 2), 2, -1])
+def test_reduce_moment_refuses_other_rewrite_constants(c0):
+    with pytest.raises(UsageError, match="rewrite constant must be 0 or 1"):
+        reduce_moment(MomentSymbol(1, 2, 0, 3), c0)
+
+
+def test_one_engine_and_grade_per_p_for_both_modes():
+    # the contour tables reuse the real engine and grades
+    from pspin import moments, twopoint
+    from pspin.correlators import two_point_table
+
+    moments._engine.cache_clear()
+    twopoint._assembled_grade.cache_clear()
+    for p in (3, 4, 5):
+        for mode in (REAL, CONTOUR):
+            two_point_table(p, 2, mode)
+    assert moments._engine.cache_info().currsize == 3
+    assert twopoint._assembled_grade.cache_info().currsize == 6
