@@ -18,7 +18,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import density as density_mod
-from . import golden
 from .correlators import (
     FiniteNSource,
     finite_n_evaluate,
@@ -84,6 +83,8 @@ def cmd_intersect(args) -> int:
     else:
         entries = one_point_table(p, args.genus)
     if args.golden:
+        from . import golden
+
         problems = golden.compare(p, args.points, entries, g_max=args.genus)
         if problems is None:
             print(f"golden: no bundled reference table for p={p} at genus <= {args.genus}",

@@ -17,13 +17,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, e, exp, isfinite, log, log1p
 
 from .airy import REAL
-from .exact import DomainError, LaurentP, UsageError
+from .exact import DomainError, LaurentP, UsageError, record_repr
 from .onepoint import (
     admissible_one_point_label,
     one_point_series,
@@ -40,14 +39,24 @@ from .twopoint import (
 )
 
 
-@dataclass(frozen=True)
 class TauCorrelator:
-    """One table entry <prod_k tau_{m_k, j_k}>_g with its exact value."""
+    """One table entry <prod_k tau_{m_k, j_k}>_g with its exact value; immutable by convention."""
 
-    p: object  # Fraction for fixed p, the string "symbolic" otherwise
-    genus: int
-    marks: tuple[tuple[int, int], ...]
-    value: object  # Fraction, or LaurentP in symbolic runs
+    __slots__ = ("p", "genus", "marks", "value")
+
+    def __init__(self, p: object, genus: int, marks: tuple[tuple[int, int], ...], value: object):
+        # p: Fraction, or "symbolic"; value: Fraction, or LaurentP in symbolic runs
+        self.p, self.genus, self.marks, self.value = p, genus, marks, value
+
+    def __eq__(self, other):
+        if other.__class__ is not TauCorrelator:
+            return NotImplemented
+        return (self.p, *self.key(), self.value) == (other.p, *other.key(), other.value)
+
+    def __hash__(self):
+        return hash((self.p, self.genus, self.marks, self.value))
+
+    __repr__ = record_repr
 
     def selection_ok(self) -> bool:
         return self.p == "symbolic" or selection_rule(self.p, self.genus, self.marks)
@@ -227,18 +236,17 @@ def general_p_interpolate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FiniteNSource:
     """External-source configuration for the Gaussian ensemble at finite N."""
 
-    N: int
-    eigenvalues: tuple
+    __slots__ = ("N", "eigenvalues")
 
-    def __post_init__(self):
-        if self.N < 1 or len(self.eigenvalues) != self.N:
+    def __init__(self, N: int, eigenvalues: tuple):
+        if N < 1 or len(eigenvalues) != N:
             raise UsageError("need N >= 1 eigenvalues")
-        if not all(isfinite(a) for a in self.eigenvalues):
+        if not all(isfinite(a) for a in eigenvalues):
             raise UsageError("source eigenvalues must be finite")
+        self.N, self.eigenvalues = N, eigenvalues
 
 
 # Node counts aim the every-other-node half rule at e^-23 ~ 1e-10 relative

@@ -14,7 +14,6 @@ offset), against the simplified coset-model density
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -44,13 +43,12 @@ def zeta_identity_exact(g: int) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True)
 class LargePReport:
-    genus: int
-    degree: int
-    leading: Fraction
-    matches: bool
-    negligible: bool
+    __slots__ = ("genus", "degree", "leading", "matches", "negligible")
+
+    def __init__(self, genus: int, degree: int, leading: Fraction, matches: bool, negligible: bool):
+        self.genus, self.degree, self.leading = genus, degree, leading
+        self.matches, self.negligible = matches, negligible
 
 
 def large_p_check(formula: LaurentP, g: int) -> LargePReport:
@@ -124,15 +122,15 @@ def binet_check(z: float) -> tuple[float, float, float]:
     return lhs, rhs, abs(lhs - rhs)
 
 
-@dataclass(frozen=True)
 class DensityConfig:
     """Evaluation grid for the density comparison."""
 
-    e_grid: tuple[float, ...]
+    __slots__ = ("e_grid",)
 
-    def __post_init__(self):
-        if not all(0 < e < math.inf for e in self.e_grid):
+    def __init__(self, e_grid: tuple[float, ...]):
+        if not all(0 < e < math.inf for e in e_grid):
             raise DomainError("E grid must be finite and strictly positive (pole at E=0)")
+        self.e_grid = e_grid
 
     @staticmethod
     def linspace(e_min: float, e_max: float, n: int) -> "DensityConfig":
@@ -174,13 +172,15 @@ def rho_blackhole(e: float) -> float:
     return -(2.0 / math.pi) * _re_psi_imag_axis(e)
 
 
-@dataclass
 class AffineFitReport:
-    alpha: float
-    beta: float
-    max_residual: float
-    max_residual_full: float
-    rows: list[tuple[float, float, float, float]] = field(default_factory=list)
+    __slots__ = ("alpha", "beta", "max_residual", "max_residual_full", "rows")
+
+    def __init__(
+        self, alpha: float, beta: float, max_residual: float, max_residual_full: float, rows=None
+    ):
+        self.alpha, self.beta = alpha, beta
+        self.max_residual, self.max_residual_full = max_residual, max_residual_full
+        self.rows = [] if rows is None else rows
 
     def render(self) -> str:
         return (

@@ -31,10 +31,8 @@ oracle).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 
 class DomainError(ValueError):
@@ -77,14 +75,30 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ExactScalar:
-    """Canonical exact monomial: a product of tokens, no sums. Immutable; safe to share."""
+def record_repr(rec) -> str:
+    """Name(field=value, ...) over a slotted record's fields, in slot order."""
+    fields = ", ".join(f"{name}={getattr(rec, name)!r}" for name in rec.__slots__)
+    return f"{type(rec).__qualname__}({fields})"
 
-    rational: Fraction = Fraction(0)
-    pi_pow: int = 0
-    radical: tuple[tuple[int, Fraction], ...] = ()
-    gammas: tuple[tuple[Fraction, int], ...] = ()
+
+class ExactScalar:
+    """Canonical exact monomial: a product of tokens, no sums; immutable by convention."""
+
+    __slots__ = ("rational", "pi_pow", "radical", "gammas")
+
+    def __init__(self, rational: Fraction = Fraction(0), pi_pow: int = 0, radical=(), gammas=()):
+        # radical: ((prime, exponent in (0, 1)), ...); gammas: ((q in (0, 1), power), ...)
+        self.rational, self.pi_pow, self.radical, self.gammas = rational, pi_pow, radical, gammas
+
+    def __eq__(self, other):
+        if other.__class__ is not ExactScalar:
+            return NotImplemented
+        return self.rational == other.rational and self.surd == other.surd
+
+    def __hash__(self):
+        return hash((self.rational, self.pi_pow, self.radical, self.gammas))
+
+    __repr__ = record_repr
 
     # -- constructors -------------------------------------------------------
 
@@ -282,7 +296,7 @@ class LaurentP:
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Optional[dict] = None):
+    def __init__(self, coeffs: dict | None = None):
         fracs = {e: Fraction(c) for e, c in (coeffs or {}).items() if c}
         # over the lcm of reduced denominators the form is already lowest
         self.den = math.lcm(*(c.denominator for c in fracs.values()))
@@ -555,11 +569,23 @@ class CycloA:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Monomial:
     """prod_i s_i^(m_i + f_i/p), one (m, f) pair per marked point, 0 <= f < p."""
 
-    slots: tuple[tuple[int, int], ...]
+    __slots__ = ("slots",)
+
+    def __init__(self, slots: tuple[tuple[int, int], ...]):
+        self.slots = slots
+
+    def __eq__(self, other):
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return self.slots == other.slots
+
+    def __hash__(self):
+        return hash((self.slots,))
+
+    __repr__ = record_repr
 
     def spins(self) -> tuple[int, ...]:
         """Spin indices j = f - 1; raises if any slot has integer exponent."""

@@ -26,12 +26,11 @@ component raises ReductionCycleError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .airy import reduce_order_at_zero
-from .exact import CycloA, DomainError, ExactScalar, UsageError
+from .exact import CycloA, DomainError, ExactScalar, UsageError, record_repr
 
 # graph nodes
 #   ('M', n, b, c)           product symbol
@@ -61,20 +60,27 @@ class CancellationError(AssertionError):
         self.residues = residues
 
 
-@dataclass(frozen=True)
 class MomentSymbol:
-    """Canonical key of a product moment integral."""
+    """Canonical key of a product moment integral; immutable by convention."""
 
-    n: int
-    b: int
-    c: int
-    p: int
+    __slots__ = ("n", "b", "c", "p")
 
-    def __post_init__(self):
-        if self.n < 0 or self.b < 0 or self.c < 0:
+    def __init__(self, n: int, b: int, c: int, p: int):
+        if n < 0 or b < 0 or c < 0:
             raise UsageError("moment symbol indices must be >= 0")
-        if not isinstance(self.p, int) or self.p < 3:
+        if not isinstance(p, int) or p < 3:
             raise UsageError("moment symbol needs integer p >= 3")
+        self.n, self.b, self.c, self.p = n, b, c, p
+
+    def __eq__(self, other):
+        if other.__class__ is not MomentSymbol:
+            return NotImplemented
+        return (self.n, self.b, self.c, self.p) == (other.n, other.b, other.c, other.p)
+
+    def __hash__(self):
+        return hash((self.n, self.b, self.c, self.p))
+
+    __repr__ = record_repr
 
 
 def _vec_add(dst: dict, src: dict, mono: Mono) -> None:
@@ -350,7 +356,6 @@ def poly_coeffs(coeff: CycloA, allow_negative: bool = False) -> dict[int, Fracti
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class AssembledGrade:
     """One total-degree grade of a two-point expansion, exact in a.
 
@@ -360,9 +365,17 @@ class AssembledGrade:
     weights are relative to it
     """
 
-    boundary: dict[tuple[int, int], dict[int, Fraction]]
-    constants: dict[Atom, dict[int, Fraction]]
-    prefactor: ExactScalar
+    __slots__ = ("boundary", "constants", "prefactor")
+
+    def __init__(self, boundary: dict, constants: dict, prefactor: ExactScalar):
+        self.boundary, self.constants, self.prefactor = boundary, constants, prefactor
+
+    def __eq__(self, other):
+        if other.__class__ is not AssembledGrade:
+            return NotImplemented
+        return (self.boundary, self.constants, self.prefactor) == (
+            other.boundary, other.constants, other.prefactor
+        )
 
 
 def combine_contributions(

@@ -20,7 +20,6 @@ is evaluated at fixed rational p (including negative p) on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -48,7 +47,6 @@ def genus_coefficient(g: int) -> LaurentP:
     return total
 
 
-@dataclass(frozen=True)
 class OnePointTerm:
     """Genus-g term of the one-point expansion.
 
@@ -56,8 +54,10 @@ class OnePointTerm:
     factor Gamma(1 - (2g-1)/p) stays symbolic
     """
 
-    genus: int
-    coefficient: LaurentP
+    __slots__ = ("genus", "coefficient")
+
+    def __init__(self, genus: int, coefficient: LaurentP):
+        self.genus, self.coefficient = genus, coefficient
 
 
 def one_point_term(g: int) -> OnePointTerm:

@@ -7,7 +7,6 @@ so agreement with the engine is a genuine two-route check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import ceil, gamma, isfinite, pi, sqrt
 
@@ -292,35 +291,34 @@ def quad_moment(n: int, b: int, c: int, a: float, tol: float = 1e-9) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class McConfig:
-    """Reproducible Monte Carlo configuration.
+    """Reproducible Monte Carlo configuration; immutable by convention.
 
     Sample i's counter of the counter-based Philox generator is set to
     i * 4096 under the seed's key, so estimates are bit-identical for a given
     seed and independent of batching.
     """
 
-    N: int
-    eigenvalues: tuple
-    s_values: tuple
-    sample_count: int = 10_000
-    rng_seed: int = 20121220
+    __slots__ = ("N", "eigenvalues", "s_values", "sample_count", "rng_seed")
 
-    def __post_init__(self):
-        if self.N < 1 or len(self.eigenvalues) != self.N:
+    def __init__(
+        self, N: int, eigenvalues: tuple, s_values: tuple, sample_count=10_000, rng_seed=20121220
+    ):
+        if N < 1 or len(eigenvalues) != N:
             raise UsageError("need N >= 1 and exactly N source eigenvalues")
-        if not 1 <= len(self.s_values) <= 2:
+        if not 1 <= len(s_values) <= 2:
             raise UsageError("one or two insertions supported")
-        if self.sample_count < 2:
+        if sample_count < 2:
             raise UsageError("need at least 2 samples for a standard error")
-        if not all(isfinite(x) for x in (*self.eigenvalues, *self.s_values)):
+        if not all(isfinite(x) for x in (*eigenvalues, *s_values)):
             raise UsageError("eigenvalues and s values must be finite")
-        if not 0 <= self.rng_seed < 2**128:
+        if not 0 <= rng_seed < 2**128:
             raise UsageError("seed must lie in [0, 2^128), the Philox key range")
         # every sample draws two N x N normal matrices; cap both like any numeric rule
-        check_size(self.sample_count, unit="Monte Carlo samples")
-        check_size(2 * self.N * self.N)
+        check_size(sample_count, unit="Monte Carlo samples")
+        check_size(2 * N * N)
+        self.N, self.eigenvalues, self.s_values = N, eigenvalues, s_values
+        self.sample_count, self.rng_seed = sample_count, rng_seed
 
 
 _DRAWS_PER_SAMPLE = 4096  # Philox counter stride per sample index

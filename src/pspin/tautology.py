@@ -9,25 +9,27 @@ The checks here are exact: a passing identity has literally zero difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .correlators import TauCorrelator
 from .onepoint import one_point_value, selection_rule  # selection_rule re-exported
 
 
-@dataclass
 class CheckRecord:
-    identity: str
-    lhs_key: str
-    rhs_keys: tuple[str, ...]
-    passed: bool
-    difference: Fraction
+    __slots__ = ("identity", "lhs_key", "rhs_keys", "passed", "difference")
+
+    def __init__(
+        self, identity: str, lhs_key: str, rhs_keys: tuple, passed: bool, difference: Fraction
+    ):
+        self.identity, self.lhs_key, self.rhs_keys = identity, lhs_key, rhs_keys
+        self.passed, self.difference = passed, difference
 
 
-@dataclass
 class TautologyReport:
-    checked: list[CheckRecord] = field(default_factory=list)
+    __slots__ = ("checked",)
+
+    def __init__(self, checked: list[CheckRecord] | None = None):
+        self.checked = [] if checked is None else checked
 
     def record(self, identity: str, lhs_key: str, rhs_keys, lhs: Fraction, rhs: Fraction):
         self.checked.append(

@@ -5,7 +5,6 @@ import json
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +12,7 @@ import pytest
 
 from pspin import golden
 from pspin.cli import main
-from pspin.correlators import one_point_table, two_point_table
+from pspin.correlators import TauCorrelator, one_point_table, two_point_table
 from pspin.moments import CancellationError, ReductionCycleError
 
 
@@ -466,7 +465,8 @@ def test_sympy_stays_unimported(probe, allowed, cli):
         assert submodules == []
 
 
-def test_no_scipy_import_in_package():
+def _package_imports(top: str) -> list[str]:
+    """'file: module' for every import of package `top` in a src/pspin module."""
     package = Path(__file__).resolve().parents[1] / "src" / "pspin"
     found = []
     for path in sorted(package.glob("*.py")):
@@ -477,8 +477,30 @@ def test_no_scipy_import_in_package():
                 names = [node.module or ""]
             else:
                 continue
-            found += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
-    assert found == []
+            found += [f"{path.name}: {n}" for n in names if n.split(".")[0] == top]
+    return found
+
+
+def test_no_scipy_import_in_package():
+    assert _package_imports("scipy") == []
+
+
+def test_no_dataclasses_import_in_package():
+    # the records are plain slotted classes: dataclasses would load inspect, ast
+    # and dis, and compile generated methods for each class, in every cold command
+    assert _package_imports("dataclasses") == []
+
+
+def test_cold_commands_skip_dataclasses_and_inspect():
+    # typing is not checked: a site-wide .pth file may import it at start-up
+    argvs = [["intersect", "--p", "3", "--genus", "2"], ["verify", "string"],
+             ["density", "--central-charge", "9/4"]]
+    script = "".join(_CLI_PROBE.format(argv=argv) for argv in argvs) + (
+        "\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestGoldenVariants:
@@ -493,7 +515,8 @@ class TestGoldenVariants:
         assert golden.compare(3, 2, two, g_max=2) == [] and golden.compare(-1, 1, one) == []
         assert golden.compare(3, 1, one_point_table(3, 2)) is None  # no one-point table
         anchor = (2, ((0, 1), (4, 1)))
-        bad = [replace(e, value=e.value + 1) if e.key() == anchor else e for e in two]
+        bad = [TauCorrelator(e.p, e.genus, e.marks, e.value + 1) if e.key() == anchor else e
+               for e in two]
         assert golden.compare(3, 2, bad, g_max=2) == [
             "drift at g=2 marks=((0, 1), (4, 1)): expected 1/864, computed 865/864"]
         assert golden.compare(-1, 1, one[1:]) == ["missing reference entry g=1 marks=((1, 0),)"]
