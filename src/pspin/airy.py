@@ -1,6 +1,9 @@
 """Generalized Airy kernels phi for each p: exact derivatives at zero.
 
-Two kernel flavours are carried throughout:
+Two kernel flavours, each with its rewrite constant c0 (``mode_constant``).
+The mode changes only the p = 3 contour values at zero (``phi_deriv_zero``)
+and the c0 = 0 projection of ``moments.reduce_moment``; both modes give one
+two-point table, so the two-point grades and series take no mode.
 
 * ``real``: phi(y) = int_0^inf du exp(-u^p/p + y u).  Its derivative rewrite
   carries a boundary constant, phi^{(p-1)}(y) = y phi(y) + 1, and the exact

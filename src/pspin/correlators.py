@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, e, exp, isfinite, log, log1p
 
-from .airy import REAL
+from .airy import REAL, mode_constant
 from .exact import DomainError, LaurentP, UsageError, record_repr
 from .onepoint import (
     admissible_one_point_label,
@@ -71,9 +71,9 @@ def calibration_constant(npoints: int) -> Fraction:
 
     n=1 anchor: <tau_{1,0}>_{g=1} = (p-1)/24 (symbolic in p).
     n=2 anchor: <tau_{0,1} tau_{4,1}>_{g=2} = 1/864 at p=3, read from the
-    real-kernel series; both kernel modes share the constant.
+    two-point series, which both kernel modes share.
     The derived constant must be a pure rational; it is then used unchanged
-    for every p, genus, grade and kernel mode.
+    for every p, genus and grade.
     """
     if npoints == 1:
         coefficient = one_point_series(1)[0].coefficient
@@ -83,7 +83,7 @@ def calibration_constant(npoints: int) -> Fraction:
             raise CalibrationError(f"one-point calibration is not constant: {coefficient}")
         return kappa
     if npoints == 2:
-        return Fraction(1, 864) / two_point_series(3, 2, REAL)[2][2]  # a^2: (0,1),(4,1)
+        return Fraction(1, 864) / two_point_series(3, 2)[2][2]  # a^2: (0,1),(4,1)
     raise UsageError("calibration defined for 1 or 2 marked points")
 
 
@@ -110,8 +110,13 @@ def extract_intersections(p: int, series: dict[int, dict[int, Fraction]]) -> lis
 
 
 def two_point_table(p: int, g_max: int, kernel_mode: str = REAL) -> list[TauCorrelator]:
-    """Exact two-point intersection table through genus g_max."""
-    return extract_intersections(p, two_point_series(p, g_max, kernel_mode))
+    """Exact two-point intersection table through genus g_max, one for both kernel modes.
+
+    The mode is only validated: c0 = 0 would drop only the rewrite-constant
+    sector, which ``two_point_series`` keeps off the extractable grades.
+    """
+    mode_constant(kernel_mode)
+    return extract_intersections(p, two_point_series(p, g_max))
 
 
 def two_point_low_value(p: int, g: int, m: int) -> Fraction | None:

@@ -176,11 +176,11 @@ class AffineFitReport:
     __slots__ = ("alpha", "beta", "max_residual", "max_residual_full", "rows")
 
     def __init__(
-        self, alpha: float, beta: float, max_residual: float, max_residual_full: float, rows=None
+        self, alpha: float, beta: float, max_residual: float, max_residual_full: float, rows: list
     ):
         self.alpha, self.beta = alpha, beta
         self.max_residual, self.max_residual_full = max_residual, max_residual_full
-        self.rows = [] if rows is None else rows
+        self.rows = rows
 
     def render(self) -> str:
         return (

@@ -21,9 +21,9 @@ mean equal values, but not the converse: Gamma(1/3) Gamma(2/3) and
 identity, because the spin factors cancel the Gamma tokens of the boundary
 values pair by pair, before anything is summed.  Where one would be needed
 the engine fails loudly, never silently: a boundary pair whose Gamma
-tokens the spin factors do not cancel raises CalibrationError, decided on
-integers with no scalar product (``twopoint._pair_weight``), and a cross
-term or residue that does not cancel raises CancellationError.  The
+tokens the spin factors do not cancel raises CalibrationError, decided and
+reported on integers with no scalar built (``twopoint._pair_weight``), and a
+cross term or residue that does not cancel raises CancellationError.  The
 numeric value is preserved by construction (tested against an mpmath
 oracle).
 """
@@ -586,9 +586,3 @@ class Monomial:
         return hash((self.slots,))
 
     __repr__ = record_repr
-
-    def spins(self) -> tuple[int, ...]:
-        """Spin indices j = f - 1; raises if any slot has integer exponent."""
-        if any(f == 0 for _, f in self.slots):
-            raise DomainError(f"integer-exponent slot in {self}; spin j=p-1 excluded")
-        return tuple(f - 1 for _, f in self.slots)

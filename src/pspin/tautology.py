@@ -28,8 +28,8 @@ class CheckRecord:
 class TautologyReport:
     __slots__ = ("checked",)
 
-    def __init__(self, checked: list[CheckRecord] | None = None):
-        self.checked = [] if checked is None else checked
+    def __init__(self):
+        self.checked: list[CheckRecord] = []
 
     def record(self, identity: str, lhs_key: str, rhs_keys, lhs: Fraction, rhs: Fraction):
         self.checked.append(

@@ -13,11 +13,11 @@ and every term is a product moment M(l, D1, D2) with derivative orders
 D_i = sum_r k_r (p-2r) from the deformation multi-indices.
 
 Kernel normalization carries sqrt(p) per phi factor (one factor p per grade),
-and every boundary value phi^{(k)}(0) is the real-kernel moment
-(``phi_deriv_zero`` in real mode) in both kernel modes; the oscillatory p=3
-normalization would rescale each factor and is not used.  This is what makes
-a single calibration constant work across all p and both modes, whose tables
-are equal: a contour grade is a real one without its rewrite constants.
+and every boundary value phi^{(k)}(0) is the real-kernel moment; the
+oscillatory p=3 normalization would rescale each factor and is not used, so
+one calibration constant works across all p.  Nothing here takes a kernel
+mode: a contour grade would be the real one without its rewrite-constant
+sector, which never reaches an extractable grade.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .airy import REAL, mode_constant, phi_deriv_zero, reduce_order_at_zero
+from .airy import reduce_order_at_zero
 from .exact import ExactScalar, LaurentP, Monomial, UsageError
 from .moments import AssembledGrade, CancellationError, MomentSymbol, assemble_grade
 
@@ -123,15 +123,14 @@ def _assembled_grade(p: int, g: int) -> AssembledGrade:
     return assemble_grade(grade_contributions(p, g), prefactor)
 
 
-def two_point_grade(p: int, g: int, kernel_mode: str = REAL) -> AssembledGrade:
-    """Assembled genus-g grade; raises CancellationError on a T-type residue.
+def two_point_grade(p: int, g: int) -> AssembledGrade:
+    """Assembled genus-g grade at c0 = 1; raises CancellationError on a T-type residue.
 
-    Assembled once per (p, g) for both modes, however the arguments are
-    passed; the contour grade is the real one without its constants.
+    Assembled once per (p, g).  The arguments are checked before the cache
+    lookup, since the cache treats 3.0 and 3 as one key.
     """
     _check_grade(p, g)
-    real, grade = mode_constant(kernel_mode), _assembled_grade(p, g)
-    return grade if real else AssembledGrade(grade.boundary, {}, grade.prefactor)
+    return _assembled_grade(p, g)
 
 
 two_point_grade.cache_info = _assembled_grade.cache_info
@@ -182,27 +181,22 @@ def _pair_weight(p: int, g: int, m: int, i: int, k: int) -> Fraction:
     orders exist and {o_i+1, o_k+1} = {p-f1, p-f2}; then the weight is
     (-1)^g mult_i mult_k p^E with E = (2g+2p-f1-f2)/p - 1 - g, an integer
     because f1 + f2 = 2g (mod p).  Any other pair leaves an irrational
-    residue and raises CalibrationError, whose message renders the leftover.
+    residue and raises CalibrationError naming the integers that decided it,
+    the orders (o_i, o_k) and the slots (f1, f2).
     """
     mult_i, o_i = reduce_order_at_zero(p, i)
     mult_k, o_k = reduce_order_at_zero(p, k)
     f1, f2 = m % p, (2 * g - m) % p
     if o_i is None or o_k is None or sorted((o_i + 1, o_k + 1)) != sorted((p - f1, p - f2)):
-        w = ExactScalar.rational_power(p, Fraction(2 * g, p) + 1 - g)
-        w = w * phi_deriv_zero(p, i) * phi_deriv_zero(p, k)
-        for j in grade_monomial(p, g, m).spins():
-            w = w * ExactScalar.gamma(1 - Fraction(1 + j, p), -1)
         raise CalibrationError(
             f"non-rational residue after normalization at genus {g}, a^{m}, "
-            f"pair {(i, k)}: {w.render()}"
+            f"pair {(i, k)}: boundary orders {(o_i, o_k)}, spin slots {(f1, f2)}"
         )
     e = (2 * g + 2 * p - f1 - f2) // p - 1 - g
     return (-1) ** g * mult_i * mult_k * Fraction(p) ** e
 
 
-def two_point_series(
-    p: int, g_max: int, kernel_mode: str = REAL
-) -> dict[int, dict[int, Fraction]]:
+def two_point_series(p: int, g_max: int) -> dict[int, dict[int, Fraction]]:
     """Exact two-point expansion through genus g_max: {g: {m: <tau tau>_g / kappa_2}}.
 
     m runs over the extractable a-powers of each grade (``grade_monomial``),
@@ -210,13 +204,14 @@ def two_point_series(
     are dropped.  Each boundary entry is normalized by ``_pair_weight``,
     which raises CalibrationError on an irrational leftover.  Boundary
     products must stay off the discarded grades and rewrite-constant
-    leftovers out of doubly-fractional ones; a violation raises
-    CancellationError (this is a verified property, not an assumption).
+    leftovers out of doubly-fractional ones, which makes the series the
+    same in both kernel modes; a violation raises CancellationError (this
+    is a verified property, not an assumption).
     """
     check_exact_route(p, g_max)
     series: dict[int, dict[int, Fraction]] = {}
     for g in range(1, g_max + 1):
-        grade = two_point_grade(p, g, kernel_mode)
+        grade = two_point_grade(p, g)
         for pair, poly in grade.boundary.items():
             bad = {m: v for m, v in poly.items() if grade_monomial(p, g, m) is None}
             if bad:

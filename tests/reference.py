@@ -9,7 +9,9 @@ Like the library engine it reduces at c0 = 1 and projects to c0 = 0.
 
 ``ref_pair_weight`` derives a two-point pair weight by multiplying the
 boundary values and spin factors as ``ExactScalar`` tokens and testing the
-product for rationality, where the library decides it on integers.
+product for rationality, where the library decides it on integers.  Its
+CalibrationError renders the irrational leftover; the library's names the
+integers instead, so the two messages agree up to the pair.
 """
 
 from fractions import Fraction
@@ -66,10 +68,10 @@ def zeta_one_minus_2g(g: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _ref_grade_unit(p: int, g: int, m: int) -> ExactScalar:
-    """p^(2g/p+1-g) / prod_j Gamma(1-(1+j)/p) over the a^m grade's spins j."""
+    """p^(2g/p+1-g) / prod_f Gamma(1-f/p) over the a^m grade's slots f (spin j = f-1)."""
     w = ExactScalar.rational_power(p, Fraction(2 * g, p) + 1 - g)
-    for j in grade_monomial(p, g, m).spins():
-        w = w * ExactScalar.gamma(1 - Fraction(1 + j, p), -1)
+    for _, f in grade_monomial(p, g, m).slots:
+        w = w * ExactScalar.gamma(1 - Fraction(f, p), -1)
     return w
 
 

@@ -192,7 +192,7 @@ def test_criterion_08_cancellation_ledger():
     cases = [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2)]
     for p, g in cases:
         try:
-            grade = two_point_grade(p, g, "real")
+            grade = two_point_grade(p, g)
         except CancellationError:
             ok = False
             continue

@@ -137,7 +137,7 @@ class TestIntersect:
 
         grade = AssembledGrade({(0, 0): {1: Fraction(1)}, (1, 1): {1: Fraction(1)}}, {},
                                ExactScalar.rational_power(3, Fraction(2, 3)))
-        monkeypatch.setattr(twopoint, "two_point_grade", lambda p, g, mode: grade)
+        monkeypatch.setattr(twopoint, "two_point_grade", lambda p, g: grade)
         assert run("intersect", "--p", "3", "--genus", "1") == 3
         assert capsys.readouterr().err.startswith("error: non-rational residue")
 

@@ -54,20 +54,25 @@ class TestCalibration:
         # one constant per marked-point count, from the designated anchors
         assert calibration_constant(1) == 1
         assert calibration_constant(2) == -1
-        # read from the real series; the contour series gives the same constant
-        assert F(1, 864) / two_point_series(3, 2, CONTOUR)[2][2] == -1
 
     def test_non_rational_residue_raises(self):
         from pspin.twopoint import CalibrationError, _pair_weight
 
-        # the a^1 grade has spins (0, 0), whose Gamma(2/3)^2 cannot cancel phi(0)^2
-        with pytest.raises(CalibrationError, match=r"a\^1, pair \(0, 0\): .*Gamma\(1/3\)\^2"):
+        # the a^1 grade has slots (1, 1), whose Gamma(2/3)^2 cannot cancel phi(0)^2:
+        # order 0 carries Gamma(1/3), and slot f cancels only order p-1-f = 1
+        with pytest.raises(CalibrationError) as exc:
             _pair_weight(3, 1, 1, 0, 0)
+        assert str(exc.value) == (
+            "non-rational residue after normalization at genus 1, a^1, pair (0, 0): "
+            "boundary orders (0, 0), spin slots (1, 1)"
+        )
 
     @pytest.mark.parametrize("p, g", [(p, g) for p in range(3, 10) for g in (1, 2)] + [(3, 3)])
     def test_pair_weight_matches_reference(self, p, g):
         # the integer rule gives the ExactScalar product's value, or its error
-        # and message; p = 4, 8, 9 split p^e into radicals by prime
+        # with the same message up to the pair (the reference renders the
+        # leftover, the library the integers); p = 4, 8, 9 split p^e into
+        # radicals by prime
         from pspin.twopoint import CalibrationError, _pair_weight, grade_monomial
 
         for m in range(2 * g * (p + 1) + 1):
@@ -80,7 +85,10 @@ class TestCalibration:
                     except CalibrationError as exc:
                         with pytest.raises(CalibrationError) as got:
                             _pair_weight(p, g, m, i, k)
-                        assert str(got.value) == str(exc), (m, i, k)
+                        head = ("non-rational residue after normalization at "
+                                f"genus {g}, a^{m}, pair {(i, k)}: ")
+                        assert str(exc).startswith(head), (m, i, k)
+                        assert str(got.value).startswith(head), (m, i, k)
                     else:
                         assert _pair_weight(p, g, m, i, k) == want, (m, i, k)
 
@@ -594,7 +602,7 @@ class TestSeriesShape:
         from pspin.moments import AssembledGrade, CancellationError
 
         grade = AssembledGrade({(0, 0): {3: F(1)}}, {}, ExactScalar.one())
-        monkeypatch.setattr(twopoint, "two_point_grade", lambda p, g, mode: grade)
+        monkeypatch.setattr(twopoint, "two_point_grade", lambda p, g: grade)
         with pytest.raises(CancellationError, match="discarded grades") as exc:
             two_point_series(3, 1)
         assert exc.value.residues == {(0, 0): {3: F(1)}}
@@ -605,7 +613,7 @@ class TestSeriesShape:
         from pspin.moments import AssembledGrade, CancellationError
 
         grade = AssembledGrade({}, {("sing", 0): {1: F(1)}}, ExactScalar.one())
-        monkeypatch.setattr(twopoint, "two_point_grade", lambda p, g, mode: grade)
+        monkeypatch.setattr(twopoint, "two_point_grade", lambda p, g: grade)
         with pytest.raises(CancellationError, match=r"extractable grades.*\('sing', 0\)") as exc:
             two_point_series(3, 1)
         assert exc.value.residues == {("sing", 0): {1: F(1)}}
@@ -628,10 +636,9 @@ class TestCrossRoute:
 
 
 def test_two_point_grade_one_cache_entry_per_key():
-    # positional, explicit default and keyword forms share one cached assembly
+    # positional and keyword forms share one cached assembly
     before = two_point_grade.cache_info().misses
-    grades = [two_point_grade(3, 2), two_point_grade(3, 2, "real"),
-              two_point_grade(3, 2, kernel_mode="real")]
+    grades = [two_point_grade(3, 2), two_point_grade(3, g=2), two_point_grade(p=3, g=2)]
     assert two_point_grade.cache_info().misses - before <= 1
     assert grades[0] is grades[1] is grades[2]
 
@@ -664,14 +671,14 @@ def test_pair_weights_build_no_exact_scalar_product(monkeypatch):
 
     Grade terms are Fractions, so term generation and the small-a route build
     no ExactScalar at all, and the exact route builds only each assembled
-    grade's display prefactor.  Only a pair that leaves an irrational residue
-    builds ExactScalar tokens, to render its CalibrationError.
+    grade's display prefactor.  A pair that leaves an irrational residue is
+    refused and reported on integers too, with no ExactScalar built.
     """
     from pspin import airy
     from pspin.exact import ExactScalar
 
     def refuse(*args):
-        raise AssertionError(f"ExactScalar product or Gamma token on the success path: {args}")
+        raise AssertionError(f"ExactScalar product or Gamma token built: {args}")
 
     built = []
     init, rational_power, scale = ExactScalar.__init__, ExactScalar.rational_power, ExactScalar.scale
@@ -706,6 +713,10 @@ def test_pair_weights_build_no_exact_scalar_product(monkeypatch):
         assert two_point_series(p, g)[g]
         # per grade: p^(2g/p), then its scaled copy, the stored prefactor
         assert built == ["rational_power", "init", "scale", "init"] * g, (p, g)
+    built.clear()
+    with pytest.raises(twopoint.CalibrationError, match="boundary orders"):
+        twopoint._pair_weight(3, 1, 1, 0, 0)
+    assert built == []
 
 
 TWO_POINT_ROUTES = {
@@ -735,16 +746,10 @@ def test_per_grade_routes_refuse_genus_below_one(route, g):
 def test_mirror_engine_tables_identical(monkeypatch):
     # the mirrored rule orientation must reproduce the grades the tables use;
     # the references are built (and cached) before assembly is rerouted
-    cases = [(mode, g) for mode in (REAL, CONTOUR) for g in (1, 2)]
-    want = {case: two_point_grade(3, case[1], case[0]) for case in cases}
+    want = {g: two_point_grade(3, g) for g in (1, 2)}
     monkeypatch.setattr(moments, "reduce_moment", mirror_reduce)
-    for mode, g in cases:
-        mirrored = assemble_grade(grade_contributions(3, g), want[mode, g].prefactor)
-        if mode == CONTOUR:  # the contour grade is the real one without its constants
-            assert mirrored.boundary == want[mode, g].boundary, g
-            assert want[mode, g].constants == {}, g
-        else:
-            assert mirrored == want[mode, g], (mode, g)
+    for g, grade in want.items():
+        assert assemble_grade(grade_contributions(3, g), grade.prefactor) == grade, g
 
 
 def test_p9_g2_family_values():
@@ -762,6 +767,12 @@ def test_kernel_modes_agree_genus3():
     a = {(e.genus, e.marks): e.value for e in two_point_table(3, 3, REAL)}
     b = {(e.genus, e.marks): e.value for e in two_point_table(3, 3, CONTOUR)}
     assert a == b
+
+
+def test_two_point_table_refuses_unknown_mode():
+    # checked up front, not only once a grade is built: g_max = 0 builds none
+    with pytest.raises(UsageError, match="unknown kernel_mode 'bogus'"):
+        two_point_table(3, 0, "bogus")
 
 
 def test_p12_exact_table_matches_closed_forms():

@@ -206,7 +206,7 @@ class TestConfluenceAndLinearity:
 
 class TestAssembleGrade:
     def test_p3_genus2_pattern(self):
-        grade = two_point_grade(3, 2, "real")
+        grade = two_point_grade(3, 2)
         poly = grade.boundary[(0, 0)]
         base = poly[2]
         ratios = [poly[m] / base for m in (2, 5, 8, 11, 14)]
@@ -215,7 +215,7 @@ class TestAssembleGrade:
 
     def test_grade_is_polynomial_and_palindromic(self):
         for p, g in [(3, 1), (3, 2), (4, 1), (4, 2), (5, 2)]:
-            grade = two_point_grade(p, g, "real")
+            grade = two_point_grade(p, g)
             top = 2 * g * (p + 1)
             for (i, j), poly in grade.boundary.items():
                 for m, coeff in poly.items():
@@ -257,7 +257,7 @@ class TestAssembleGrade:
         from pspin.twopoint import grade_monomial
 
         for p, g in [(3, 1), (3, 2), (4, 1), (5, 1)]:
-            grade = two_point_grade(p, g, "real")
+            grade = two_point_grade(p, g)
             for atom, poly in grade.constants.items():
                 for m in poly:
                     assert grade_monomial(p, g, m) is None, (p, g, atom, m)
@@ -504,8 +504,7 @@ def test_library_path_has_no_general_product(monkeypatch):
     moments._engine.cache_clear()
     twopoint._assembled_grade.cache_clear()
     for p, g in [(3, 4), (4, 3), (5, 2)]:
-        for mode in (REAL, CONTOUR):
-            two_point_grade(p, g, mode)
+        two_point_grade(p, g)
     for n, b, c in _AIRY_QUAD_SYMBOLS:
         reduce_moment(MomentSymbol(n, b, c, 3), F(0))
 
