@@ -31,7 +31,7 @@ from .exact import DomainError, UsageError
 from .moments import CancellationError, ReductionCycleError
 from .oracle import McConfig, mc_trace_moments, oracle_report, quad_moment
 from .tautology import dilaton_check, selection_rule, string_check
-from .twopoint import check_exact_route, two_point_grade
+from .twopoint import two_point_series
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -131,10 +131,8 @@ def _verify_selection(args) -> tuple[bool, dict]:
 
 
 def _verify_cancellation(args) -> tuple[bool, dict]:
-    check_exact_route(args.p, args.genus)  # the grades of the tables it vouches for
-    try:
-        for g in range(1, args.genus + 1):
-            two_point_grade(args.p, g)
+    try:  # the tables' own route: their bounds and all three residue ledgers
+        two_point_series(args.p, args.genus)
         print(
             f"cancellation ledger clean for p={args.p}, g<= {args.genus} "
             f"(irreducible cross terms vanish identically)"
@@ -247,26 +245,37 @@ def _verify_largep(args) -> tuple[bool, dict]:
     return ok, {"rows": rows}
 
 
-_VERIFY_DISPATCH = {
-    "string": _verify_insertion,
-    "dilaton": _verify_insertion,
-    "selection": _verify_selection,
-    "cancellation": _verify_cancellation,
-    "airy-quad": _verify_airy_quad,
-    "mc": _verify_mc,
-    "binet": _verify_binet,
-    "largep": _verify_largep,
+# option -> its settings; each check reads the options _VERIFY_CHECKS lists and --output
+_VERIFY_OPTIONS = {
+    "--p": {"type": int, "default": 3},
+    "--genus": {"type": int, "default": 2},
+    "--a-values": {"type": float, "nargs": "+", "default": [0.5, 0.8, 1.0]},
+    "--tol": {"type": float, "default": 1e-6},
+    "--z": {"type": float, "default": 2.0},
+    "--n": {"type": int, "default": 4},
+    "--eigenvalues": {"type": float, "nargs": "+", "default": [1.0, -1.0, 2.0, -2.0]},
+    "--s": {"type": float, "nargs": "+", "default": [0.3]},
+    "--samples": {"type": int, "default": 100_000},
+    "--seed": {"type": int, "default": 20121220},
+    "--output": {"default": None},
+}
+
+_VERIFY_CHECKS = {
+    "airy-quad": (_verify_airy_quad, ("--a-values", "--tol")),
+    "binet": (_verify_binet, ("--z", "--tol")),
+    "cancellation": (_verify_cancellation, ("--p", "--genus")),
+    "dilaton": (_verify_insertion, ("--p", "--genus")),
+    "largep": (_verify_largep, ("--genus",)),
+    "mc": (_verify_mc, ("--n", "--eigenvalues", "--s", "--samples", "--seed")),
+    "selection": (_verify_selection, ("--p", "--genus")),
+    "string": (_verify_insertion, ("--p", "--genus")),
 }
 
 
-# checks that run over genera 1..--genus
-_GENUS_CHECKS = {"string", "dilaton", "selection", "cancellation", "largep"}
-
-
 def cmd_verify(args) -> int:
-    if args.check in _GENUS_CHECKS and args.genus < 1:
+    if getattr(args, "genus", 1) < 1:  # a check that reads --genus runs over genera 1..--genus
         raise UsageError(f"verify {args.check} needs --genus >= 1")
-    ok, payload = _VERIFY_DISPATCH[args.check](args)
+    ok, payload = _VERIFY_CHECKS[args.check][0](args)
     if args.output:
         path = _out_dir() / args.output
         _write(path, json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
@@ -292,7 +301,7 @@ def cmd_density(args) -> int:
     cfg = density_mod.DensityConfig.linspace(args.e_min, args.e_max, args.samples)
     report = density_mod.blackhole_density_compare(cfg)
     print(report.render())
-    lines = ["E,rho_matrix,rho_bh,residual"]
+    lines = ["E,rho_matrix,rho_bh,residual"]  # rho_matrix less its -1/(2E) pole term
     for e, y, x, res in report.rows:
         lines.append(f"{e!r},{y!r},{x!r},{res!r}")
     if args.output:
@@ -339,19 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap_i.set_defaults(func=cmd_intersect, parser=ap_i)
 
     ap_v = sub.add_parser("verify", help="run verification checks")
-    ap_v.add_argument("check", choices=sorted(_VERIFY_DISPATCH))
-    ap_v.add_argument("--p", type=int, default=3)
-    ap_v.add_argument("--genus", type=int, default=2)
-    ap_v.add_argument("--a-values", type=float, nargs="+", default=[0.5, 0.8, 1.0])
-    ap_v.add_argument("--tol", type=float, default=1e-6)
-    ap_v.add_argument("--z", type=float, default=2.0)
-    ap_v.add_argument("--n", type=int, default=4)
-    ap_v.add_argument("--eigenvalues", type=float, nargs="+", default=[1.0, -1.0, 2.0, -2.0])
-    ap_v.add_argument("--s", type=float, nargs="+", default=[0.3])
-    ap_v.add_argument("--samples", type=int, default=100_000)
-    ap_v.add_argument("--seed", type=int, default=20121220)
-    ap_v.add_argument("--output", default=None)
-    ap_v.set_defaults(func=cmd_verify, parser=ap_v)
+    checks = ap_v.add_subparsers(dest="check", required=True)
+    for check, (_, options) in _VERIFY_CHECKS.items():
+        ap_c = checks.add_parser(check)
+        for option in options + ("--output",):
+            ap_c.add_argument(option, **_VERIFY_OPTIONS[option])
+        ap_c.set_defaults(func=cmd_verify, parser=ap_c)
 
     ap_d = sub.add_parser("density", help="density of states and coset comparison")
     ap_d.add_argument("--e-min", type=float, default=5.0)

@@ -200,8 +200,9 @@ def blackhole_density_compare(cfg: DensityConfig) -> AffineFitReport:
     defines the simplified coset density (half-shift terms dropped), i.e.
     against d/dE Im log Gamma(iE) - pi/2; the explicit -1/(2E) pole term is
     itself a dropped half-term and is reported separately: keeping it adds a
-    genuine O(1/E) non-affine deviation (max_residual_full).  One Re psi(iE)
-    per point feeds all three, as in rho_blackhole and rho_matrix.
+    genuine O(1/E) non-affine deviation (max_residual_full).  Rows are
+    (E, y, x, residual): y = Re psi(iE) - pi/2 is rho_matrix less its pole
+    term (the CSV's rho_matrix column), x = rho_blackhole(E), one psi each.
     """
     psis = [_re_psi_imag_axis(e) for e in cfg.e_grid]
     xs = [-(2.0 / math.pi) * psi for psi in psis]

@@ -152,17 +152,6 @@ class CalibrationError(ArithmeticError):
     """A grade coefficient failed to normalize to a pure rational."""
 
 
-def check_exact_route(p: int, g_max: int) -> None:
-    """Refuse (p, g_max) outside the exact-in-a route's cost bound (UsageError)."""
-    _check_p(p)
-    # cost bound (in process, 2 vCPUs): genus 2 took 0.38/1.6/3.2 s at p=50/100/150, and
-    # genus 1 0.42/1.7/7.9 s at p=100/200/400; the small-a route has no bound
-    if p > 100:
-        raise UsageError("exact-in-a route supports p <= 100")
-    if g_max > 3 or (g_max > 2 and p > 3):
-        raise UsageError("exact-in-a route supports g<=3 at p=3, g<=2 for p>=4")
-
-
 @lru_cache(maxsize=None)
 def _pair_weight(p: int, g: int, m: int, i: int, k: int) -> Fraction:
     """One boundary product's share of <tau tau>_g / kappa_2, a Fraction:
@@ -206,9 +195,16 @@ def two_point_series(p: int, g_max: int) -> dict[int, dict[int, Fraction]]:
     products must stay off the discarded grades and rewrite-constant
     leftovers out of doubly-fractional ones, which makes the series the
     same in both kernel modes; a violation raises CancellationError (this
-    is a verified property, not an assumption).
+    is a verified property, not an assumption).  A (p, g_max) past the
+    route's cost bound is a UsageError.
     """
-    check_exact_route(p, g_max)
+    _check_p(p)
+    # cost bound (in process, 2 vCPUs): genus 2 took 0.38/1.6/3.2 s at p=50/100/150, and
+    # genus 1 0.42/1.7/7.9 s at p=100/200/400; the small-a route has no bound
+    if p > 100:
+        raise UsageError("exact-in-a route supports p <= 100")
+    if g_max > 3 or (g_max > 2 and p > 3):
+        raise UsageError("exact-in-a route supports g<=3 at p=3, g<=2 for p>=4")
     series: dict[int, dict[int, Fraction]] = {}
     for g in range(1, g_max + 1):
         grade = two_point_grade(p, g)

@@ -75,6 +75,12 @@ def _ref_grade_unit(p: int, g: int, m: int) -> ExactScalar:
     return w
 
 
+@lru_cache(maxsize=None)
+def _ref_boundary_product(p: int, i: int, k: int) -> ExactScalar:
+    """phi^(i)(0) phi^(k)(0), shared by every genus and a-power at p."""
+    return phi_deriv_zero(p, i) * phi_deriv_zero(p, k)
+
+
 def ref_pair_weight(p: int, g: int, m: int, i: int, k: int) -> Fraction:
     """``twopoint._pair_weight`` through ExactScalar products (same value or error).
 
@@ -82,7 +88,7 @@ def ref_pair_weight(p: int, g: int, m: int, i: int, k: int) -> Fraction:
     the spins j of the a^m grade's monomial, or CalibrationError when the
     product keeps an irrational token.
     """
-    w = _ref_grade_unit(p, g, m) * phi_deriv_zero(p, i) * phi_deriv_zero(p, k)
+    w = _ref_grade_unit(p, g, m) * _ref_boundary_product(p, i, k)
     if not w.is_rational:
         raise CalibrationError(
             f"non-rational residue after normalization at genus {g}, a^{m}, "

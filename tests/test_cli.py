@@ -2,6 +2,7 @@
 
 import ast
 import json
+import shlex
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from pspin import golden
-from pspin.cli import main
+from pspin.cli import build_parser, main
 from pspin.correlators import TauCorrelator, one_point_table, two_point_table
 from pspin.moments import CancellationError, ReductionCycleError
 
@@ -145,17 +146,17 @@ class TestIntersect:
         assert run("intersect", "--p", "101", "--genus", "1") == 2
         assert capsys.readouterr().err == "usage error: exact-in-a route supports p <= 100\n"
 
-    @pytest.mark.parametrize("argv, unknown", [
-        (("intersect", "--p", "3", "--genus", "2", "--gold"), "--gold"),
-        (("verify", "string", "--bogus", "1"), "--bogus 1"),
+    @pytest.mark.parametrize("argv, prog, unknown", [
+        (("intersect", "--p", "3", "--genus", "2", "--gold"), "intersect", "--gold"),
+        (("verify", "string", "--bogus", "1"), "verify string", "--bogus 1"),
     ], ids=["intersect", "verify"])
-    def test_unknown_option_shows_subcommand_usage(self, argv, unknown, capsys):
+    def test_unknown_option_shows_subcommand_usage(self, argv, prog, unknown, capsys):
         with pytest.raises(SystemExit) as exc:
             run(*argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage: pspin {argv[0]} ")
-        assert err.endswith(f"pspin {argv[0]}: error: unrecognized arguments: {unknown}\n")
+        assert err.endswith(f"pspin {prog}: error: unrecognized arguments: {unknown}\n")
 
     def test_abbreviated_option_refused(self, capsys):
         # a unique prefix is not the option: --gold does not run as --golden
@@ -178,7 +179,7 @@ class TestVerify:
         def residue(p, g):
             raise CancellationError("irreducible cross terms did not cancel: [0]", {})
 
-        monkeypatch.setattr("pspin.cli.two_point_grade", residue)
+        monkeypatch.setattr("pspin.twopoint.two_point_grade", residue)
         assert run("verify", "cancellation", "--p", "3", "--genus", "1") == 1
         captured = capsys.readouterr()
         assert "cancellation FAILED: irreducible cross terms" in captured.err
@@ -189,7 +190,7 @@ class TestVerify:
         def degenerate(p, g):
             raise ReductionCycleError("closure from ('M', 1, 0, 0) exceeds bound")
 
-        monkeypatch.setattr("pspin.cli.two_point_grade", degenerate)
+        monkeypatch.setattr("pspin.twopoint.two_point_grade", degenerate)
         assert run("verify", "cancellation", "--p", "3", "--genus", "1") == 3
         assert capsys.readouterr().err == "error: closure from ('M', 1, 0, 0) exceeds bound\n"
 
@@ -207,9 +208,38 @@ class TestVerify:
         def build(p, g):
             raise AssertionError("grade built past the exact route's bounds")
 
-        monkeypatch.setattr("pspin.cli.two_point_grade", build)
+        monkeypatch.setattr("pspin.twopoint.two_point_grade", build)
         assert run("verify", "cancellation", "--p", p, "--genus", genus) == 2
         assert bound in capsys.readouterr().err
+
+    def test_cancellation_runs_the_tables_ledgers(self, monkeypatch, capsys):
+        # a boundary pair on a discarded a-power is refused as the tables refuse it
+        from pspin import twopoint
+        from pspin.moments import AssembledGrade
+
+        real = twopoint._assembled_grade(3, 1)
+        assert twopoint.grade_monomial(3, 1, 0) is None
+        grade = AssembledGrade({**real.boundary, (0, 0): {0: Fraction(1)}}, real.constants,
+                               real.prefactor)
+        monkeypatch.setattr(twopoint, "_assembled_grade", lambda p, g: grade)
+        assert run("verify", "cancellation", "--p", "3", "--genus", "1") == 1
+        captured = capsys.readouterr()
+        assert "cancellation FAILED: boundary residue on discarded grades" in captured.err
+        assert "clean" not in captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ("largep", "--p", "3"), ("airy-quad", "--p", "5"), ("mc", "--tol", "1e-3"),
+        ("binet", "--genus", "2"), ("string", "--z", "2"), ("cancellation", "--samples", "10"),
+    ], ids=lambda argv: argv[0])
+    def test_option_the_check_does_not_read_exit_2(self, argv, capsys):
+        # each check accepts only its own options, and reports others with its usage line
+        with pytest.raises(SystemExit) as exc:
+            run("verify", *argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: pspin verify {argv[0]} [-h]")
+        unknown = " ".join(argv[1:])
+        assert err.endswith(f"pspin verify {argv[0]}: error: unrecognized arguments: {unknown}\n")
 
     def test_binet(self, capsys):
         assert run("verify", "binet", "--z", "2", "--tol", "1e-8") == 0
@@ -412,6 +442,19 @@ def test_negative_fraction_argument(spaced, joined, capsys):
     want = capsys.readouterr().out
     assert run(*spaced) == 0
     assert capsys.readouterr().out == want
+
+
+def test_readme_commands_parse():
+    # every pspin line of README's "Command line" block parses with no leftover
+    # option, so the documented options stay in step with each subcommand's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("pspin ")]
+    assert len(lines) == 15
+    parser = build_parser()
+    for line in lines:
+        args, extra = parser.parse_known_args(shlex.split(line)[1:])
+        assert extra == [], line
 
 
 def test_console_entry_point():
