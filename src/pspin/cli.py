@@ -239,7 +239,7 @@ def _verify_largep(args) -> tuple[bool, dict]:
             f"{'== B_g/((2g)! 2g) PASS' if rep.matches else 'FAIL'}"
         )
     for g in range(1, args.genus + 1):
-        ident = density_mod.zeta_identity_exact(g)
+        ident = density_mod.zeta_identity(g)
         ok = ok and ident
         print(f"zeta identity g={g}: {'PASS' if ident else 'FAIL'}")
     return ok, {"rows": rows}
@@ -285,6 +285,12 @@ def cmd_verify(args) -> int:
 
 def cmd_density(args) -> int:
     if args.central_charge is not None:
+        # the range options default to None, so any of them here was given
+        given = [opt for opt, v in (("--e-min", args.e_min), ("--e-max", args.e_max),
+                                    ("--samples", args.samples), ("--output", args.output))
+                 if v is not None]
+        if given:
+            args.parser.error(f"--central-charge takes no {', '.join(given)}")
         k_prime = _rational(args.central_charge, "--central-charge must be a rational")
         try:
             value = density_mod.central_charge_negative_branch(k_prime)
@@ -292,13 +298,16 @@ def cmd_density(args) -> int:
             raise UsageError(f"--central-charge: {exc}") from exc
         print(f"central charge at k'={args.central_charge}: {value}")
         return EXIT_OK
-    if not (math.isfinite(args.e_min) and math.isfinite(args.e_max)):
+    e_min = 5.0 if args.e_min is None else args.e_min
+    e_max = 50.0 if args.e_max is None else args.e_max
+    samples = 100 if args.samples is None else args.samples
+    if not (math.isfinite(e_min) and math.isfinite(e_max)):
         raise UsageError("--e-min and --e-max must be finite")
-    if args.e_min <= 0:
+    if e_min <= 0:
         raise UsageError("--e-min must be positive (density has a pole at E=0)")
-    if not args.e_max > args.e_min:
+    if not e_max > e_min:
         raise UsageError("--e-max must be greater than --e-min")
-    cfg = density_mod.DensityConfig.linspace(args.e_min, args.e_max, args.samples)
+    cfg = density_mod.DensityConfig.linspace(e_min, e_max, samples)
     report = density_mod.blackhole_density_compare(cfg)
     print(report.render())
     lines = ["E,rho_matrix,rho_bh,residual"]  # rho_matrix less its -1/(2E) pole term
@@ -356,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
         ap_c.set_defaults(func=cmd_verify, parser=ap_c)
 
     ap_d = sub.add_parser("density", help="density of states and coset comparison")
-    ap_d.add_argument("--e-min", type=float, default=5.0)
-    ap_d.add_argument("--e-max", type=float, default=50.0)
-    ap_d.add_argument("--samples", type=int, default=100)
+    ap_d.add_argument("--e-min", type=float, default=None)
+    ap_d.add_argument("--e-max", type=float, default=None)
+    ap_d.add_argument("--samples", type=int, default=None)
     ap_d.add_argument("--central-charge", default=None,
                       help="evaluate the continued central charge at k' and exit")
     ap_d.add_argument("--output", default=None)

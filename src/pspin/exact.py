@@ -176,11 +176,7 @@ class ExactScalar:
             return ExactScalar.zero()
         return ExactScalar(self.rational * r, self.pi_pow, self.radical, self.gammas)
 
-    # -- predicates / conversions --------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.pi_pow == 0 and not self.radical and not self.gammas
+    # -- conversions ---------------------------------------------------------
 
     def numeric(self, prec: int = 50):
         """High-precision numeric value via mpmath."""

@@ -18,9 +18,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from pspin.airy import phi_deriv_zero
+from pspin.density import bernoulli_std
 from pspin.exact import ExactScalar
 from pspin.moments import MomentEngine, MomentSymbol, _at_rewrite_constant, _scaled, reduce_moment
-from pspin.numbers import bernoulli_std
 from pspin.twopoint import CalibrationError, grade_monomial
 
 
@@ -89,7 +89,7 @@ def ref_pair_weight(p: int, g: int, m: int, i: int, k: int) -> Fraction:
     product keeps an irrational token.
     """
     w = _ref_grade_unit(p, g, m) * _ref_boundary_product(p, i, k)
-    if not w.is_rational:
+    if w.surd != (0, (), ()):
         raise CalibrationError(
             f"non-rational residue after normalization at genus {g}, a^{m}, "
             f"pair {(i, k)}: {w.render()}"

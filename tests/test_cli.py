@@ -1,6 +1,7 @@
 """CLI behavior: commands, exit codes, output files, byte stability."""
 
 import ast
+import functools
 import json
 import shlex
 import subprocess
@@ -250,6 +251,46 @@ class TestVerify:
     def test_largep(self):
         assert run("verify", "largep", "--genus", "3") == 0
 
+    def test_largep_changed_bernoulli_exit_1(self, monkeypatch, capsys):
+        # B_4 = -1/30 planted as -1/31: the direct zeta(4) sum refuses it
+        from pspin import density
+
+        real = density.bernoulli_std.__wrapped__
+        planted = functools.lru_cache(maxsize=None)(
+            lambda n: Fraction(-1, 31) if n == 4 else real(n)
+        )
+        monkeypatch.setattr(density, "bernoulli_std", planted)
+        assert run("verify", "largep", "--genus", "2") == 1
+        out = capsys.readouterr().out
+        assert "zeta identity g=1: PASS\n" in out
+        assert "zeta identity g=2: FAIL\n" in out
+
+    def test_largep_scaled_coefficient_exit_1(self, monkeypatch, capsys):
+        # the genus-2 one-point coefficient off by 1%: its leading p^2 term no longer matches
+        from pspin import onepoint
+
+        series = onepoint.one_point_series
+
+        def scaled(g_max):
+            terms = series(g_max)
+            terms[1] = onepoint.OnePointTerm(2, terms[1].coefficient.scale(Fraction(101, 100)))
+            return terms
+
+        monkeypatch.setattr(onepoint, "one_point_series", scaled)
+        assert run("verify", "largep", "--genus", "3") == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "largep g=2: leading 101/288000 FAIL"
+        assert lines[0].endswith("PASS") and lines[2].endswith("PASS")
+
+    def test_binet_scaled_kernel_exit_1(self, monkeypatch, capsys):
+        from pspin import density
+
+        kernel = density.exp_kernel_integrand
+        monkeypatch.setattr(density, "exp_kernel_integrand", lambda s: 1.001 * kernel(s))
+        assert run("verify", "binet", "--z", "2") == 1
+        out = capsys.readouterr().out
+        assert out.startswith("binet z=2.0: ") and out.endswith("(FAIL at 1e-06)\n")
+
     def test_mc_small(self, capsys):
         assert run("verify", "mc", "--n", "2", "--eigenvalues", "0.5", "-0.5",
                    "--s", "0.3", "--samples", "4000") == 0
@@ -385,6 +426,22 @@ class TestDensity:
             assert run("density", "--central-charge", raw) == 2, raw
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("usage error: --central-charge"), err
+
+    @pytest.mark.parametrize("argv", [
+        ("--e-min", "1", "--output", "x.csv"), ("--e-max", "60"), ("--samples", "5"),
+        ("--output", "x.csv"),
+    ], ids=["e-min-output", "e-max", "samples", "output"])
+    def test_central_charge_refuses_range_options(self, argv, tmp_path, monkeypatch, capsys):
+        # the value is exact and nothing is written, so a range option or --output is a mistake
+        monkeypatch.setenv("PSPIN_OUTPUT_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            run("density", "--central-charge", "9/4", *argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: pspin density [-h]")
+        given = ", ".join(a for a in argv if a.startswith("--"))
+        assert captured.err.endswith(f"error: --central-charge takes no {given}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_central_charge_pole_usage_error(self, capsys):
         # k' = 2 is the pole of 2 + 6/(k'-2): a bad input, not an internal error

@@ -1,25 +1,22 @@
-"""Large-p leading coefficients, Binet identity, densities, central charges."""
+"""Large-p leading coefficients, the zeta identity, Binet identity, densities, central charge."""
 
+import functools
 import math
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
+from pspin import density
 from pspin.density import (
     DensityConfig,
     bernoulli_leading,
     binet_check,
     blackhole_density_compare,
-    central_charge,
     central_charge_negative_branch,
     exp_kernel_integrand,
     large_p_check,
-    log_sinh_series,
-    rho_blackhole,
-    rho_density,
-    rho_matrix,
-    zeta_identity_exact,
+    zeta_identity,
 )
 from pspin.exact import DomainError, LaurentP
 from pspin.onepoint import one_point_series
@@ -30,7 +27,15 @@ C = LaurentP.const
 
 
 def log_sinh_partial_sum(sigma: float, order: int) -> float:
-    return sum(float(c) * sigma ** (2 * n) for n, c in enumerate(log_sinh_series(order), 1))
+    # log(sinh(x/2)/(x/2)) = sum_n (-1)^(n-1) bernoulli_leading(n) x^(2n)
+    return sum((-1) ** (n - 1) * float(bernoulli_leading(n)) * sigma ** (2 * n)
+               for n in range(1, order + 1))
+
+
+def rho_rows(*es: float) -> list[tuple[float, float, float]]:
+    """(E, rho(E), coset density) from the rows of the density fit: rho = y - 1/(2E)."""
+    rows = blackhole_density_compare(DensityConfig(es)).rows
+    return [(e, y - 1.0 / (2.0 * e), x) for e, y, x, _ in rows]
 
 
 def d_im_loggamma(e: float, h: float, sign: int = 1) -> float:
@@ -49,8 +54,25 @@ class TestBernoulliLeading:
         assert bernoulli_leading(3) == F(1, 181440)  # (1/42)/(720*6)
 
     def test_zeta_identity_symbolic(self):
-        for g in (1, 2, 3, 4):
-            assert zeta_identity_exact(g)
+        # zeta(2g) summed directly, to the one-point cap
+        for g in range(1, 17):
+            assert zeta_identity(g), g
+
+    def test_zeta_identity_refuses_changed_bernoulli(self, monkeypatch):
+        # B_4 = -1/30 planted as -1/31 reaches B_6 and B_8 through the recurrence
+        real = density.bernoulli_std.__wrapped__
+        planted = functools.lru_cache(maxsize=None)(
+            lambda n: F(-1, 31) if n == 4 else real(n)
+        )
+        monkeypatch.setattr(density, "bernoulli_std", planted)
+        assert [zeta_identity(g) for g in (1, 2, 3, 4)] == [True, False, False, False]
+
+    def test_zeta_identity_window(self, monkeypatch):
+        # a relative 1e-9 shift stays inside g=1's window N^-2 = 1e-6 and leaves
+        # every narrower one, N^-2g <= 1e-12 for g >= 2
+        leading = density.bernoulli_leading
+        monkeypatch.setattr(density, "bernoulli_leading", lambda g: leading(g) * F(10**9 + 1, 10**9))
+        assert [zeta_identity(g) for g in range(1, 17)] == [True] + [False] * 15
 
 
 class TestLargeP:
@@ -72,17 +94,6 @@ class TestLargeP:
 
 
 class TestLogSinh:
-    def test_first_coefficient(self):
-        assert log_sinh_series(1)[0] == F(1, 24)
-
-    def test_alternating_magnitudes(self):
-        from pspin.numbers import bernoulli_abs
-
-        cs = log_sinh_series(8)
-        for n, c in enumerate(cs, 1):
-            assert abs(c) == bernoulli_abs(n) / (math.factorial(2 * n) * 2 * n)
-            assert (c > 0) == (n % 2 == 1)
-
     def test_partial_sum_matches_function(self):
         target = math.log(math.sinh(0.25) / 0.25)
         assert abs(log_sinh_partial_sum(0.5, 8) - target) < 1e-10
@@ -155,28 +166,27 @@ class TestBinet:
 
 class TestRho:
     def test_two_paths_agree(self):
-        # digamma path vs finite differences of Im log Gamma(iE)
-        for e in (1.0, 5.0, 10.0, 25.0, 50.0):
+        # the fit's digamma path vs finite differences of Im log Gamma(iE) and of
+        # Im log Gamma(-iE) for the coset density
+        for e, rho, x in rho_rows(1.0, 5.0, 10.0, 25.0, 50.0):
             fd = d_im_loggamma(e, 1e-5) - math.pi / 2.0 - 1.0 / (2.0 * e)
-            assert abs(rho_matrix(e) - fd) < 1e-7
+            assert abs(rho - fd) < 1e-7
+            assert abs(x - (2.0 / math.pi) * d_im_loggamma(e, 1e-5, -1)) < 1e-7
 
     def test_log_asymptote(self):
         # rho(E) - log E stays bounded as E grows
-        vals = [rho_matrix(10.0**k) - math.log(10.0**k) for k in (1, 2, 3)]
+        vals = [rho - math.log(e) for e, rho, _ in rho_rows(10.0, 100.0, 1000.0)]
         assert all(abs(v) < 2.0 for v in vals)
         assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0])
 
     def test_pole_at_zero(self):
         with pytest.raises(DomainError):
-            rho_matrix(0.0)
-        with pytest.raises(DomainError):
             DensityConfig((0.0, 1.0))
 
     def test_non_finite_e_raises(self):
         for e in (math.inf, math.nan):
-            for call in (rho_matrix, rho_blackhole, lambda e: DensityConfig((1.0, e))):
-                with pytest.raises(DomainError):
-                    call(e)
+            with pytest.raises(DomainError):
+                DensityConfig((1.0, e))
 
     def test_grid_past_size_cap_raises(self):
         # checked before the n-tuple is built: one digamma call per grid point
@@ -184,10 +194,8 @@ class TestRho:
             DensityConfig.linspace(5.0, 50.0, 2**20 + 1)
 
     def test_grid_evaluation(self):
-        cfg = DensityConfig.linspace(5, 10, 6)
-        rows = rho_density(cfg)
-        assert len(rows) == 6
-        assert rows[0][0] == 5.0
+        rows = blackhole_density_compare(DensityConfig.linspace(5, 10, 6)).rows
+        assert [row[0] for row in rows] == [5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
 
 
 class TestBlackholeComparison:
@@ -233,12 +241,6 @@ class TestCentralCharge:
     def test_blackhole_point(self):
         assert central_charge_negative_branch(F(9, 4)) == 26
 
-    def test_compact_branch(self):
-        assert central_charge(1) == 0  # p=3 has level k = p-2 = 1
-        assert central_charge(10**9) == 2 - F(6, 10**9 + 2)
-
     def test_poles(self):
-        with pytest.raises(DomainError):
-            central_charge(-2)
         with pytest.raises(DomainError):
             central_charge_negative_branch(2)
