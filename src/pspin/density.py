@@ -10,11 +10,17 @@ direct sum.  The Fourier-transformed one-point function produces the density
 which is compared, up to affine freedom (overall constants and a log-epsilon
 offset), against the simplified coset-model density
 (2/pi) d/dE Im log Gamma(-iE).
+
+The digamma psi is evaluated here, in ``decimal`` at 45 digits: shifted to
+|w| >= 20, then summed by its Stirling series, whose coefficients
+B_2g/(2g) = -zeta(1-2g) are the p = -1 one-point intersection numbers with
+their sign flipped (``stirling_coefficients``).
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -99,6 +105,63 @@ def exp_kernel_integrand(sigma):
     return out if out.ndim else float(out)
 
 
+_STIRLING_TERMS = 16
+# psi's Stirling series takes over at |w|^2 >= 400: there the first term left
+# out, |B_34|/(34 |w|^34), is below 1e-34 on the real axis (at |w| >= 10 it is
+# 1e-24, which moves the float of psi(x) near its zero x = 1.4616...)
+_STIRLING_FROM = 400
+_DIGITS = Context(prec=45)
+
+
+def stirling_coefficients() -> tuple[Fraction, ...]:
+    """B_2g/(2g) for g = 1..16: psi(w) ~ ln w - 1/(2w) - sum_g B_2g/(2g w^2g).
+
+    Each equals -zeta(1-2g), minus the p = -1 one-point intersection number
+    <tau_{1,0}>_g, so the density's series is the p = -1 continuation of the
+    intersection numbers.
+    """
+    return tuple(bernoulli_std(2 * g) / (2 * g) for g in range(1, _STIRLING_TERMS + 1))
+
+
+@lru_cache(maxsize=None)
+def _stirling_digits() -> tuple[Decimal, ...]:
+    """stirling_coefficients() at 45 digits, highest genus first for Horner's rule."""
+    return tuple(
+        _DIGITS.divide(c.numerator, c.denominator) for c in reversed(stirling_coefficients())
+    )
+
+
+def _re_digamma(x: float, y: float) -> float:
+    """Re psi(x + iy) for x, y >= 0, not both 0, rounded to a float.
+
+    psi(z) = psi(w) - sum_{k<n} 1/(z+k) with w = z + n the first shift with
+    |w| >= 20, and psi(w) from its Stirling series.  Only real parts are
+    needed: Re 1/(a+iy) = a/(a^2+y^2) and Re ln w = ln|w|.  The series is cut
+    below 1e-34 on the real axis and below 1e-28 on the imaginary axis, and
+    the arithmetic keeps 45 digits, so the float is the nearest one unless
+    the value lies that close to a rounding boundary.
+    """
+    ctx = _DIGITS
+    add, sub, mul, div = ctx.add, ctx.subtract, ctx.multiply, ctx.divide
+    a, y = Decimal(x), Decimal(y)
+    y2 = mul(y, y)
+    r = add(mul(a, a), y2)
+    shift = Decimal(0)
+    while r < _STIRLING_FROM:
+        shift = add(shift, div(a, r))
+        a = add(a, 1)
+        r = add(mul(a, a), y2)
+    # Horner's rule in u = 1/w^2 = conj(w)^2 / |w|^4
+    r2 = mul(r, r)
+    ur, ui = div(sub(mul(a, a), y2), r2), div(mul(-2, mul(a, y)), r2)
+    sr = si = Decimal(0)
+    for c in _stirling_digits():
+        sr, si = add(sub(mul(sr, ur), mul(si, ui)), c), add(mul(sr, ui), mul(si, ur))
+    series = sub(mul(sr, ur), mul(si, ui))
+    # Re psi(w) = ln|w| - Re 1/(2w) - Re(series)
+    return float(sub(sub(div(sub(ctx.ln(r), div(a, r)), 2), series), shift))
+
+
 _BINET_NODES = 16
 _BINET_TOL = 1e-9
 
@@ -106,20 +169,20 @@ _BINET_TOL = 1e-9
 def binet_check(z: float) -> tuple[float, float, float]:
     """(lhs, rhs, |difference|) of the integral representation of digamma.
 
-    lhs: psi(z) from the high-precision library evaluation.
+    lhs: psi(z) from the shifted Stirling series, which rests on the Bernoulli
+    numbers ``bernoulli_std``.
     rhs: log z - 1/(2z) - int_0^inf (1/2 - 1/sigma + 1/(e^sigma-1)) e^{-sigma z} dsigma.
     The integral runs over panels doubling in width from min(1/4, 1/z) to past
     40/z + 40, where e^{-sigma z} < e^{-40}; the kernel stays below 1/2.
     """
     if not 0 < z < math.inf:
         raise DomainError("binet_check needs a finite z > 0")
-    import mpmath
-    import numpy as np
-
-    lhs = float(mpmath.digamma(z))
     first = min(0.25, 1.0 / z)
     doublings = math.log2((40.0 / z + 40.0) / first)
     check_size(3 * _BINET_NODES * doublings)
+    import numpy as np
+
+    lhs = _re_digamma(z, 0.0)
     edges = [0.0] + [math.ldexp(first, k) for k in range(math.ceil(doublings) + 1)]
     integral = gauss_legendre(
         lambda s, _: exp_kernel_integrand(s) * np.exp(-s * z), edges, _BINET_NODES, _BINET_TOL
@@ -148,14 +211,6 @@ class DensityConfig:
         check_size(n)  # one digamma call per grid point
         step = (e_max - e_min) / (n - 1)
         return DensityConfig(tuple(e_min + i * step for i in range(n)))
-
-
-def _re_psi_imag_axis(e: float) -> float:
-    """Re psi(iE), evaluated at 30 digits."""
-    import mpmath
-
-    with mpmath.workdps(30):
-        return float(mpmath.re(mpmath.digamma(mpmath.mpc(0, e))))
 
 
 class AffineFitReport:
@@ -190,7 +245,7 @@ def blackhole_density_compare(cfg: DensityConfig) -> AffineFitReport:
     (E, y, x, residual): y = Re psi(iE) - pi/2 is rho_matrix less its pole
     term (the CSV's rho_matrix column), x is the coset density, one psi each.
     """
-    psis = [_re_psi_imag_axis(e) for e in cfg.e_grid]
+    psis = [_re_digamma(0.0, e) for e in cfg.e_grid]
     # (2/pi) d/dE Im log Gamma(-iE) = -(2/pi) Re psi(iE) by conjugation
     xs = [-(2.0 / math.pi) * psi for psi in psis]
     # read Re psi(iE) - pi/2 directly: adding 1/(2E) back onto rho_matrix

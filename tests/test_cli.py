@@ -291,6 +291,23 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.startswith("binet z=2.0: ") and out.endswith("(FAIL at 1e-06)\n")
 
+    def test_binet_changed_bernoulli_exit_1(self, monkeypatch, capsys):
+        # B_2 = 1/6 planted as 1/7: the Stirling lhs moves, the quadrature rhs does not
+        from pspin import density
+
+        real = density.bernoulli_std.__wrapped__
+        planted = functools.lru_cache(maxsize=None)(
+            lambda n: Fraction(1, 7) if n == 2 else real(n)
+        )
+        monkeypatch.setattr(density, "bernoulli_std", planted)
+        density._stirling_digits.cache_clear()
+        try:
+            assert run("verify", "binet", "--z", "2") == 1
+        finally:
+            density._stirling_digits.cache_clear()
+        out = capsys.readouterr().out
+        assert out.startswith("binet z=2.0: ") and out.endswith("(FAIL at 1e-06)\n")
+
     def test_mc_small(self, capsys):
         assert run("verify", "mc", "--n", "2", "--eigenvalues", "0.5", "-0.5",
                    "--s", "0.3", "--samples", "4000") == 0
@@ -461,7 +478,7 @@ class TestDensity:
             assert run("density", "--samples", samples) == 2, samples
 
     def test_non_finite_range_usage_error(self, capsys):
-        # --e-max inf used to hang in mpmath.digamma(mpc(0, inf))
+        # refused before the grid is built: Re psi(iE) has no value at E = inf or nan
         for bounds in (("--e-max", "inf"), ("--e-max", "1e400"), ("--e-min", "nan"),
                        ("--e-max", "nan"), ("--e-min=-inf",)):
             assert run("density", *bounds) == 2, bounds
@@ -540,7 +557,9 @@ _PROBES = {
     "help": (_CLI_PROBE.format(argv=["--help"]), [], True),
     "intersect": (_CLI_PROBE.format(argv=["intersect", "--p", "3", "--genus", "2"]), [], True),
     "airy-quad": (_CLI_PROBE.format(argv=["verify", "airy-quad"]), ["mpmath", "numpy"], True),
-    "binet": (_CLI_PROBE.format(argv=["verify", "binet", "--z", "2"]), ["mpmath", "numpy"], True),
+    "binet": (_CLI_PROBE.format(argv=["verify", "binet", "--z", "2"]), ["numpy"], True),
+    "density": (_CLI_PROBE.format(argv=["density", "--e-min", "5", "--e-max", "6", "--samples", "3"]),
+                [], True),
 }
 
 

@@ -1,13 +1,15 @@
-"""Large-p leading coefficients, the zeta identity, Binet identity, densities, central charge."""
+"""Large-p leading coefficients, the zeta identity, the digamma, Binet identity, densities, central charge."""
 
 import functools
 import math
+import random
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
 from pspin import density
+from pspin.correlators import one_point_table
 from pspin.density import (
     DensityConfig,
     bernoulli_leading,
@@ -102,6 +104,51 @@ class TestLogSinh:
         assert log_sinh_partial_sum(0.0, 5) == 0.0
 
 
+def mp_re_psi_imag(e: float) -> float:
+    with mpmath.workdps(30):
+        return float(mpmath.re(mpmath.digamma(mpmath.mpc(0, e))))
+
+
+def mp_psi_real(x: float) -> float:
+    with mpmath.workdps(50):
+        return float(mpmath.digamma(x))
+
+
+class TestDigamma:
+    # the float psi the density and Binet read, against mpmath, bit for bit
+    DENSITY_GRIDS = ((5.0, 50.0, 100), (5, 10, 6), (6.5, 65.0, 37), (5.0, 6.0, 3),
+                     (1e-300, 1.0, 5), (1e-320, 1.0, 5))
+
+    def test_imaginary_axis_matches_mpmath(self):
+        points = [e for grid in self.DENSITY_GRIDS for e in DensityConfig.linspace(*grid).e_grid]
+        points += [1.0, 25.0, 100.0, 1000.0, 5e-324, 1e-3, 1e308, 1.7976931348623157e308]
+        rng = random.Random(32)
+        points += [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(300)]
+        for e in points:
+            assert density._re_digamma(0.0, e) == mp_re_psi_imag(e), e
+
+    def test_real_axis_correctly_rounded(self):
+        # psi(x) crosses zero at x0 = 1.4616...: the floats next to it are
+        # where a series cut at |w| >= 10 (error 1e-24) would round wrongly
+        near_zero = [1.4616321449683622]
+        for direction in (0.0, 2.0):
+            x = near_zero[0]
+            for _ in range(5):
+                x = math.nextafter(x, direction)
+                near_zero.append(x)
+        rng = random.Random(33)
+        points = [0.5, 1.0, 2.0, 5.5, 10.0, 0.01, 500.0, 1e-300, 1e300] + near_zero
+        points += [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(300)]
+        for x in points:
+            assert density._re_digamma(x, 0.0) == mp_psi_real(x), x
+
+    def test_stirling_coefficients_are_p_minus_1_intersection_numbers(self):
+        # B_2g/(2g) = -zeta(1-2g) = -<tau_{1,0}>_g at p = -1, term by term
+        table = one_point_table(-1, 16)
+        assert [e.genus for e in table] == list(range(1, 17))
+        assert list(density.stirling_coefficients()) == [-e.value for e in table]
+
+
 class TestBinet:
     @pytest.mark.parametrize("z", [0.5, 1.0, 2.0, 5.5, 10.0])
     def test_identity(self, z):
@@ -114,10 +161,12 @@ class TestBinet:
         _, _, diff = binet_check(z)
         assert diff <= 1e-10 * max(1.0, 1.0 / z)
 
-    def test_unreachable_z_raises(self):
-        # 40/z overflows, so no panel list can reach the tail
-        from pspin.oracle import NumericError
+    def test_unreachable_z_raises(self, monkeypatch):
+        # 40/z overflows, so no panel list can reach the tail: refused before psi is summed
+        def digamma(x, y):
+            raise AssertionError("psi evaluated before the size check")
 
+        monkeypatch.setattr(density, "_re_digamma", digamma)
         with pytest.raises(NumericError):
             binet_check(1e-320)
 
@@ -226,8 +275,8 @@ class TestBlackholeComparison:
     def test_one_digamma_per_grid_point(self, monkeypatch):
         # the fit's three densities share Re psi(iE): one evaluation per point
         calls = []
-        digamma = mpmath.digamma
-        monkeypatch.setattr(mpmath, "digamma", lambda z: calls.append(z) or digamma(z))
+        digamma = density._re_digamma
+        monkeypatch.setattr(density, "_re_digamma", lambda x, y: calls.append(y) or digamma(x, y))
         blackhole_density_compare(DensityConfig.linspace(6.5, 65.0, 37))
         assert len(calls) == 37
 
