@@ -78,7 +78,7 @@ def phi_deriv_zero(p: int, k: int, kernel_mode: str = REAL) -> ExactScalar:
     mult, order = reduce_order_at_zero(p, k)
     c0 = mode_constant(kernel_mode)  # also rejects an unknown mode
     if order is None:
-        return ExactScalar.from_fraction(c0 * mult)
+        return ExactScalar(c0 * mult)
     base = _moment(p, order)
     if kernel_mode == CONTOUR and p == 3:
         # classical Ai: Ai^{(j)}(0) = (-1)^j sqrt(3)/(2 pi) * moment, j <= p-2

@@ -230,14 +230,12 @@ def _verify_largep(args) -> tuple[bool, dict]:
 
     ok = True
     rows = []
-    for term in one_point_series(args.genus):
-        rep = density_mod.large_p_check(term.coefficient, term.genus)
-        rows.append((term.genus, rep.matches, str(rep.leading)))
-        ok = ok and rep.matches
-        print(
-            f"largep g={term.genus}: leading {rep.leading} "
-            f"{'== B_g/((2g)! 2g) PASS' if rep.matches else 'FAIL'}"
-        )
+    for g, term in enumerate(one_point_series(args.genus), 1):
+        matches = density_mod.large_p_check(term, g)
+        leading = term.leading()[1]
+        rows.append((g, matches, str(leading)))
+        ok = ok and matches
+        print(f"largep g={g}: leading {leading} {'== B_g/((2g)! 2g) PASS' if matches else 'FAIL'}")
     for g in range(1, args.genus + 1):
         ident = density_mod.zeta_identity(g)
         ok = ok and ident

@@ -51,7 +51,7 @@ class TauCorrelator:
     def __eq__(self, other):
         if other.__class__ is not TauCorrelator:
             return NotImplemented
-        return (self.p, *self.key(), self.value) == (other.p, *other.key(), other.value)
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def __hash__(self):
         return hash((self.p, self.genus, self.marks, self.value))
@@ -60,9 +60,6 @@ class TauCorrelator:
 
     def selection_ok(self) -> bool:
         return self.p == "symbolic" or selection_rule(self.p, self.genus, self.marks)
-
-    def key(self) -> tuple:
-        return (self.genus, self.marks)
 
 
 @lru_cache(maxsize=None)
@@ -76,7 +73,7 @@ def calibration_constant(npoints: int) -> Fraction:
     for every p, genus and grade.
     """
     if npoints == 1:
-        coefficient = one_point_series(1)[0].coefficient
+        (coefficient,) = one_point_series(1)
         anchor = (LaurentP.var() - LaurentP.const(1)).scale(Fraction(1, 24))
         kappa = anchor.leading()[1] / coefficient.leading()[1]
         if coefficient.scale(kappa) != anchor:
@@ -147,15 +144,8 @@ def one_point_table(p, g_max: int) -> list[TauCorrelator]:
     kappa1 = calibration_constant(1)
     out: list[TauCorrelator] = []
     if p == "symbolic":
-        for term in one_point_series(g_max):
-            out.append(
-                TauCorrelator(
-                    "symbolic",
-                    term.genus,
-                    ((2 * term.genus - 1, 2 * term.genus - 2),),
-                    term.coefficient.scale(kappa1),
-                )
-            )
+        for g, term in enumerate(one_point_series(g_max), 1):
+            out.append(TauCorrelator("symbolic", g, ((2 * g - 1, 2 * g - 2),), term.scale(kappa1)))
         return out
     pf = Fraction(p)
     if 0 < pf < 2:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .exact import DomainError, LaurentP, UsageError
-from .oracle import check_size, gauss_legendre
+from .oracle import NumericError, check_size, gauss_legendre
 
 
 @lru_cache(maxsize=None)
@@ -65,24 +65,9 @@ def zeta_identity(g: int) -> bool:
     return lower - slack <= lhs <= lower + n_terms**-s + slack
 
 
-class LargePReport:
-    __slots__ = ("genus", "degree", "leading", "matches", "negligible")
-
-    def __init__(self, genus: int, degree: int, leading: Fraction, matches: bool, negligible: bool):
-        self.genus, self.degree, self.leading = genus, degree, leading
-        self.matches, self.negligible = matches, negligible
-
-
-def large_p_check(formula: LaurentP, g: int) -> LargePReport:
-    """Compare the leading p^g coefficient with bernoulli_leading(g).
-
-    Formulas of lower growth order (degree < g) are reported as negligible,
-    matching how subleading families behave at large p.
-    """
-    deg, lead = formula.leading()
-    if deg == g:
-        return LargePReport(g, deg, lead, lead == bernoulli_leading(g), False)
-    return LargePReport(g, deg, lead, False, deg < g)
+def large_p_check(formula: LaurentP, g: int) -> bool:
+    """Whether formula's leading term ``formula.leading()`` is bernoulli_leading(g) p^g."""
+    return formula.leading() == (g, bernoulli_leading(g))
 
 
 def exp_kernel_integrand(sigma):
@@ -213,6 +198,13 @@ class DensityConfig:
         return DensityConfig(tuple(e_min + i * step for i in range(n)))
 
 
+# The fit's determinant n*sxx - sx^2 cancels on narrow grids.  Of 9000 seeded
+# grids (E_min in 1e-3..1e6, width E_min*10^U(-8,1), n in {3, 10, 100}), every
+# one whose alpha or beta printed other than -pi/2 had it <= 2.7e-4 * n*sxx;
+# the tests', README's and benchmark's grids have >= 1.9e-3 (5..6 with n = 3).
+_FIT_MIN_SPREAD = 1e-3
+
+
 class AffineFitReport:
     __slots__ = ("alpha", "beta", "max_residual", "max_residual_full", "rows")
 
@@ -244,6 +236,7 @@ def blackhole_density_compare(cfg: DensityConfig) -> AffineFitReport:
     genuine O(1/E) non-affine deviation (max_residual_full).  Rows are
     (E, y, x, residual): y = Re psi(iE) - pi/2 is rho_matrix less its pole
     term (the CSV's rho_matrix column), x is the coset density, one psi each.
+    A grid too narrow to fix both parameters raises NumericError.
     """
     psis = [_re_digamma(0.0, e) for e in cfg.e_grid]
     # (2/pi) d/dE Im log Gamma(-iE) = -(2/pi) Re psi(iE) by conjugation
@@ -256,8 +249,9 @@ def blackhole_density_compare(cfg: DensityConfig) -> AffineFitReport:
     sxx = sum(x * x for x in xs)
     sxy = sum(x * y for x, y in zip(xs, ys))
     denom = n * sxx - sx * sx
-    if abs(denom) < 1e-30:
-        raise ArithmeticError("degenerate affine fit")
+    if denom <= _FIT_MIN_SPREAD * n * sxx:
+        share = denom / (n * sxx)
+        raise NumericError(f"E grid too narrow for the affine fit (determinant share {share:.1e})")
     alpha = (n * sxy - sx * sy) / denom
     beta = (sy - alpha * sx) / n
     rows = []

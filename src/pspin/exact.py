@@ -100,19 +100,7 @@ class ExactScalar:
 
     __repr__ = record_repr
 
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "ExactScalar":
-        return ExactScalar(Fraction(0))
-
-    @staticmethod
-    def one() -> "ExactScalar":
-        return ExactScalar(Fraction(1))
-
-    @staticmethod
-    def from_fraction(r) -> "ExactScalar":
-        return ExactScalar(Fraction(r))
+    # -- constructors (ExactScalar() is zero) --------------------------------
 
     @staticmethod
     def pi(k: int = 1) -> "ExactScalar":
@@ -166,14 +154,14 @@ class ExactScalar:
             return NotImplemented
         rat = self.rational * other.rational
         if rat == 0:
-            return ExactScalar.zero()
+            return ExactScalar()
         factor, pi_pow, radical, gammas = _surd_product(self.surd, other.surd)
         return ExactScalar(rat * factor, pi_pow, radical, gammas)
 
     def scale(self, r) -> "ExactScalar":
         r = Fraction(r)
         if r == 0:
-            return ExactScalar.zero()
+            return ExactScalar()
         return ExactScalar(self.rational * r, self.pi_pow, self.radical, self.gammas)
 
     # -- conversions ---------------------------------------------------------
@@ -191,9 +179,6 @@ class ExactScalar:
             for q, m in self.gammas:
                 v *= mpmath.gamma(mpmath.mpf(q.numerator) / q.denominator) ** m
             return v
-
-    def __float__(self) -> float:
-        return float(self.numeric(30))
 
     # -- rendering ------------------------------------------------------------
 
@@ -445,11 +430,12 @@ class CycloA:
     and divide by 1 + a^p, the only cycle denominator, so their coefficients
     live in Q[a, 1/a, 1/(1+a^p)] for the p of the engine.  N is a Laurent
     polynomial in a.  The form is canonical (N is not divisible by 1 + a^p
-    when m > 0), so equality is structural.  The engine multiplies only by
-    monomials c a^j (``times_monomial``), coprime to 1 + a^p, so on its path
-    only addition and ``times_cyclo(k < 0)`` trial-divide by 1 + a^p (the
-    general product, notation for the tests, does too).  There is no general
-    inverse, and operands built for different p raise UsageError.
+    when m > 0), so equality is structural.  It has only what the engine
+    uses: ``+``, ``times_monomial`` (times c a^j, coprime to 1 + a^p),
+    ``times_cyclo`` (times a power of 1 + a^p), ``eval`` and ``str``; only
+    ``+`` and ``times_cyclo(k < 0)`` trial-divide by 1 + a^p.  There is no
+    general product, difference or inverse, and operands built for
+    different p raise UsageError.
     """
 
     __slots__ = ("p", "num", "m")
@@ -488,24 +474,11 @@ class CycloA:
         m = max(self.m, other.m)
         return CycloA(self.p, self._over(m, other) + other._over(m, self), m)
 
-    def __neg__(self) -> "CycloA":
-        return CycloA._canonical(self.p, -self.num, self.m)
-
-    def __sub__(self, other: "CycloA") -> "CycloA":
-        return self + (-other)
-
     def times_monomial(self, c, j: int = 0) -> "CycloA":
         """self * c a^j for an int or Fraction c: N shifted and scaled, m kept."""
         nums = {e + j: n * c.numerator for e, n in self.num.nums.items()} if c else {}
         num = LaurentP._reduced(nums, self.num.den * c.denominator)
         return CycloA._canonical(self.p, num, self.m)
-
-    def __mul__(self, other) -> "CycloA":
-        if not isinstance(other, CycloA):
-            return self.times_monomial(Fraction(other))
-        return CycloA(self.p, self._over(self.m, other) * other.num, self.m + other.m)
-
-    __rmul__ = __mul__
 
     def times_cyclo(self, k: int) -> "CycloA":
         """self * (1+a^p)^k, shifting the denominator power instead of dividing."""
@@ -514,14 +487,6 @@ class CycloA:
         if k <= self.m:  # a canonical numerator stays canonical over a lower power
             return CycloA._canonical(self.p, self.num, self.m - k)
         return CycloA._canonical(self.p, self.num * _cyclo_power(self.p, k - self.m), 0)
-
-    def __pow__(self, k: int) -> "CycloA":
-        if k < 0:
-            raise UsageError("CycloA has no general inverse; use CycloA.var or times_cyclo")
-        out = CycloA.var(self.p, 0)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __bool__(self) -> bool:
         return bool(self.num.nums)

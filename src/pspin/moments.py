@@ -280,7 +280,7 @@ class MomentEngine:
             (ci, ji), node = ring[node]
             c, j = c * ci, j + ji
         if (c, abs(j)) != (-1, self.p):
-            pivot = self._one - CycloA(self.p, {j: c})
+            pivot = CycloA(self.p, {0: 1, j: -c} if j else {0: 1 - c})
             raise ReductionCycleError(f"degenerate cycle through {head}: pivot {pivot}")
         shift = self.p if j < 0 else 0
         self._memo[head] = {k: v.times_monomial(1, shift).times_cyclo(-1) for k, v in total.items()}

@@ -14,8 +14,10 @@ The y^g coefficient is a sum over multi-indices {k_r} with sum r k_r = g:
 The multi-indices with the same K add up to [y^g] T^K/K!, T = -sum_r g_r y^r,
 so the sum runs over K alone (``twopoint.tail_power``).
 
-C_g(p) is an exact Laurent polynomial in p; everything here is symbolic and
-is evaluated at fixed rational p (including negative p) on demand.
+C_g(p) is an exact Laurent polynomial in p, and so is the genus-g term
+(-1)^g C_g(p)/p^g (``one_point_term``, a plain ``LaurentP``).  It is evaluated
+at a fixed rational p (negative p included) and spin j on demand
+(``one_point_value``).
 """
 
 from __future__ import annotations
@@ -47,32 +49,19 @@ def genus_coefficient(g: int) -> LaurentP:
     return total
 
 
-class OnePointTerm:
-    """Genus-g term of the one-point expansion.
-
-    coefficient: (-1)^g C_g(p) / p^g, a Laurent polynomial in p; the common
-    factor Gamma(1 - (2g-1)/p) stays symbolic
-    """
-
-    __slots__ = ("genus", "coefficient")
-
-    def __init__(self, genus: int, coefficient: LaurentP):
-        self.genus, self.coefficient = genus, coefficient
-
-
-def one_point_term(g: int) -> OnePointTerm:
-    """The genus-g term of the one-point expansion alone (symbolic in p)."""
+def one_point_term(g: int) -> LaurentP:
+    """(-1)^g C_g(p) / p^g: the genus-g one-point term without Gamma(1 - (2g-1)/p)."""
     if g > 16:
         # the tests check every g <= 16 by zeta(1-2g) at p=-1 and by the
         # Bernoulli leading term; g <= 16 takes 0.04-0.06 s in process
         # (2-vCPU Xeon, Python 3.11.7, five cold runs)
         raise UsageError("one-point expansion checked through genus 16")
     coeff = genus_coefficient(g) / LaurentP.var() ** g
-    return OnePointTerm(g, -coeff if g % 2 else coeff)
+    return -coeff if g % 2 else coeff
 
 
-def one_point_series(g_max: int) -> list[OnePointTerm]:
-    """Exact genus coefficients for g = 1..g_max (symbolic in p)."""
+def one_point_series(g_max: int) -> list[LaurentP]:
+    """``one_point_term(g)`` for g = 1..g_max; entry i is genus i + 1."""
     return [one_point_term(g) for g in range(1, g_max + 1)]
 
 
@@ -127,23 +116,15 @@ def gamma_ratio_at(p, g: int, j: int) -> Fraction:
     return out
 
 
-def one_point_value(p, g: int, j: int | None = None) -> Fraction:
+def one_point_value(p, g: int, j: int) -> Fraction:
     """Exact <tau_{n,j}>_g at fixed rational p (analytic continuation included).
 
-    With j omitted, the admissible spin label at integer p >= 2 is used; an
-    explicit j there must be a spin 0..p-2.
+    At integer p >= 2 the spin j must be 0..p-2; ``one_point_table`` picks
+    the label.
     """
     if g < 1:
         raise UsageError("genus must be >= 1")
     pf = Fraction(p)
-    if j is None:
-        if pf.denominator != 1 or pf < 2:
-            raise UsageError("automatic label needs integer p >= 2; pass j explicitly")
-        lab = admissible_one_point_label(int(pf), g)
-        if lab is None:
-            # spin index would be p-1: the selection rule admits no entry
-            return Fraction(0)
-        _, j = lab
-    elif pf.denominator == 1 and pf >= 2 and not 0 <= j <= pf - 2:
+    if pf.denominator == 1 and pf >= 2 and not 0 <= j <= pf - 2:
         raise UsageError(f"spin j={j} outside 0..{pf - 2} at p={pf}")
-    return one_point_term(g).coefficient.eval(pf) * gamma_ratio_at(pf, g, j)
+    return one_point_term(g).eval(pf) * gamma_ratio_at(pf, g, j)

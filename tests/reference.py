@@ -12,6 +12,9 @@ boundary values and spin factors as ``ExactScalar`` tokens and testing the
 product for rationality, where the library decides it on integers.  Its
 CalibrationError renders the irrational leftover; the library's names the
 integers instead, so the two messages agree up to the pair.
+
+``cyclo_mul`` is the general ``CycloA`` product, which the library leaves out
+because its engine multiplies only by monomials.
 """
 
 from fractions import Fraction
@@ -19,7 +22,7 @@ from functools import lru_cache
 
 from pspin.airy import phi_deriv_zero
 from pspin.density import bernoulli_std
-from pspin.exact import ExactScalar
+from pspin.exact import CycloA, ExactScalar
 from pspin.moments import MomentEngine, MomentSymbol, _at_rewrite_constant, _scaled, reduce_moment
 from pspin.twopoint import CalibrationError, grade_monomial
 
@@ -59,6 +62,13 @@ def _mirror_engine(p: int) -> MirrorEngine:
 def mirror_reduce(sym: MomentSymbol, ode_constant=1) -> dict:
     """``reduce_moment`` through the mirrored orientation (memoized per p)."""
     return _at_rewrite_constant(_mirror_engine(sym.p).reduce(sym), ode_constant)
+
+
+def cyclo_mul(x: CycloA, y) -> CycloA:
+    """x * y for CycloA values, or x scaled by a rational y."""
+    if not isinstance(y, CycloA):
+        return x.times_monomial(Fraction(y))
+    return CycloA(x.p, x.num * y.num, x.m + y.m)
 
 
 def zeta_one_minus_2g(g: int) -> Fraction:

@@ -273,7 +273,7 @@ class TestVerify:
 
         def scaled(g_max):
             terms = series(g_max)
-            terms[1] = onepoint.OnePointTerm(2, terms[1].coefficient.scale(Fraction(101, 100)))
+            terms[1] = terms[1].scale(Fraction(101, 100))
             return terms
 
         monkeypatch.setattr(onepoint, "one_point_series", scaled)
@@ -281,6 +281,45 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "largep g=2: leading 101/288000 FAIL"
         assert lines[0].endswith("PASS") and lines[2].endswith("PASS")
+
+    @pytest.mark.parametrize("check, marks, line", [
+        ("string", ((0, 0), (2, 0)),
+         "[FAIL (diff 1/1200)] string g=1: tau(0,0) tau(2,0)_g1 = tau(1,0)_g1"),
+        ("dilaton", ((1, 0), (1, 0)),
+         "[FAIL (diff 1/100)] dilaton g=1: tau(1,0) tau(1,0)_g1 = (2g-2+1) * tau(1,0)_g1"),
+    ], ids=["string", "dilaton"])
+    def test_insertion_scaled_entry_exit_1(self, check, marks, line, monkeypatch, capsys):
+        # one tau(0,0) or tau(1,0) entry of the p=3 table off by 1%: only its line fails
+        from pspin import cli
+
+        table = cli.two_point_table
+
+        def planted(p, g_max):
+            return [TauCorrelator(e.p, e.genus, e.marks, e.value * Fraction(101, 100))
+                    if (e.genus, e.marks) == (1, marks) else e for e in table(p, g_max)]
+
+        monkeypatch.setattr(cli, "two_point_table", planted)
+        assert run("verify", check) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert line in lines
+        assert [ln for ln in lines if "FAIL" in ln] == [line]
+
+    def test_airy_quad_shifted_boundary_value_exit_1(self, monkeypatch, capsys):
+        # Ai'(0) off by 1e-3 relative: the identities that read it fail
+        from pspin import airy
+
+        real = airy.phi_deriv_zero
+
+        def shifted(p, k, kernel_mode=airy.REAL):
+            value = real(p, k, kernel_mode)
+            return value.scale(Fraction(1001, 1000)) if k == 1 else value
+
+        monkeypatch.setattr(airy, "phi_deriv_zero", shifted)
+        assert run("verify", "airy-quad") == 1
+        lines = capsys.readouterr().out.splitlines()
+        fails = [ln for ln in lines if ln.startswith("  FAIL moment(")]
+        assert fails and len(fails) == len(lines) - 1
+        assert lines[0] == f"airy-quad: {54 - len(fails)}/54 identities pass at tol 1e-06"
 
     def test_binet_scaled_kernel_exit_1(self, monkeypatch, capsys):
         from pspin import density
@@ -484,6 +523,17 @@ class TestDensity:
             assert run("density", *bounds) == 2, bounds
         assert "affine fit" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("e_min, e_max", [("1000", "1001"), ("5", "5.000000000001")])
+    def test_narrow_grid_exit_3(self, e_min, e_max, tmp_path, monkeypatch, capsys):
+        # the fit's normal equations cancel there: no alpha, no beta, no file
+        monkeypatch.setenv("PSPIN_OUTPUT_DIR", str(tmp_path))
+        assert run("density", "--e-min", e_min, "--e-max", e_max, "--samples", "3",
+                   "--output", "x.csv") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: E grid too narrow for the affine fit")
+        assert list(tmp_path.iterdir()) == []
+
     def test_subnormal_e_min_exit_3(self, capsys):
         # 1/(2E) overflows at E = 1e-320; the NaN fit used to print and exit 0
         assert run("density", "--e-min", "1e-320", "--e-max", "1", "--samples", "5") == 3
@@ -634,7 +684,7 @@ class TestGoldenVariants:
         assert golden.compare(3, 2, two, g_max=2) == [] and golden.compare(-1, 1, one) == []
         assert golden.compare(3, 1, one_point_table(3, 2)) is None  # no one-point table
         anchor = (2, ((0, 1), (4, 1)))
-        bad = [TauCorrelator(e.p, e.genus, e.marks, e.value + 1) if e.key() == anchor else e
+        bad = [TauCorrelator(e.p, e.genus, e.marks, e.value + 1) if (e.genus, e.marks) == anchor else e
                for e in two]
         assert golden.compare(3, 2, bad, g_max=2) == [
             "drift at g=2 marks=((0, 1), (4, 1)): expected 1/864, computed 865/864"]

@@ -30,7 +30,13 @@ from pspin.density import bernoulli_leading
 from pspin.exact import LaurentP, UsageError
 from pspin.moments import assemble_grade
 from pspin.oracle import NumericError
-from pspin.onepoint import genus_coefficient, one_point_series, one_point_value
+from pspin.onepoint import (
+    admissible_one_point_label,
+    genus_coefficient,
+    one_point_series,
+    one_point_term,
+    one_point_value,
+)
 from pspin.twopoint import (
     _side_terms,
     binomial_tail_coefficient,
@@ -105,19 +111,23 @@ class TestOnePoint:
             * (C(72) * P**4 - C(298) * P**3 - C(17) * P**2 + C(562) * P + C(281))
             / ((P**3).scale(1393459200)),
         }
-        for term in one_point_series(4):
-            assert term.coefficient == expected[term.genus], term.genus
+        for g, term in enumerate(one_point_series(4), 1):
+            assert term == expected[g], g
 
     def test_anchor_value(self):
-        assert one_point_value(3, 1) == F(1, 12)
-        assert one_point_value(4, 1) == F(1, 8)
+        assert one_point_value(3, 1, 0) == F(1, 12)
+        assert one_point_value(4, 1, 0) == F(1, 8)
 
     def test_string_value_p5(self):
         # <tau_{3,2}>_{g=2} at p=5: (4*2*11)/(5*5760) = 11/3600
-        assert one_point_value(5, 2) == F(11, 3600)
+        assert one_point_value(5, 2, 2) == F(11, 3600)
 
     def test_inadmissible_label_is_zero(self):
-        assert one_point_value(3, 2) == 0
+        # p=3, g=2 would need spin 2 = p-1: the genus term vanishes there
+        # through its (p-3) factor, and the table has no entry
+        assert admissible_one_point_label(3, 2) is None
+        assert one_point_term(2).eval(3) == 0
+        assert [e.genus for e in one_point_table(3, 2)] == [1]
 
     @pytest.mark.parametrize("g", [0, -1])
     def test_genus_below_one_raises(self, g):
@@ -139,15 +149,14 @@ class TestOnePoint:
         # p=2 labels are tau(3g-2, 0), valued 1/(24^g g!) (Witten's KdV case)
         witten = [(g, ((3 * g - 2, 0),), F(1, 24**g * math.factorial(g))) for g in range(1, 17)]
         assert [(e.genus, e.marks, e.value) for e in one_point_table(2, 16)] == witten
-        assert one_point_value(2, 2) == F(1, 1152)
+        assert one_point_value(2, 2, 0) == F(1, 1152)
 
     def test_checked_genus_range(self):
         # two independent routes for every genus the series admits
-        for term in one_point_series(16):
-            g = term.genus
+        for g, term in enumerate(one_point_series(16), 1):
             gamma_at_minus_one = math.factorial(2 * g - 1)  # Gamma(1 + (2g-1))
-            assert term.coefficient.eval(-1) * gamma_at_minus_one == zeta_one_minus_2g(g), g
-            assert term.coefficient.leading() == (g, bernoulli_leading(g)), g
+            assert term.eval(-1) * gamma_at_minus_one == zeta_one_minus_2g(g), g
+            assert term.leading() == (g, bernoulli_leading(g)), g
         with pytest.raises(UsageError):
             one_point_series(17)
 
@@ -601,7 +610,7 @@ class TestSeriesShape:
         from pspin.exact import ExactScalar
         from pspin.moments import AssembledGrade, CancellationError
 
-        grade = AssembledGrade({(0, 0): {3: F(1)}}, {}, ExactScalar.one())
+        grade = AssembledGrade({(0, 0): {3: F(1)}}, {}, ExactScalar(F(1)))
         monkeypatch.setattr(twopoint, "two_point_grade", lambda p, g: grade)
         with pytest.raises(CancellationError, match="discarded grades") as exc:
             two_point_series(3, 1)
@@ -612,7 +621,7 @@ class TestSeriesShape:
         from pspin.exact import ExactScalar
         from pspin.moments import AssembledGrade, CancellationError
 
-        grade = AssembledGrade({}, {("sing", 0): {1: F(1)}}, ExactScalar.one())
+        grade = AssembledGrade({}, {("sing", 0): {1: F(1)}}, ExactScalar(F(1)))
         monkeypatch.setattr(twopoint, "two_point_grade", lambda p, g: grade)
         with pytest.raises(CancellationError, match=r"extractable grades.*\('sing', 0\)") as exc:
             two_point_series(3, 1)

@@ -16,7 +16,6 @@ from pspin.exact import (
     ExactScalar as ES,
     LaurentP,
     PoleError,
-    UsageError,
     _norm_radical,
     _terms_text,
 )
@@ -29,7 +28,7 @@ class TestGammaNormalize:
         aip0 = (ES.rational_power(3, F(-1, 3)) * ES.gamma(F(1, 3), -1)).scale(-1)
         prod = ai0 * aip0
         # value preservation against a floating oracle
-        assert abs(float(prod) - float(mpmath.airyai(0) * mpmath.airyai(0, 1))) < 1e-12
+        assert abs(float(prod.numeric(30)) - float(mpmath.airyai(0) * mpmath.airyai(0, 1))) < 1e-12
 
     def test_reflection_is_not_applied(self):
         # Gamma(1/3) Gamma(2/3) = 2 pi / sqrt(3): one value, two canonical forms
@@ -59,7 +58,7 @@ class TestGammaNormalize:
         args = [F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1, 6), F(5, 6), F(1, 2),
                 F(1, 5), F(4, 5), F(2, 7), F(5, 3), F(-1, 4)]
         for _ in range(1000):
-            x = ES.from_fraction(F(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
+            x = ES(F(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
             raw = mpmath.mpf(x.rational.numerator) / x.rational.denominator
             for _ in range(rng.randint(1, 4)):
                 q = rng.choice(args)
@@ -72,7 +71,7 @@ class TestGammaNormalize:
     def test_render_stable(self):
         x = ES.gamma(F(1, 3)) * ES.pi(-2).scale(F(-5, 12)) * ES.sqrt(3)
         assert x.render() == "-5/12 * pi^-2 * sqrt(3) * Gamma(1/3)"
-        assert ES.zero().render() == "0"
+        assert ES().render() == "0"
         assert ES.rational_power(4, F(1, 4)).render() == ES.sqrt(2).render()
 
 
@@ -336,17 +335,12 @@ cyclo_args = st.tuples(laurent_dicts, st.integers(0, 3), st.integers(0, 3))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(3, 7), cyclo_args, cyclo_args, nonzero, fractions, st.integers(0, 3))
-def test_cyclo_matches_reference(p, args1, args2, c, a, n):
+@given(st.integers(3, 7), cyclo_args, cyclo_args, fractions)
+def test_cyclo_matches_reference(p, args1, args2, a):
     x1, r1 = _cyclo_pair(p, *args1)
     x2, r2 = _cyclo_pair(p, *args2)
     _same_cyclo(x1, r1)
     _same_cyclo(x1 + x2, r1 + r2)
-    _same_cyclo(x1 - x2, r1 - r2)
-    _same_cyclo(-x1, -r1)
-    _same_cyclo(x1 * x2, r1 * r2)
-    _same_cyclo(x1 * c, r1 * c)
-    _same_cyclo(x1 ** n, r1 ** n)
     assert _outcome(lambda: x1.eval(a)) == _outcome(lambda: r1.eval(a))
 
 
@@ -364,7 +358,11 @@ def test_cyclo_equal_values_equal_objects(p, args1, args2, c):
     x, _ = _cyclo_pair(p, *args1)
     y, _ = _cyclo_pair(p, *args2)
     cyclo = LaurentP({0: 1, p: 1})
-    for same in ((x + y) - y, (x * c) * (1 / c), CycloA(p, x.num * cyclo, x.m + 1)):
+    for same in (
+        (x + y) + y.times_monomial(-1),
+        x.times_monomial(c).times_monomial(1 / c),
+        CycloA(p, x.num * cyclo, x.m + 1),
+    ):
         assert same == x and hash(same) == hash(x)
 
 
@@ -373,17 +371,9 @@ def test_cyclo_equal_values_equal_objects(p, args1, args2, c):
 def test_times_cyclo_matches_multiplication(p, args, k):
     # the denominator shift equals plain multiplication by (1+a^p)^k, or for
     # k < 0 the constructor's form over (1+a^p)^(m-k)
-    x, _ = _cyclo_pair(p, *args)
-    want = x * CycloA(p, {0: 1, p: 1}) ** k if k >= 0 else CycloA(p, x.num, x.m - k)
-    got = x.times_cyclo(k)
-    assert got == want and hash(got) == hash(want)
-    assert (got.num.nums, got.num.den, got.m) == (want.num.nums, want.num.den, want.m)
-
-
-def test_cyclo_negative_power_refused():
-    # CycloA has no general inverse: a^-1 is spelled CycloA.var(p, -1)
-    with pytest.raises(UsageError, match="no general inverse"):
-        CycloA.var(3) ** -1
+    x, r = _cyclo_pair(p, *args)
+    want = r * RefCyclo(p, {0: 1, p: 1}) ** k if k >= 0 else RefCyclo(p, r.num, r.m - k)
+    _same_cyclo(x.times_cyclo(k), want)
 
 
 class TestRepr:
@@ -404,7 +394,7 @@ def _ref_mul(x, y):
     """x * y canonicalized from scratch, without ``_surd_product``."""
     rat = x.rational * y.rational
     if rat == 0:
-        return ES.zero()
+        return ES()
     rad = dict(x.radical)
     for prime, e in y.radical:
         rad[prime] = rad.get(prime, F(0)) + e
@@ -434,14 +424,14 @@ gamma_args = st.builds(F, st.integers(-7, 12), st.sampled_from([2, 3, 4, 5, 6]))
     lambda q: q.denominator != 1 or q > 0
 )
 factors = st.one_of(
-    st.builds(ES.from_fraction, nonzero),
+    st.builds(ES, nonzero),
     st.builds(ES.pi, st.integers(-3, 3)),
     st.builds(ES.rational_power, st.integers(2, 12),
               st.builds(F, st.integers(-7, 7), st.sampled_from([2, 3, 4, 6]))),
     st.builds(_ref_gamma, gamma_args, st.integers(-2, 2)),
 )
 scalars = st.lists(factors, min_size=1, max_size=5).map(
-    lambda fs: functools.reduce(_ref_mul, fs, ES.one())
+    lambda fs: functools.reduce(_ref_mul, fs, ES(F(1)))
 )
 
 

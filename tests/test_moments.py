@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from pspin.airy import CONTOUR, REAL, phi_deriv_zero
-from pspin.exact import CycloA, ExactScalar as ES, UsageError
+from pspin.exact import CycloA, ExactScalar as ES, LaurentP, UsageError
 from pspin.moments import (
     CancellationError,
     MomentEngine,
@@ -19,15 +19,14 @@ from pspin.moments import (
     reduction_numeric,
 )
 from pspin.twopoint import grade_contributions, two_point_grade
-from reference import MirrorEngine, mirror_reduce
+from reference import MirrorEngine, cyclo_mul, mirror_reduce
 
-a = CycloA.var(3)
 one = CycloA.var(3, 0)
 zero = CycloA(3)
 
 
 def vec(res, scale=1):
-    out = {k: v * scale for k, v in res.items()}
+    out = {k: cyclo_mul(v, scale) for k, v in res.items()}
     return {k: v for k, v in out.items() if v}
 
 
@@ -47,15 +46,15 @@ def M(n, b, c, p=3, c0=0, mirror=False):
 class TestClosedForms:
     def test_k1(self):
         # int phi'' phi(-ay) = -(1+a)/(1+a^3) phi(0) phi'(0)
-        assert M(0, 2, 0) == {("bdry", 0, 1): (-(one + a)).times_cyclo(-1)}
+        assert M(0, 2, 0) == {("bdry", 0, 1): CycloA(3, {0: -1, 1: -1}, 1)}
 
     def test_k2_and_ibp_relation(self):
         # int phi' phi'(-ay) = (a^2-1)/(1+a^3) phi(0) phi'(0),
         # consistent with K1 = -phi(0)phi'(0) + a K2 (one integration by parts)
         k1 = M(0, 2, 0)[("bdry", 0, 1)]
         k2 = M(0, 1, 1)[("bdry", 0, 1)]
-        assert k2 == (a**2 - one).times_cyclo(-1)
-        assert k1 == -one + a * k2
+        assert k2 == CycloA(3, {2: 1, 0: -1}, 1)
+        assert k1 == CycloA(3, {0: -1}) + k2.times_monomial(1, 1)
 
     def test_k2_vanishes_at_unit_ratio(self):
         k2 = M(0, 1, 1)[("bdry", 0, 1)]
@@ -66,8 +65,8 @@ class TestClosedForms:
     def test_i2_identity(self):
         # (1+a^3) I2 = phi(0)^2 - 2a T with T = int phi(y) phi'(-ay) dy
         assert M(1, 2, 0) == {
-            ("bdry", 0, 0): one.times_cyclo(-1),
-            ("irr", 1): (-2 * a).times_cyclo(-1),
+            ("bdry", 0, 0): CycloA(3, {0: 1}, 1),
+            ("irr", 1): CycloA(3, {1: -2}, 1),
         }
 
     def test_i2_ode_prestep(self):
@@ -122,21 +121,21 @@ class TestGenus3Relations:
         table = {
             1: vec(M(7, 0, 0)),
             2: vec(M(5, 1, 0)),
-            3: vec(M(5, 0, 1), -a),
-            4: vec(M(3, 1, 1), -a),
+            3: vec(M(5, 0, 1), CycloA(3, {1: -1})),
+            4: vec(M(3, 1, 1), CycloA(3, {1: -1})),
             5: vec(M(3, 2, 0)),
-            6: vec(M(3, 0, 2), a**2),
+            6: vec(M(3, 0, 2), CycloA(3, {2: 1})),
             7: vec(M(1, 3, 0)),
-            8: vec(M(1, 0, 3), -(a**3)),
-            9: vec(M(1, 2, 1), -a),
-            10: vec(M(1, 1, 2), a**2),
+            8: vec(M(1, 0, 3), CycloA(3, {3: -1})),
+            9: vec(M(1, 2, 1), CycloA(3, {1: -1})),
+            10: vec(M(1, 1, 2), CycloA(3, {2: 1})),
         }
         table["K1"] = vec(M(0, 2, 0))
-        table["K2"] = vec(M(0, 1, 1), -a)
+        table["K2"] = vec(M(0, 1, 1), CycloA(3, {1: -1}))
         return table
 
     def scaled(self, V, c):
-        return {k: v * c for k, v in V.items()}
+        return vec(V, c)
 
     def add(self, *vs):
         out = {}
@@ -147,39 +146,39 @@ class TestGenus3Relations:
 
     def test_j10(self, J):
         want = self.add(
-            self.scaled(J["K1"], (2 * a**3).times_cyclo(-1)),
-            self.scaled(J["K2"], (-(a**3)).times_cyclo(-1)),
+            self.scaled(J["K1"], CycloA(3, {3: 2}, 1)),
+            self.scaled(J["K2"], CycloA(3, {3: -1}, 1)),
         )
         assert J[10] == want
 
     def test_j9(self, J):
-        assert J[9] == self.add(self.scaled(J["K2"], -one), self.scaled(J[10], -one))
+        assert J[9] == self.add(self.scaled(J["K2"], -1), self.scaled(J[10], -1))
 
     def test_j8_closed_form(self, J):
         L = {("bdry", 0, 1): one}
-        coeff = (a**3 + 2 * a**4 - 2 * a**6 - a**7).times_cyclo(-2)
+        coeff = CycloA(3, {3: 1, 4: 2, 6: -2, 7: -1}, 2)
         assert J[8] == self.scaled(L, coeff)
 
     def test_j7_j6_j5(self, J):
         assert J[7] == self.scaled(J[8], CycloA.var(3, -3))
-        assert J[6] == self.scaled(J[7], (6 * a**3).times_cyclo(-1))
-        assert J[5] == self.scaled(J[6], -CycloA.var(3, -3))
+        assert J[6] == self.scaled(J[7], CycloA(3, {3: 6}, 1))
+        assert J[5] == self.scaled(J[6], CycloA(3, {-3: -1}))
 
     def test_j4(self, J):
-        assert J[4] == self.add(self.scaled(J[5], a**3), self.scaled(J[9], -3 * one))
+        assert J[4] == self.add(self.scaled(J[5], CycloA(3, {3: 1})), self.scaled(J[9], -3))
 
     def test_j123(self, J):
         assert J[1] == self.add(
-            self.scaled(J[5], (30 * one).times_cyclo(-1)),
-            self.scaled(J[3], (12 * one).times_cyclo(-1)),
+            self.scaled(J[5], CycloA(3, {0: 30}, 1)),
+            self.scaled(J[3], CycloA(3, {0: 12}, 1)),
         )
         assert J[2] == self.add(
-            self.scaled(J[5], (-5 * one).times_cyclo(-1)),
-            self.scaled(J[4], (4 * one).times_cyclo(-1)),
+            self.scaled(J[5], CycloA(3, {0: -5}, 1)),
+            self.scaled(J[4], CycloA(3, {0: 4}, 1)),
         )
         assert J[3] == self.add(
-            self.scaled(J[5], (-5 * a**3).times_cyclo(-1)),
-            self.scaled(J[4], (-4 * one).times_cyclo(-1)),
+            self.scaled(J[5], CycloA(3, {3: -5}, 1)),
+            self.scaled(J[4], CycloA(3, {0: -4}, 1)),
         )
 
 
@@ -199,8 +198,8 @@ class TestConfluenceAndLinearity:
 
     def test_linearity(self):
         # reduce respects linear combinations by construction of the vectors
-        lhs = combine((3 * one, M(2, 1, 0)), (-a**2, M(2, 1, 0)))
-        rhs = vec(M(2, 1, 0), 3 * one - a**2)
+        lhs = combine((CycloA(3, {0: 3}), M(2, 1, 0)), (CycloA(3, {2: -1}), M(2, 1, 0)))
+        rhs = vec(M(2, 1, 0), CycloA(3, {0: 3, 2: -1}))
         assert lhs == rhs
 
 
@@ -230,15 +229,15 @@ class TestAssembleGrade:
         # a contribution with no irreducible part passes through, times (1+a^3)^(n-1),
         # its rewrite-constant atom included
         assert acc == {
-            ("bdry", 0, 1): (-(one + a)).times_cyclo(-2),
-            ("omega",): (2 * a**2).times_cyclo(-2),
+            ("bdry", 0, 1): CycloA(3, {0: -1, 1: -1}, 2),
+            ("omega",): CycloA(3, {2: 2}, 2),
         }
 
     def test_t_residue_raises(self):
         # a lone I2 contribution leaves an uncancelled T coefficient
         sym = MomentSymbol(1, 2, 0, 3)
         with pytest.raises(CancellationError) as exc:
-            assemble_grade([(F(1), 0, sym)], ES.one())
+            assemble_grade([(F(1), 0, sym)], ES(F(1)))
         assert exc.value.residues
 
     @pytest.mark.parametrize("contributions, message", [
@@ -316,13 +315,13 @@ class TestGroupedCombine:
     @staticmethod
     def per_contribution_sum(contributions, c0):
         # the ungrouped route: reduce and scale every contribution on its own,
-        # multiplying by the expanded (1+a^p)^(n-1) in plain CycloA arithmetic
+        # multiplying by the expanded w a^k (1+a^p)^(n-1) as a general product
         acc = {}
         for w, a_pow, sym in contributions:
-            sinh = (CycloA.var(sym.p, 0) + CycloA.var(sym.p, sym.p)) ** (sym.n - 1)
-            weight = CycloA.var(sym.p) ** a_pow * w * sinh
+            sinh = LaurentP({0: 1, sym.p: 1}) ** (sym.n - 1)
+            weight = CycloA(sym.p, LaurentP({a_pow: w}) * sinh)
             for atom, coeff in M(sym.n, sym.b, sym.c, sym.p, c0).items():
-                acc[atom] = acc.get(atom, CycloA(sym.p)) + coeff * weight
+                acc[atom] = acc.get(atom, CycloA(sym.p)) + cyclo_mul(coeff, weight)
         return {atom: coeff for atom, coeff in acc.items() if coeff}
 
     @pytest.mark.parametrize("c0", [1, 0])
@@ -393,9 +392,9 @@ class TestBoundaryAtoms:
                 assert kind in ("bdry", "sing", "const")
                 if kind != "bdry" and mode == CONTOUR:
                     # a factor reduced to the rewrite constant, which vanishes here
-                    assert want == ES.zero(), (i, j)
+                    assert want == ES(), (i, j)
                     continue
-                atom = ES.one()
+                atom = ES(F(1))
                 for k in orders:
                     atom = atom * phi_deriv_zero(p, k, mode)
                 assert atom.scale(poly_coeffs(coeff)[0]) == want, (i, j)
@@ -484,14 +483,15 @@ def test_single_kernel_moment_closed_form(p):
     engine = MomentEngine(p)
     for m in range(1, p):
         got = {atom: c for atom, c in engine.reduce_single(1, m, 0).items() if atom[0] != "zdiv"}
-        assert got == {("sing", p - 1 - m): CycloA.var(p, 0) * ((-1) ** m * factorial(m - 1))}, m
+        assert got == {("sing", p - 1 - m): CycloA(p, {0: (-1) ** m * factorial(m - 1)})}, m
 
 
 def test_library_path_has_no_general_product(monkeypatch):
     """Grade assembly and the airy-quad reductions never multiply two CycloA values.
 
     Every engine multiplier is a monomial c a^j (``CycloA.times_monomial``);
-    a general product would bring back a trial division per step.
+    a general product would bring back a trial division per step.  CycloA has
+    no product operator, so one put back on the library path meets ``refuse``.
     """
     from pspin import moments, twopoint
     from pspin.cli import _AIRY_QUAD_SYMBOLS
@@ -499,8 +499,8 @@ def test_library_path_has_no_general_product(monkeypatch):
     def refuse(self, other):
         raise AssertionError(f"general CycloA product on the library path: {self} * {other}")
 
-    monkeypatch.setattr(CycloA, "__mul__", refuse)
-    monkeypatch.setattr(CycloA, "__rmul__", refuse)
+    monkeypatch.setattr(CycloA, "__mul__", refuse, raising=False)
+    monkeypatch.setattr(CycloA, "__rmul__", refuse, raising=False)
     moments._engine.cache_clear()
     twopoint._assembled_grade.cache_clear()
     for p, g in [(3, 4), (4, 3), (5, 2)]:

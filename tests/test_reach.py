@@ -1,0 +1,113 @@
+"""What the commands reach: every function in src/pspin serves a command, or is listed.
+
+A fresh interpreter runs README's command lines, the benchmark's cold
+commands (``bench/clicold.py``) and a few more in process, under
+``sys.setprofile``, and records every ``def`` of ``src/pspin`` it enters.  The
+process must be fresh: a cached function that an earlier test already called
+would not be entered again.  A function no command enters must be a helper
+(equality, hash, repr, str or an exception's constructor) or be listed in
+``UNREACHED`` with the reason it stays.  A listed function that a command now
+reaches fails the test too, so the list cannot go stale.
+"""
+
+import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+from test_bench_bindings import _bench_module
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# a command for what neither README nor the benchmark's cold commands reach:
+# the admissible one-point label at integer p >= 2
+EXTRA = ["intersect --p 5 --genus 3 --points 1"]
+
+# function -> why it stays although no command enters it
+UNREACHED = {
+    "correlators.two_point_low_value": "benchmark: p-sweep's two_point_low_value ops",
+    "twopoint.two_point_low_orders": "benchmark: under two_point_low_value",
+    "twopoint._low_orders": "benchmark: under two_point_low_value",
+    "correlators.lagrange_polynomial": "benchmark: p-sweep's general_p_interpolate ops",
+    "correlators.general_p_interpolate": "benchmark: p-sweep's general_p_interpolate ops",
+    "tautology.TautologyReport.failures": "benchmark: p-sweep's string and dilaton ops",
+    "exact.ExactScalar.render": "benchmark: the grade prefactors exact-deep pins",
+    "oracle.ai_deriv": "the tests' hook on the quadrature oracle's Ai (airy.py docstring)",
+}
+
+# equality, hash, repr (``record_repr`` included) and str, and exception constructors
+HELPER = re.compile(r"\.(__eq__|__hash__|__repr__|__str__|record_repr)$|Error\.__init__$")
+
+_PROBE = r"""
+import ast, contextlib, io, json, os, sys
+
+src, commands = sys.argv[1], json.loads(sys.argv[2])
+defined = {}  # (file, first line, name) -> module.qualified.name
+for fname in sorted(os.listdir(src)):
+    if not fname.endswith(".py"):
+        continue
+    path = os.path.join(src, fname)
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # a decorated function's code starts at its first decorator
+                line = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                defined[(path, line, child.name)] = fname[:-3] + "." + prefix + child.name
+                walk(child, prefix + child.name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, prefix + child.name + ".")
+            else:
+                walk(child, prefix)
+
+    with open(path, encoding="utf-8") as fh:
+        walk(ast.parse(fh.read()), "")
+
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+codes = []
+sys.setprofile(profile)
+from pspin.cli import main
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+sys.setprofile(None)
+reached = {defined.get((os.path.realpath(f), line, name)) for f, line, name in entered}
+print(json.dumps({"defined": sorted(defined.values()), "reached": sorted(reached - {None}),
+                  "codes": codes}))
+"""
+
+
+def _readme_commands():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:] for line in block.splitlines()
+            if line.startswith("pspin ")]
+
+
+def test_unreached_functions_are_listed(tmp_path):
+    commands = _readme_commands() + [cmd.argv for cmd in _bench_module("clicold").COMMANDS]
+    commands += [shlex.split(line) for line in EXTRA]
+    src = ROOT / "src"
+    env = dict(os.environ, PSPIN_OUTPUT_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, os.path.realpath(src / "pspin"), json.dumps(commands)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * len(commands)
+    unreached = set(result["defined"]) - set(result["reached"])
+    assert sorted(n for n in unreached if n not in UNREACHED and not HELPER.search(n)) == []
+    assert sorted(n for n in UNREACHED if n not in unreached) == []

@@ -81,6 +81,19 @@ class TestDilaton:
             dilaton_check([entry], 3)
 
 
+@pytest.mark.parametrize("check, marks, lhs_key, difference", [
+    (string_check, ((0, 0), (2, 0)), "tau(0,0) tau(2,0)_g1", F(1, 1200)),
+    (dilaton_check, ((1, 0), (1, 0)), "tau(1,0) tau(1,0)_g1", F(1, 100)),
+], ids=["string", "dilaton"])
+def test_scaled_entry_is_the_failure(check, marks, lhs_key, difference):
+    # one genus-1 entry with the inserted mark, off by 1%: the report names it alone
+    table = [TauCorrelator(e.p, e.genus, e.marks, e.value * F(101, 100)) if e.marks == marks
+             else e for e in two_point_table(3, 2)]
+    report = check(table, 3)
+    assert not report.all_passed
+    assert [(c.lhs_key, c.difference) for c in report.failures()] == [(lhs_key, difference)]
+
+
 class TestNegativeP:
     def test_p_minus_3(self):
         table = {(e.genus, e.marks[0]): e.value for e in one_point_table(-3, 3)}
