@@ -271,8 +271,9 @@ class LaurentP:
     The value is sum_e nums[e] p^e / den with integer ``nums`` (no zeros)
     and one positive integer ``den``, kept in lowest terms:
     gcd(den, *nums) = 1.  Equal values therefore have equal fields, and
-    arithmetic runs on ints with one gcd per result.  ``coeffs`` gives the
-    coefficients as Fractions.
+    arithmetic runs on ints with one gcd per result; ``dot`` sums products
+    with one gcd for the whole sum.  ``coeffs`` gives the coefficients as
+    Fractions.
     """
 
     __slots__ = ("nums", "den")
@@ -321,6 +322,26 @@ class LaurentP:
 
     def __sub__(self, other: "LaurentP") -> "LaurentP":
         return self + (-other)
+
+    @staticmethod
+    def dot(pairs) -> "LaurentP":
+        """sum of x * y over the (x, y) pairs: integer sums over one running
+        denominator, reduced once."""
+        out: dict[int, int] = {}
+        den = 1
+        for x, y in pairs:
+            d = x.den * y.den
+            if den % d:
+                s = d // math.gcd(den, d)
+                for e in out:
+                    out[e] *= s
+                den *= s
+            s = den // d
+            for e1, c1 in x.nums.items():
+                c1 *= s
+                for e2, c2 in y.nums.items():
+                    out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return LaurentP._reduced({e: n for e, n in out.items() if n}, den)
 
     def __mul__(self, other: "LaurentP") -> "LaurentP":
         out: dict[int, int] = {}
@@ -417,12 +438,6 @@ def _cancel_cyclo(num: dict[int, int], p: int, limit: int) -> tuple[dict[int, in
     return num, i
 
 
-@lru_cache(maxsize=None)
-def _cyclo_power(p: int, k: int) -> LaurentP:
-    """(1 + a^p)^k."""
-    return LaurentP._reduced({0: 1, p: 1}, 1) ** k
-
-
 class CycloA:
     """N(a) / (1 + a^p)^m: the exact coefficient type of the variable a.
 
@@ -430,12 +445,12 @@ class CycloA:
     and divide by 1 + a^p, the only cycle denominator, so their coefficients
     live in Q[a, 1/a, 1/(1+a^p)] for the p of the engine.  N is a Laurent
     polynomial in a.  The form is canonical (N is not divisible by 1 + a^p
-    when m > 0), so equality is structural.  It has only what the engine
-    uses: ``+``, ``times_monomial`` (times c a^j, coprime to 1 + a^p),
-    ``times_cyclo`` (times a power of 1 + a^p), ``eval`` and ``str``; only
-    ``+`` and ``times_cyclo(k < 0)`` trial-divide by 1 + a^p.  There is no
-    general product, difference or inverse, and operands built for
-    different p raise UsageError.
+    when m > 0), so equality is structural.  It has no ``+``: the engine
+    sums whole atom vectors at once (``moments._vec_sum``), each atom's
+    numerators over one power of 1 + a^p, and builds each sum with the
+    constructor, the one place that trial-divides by 1 + a^p.  Besides that
+    it has ``times_monomial`` (times c a^j, coprime to 1 + a^p), ``eval`` and
+    ``str``; there is no general product, difference or inverse.
     """
 
     __slots__ = ("p", "num", "m")
@@ -451,45 +466,17 @@ class CycloA:
         self.p, self.num, self.m = p, num, (m if num.nums else 0)
 
     @staticmethod
-    def _canonical(p: int, num: LaurentP, m: int) -> "CycloA":
-        """num / (1+a^p)^m for a num known not to be divisible by 1 + a^p."""
-        out = object.__new__(CycloA)
-        out.p, out.num, out.m = p, num, (m if num.nums else 0)
-        return out
-
-    @staticmethod
     def var(p: int, e: int = 1) -> "CycloA":
         """a^e."""
         return CycloA(p, LaurentP.var(e))
 
-    def _over(self, m: int, other: "CycloA") -> LaurentP:
-        """The numerator over (1+a^p)^m, m >= self.m; checks that p matches."""
-        if other.p != self.p:
-            raise UsageError(f"coefficients for p={self.p} and p={other.p} do not mix")
-        if m == self.m:
-            return self.num
-        return self.num * _cyclo_power(self.p, m - self.m)
-
-    def __add__(self, other: "CycloA") -> "CycloA":
-        m = max(self.m, other.m)
-        return CycloA(self.p, self._over(m, other) + other._over(m, self), m)
-
     def times_monomial(self, c, j: int = 0) -> "CycloA":
         """self * c a^j for an int or Fraction c: N shifted and scaled, m kept."""
         nums = {e + j: n * c.numerator for e, n in self.num.nums.items()} if c else {}
-        num = LaurentP._reduced(nums, self.num.den * c.denominator)
-        return CycloA._canonical(self.p, num, self.m)
-
-    def times_cyclo(self, k: int) -> "CycloA":
-        """self * (1+a^p)^k, shifting the denominator power instead of dividing."""
-        if k < 0:
-            return CycloA(self.p, self.num, self.m - k)
-        if k <= self.m:  # a canonical numerator stays canonical over a lower power
-            return CycloA._canonical(self.p, self.num, self.m - k)
-        return CycloA._canonical(self.p, self.num * _cyclo_power(self.p, k - self.m), 0)
-
-    def __bool__(self) -> bool:
-        return bool(self.num.nums)
+        out = object.__new__(CycloA)  # c a^j is coprime to 1 + a^p: still canonical
+        out.p, out.num = self.p, LaurentP._reduced(nums, self.num.den * c.denominator)
+        out.m = self.m if nums else 0
+        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CycloA) and (self.p, self.m, self.num) == (
@@ -510,7 +497,7 @@ class CycloA:
     def __str__(self) -> str:
         """Integer numerator over integer denominator, e.g. ``-2*a/(a**3 + 1)``."""
         numer, den = self.num.numer_denom_laurent()
-        den = CycloA(self.p, den)._over(self.m, self).coeffs
+        den = (den * LaurentP({0: 1, self.p: 1}) ** self.m).coeffs
         text = _terms_text(numer.coeffs, "a", "**")
         if den == {0: 1}:
             return text

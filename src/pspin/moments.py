@@ -22,15 +22,20 @@ mirrored).  One pass of Tarjan's SCC algorithm builds the graph as it walks
 it (every other part of a rewrite step is resolved at once) and solves each
 ring exactly, by walking it once, as soon as the pass closes it; any other
 component raises ReductionCycleError.
+
+Every sum of atom vectors is one ``_vec_sum``: each atom's numerators are
+added as integers, per power of 1 + a^p, and cancelled once at the end.
+Each memo entry, each grade and each scaled rule vector is one such sum.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .airy import reduce_order_at_zero
-from .exact import CycloA, DomainError, ExactScalar, UsageError, record_repr
+from .exact import CycloA, DomainError, ExactScalar, LaurentP, UsageError, record_repr
 
 # graph nodes
 #   ('M', n, b, c)           product symbol
@@ -46,6 +51,7 @@ Atom = tuple
 Node = tuple
 Mono = tuple[Fraction, int]  # (c, j) stands for the multiplier c a^j
 Links = list[tuple[Mono, Node]]
+Term = tuple  # (c, j, k, vec) stands for c a^j (1+a^p)^k times the atom vector vec
 
 
 class ReductionCycleError(RuntimeError):
@@ -83,20 +89,56 @@ class MomentSymbol:
     __repr__ = record_repr
 
 
-def _vec_add(dst: dict, src: dict, mono: Mono) -> None:
-    c, j = mono  # dst += c a^j src; entries that cancel are removed
-    for k, v in src.items():
-        cur = dst.get(k)
-        nv = v.times_monomial(c, j) if cur is None else cur + v.times_monomial(c, j)
-        if nv:
-            dst[k] = nv
-        elif cur is not None:
-            del dst[k]
+def _vec_sum(p: int, terms: list[Term]) -> dict[Atom, CycloA]:
+    """sum of c a^j (1+a^p)^k vec over the (c, j, k, vec) terms, one CycloA per atom.
 
-
-def _scaled(src: dict, mono: Mono) -> dict:
-    out: dict = {}
-    _vec_add(out, src, mono)
+    Each atom's numerators are summed as integers over a running lcm
+    denominator, one sum per power of 1 + a^p, with no product and no trial
+    division.  Horner's rule in 1 + a^p then lifts the powers to the top one,
+    each step a shift and an add, and the CycloA constructor cancels once.
+    Atoms keep the order in which a term with c != 0 first brings them, and
+    those that sum to zero are dropped.
+    """
+    sums: dict[Atom, dict] = {}
+    for c, j, k, vec in terms:
+        if not c:
+            continue
+        cn, cd = c.numerator, c.denominator
+        for atom, v in vec.items():
+            levels = sums.get(atom)
+            if levels is None:
+                levels = sums[atom] = {}
+            num, m = v.num, v.m - k
+            den = num.den * cd
+            level = levels.get(m)
+            if level is None:
+                levels[m] = [{e + j: n * cn for e, n in num.nums.items()}, den]
+                continue
+            acc, lden = level
+            if lden % den:
+                s = den // math.gcd(lden, den)
+                for e in acc:
+                    acc[e] *= s
+                level[1] = lden = lden * s
+            s = cn * (lden // den)
+            for e, n in num.nums.items():
+                acc[e + j] = acc.get(e + j, 0) + n * s
+    out: dict[Atom, CycloA] = {}
+    for atom, got in sums.items():
+        den = math.lcm(*(d for _, d in got.values()))
+        top = max(0, *got)
+        nums: dict[int, int] = {}
+        for m in range(min(got), top + 1):
+            for e, n in list(nums.items()):  # nums *= 1 + a^p
+                nums[e + p] = nums.get(e + p, 0) + n
+            level = got.get(m)
+            if level is not None:
+                s = den // level[1]
+                for e, n in level[0].items():
+                    nums[e] = nums.get(e, 0) + n * s
+        nums = {e: nums[e] for e in sorted(nums) if nums[e]}  # ascending a-powers
+        if nums:
+            out[atom] = CycloA(p, LaurentP._reduced(nums, den), top)
     return out
 
 
@@ -125,21 +167,21 @@ class MomentEngine:
         hit = self._s_memo.get(key)
         if hit is not None:
             return hit
-        p, one = self.p, self._one
-        out: dict[Atom, CycloA] = {}
+        p = self.p
         if d >= 1:
             if n == 0:
-                out[("sing", d - 1)] = CycloA(p, {0: -1} if side == 1 else {-1: 1})
+                out = {("sing", d - 1): CycloA(p, {0: -1} if side == 1 else {-1: 1})}
             else:
                 prev = self.reduce_single(side, n - 1, d - 1)
-                _vec_add(out, prev, (-n, 0) if side == 1 else (n, -1))
+                out = _vec_sum(p, [(-n, 0, 0, prev) if side == 1 else (n, -1, 0, prev)])
         elif n >= 1:
             # y phi = phi^{(p-1)} - 1 (side 1); y phi(-ay) = -(phi^{(p-1)}(-ay) - 1)/a
             prev = self.reduce_single(side, n - 1, p - 1)
-            _vec_add(out, prev, (1, 0) if side == 1 else (-1, -1))
-            _vec_add(out, {("zdiv", n - 1): one}, (-1, 0) if side == 1 else (1, -1))
+            zdiv = {("zdiv", n - 1): self._one}
+            out = _vec_sum(p, [(1, 0, 0, prev), (-1, 0, 0, zdiv)] if side == 1
+                           else [(-1, -1, 0, prev), (1, -1, 0, zdiv)])
         else:
-            out[("omega",)] = CycloA.var(p, 0 if side == 1 else -1)
+            out = {("omega",): CycloA.var(p, 0 if side == 1 else -1)}
         self._s_memo[key] = out
         return out
 
@@ -151,7 +193,7 @@ class MomentEngine:
         links are the ((c, j), ('M', n, b, c)) pairs that stay in the rewrite
         graph, each coefficient the monomial c a^j; rhs is the step's
         already-resolved atom vector (single-factor reductions, boundary
-        products and T_c atoms), a fresh dict on every call.
+        products and T_c atoms), read only.
         """
         _, n, b, c = node
         p = self.p
@@ -163,16 +205,16 @@ class MomentEngine:
             return [((k, 0), ("M", n, b, k - 1)), ((-1, 1), ("M", n + 1, b, k))], {}
         if c == p - 1 and b == 0:
             # phi^{(p-1)}(-ay) = -a y phi(-ay) + 1
-            return [((-1, 1), ("M", n + 1, 0, 0))], dict(self.reduce_single(1, n, 0))
+            return [((-1, 1), ("M", n + 1, 0, 0))], self.reduce_single(1, n, 0)
         if b >= 1:  # integrate the side-1 factor by parts
             if n == 0:
-                links, rhs = [], _scaled(self._bdry_vector(b - 1, c), (-1, 0))
+                links, rhs = [], _vec_sum(p, [(-1, 0, 0, self._bdry_vector(b - 1, c))])
             else:
                 links, rhs = [((-n, 0), ("M", n - 1, b - 1, c))], {}
             links.append(((1, 1), ("M", n, b - 1, c + 1)))
             return links, rhs
         if n >= 1:  # b == 0: raise through y phi = phi^{(p-1)} - 1
-            rhs = _scaled(self.reduce_single(2, n - 1, c), (-1, 0))
+            rhs = _vec_sum(p, [(-1, 0, 0, self.reduce_single(2, n - 1, c))])
             return [((1, 0), ("M", n - 1, p - 1, c))], rhs
         return [], {("irr", c): self._one}
 
@@ -250,45 +292,47 @@ class MomentEngine:
     def _solve_component(self, comp: list[Node], edges: dict) -> None:
         """Memoize one SCC, given as Tarjan pops it (its first-visited head last).
 
-        A lone symbol keeps its rhs.  A cycle must be a ring, each member
-        linking once into it: X_i = r_i + c_i X_{i+1}, closing at the head X_0.
-        One walk gives X_0 (1 - c_0...c_{k-1}) = sum_i c_0...c_{i-1} r_i, and
-        the other members follow backwards.  Closing at -a^p (-a^-p) gives the
-        pivot 1 + a^p (a^-p (1 + a^p)).  A second link into the component, or
-        any other closing, raises ReductionCycleError.
+        A lone symbol is the sum of its rhs and its links.  A cycle must be a
+        ring, each member linking once into it: X_i = r_i + c_i X_{i+1},
+        closing at the head X_0.  One walk gives
+        X_0 (1 - c_0...c_{k-1}) = sum_i c_0...c_{i-1} r_i, and the other
+        members follow backwards.  Closing at -a^p (-a^-p) gives the pivot
+        1 + a^p (a^-p (1 + a^p)).  A second link into the component, or any
+        other closing, raises ReductionCycleError.  Each memo entry is one
+        ``_vec_sum`` over the terms it collects.
         """
+        p, memo = self.p, self._memo
         ring: dict[Node, tuple[Mono, Node]] = {}
+        own: dict[Node, list] = {}  # r_i: the rhs and every link leaving the component
         for node in comp:
-            links, rhs = edges[node]
-            for coeff, nxt in links:
-                if nxt in self._memo:  # every link leaving the component
-                    _vec_add(rhs, self._memo[nxt], coeff)
+            links, rhs = edges.pop(node)
+            terms = own[node] = [(1, 0, 0, rhs)]
+            for (c, j), nxt in links:
+                if nxt in memo:
+                    terms.append((c, j, 0, memo[nxt]))
                 elif node in ring:
                     raise ReductionCycleError(f"{node} links twice into its cycle")
                 else:
-                    ring[node] = (coeff, nxt)
+                    ring[node] = ((c, j), nxt)
         head = comp[-1]
         if not ring:
-            self._memo[head] = edges[head][1]
+            memo[head] = _vec_sum(p, own[head])
             return
-        walk: list[Node] = []
-        total: dict[Atom, CycloA] = {}
+        walk: list[tuple[Node, int, int]] = []  # (member, c_0...c_{i-1} as (c, j))
         c, j, node = 1, 0, head
         for _ in comp:
-            walk.append(node)
-            _vec_add(total, edges[node][1], (c, j))
+            walk.append((node, c, j))
             (ci, ji), node = ring[node]
             c, j = c * ci, j + ji
-        if (c, abs(j)) != (-1, self.p):
-            pivot = CycloA(self.p, {0: 1, j: -c} if j else {0: 1 - c})
+        if (c, abs(j)) != (-1, p):
+            pivot = CycloA(p, {0: 1, j: -c} if j else {0: 1 - c})
             raise ReductionCycleError(f"degenerate cycle through {head}: pivot {pivot}")
-        shift = self.p if j < 0 else 0
-        self._memo[head] = {k: v.times_monomial(1, shift).times_cyclo(-1) for k, v in total.items()}
-        for node in reversed(walk[1:]):
-            coeff, nxt = ring[node]
-            rhs = edges[node][1]
-            _vec_add(rhs, self._memo[nxt], coeff)
-            self._memo[node] = rhs
+        shift = p if j < 0 else 0  # a^-p (1 + a^p): shift the sum by a^p
+        memo[head] = _vec_sum(p, [(c * ci, j + ji + shift, -1, vec) for node, c, j in walk
+                                  for ci, ji, _, vec in own[node]])
+        for node, _, _ in reversed(walk[1:]):
+            (c, j), nxt = ring[node]
+            memo[node] = _vec_sum(p, own[node] + [(c, j, 0, memo[nxt])])
 
 
 @lru_cache(maxsize=None)
@@ -314,8 +358,7 @@ def _at_rewrite_constant(vec: dict[Atom, CycloA], c0) -> dict[Atom, CycloA]:
 
 def eval_coefficient(coeff: CycloA, a: float) -> float:
     """Numeric value of a coefficient at a real point, exact up to one rounding."""
-    af = Fraction(a).limit_denominator(10**12) if not isinstance(a, Fraction) else a
-    return float(coeff.eval(af))
+    return float(coeff.eval(Fraction(a)))
 
 
 def reduction_numeric(
@@ -387,12 +430,11 @@ def combine_contributions(
     w * a^k * (1+a^p)^{n-1} * M(n, b, c), a two-point expansion term of
     hyperbolic sine order n, with the Fraction w relative to the grade's
     common scalar.  The weights w * a^k are summed per symbol, so every
-    distinct symbol is reduced once; each coefficient of its vector takes
-    (1+a^p)^{n-1} as a shift of its denominator power
-    (``CycloA.times_cyclo``), and the vector is scaled by each monomial
-    ratio * a^k of the summed weight.  A symbol whose
-    weights sum to zero is still reduced, so a degenerate rewrite cycle
-    raises ReductionCycleError.
+    distinct symbol is reduced once, and the grade is one ``_vec_sum`` of a
+    term ratio * a^k * (1+a^p)^{n-1} per a-power of each summed weight; the
+    sinh factor only lowers the (1+a^p) power its numerators are summed at.
+    A symbol whose weights sum to zero is still reduced, so a degenerate
+    rewrite cycle raises ReductionCycleError.
 
     Every irreducible cross-term coefficient must cancel identically as a
     rational function of a; a nonzero residue raises CancellationError with
@@ -406,12 +448,11 @@ def combine_contributions(
     for weight, a_pow, sym in contributions:
         w = weights.setdefault(sym, {})
         w[a_pow] = w.get(a_pow, Fraction(0)) + weight
-    acc: dict[Atom, CycloA] = {}
+    terms = []
     for sym, w in weights.items():
         vec = reduce_moment(sym)
-        vec = {atom: c.times_cyclo(sym.n - 1) for atom, c in vec.items()}
-        for a_pow, ratio in w.items():
-            _vec_add(acc, vec, (ratio, a_pow))
+        terms.extend((ratio, a_pow, sym.n - 1, vec) for a_pow, ratio in w.items())
+    acc = _vec_sum(contributions[0][2].p, terms)
     residues = {rest[0]: coeff for (kind, *rest), coeff in acc.items() if kind == "irr"}
     if residues:
         raise CancellationError(

@@ -35,18 +35,16 @@ def genus_coefficient(g: int) -> LaurentP:
 
     Each [y^g] T^K/K! (``tail_power``) is a polynomial in p and each
     Gamma-shift factor i - (2g-1)/p is a Laurent polynomial, so the whole sum
-    is a Laurent polynomial in p.
+    is a Laurent polynomial in p, summed with one reduction (``LaurentP.dot``).
     """
     if g < 0:
         raise UsageError("genus must be >= 0")
     if g == 0:
         return LaurentP.const(1)
-    total = LaurentP()
-    shift = LaurentP.const(1)  # Gamma(K + (1-2g)/p) / Gamma(1 + (1-2g)/p)
-    for K in range(1, g + 1):
-        total = total + tail_power(K, g) * shift
-        shift = shift * LaurentP({0: K, -1: 1 - 2 * g})
-    return total
+    shifts = [LaurentP.const(1)]  # Gamma(K + (1-2g)/p) / Gamma(1 + (1-2g)/p), K = 1..g
+    for K in range(1, g):
+        shifts.append(shifts[-1] * LaurentP({0: K, -1: 1 - 2 * g}))
+    return LaurentP.dot((tail_power(K, g), shifts[K - 1]) for K in range(1, g + 1))
 
 
 def one_point_term(g: int) -> LaurentP:

@@ -44,15 +44,14 @@ def binomial_tail_coefficient(r: int) -> LaurentP:
 def tail_power(K: int, n: int) -> LaurentP:
     """[y^n] T(y)^K / K! with T(y) = -sum_{r>=1} g_r(p) y^r, exact in p.
 
-    Built by the recurrence T^K/K! = (T * T^{K-1}/(K-1)!) / K; the
-    coefficient vanishes for n < K because T starts at y^1.
+    Built by the recurrence T^K/K! = (T * T^{K-1}/(K-1)!) / K, one
+    ``LaurentP.dot`` per coefficient; it vanishes for n < K because T starts
+    at y^1.
     """
     if K == 0:
         return LaurentP.const(1 if n == 0 else 0)
-    total = LaurentP()
-    for r in range(1, n - K + 2):
-        total = total - binomial_tail_coefficient(r) * tail_power(K - 1, n - r)
-    return total.scale(Fraction(1, K))
+    pairs = ((binomial_tail_coefficient(r), tail_power(K - 1, n - r)) for r in range(1, n - K + 2))
+    return LaurentP.dot(pairs).scale(Fraction(-1, K))
 
 
 @lru_cache(maxsize=None)

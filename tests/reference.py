@@ -13,8 +13,9 @@ product for rationality, where the library decides it on integers.  Its
 CalibrationError renders the irrational leftover; the library's names the
 integers instead, so the two messages agree up to the pair.
 
-``cyclo_mul`` is the general ``CycloA`` product, which the library leaves out
-because its engine multiplies only by monomials.
+``cyclo_mul`` and ``cyclo_add`` are the general ``CycloA`` product and sum,
+which the library leaves out: its engine multiplies only by monomials and
+sums whole vectors at once (``moments._vec_sum``).
 """
 
 from fractions import Fraction
@@ -22,8 +23,8 @@ from functools import lru_cache
 
 from pspin.airy import phi_deriv_zero
 from pspin.density import bernoulli_std
-from pspin.exact import CycloA, ExactScalar
-from pspin.moments import MomentEngine, MomentSymbol, _at_rewrite_constant, _scaled, reduce_moment
+from pspin.exact import CycloA, ExactScalar, LaurentP
+from pspin.moments import MomentEngine, MomentSymbol, _at_rewrite_constant, _vec_sum, reduce_moment
 from pspin.twopoint import CalibrationError, grade_monomial
 
 
@@ -40,13 +41,13 @@ class MirrorEngine(MomentEngine):
             return [((1, 0), ("M", n + 1, 0, 0))], dict(self.reduce_single(2, n, 0))
         if c >= 1:  # integrate the side-2 factor by parts
             if n == 0:
-                links, rhs = [], _scaled(self._bdry_vector(b, c - 1), (1, -1))
+                links, rhs = [], _vec_sum(p, [(1, -1, 0, self._bdry_vector(b, c - 1))])
             else:
                 links, rhs = [((n, -1), ("M", n - 1, b, c - 1))], {}
             links.append(((1, -1), ("M", n, b + 1, c - 1)))
             return links, rhs
         if n >= 1:  # c == 0: raise through y phi(-ay) = -(phi^{(p-1)}(-ay) - 1)/a
-            rhs = _scaled(self.reduce_single(1, n - 1, b), (1, -1))
+            rhs = _vec_sum(p, [(1, -1, 0, self.reduce_single(1, n - 1, b))])
             return [((-1, -1), ("M", n - 1, b, p - 1))], rhs
         if b >= 1:
             # normalize mirror irreducibles M(0,b,0) into the library's T basis
@@ -69,6 +70,14 @@ def cyclo_mul(x: CycloA, y) -> CycloA:
     if not isinstance(y, CycloA):
         return x.times_monomial(Fraction(y))
     return CycloA(x.p, x.num * y.num, x.m + y.m)
+
+
+def cyclo_add(x: CycloA, y: CycloA) -> CycloA:
+    """x + y for CycloA values of one p, over the larger (1+a^p) power."""
+    assert x.p == y.p
+    lift = LaurentP({0: 1, x.p: 1})
+    m = max(x.m, y.m)
+    return CycloA(x.p, x.num * lift ** (m - x.m) + y.num * lift ** (m - y.m), m)
 
 
 def zeta_one_minus_2g(g: int) -> Fraction:

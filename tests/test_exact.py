@@ -19,6 +19,8 @@ from pspin.exact import (
     _norm_radical,
     _terms_text,
 )
+from pspin.moments import _vec_sum
+from reference import cyclo_add
 
 
 class TestGammaNormalize:
@@ -316,6 +318,18 @@ def test_laurent_matches_reference(d1, d2, c, k, x, n):
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(laurent_dicts, laurent_dicts), max_size=6), st.booleans())
+def test_laurent_dot_matches_reference(pairs, cancel):
+    # one reduction for the whole sum of products, against a fold of reference products
+    if cancel and pairs:
+        pairs.append(({e: -c for e, c in pairs[0][0].items()}, pairs[0][1]))
+    want = RefLaurent()
+    for d1, d2 in pairs:
+        want = want + RefLaurent(d1) * RefLaurent(d2)
+    _same_laurent(LaurentP.dot((LaurentP(d1), LaurentP(d2)) for d1, d2 in pairs), want)
+
+
+@settings(max_examples=100, deadline=None)
 @given(laurent_dicts, laurent_dicts, nonzero)
 def test_laurent_equal_values_equal_objects(d1, d2, c):
     x, y = LaurentP(d1), LaurentP(d2)
@@ -340,8 +354,43 @@ def test_cyclo_matches_reference(p, args1, args2, a):
     x1, r1 = _cyclo_pair(p, *args1)
     x2, r2 = _cyclo_pair(p, *args2)
     _same_cyclo(x1, r1)
-    _same_cyclo(x1 + x2, r1 + r2)
+    _same_cyclo(cyclo_add(x1, x2), r1 + r2)
     assert _outcome(lambda: x1.eval(a)) == _outcome(lambda: r1.eval(a))
+
+
+atom_vectors = st.dictionaries(st.sampled_from("uvwxyz"), cyclo_args, max_size=4)
+vec_terms = st.lists(
+    st.tuples(fractions, st.integers(-4, 4), st.integers(-2, 3), atom_vectors), max_size=6
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 7), vec_terms, st.booleans())
+def test_vec_sum_matches_reference(p, terms, cancel):
+    # the engine's one accumulation path against a left fold of reference sums
+    # of c a^j (1+a^p)^k x: same values, atoms in the order a term with c != 0
+    # first brings them, and atoms that cancel dropped
+    if cancel and terms:
+        c, j, k, vec = terms[0]
+        terms.append((-c, j, k, vec))
+    lib, ref = [], {}
+    for c, j, k, vec in terms:
+        pairs = {atom: _cyclo_pair(p, *args) for atom, args in vec.items()}
+        pairs = {atom: pair for atom, pair in pairs.items() if pair[0].num.nums}
+        lib.append((c, j, k, {atom: x for atom, (x, _) in pairs.items()}))
+        if c:
+            for atom, (_, r) in pairs.items():
+                r = r * RefCyclo(p, {j: c})
+                if k >= 0:
+                    r = r * RefCyclo(p, {0: 1, p: 1}) ** k
+                else:
+                    r = RefCyclo(p, r.num, r.m - k)
+                ref[atom] = ref[atom] + r if atom in ref else r
+    got = _vec_sum(p, lib)
+    want = {atom: r for atom, r in ref.items() if r.num.coeffs}
+    assert list(got) == list(want)
+    for atom, r in want.items():
+        _same_cyclo(got[atom], r)
 
 
 @settings(max_examples=150, deadline=None)
@@ -359,7 +408,7 @@ def test_cyclo_equal_values_equal_objects(p, args1, args2, c):
     y, _ = _cyclo_pair(p, *args2)
     cyclo = LaurentP({0: 1, p: 1})
     for same in (
-        (x + y) + y.times_monomial(-1),
+        cyclo_add(cyclo_add(x, y), y.times_monomial(-1)),
         x.times_monomial(c).times_monomial(1 / c),
         CycloA(p, x.num * cyclo, x.m + 1),
     ):
@@ -369,11 +418,12 @@ def test_cyclo_equal_values_equal_objects(p, args1, args2, c):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(3, 7), cyclo_args, st.integers(-2, 4))
 def test_times_cyclo_matches_multiplication(p, args, k):
-    # the denominator shift equals plain multiplication by (1+a^p)^k, or for
-    # k < 0 the constructor's form over (1+a^p)^(m-k)
+    # a sum's (1+a^p)^k factor, a shift of the denominator power, equals plain
+    # multiplication by (1+a^p)^k, or for k < 0 the constructor's form over
+    # (1+a^p)^(m-k)
     x, r = _cyclo_pair(p, *args)
     want = r * RefCyclo(p, {0: 1, p: 1}) ** k if k >= 0 else RefCyclo(p, r.num, r.m - k)
-    _same_cyclo(x.times_cyclo(k), want)
+    _same_cyclo(_vec_sum(p, [(1, 0, k, {"x": x})]).get("x", CycloA(p)), want)
 
 
 class TestRepr:

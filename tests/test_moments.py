@@ -1,5 +1,6 @@
 """Moment reduction: fixtures, confluence, linearity, cancellation, numerics."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction as F
@@ -19,7 +20,7 @@ from pspin.moments import (
     reduction_numeric,
 )
 from pspin.twopoint import grade_contributions, two_point_grade
-from reference import MirrorEngine, cyclo_mul, mirror_reduce
+from reference import MirrorEngine, cyclo_add, cyclo_mul, mirror_reduce
 
 one = CycloA.var(3, 0)
 zero = CycloA(3)
@@ -27,15 +28,15 @@ zero = CycloA(3)
 
 def vec(res, scale=1):
     out = {k: cyclo_mul(v, scale) for k, v in res.items()}
-    return {k: v for k, v in out.items() if v}
+    return {k: v for k, v in out.items() if v.num.nums}
 
 
 def combine(*scaled):
     out = {}
     for coeff, res in scaled:
         for k, v in vec(res, coeff).items():
-            out[k] = out.get(k, zero) + v
-    return {k: v for k, v in out.items() if v}
+            out[k] = cyclo_add(out.get(k, zero), v)
+    return {k: v for k, v in out.items() if v.num.nums}
 
 
 def M(n, b, c, p=3, c0=0, mirror=False):
@@ -54,7 +55,7 @@ class TestClosedForms:
         k1 = M(0, 2, 0)[("bdry", 0, 1)]
         k2 = M(0, 1, 1)[("bdry", 0, 1)]
         assert k2 == CycloA(3, {2: 1, 0: -1}, 1)
-        assert k1 == CycloA(3, {0: -1}) + k2.times_monomial(1, 1)
+        assert k1 == cyclo_add(CycloA(3, {0: -1}), k2.times_monomial(1, 1))
 
     def test_k2_vanishes_at_unit_ratio(self):
         k2 = M(0, 1, 1)[("bdry", 0, 1)]
@@ -141,8 +142,8 @@ class TestGenus3Relations:
         out = {}
         for V in vs:
             for k, v in V.items():
-                out[k] = out.get(k, zero) + v
-        return {k: v for k, v in out.items() if v}
+                out[k] = cyclo_add(out.get(k, zero), v)
+        return {k: v for k, v in out.items() if v.num.nums}
 
     def test_j10(self, J):
         want = self.add(
@@ -251,6 +252,20 @@ class TestAssembleGrade:
         with pytest.raises(UsageError, match=message):
             combine_contributions(contributions)
 
+    @pytest.mark.parametrize("p, g, digest", [
+        (3, 7, "903e35e42f73c34cb417329308cba970f38e70469b4f00035c0a64c6d401c4bb"),
+        (3, 8, "2117262a4f035e7985dbbfc553d5dd729bad1fc78cb723256745c81d9e7b073e"),
+        (5, 4, "4f11c7b499fc7ba1f226f7a89e4b38285f8e3a3addd6ae7f4a40285e0c1e4cf4"),
+        (7, 3, "baa9b3429d36575ad2c95f93ab4b4af8002e704e8a99e12c9c0ac9b5374b8cd8"),
+        (7, 4, "0a2393124a991bbfcee039b1ab3b470f74c4ed6e1fa4d2979984e69369625603"),
+    ], ids=["p3-g7", "p3-g8", "p5-g4", "p7-g3", "p7-g4"])
+    def test_grades_past_the_benchmark_as_recorded(self, p, g, digest):
+        # grades no benchmark digest covers, recorded before the engine summed
+        # each atom once: both sectors, their atom order and each poly's order
+        grade = two_point_grade(p, g)
+        text = repr((list(grade.boundary.items()), list(grade.constants.items())))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_constant_sector_confined(self):
         # rewrite-constant leftovers live only on integer-exponent grades
         from pspin.twopoint import grade_monomial
@@ -285,6 +300,16 @@ class TestNumericFidelity:
             got = reduction_numeric(red, a_val, bvals, irr)
             want = quad_moment(n, b, c, a_val)
             assert abs(got - want) < 1e-6, (n, b, c, a_val)
+
+    def test_coefficient_evaluated_at_the_given_a(self):
+        # a float is a dyadic rational, so the coefficient is evaluated at a
+        # itself and rounded once; a rounded a = 3e-13 would give -180 exactly
+        from pspin.moments import eval_coefficient
+
+        coeff = M(7, 0, 0)[("bdry", 0, 1)]
+        for a in (3e-13, 0.8, 1 / 3, 2.5):
+            assert eval_coefficient(coeff, a) == float(coeff.eval(F(a)))
+        assert eval_coefficient(coeff, 3e-13) != -180.0
 
     def test_constant_sector_atoms_raise(self):
         # a real-mode (c0 = 1) reduction keeps sing/omega/zdiv atoms, which have no value here
@@ -321,8 +346,8 @@ class TestGroupedCombine:
             sinh = LaurentP({0: 1, sym.p: 1}) ** (sym.n - 1)
             weight = CycloA(sym.p, LaurentP({a_pow: w}) * sinh)
             for atom, coeff in M(sym.n, sym.b, sym.c, sym.p, c0).items():
-                acc[atom] = acc.get(atom, CycloA(sym.p)) + cyclo_mul(coeff, weight)
-        return {atom: coeff for atom, coeff in acc.items() if coeff}
+                acc[atom] = cyclo_add(acc.get(atom, CycloA(sym.p)), cyclo_mul(coeff, weight))
+        return {atom: coeff for atom, coeff in acc.items() if coeff.num.nums}
 
     @pytest.mark.parametrize("c0", [1, 0])
     @pytest.mark.parametrize("p,g", [(3, 3), (4, 2), (5, 2), (4, 3), (6, 4)])
