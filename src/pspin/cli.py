@@ -379,11 +379,18 @@ def main(argv=None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         code = args.func(args)
+        sys.stdout.flush()
     except (UsageError,) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DomainError, CancellationError, ReductionCycleError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except OSError as exc:  # files go through _write, so this is stdout: full, or a closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # the flush at exit then writes nowhere
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return code
 

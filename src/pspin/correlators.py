@@ -87,17 +87,15 @@ def calibration_constant(npoints: int) -> Fraction:
 def extract_intersections(p: int, series: dict[int, dict[int, Fraction]]) -> list[TauCorrelator]:
     """Intersection numbers from a two-point series {g: {m: <tau tau>_g / kappa_2}}.
 
-    Multiplies by the calibrated constant, labels each nonzero entry by its
-    grade's monomial and checks the selection rule on it.  Entries come in
-    genus order, then by the a-power m.
+    Multiplies by the calibrated constant, labels each entry (the series
+    holds no zero) by its grade's monomial and checks the selection rule on
+    it.  Entries come in genus order, then by the a-power m.
     """
     kappa = calibration_constant(2)
     out: list[TauCorrelator] = []
     for g in sorted(series):
         for m in sorted(series[g]):
             value = kappa * series[g][m]
-            if value == 0:
-                continue
             marks = tuple((k, f - 1) for k, f in grade_monomial(p, g, m).slots)
             tau = TauCorrelator(Fraction(p), g, marks, value)
             if not tau.selection_ok():

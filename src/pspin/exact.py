@@ -344,12 +344,7 @@ class LaurentP:
         return LaurentP._reduced({e: n for e, n in out.items() if n}, den)
 
     def __mul__(self, other: "LaurentP") -> "LaurentP":
-        out: dict[int, int] = {}
-        for e1, c1 in self.nums.items():
-            for e2, c2 in other.nums.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentP._reduced({e: n for e, n in out.items() if n}, self.den * other.den)
+        return LaurentP.dot(((self, other),))
 
     def __truediv__(self, other: "LaurentP") -> "LaurentP":
         if len(other.nums) != 1:

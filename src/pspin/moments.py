@@ -4,7 +4,9 @@ A product symbol M(n, b, c) stands for the (possibly formal) integral
 
     int_0^inf y^n phi^{(b)}(y) phi^{(c)}(-a y) dy
 
-with a treated as a formal variable.  Repeated use of the derivative rewrite
+with a treated as a formal variable; the single-factor integrals S(n, d) of
+y^n phi^{(d)}(y) or y^n phi^{(d)}(-a y) that its rules produce are nodes of
+the same rewrite graph.  Repeated use of the derivative rewrite
 phi^{(p-1)}(y) = y phi(y) + c0 together with integration by parts (boundary
 terms at infinity set to zero by regularization) reduces every such symbol to
 
@@ -13,19 +15,19 @@ terms at infinity set to zero by regularization) reduces every such symbol to
 * rewrite-constant leftovers (single-factor integrals), tracked separately;
   c0 multiplies only these terminal atoms, so c0 = 0 is c0 = 1 without them.
 
-The graph of product symbols has cycles, and solving them is what produces
-the characteristic (1 + a^p) denominators.  Every multiplier a rule applies
-is a monomial c a^j, carried as the pair (c, j); every stored coefficient is
-a ``CycloA``, N(a)/(1+a^p)^m.  Each cycle is a ring of p+1 symbols, each
-linking once into it, whose links must multiply to -a^p (-a^-p when
-mirrored).  One pass of Tarjan's SCC algorithm builds the graph as it walks
-it (every other part of a rewrite step is resolved at once) and solves each
-ring exactly, by walking it once, as soon as the pass closes it; any other
-component raises ReductionCycleError.
+The product symbols form cycles, and solving them is what produces the
+characteristic (1 + a^p) denominators; the single-factor nodes form none.
+Every multiplier a rule applies is a monomial c a^j, carried as the pair
+(c, j); every stored coefficient is a ``CycloA``, N(a)/(1+a^p)^m.  Each
+cycle is a ring of p+1 symbols, each linking once into it, whose links must
+multiply to -a^p (-a^-p when mirrored).  Rules only link nodes and name
+atoms.  One pass of Tarjan's SCC algorithm builds the graph as it walks it
+and solves each component exactly, a ring by walking it once, as soon as the
+pass closes it; any other cycle raises ReductionCycleError.
 
 Every sum of atom vectors is one ``_vec_sum``: each atom's numerators are
 added as integers, per power of 1 + a^p, and cancelled once at the end.
-Each memo entry, each grade and each scaled rule vector is one such sum.
+Each memo entry and each grade is one such sum.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from .exact import CycloA, DomainError, ExactScalar, LaurentP, UsageError, recor
 
 # graph nodes
 #   ('M', n, b, c)           product symbol
+#   ('S', side, n, d)        int y^n phi^{(d)}(y) dy (side 1), int y^n phi^{(d)}(-a y) dy (side 2)
+#   ('Z', k)                 int_0^inf y^k dy, whose vector is its ('zdiv', k) atom
 # resolved atom kinds
 #   ('bdry', i, j)           phi^{(i)}(0) phi^{(j)}(0), i <= j
 #   ('irr', c)               T_c = M(0, 0, c), irreducible cross term
@@ -154,49 +158,31 @@ class MomentEngine:
         self.p = p
         self._one = CycloA.var(p, 0)
         self._memo: dict[Node, dict[Atom, CycloA]] = {}
-        self._s_memo: dict[Node, dict[Atom, CycloA]] = {}
 
-    # -- single-factor reduction (acyclic) ----------------------------------
-
-    def reduce_single(self, side: int, n: int, d: int) -> dict[Atom, CycloA]:
-        """Reduce int y^n phi^{(d)}(y) dy (side 1) or ... phi^{(d)}(-a y) dy (side 2).
-
-        Integration by parts lowers any d >= 1; the callers pass d <= p-1.
-        """
-        key = ("S", side, n, d)
-        hit = self._s_memo.get(key)
-        if hit is not None:
-            return hit
-        p = self.p
-        if d >= 1:
-            if n == 0:
-                out = {("sing", d - 1): CycloA(p, {0: -1} if side == 1 else {-1: 1})}
-            else:
-                prev = self.reduce_single(side, n - 1, d - 1)
-                out = _vec_sum(p, [(-n, 0, 0, prev) if side == 1 else (n, -1, 0, prev)])
-        elif n >= 1:
-            # y phi = phi^{(p-1)} - 1 (side 1); y phi(-ay) = -(phi^{(p-1)}(-ay) - 1)/a
-            prev = self.reduce_single(side, n - 1, p - 1)
-            zdiv = {("zdiv", n - 1): self._one}
-            out = _vec_sum(p, [(1, 0, 0, prev), (-1, 0, 0, zdiv)] if side == 1
-                           else [(-1, -1, 0, prev), (1, -1, 0, zdiv)])
-        else:
-            out = {("omega",): CycloA.var(p, 0 if side == 1 else -1)}
-        self._s_memo[key] = out
-        return out
-
-    # -- product-symbol rewrite rules ----------------------------------------
+    # -- rewrite rules ---------------------------------------------------------
 
     def rule(self, node: Node) -> tuple[Links, dict[Atom, CycloA]]:
         """One rewrite step: (links, rhs).
 
-        links are the ((c, j), ('M', n, b, c)) pairs that stay in the rewrite
-        graph, each coefficient the monomial c a^j; rhs is the step's
-        already-resolved atom vector (single-factor reductions, boundary
-        products and T_c atoms), read only.
+        links are the ((c, j), node) pairs into the rewrite graph, each
+        coefficient the monomial c a^j, single-factor links first; rhs names
+        the step's terminal atoms, read only.
         """
-        _, n, b, c = node
+        kind, *idx = node
         p = self.p
+        if kind == "Z":
+            return [], {("zdiv", idx[0]): self._one}
+        if kind == "S":  # s a^j: 1 on side 1, the chain-rule factor -1/a on side 2
+            side, n, d = idx
+            s, j = (1, 0) if side == 1 else (-1, -1)
+            if d >= 1 and n == 0:
+                return [], {("sing", d - 1): CycloA(p, {j: -s})}
+            if d >= 1:  # integrate by parts
+                return [((-s * n, j), ("S", side, n - 1, d - 1))], {}
+            if n >= 1:  # y phi = phi^{(p-1)} - 1
+                return [((s, j), ("S", side, n - 1, p - 1)), ((-s, j), ("Z", n - 1))], {}
+            return [], {("omega",): CycloA.var(p, j)}
+        n, b, c = idx
         if b >= p:  # derivative rewrite, side 1 (k >= 1)
             k = b - (p - 1)
             return [((k, 0), ("M", n, k - 1, c)), ((1, 0), ("M", n + 1, k, c))], {}
@@ -205,17 +191,15 @@ class MomentEngine:
             return [((k, 0), ("M", n, b, k - 1)), ((-1, 1), ("M", n + 1, b, k))], {}
         if c == p - 1 and b == 0:
             # phi^{(p-1)}(-ay) = -a y phi(-ay) + 1
-            return [((-1, 1), ("M", n + 1, 0, 0))], self.reduce_single(1, n, 0)
+            return [((1, 0), ("S", 1, n, 0)), ((-1, 1), ("M", n + 1, 0, 0))], {}
         if b >= 1:  # integrate the side-1 factor by parts
-            if n == 0:
-                links, rhs = [], _vec_sum(p, [(-1, 0, 0, self._bdry_vector(b - 1, c))])
-            else:
-                links, rhs = [((-n, 0), ("M", n - 1, b - 1, c))], {}
-            links.append(((1, 1), ("M", n, b - 1, c + 1)))
-            return links, rhs
+            up = ((1, 1), ("M", n, b - 1, c + 1))
+            if n:
+                return [((-n, 0), ("M", n - 1, b - 1, c)), up], {}
+            bdry = self._bdry_vector(b - 1, c)
+            return [up], {atom: v.times_monomial(Fraction(-1)) for atom, v in bdry.items()}
         if n >= 1:  # b == 0: raise through y phi = phi^{(p-1)} - 1
-            rhs = _vec_sum(p, [(-1, 0, 0, self.reduce_single(2, n - 1, c))])
-            return [((1, 0), ("M", n - 1, p - 1, c))], rhs
+            return [((-1, 0), ("S", 2, n - 1, c)), ((1, 0), ("M", n - 1, p - 1, c))], {}
         return [], {("irr", c): self._one}
 
     # -- closure + SCC solve ---------------------------------------------------
@@ -243,11 +227,11 @@ class MomentEngine:
         return {(kind, *orders): self._one.times_monomial(scale)}
 
     def _reduce_node(self, root: Node) -> dict[Atom, CycloA]:
-        """Tarjan's SCC pass over the unreduced product symbols reachable from root.
+        """Tarjan's SCC pass over the unreduced nodes reachable from root.
 
-        rule() runs on a symbol's first visit.  Tarjan closes components in
+        rule() runs on a node's first visit.  Tarjan closes components in
         reverse topological order and each is solved as it closes, so every
-        link leaving a component is memoized by then, and a symbol that is
+        link leaving a component is memoized by then, and a node that is
         seen but not yet memoized is on Tarjan's stack.
         """
         memo = self._memo
@@ -292,7 +276,7 @@ class MomentEngine:
     def _solve_component(self, comp: list[Node], edges: dict) -> None:
         """Memoize one SCC, given as Tarjan pops it (its first-visited head last).
 
-        A lone symbol is the sum of its rhs and its links.  A cycle must be a
+        A lone node is the sum of its rhs and its links.  A cycle must be a
         ring, each member linking once into it: X_i = r_i + c_i X_{i+1},
         closing at the head X_0.  One walk gives
         X_0 (1 - c_0...c_{k-1}) = sum_i c_0...c_{i-1} r_i, and the other

@@ -3,6 +3,7 @@
 import ast
 import functools
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -590,6 +591,35 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "tau(1,0) tau(1,0) = 1/12" in proc.stdout
+
+
+def _run_into(stdout, argv, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "pspin", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_on_a_full_device_exits_3(unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _run_into(full, ["intersect", "--p", "3", "--genus", "3"], unbuffered)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_into_a_closed_pipe_exits_3(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = _run_into(write_end, ["intersect", "--p", "symbolic", "--points", "1",
+                                     "--genus", "16"], unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 _CLI_PROBE = """

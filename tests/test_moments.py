@@ -266,6 +266,25 @@ class TestAssembleGrade:
         text = repr((list(grade.boundary.items()), list(grade.constants.items())))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_reduce_moment_vectors_as_recorded(self):
+        # every reduce_moment vector over p = 3, 4, 5, 7, n <= 8, b, c <= 3 at
+        # c0 = 0 and 1, recorded before the single-factor integrals joined the
+        # rewrite graph: values and atom order (str sorts each numerator)
+        from pspin import moments
+
+        moments._engine.cache_clear()  # a ring's head, so its atom order, follows visit order
+        rows = []
+        for p in (3, 4, 5, 7):
+            for n in range(9):
+                for b in range(4):
+                    for c in range(4):
+                        for c0 in (0, 1):
+                            vec = reduce_moment(MomentSymbol(n, b, c, p), c0)
+                            rows.append(((p, n, b, c, c0), [(a, str(v)) for a, v in vec.items()]))
+        assert len(rows) == 1152
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "291091757e9e397a24ea2600c2b70c94b6a08d56f7b56c65c68e1a21d0ea7646"
+
     def test_constant_sector_confined(self):
         # rewrite-constant leftovers live only on integer-exponent grades
         from pspin.twopoint import grade_monomial
@@ -436,8 +455,9 @@ ATOM_KINDS = {"bdry", "irr", "sing", "const", "omega", "zdiv"}
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6])
 def test_rule_links_are_product_symbols(p):
-    """Over the closure of the genus-2 grade symbols, rule links only ('M', n, b, c)
-    nodes, each with a monomial coefficient c a^j given as the pair (c, j)."""
+    """Over the closure of the genus-2 grade symbols, rule links only ('M', n, b, c),
+    ('S', side, n, d) and ('Z', k) nodes, each with a monomial coefficient c a^j
+    given as the pair (c, j)."""
     roots = {("M", sym.n, sym.b, sym.c) for _, _, sym in grade_contributions(p, 2)}
     for engine in (MomentEngine, MirrorEngine):
         eng = engine(p)
@@ -449,7 +469,7 @@ def test_rule_links_are_product_symbols(p):
             seen.add(node)
             links, rhs = eng.rule(node)
             for (c, j), nxt in links:
-                assert nxt[0] == "M" and len(nxt) == 4, (engine, node, nxt)
+                assert len(nxt) == {"M": 4, "S": 4, "Z": 2}[nxt[0]], (engine, node, nxt)
                 assert isinstance(c, (int, F)) and c and isinstance(j, int), (node, c, j)
                 stack.append(nxt)
             assert {atom[0] for atom in rhs} <= ATOM_KINDS, (engine, node)
@@ -507,8 +527,34 @@ def test_single_kernel_moment_closed_form(p):
 
     engine = MomentEngine(p)
     for m in range(1, p):
-        got = {atom: c for atom, c in engine.reduce_single(1, m, 0).items() if atom[0] != "zdiv"}
+        vec = engine._reduce_node(("S", 1, m, 0))
+        got = {atom: c for atom, c in vec.items() if atom[0] != "zdiv"}
         assert got == {("sing", p - 1 - m): CycloA(p, {0: (-1) ** m * factorial(m - 1)})}, m
+
+
+def test_deep_single_factor_reductions():
+    """int y^n phi(y) dy far past any recursion limit: the rewrite pass is a loop.
+
+    The expected vector unrolls the side-1 recurrence top-down, one chain of
+    steps, and lists its atoms in the engine's order (deepest first).
+    """
+    engine = MomentEngine(3)
+    for n in (1500, 3000):
+        coeff, m, d, atoms = 1, n, 0, []
+        while m >= 1 or d >= 1:
+            if m == 0:  # int phi^{(d)} dy = -phi^{(d-1)}(0)
+                atoms.append((("sing", d - 1), -coeff))
+                break
+            if d >= 1:  # int y^m phi^{(d)} dy = -m int y^{m-1} phi^{(d-1)} dy
+                coeff, m, d = -m * coeff, m - 1, d - 1
+            else:  # y^m phi = y^{m-1} (phi^{(p-1)} - 1)
+                atoms.append((("zdiv", m - 1), -coeff))
+                m, d = m - 1, 2
+        else:
+            atoms.append((("omega",), coeff))
+        got = engine._reduce_node(("S", 1, n, 0))
+        assert len(got) == len(atoms) == n // 3 + 1
+        assert list(got.items()) == [(atom, CycloA(3, {0: c})) for atom, c in reversed(atoms)]
 
 
 def test_library_path_has_no_general_product(monkeypatch):
@@ -538,8 +584,8 @@ class ZeroConstantEngine(MomentEngine):
     """The c0 = 0 rules: a single-factor integral and a boundary factor that
     reduces to the rewrite constant both vanish."""
 
-    def reduce_single(self, side, n, d):
-        return {}
+    def rule(self, node):
+        return ([], {}) if node[0] in ("S", "Z") else super().rule(node)
 
     def _bdry_vector(self, i, j):
         return {atom: c for atom, c in super()._bdry_vector(i, j).items() if atom[0] == "bdry"}
