@@ -39,15 +39,32 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
+def _warn(message: str) -> None:
+    """Print message on stderr.  A stderr that cannot be written loses the
+    line but not the exit code, as with argparse's own messages."""
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _out_dir() -> Path:
     return Path(os.environ.get("PSPIN_OUTPUT_DIR", "."))
 
 
 def _write(path: Path, text: str) -> None:
+    # the directories this call makes, innermost first; a spelling through ".."
+    # may name one that exists once its sibling is made, so it is never removed
+    made = [d for d in path.parents if not d.exists() and ".." not in d.parts]
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
+        for d in made:  # a refused write leaves no directory behind ("sub/..")
+            try:
+                d.rmdir()
+            except OSError:
+                pass
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
@@ -87,12 +104,11 @@ def cmd_intersect(args) -> int:
 
         problems = golden.compare(p, args.points, entries, g_max=args.genus)
         if problems is None:
-            print(f"golden: no bundled reference table for p={p} at genus <= {args.genus}",
-                  file=sys.stderr)
+            _warn(f"golden: no bundled reference table for p={p} at genus <= {args.genus}")
             return EXIT_USAGE
         if problems:
             for line in problems:
-                print(f"golden drift: {line}", file=sys.stderr)
+                _warn(f"golden drift: {line}")
             return EXIT_VERIFY_FAILED
         print(f"golden: all reference entries reproduced for p={p}")
     data = table_to_dict(entries, args.points, p)
@@ -139,7 +155,7 @@ def _verify_cancellation(args) -> tuple[bool, dict]:
         )
         return True, {"p": args.p, "g_max": args.genus, "pass": True}
     except CancellationError as exc:
-        print(f"cancellation FAILED: {exc}", file=sys.stderr)
+        _warn(f"cancellation FAILED: {exc}")
         return False, {"p": args.p, "g_max": args.genus, "pass": False}
 
 
@@ -381,16 +397,16 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
     except (UsageError,) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _warn(f"usage error: {exc}")
         return EXIT_USAGE
     except (DomainError, CancellationError, ReductionCycleError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return EXIT_INTERNAL
     except OSError as exc:  # files go through _write, so this is stdout: full, or a closed pipe
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())  # the flush at exit then writes nowhere
         os.close(devnull)
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        _warn(f"error: cannot write stdout: {exc}")
         return EXIT_INTERNAL
     return code
 

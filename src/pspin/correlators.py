@@ -19,7 +19,7 @@ import io
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, e, exp, isfinite, log, log1p
+from math import ceil, e, exp, inf, isfinite, log, log1p
 
 from .airy import REAL, mode_constant
 from .exact import DomainError, LaurentP, UsageError, record_repr
@@ -323,8 +323,10 @@ def finite_n_evaluate(src: FiniteNSource, s: list[float]) -> float:
     try:
         factor = exp(exponent) / N
     except OverflowError:
+        factor = inf
+    if not isfinite(factor):  # past the float range s^2 is inf, and exp(inf) raises nothing
         msg = f"U(s) overflows a float: its factor e^(sum s^2/2N) is e^{exponent:.6g}"
-        raise NumericError(msg) from None
+        raise NumericError(msg)
     sigma = max(abs(x) for x in s)
     lo, hi = min(src.eigenvalues), max(src.eigenvalues)
     c, rho = (lo + hi) / 2, (hi - lo) / 2

@@ -24,8 +24,10 @@ the engine fails loudly, never silently: a boundary pair whose Gamma
 tokens the spin factors do not cancel raises CalibrationError, decided and
 reported on integers with no scalar built (``twopoint._pair_weight``), and a
 cross term or residue that does not cancel raises CancellationError.  The
-numeric value is preserved by construction (tested against an mpmath
-oracle).
+numeric value is preserved by construction.  ``ExactScalar.numeric`` returns
+it as a ``decimal.Decimal``, with no library beyond the standard one: the
+Gamma tokens and pi come from Stirling's series in ``density``.  The tests
+check both against mpmath.
 """
 
 from __future__ import annotations
@@ -167,18 +169,26 @@ class ExactScalar:
     # -- conversions ---------------------------------------------------------
 
     def numeric(self, prec: int = 50):
-        """High-precision numeric value via mpmath."""
-        import mpmath
+        """The value as a ``Decimal`` rounded to prec significant digits.
 
-        with mpmath.workdps(prec):
-            v = mpmath.mpf(self.rational.numerator) / self.rational.denominator
-            if self.pi_pow:
-                v *= mpmath.pi**self.pi_pow
-            for prime, e in self.radical:
-                v *= mpmath.power(prime, mpmath.mpf(e.numerator) / e.denominator)
-            for q, m in self.gammas:
-                v *= mpmath.gamma(mpmath.mpf(q.numerator) / q.denominator) ** m
-            return v
+        Computed in ``decimal`` at prec + 15 digits: the rational is divided
+        exactly, each prime^e is exp(e ln prime), each Gamma token comes from
+        ``density.gamma_decimal`` and pi^k is Gamma(1/2)^(2k).
+        """
+        from decimal import Context
+
+        from .density import gamma_decimal
+
+        ctx = Context(prec=prec + 15)
+        v = ctx.divide(self.rational.numerator, self.rational.denominator)
+        if self.pi_pow:
+            v = ctx.multiply(v, ctx.power(gamma_decimal(Fraction(1, 2), ctx), 2 * self.pi_pow))
+        for prime, e in self.radical:
+            v = ctx.multiply(v, ctx.exp(ctx.divide(ctx.multiply(e.numerator, ctx.ln(prime)),
+                                                   e.denominator)))
+        for q, m in self.gammas:
+            v = ctx.multiply(v, ctx.power(gamma_decimal(q, ctx), m))
+        return Context(prec=prec).plus(v)
 
     # -- rendering ------------------------------------------------------------
 

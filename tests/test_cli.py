@@ -1,20 +1,26 @@
 """CLI behavior: commands, exit codes, output files, byte stability."""
 
 import ast
+import contextlib
 import functools
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pspin import golden
-from pspin.cli import build_parser, main
+from pspin.cli import _VERIFY_CHECKS, build_parser, main
 from pspin.correlators import TauCorrelator, one_point_table, two_point_table
 from pspin.moments import CancellationError, ReductionCycleError
 
@@ -390,6 +396,12 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and cause in err
 
+    def test_mc_infinite_factor_exit_3(self, capsys):
+        # s^2 overflows to inf; this exited 3 with "cannot convert float infinity to integer"
+        assert run("verify", "mc", "--n", "1", "--eigenvalues", "0", "--s", "1e300") == 3
+        assert capsys.readouterr().err == (
+            "error: U(s) overflows a float: its factor e^(sum s^2/2N) is e^inf\n")
+
     @pytest.mark.parametrize("argv", [
         ("--s", "0.3", "-0.3"),
         ("--n", "2", "--eigenvalues", "1", "1", "--s", "0.3", "0.2"),
@@ -556,6 +568,17 @@ def test_unwritable_output_usage_error(argv, tmp_path, monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith(f"usage error: cannot write {tmp_path}"), err
 
 
+@pytest.mark.parametrize("output", ["sub/..", "new/../empty/..", "afile/x.out"],
+                         ids=["made-then-refused", "existing-empty-kept", "under-a-file"])
+def test_refused_output_leaves_no_directory(output, tmp_path, monkeypatch):
+    # `sub/..` used to leave `sub` behind on exit 2; a directory that was there stays
+    monkeypatch.setenv("PSPIN_OUTPUT_DIR", str(tmp_path))
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "afile").write_text("")
+    assert run("verify", "string", "--output", output) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "empty"]
+
+
 @pytest.mark.parametrize("spaced,joined", [
     (("intersect", "--p", "-1/2", "--points", "1", "--genus", "2"),
      ("intersect", "--p=-1/2", "--points", "1", "--genus", "2")),
@@ -622,6 +645,20 @@ def test_stdout_into_a_closed_pipe_exits_3(unbuffered):
     assert proc.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.parametrize("argv, stdout_full, code", [
+    (["intersect", "--p", "2", "--genus", "1"], False, 2),
+    (["intersect", "--p", "3", "--genus", "1", "--bogus"], False, 2),
+    (["verify", "airy-quad", "--a-values", "1e5"], False, 3),
+    (["intersect", "--p", "3", "--genus", "3"], True, 3),
+], ids=["usage", "argparse", "numeric", "stdout"])
+def test_unwritable_stderr_keeps_exit_code(argv, stdout_full, code):
+    # the message is lost, the documented exit code is not (it was 1, with no traceback shown)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "pspin", *argv], stderr=full,
+                              stdout=full if stdout_full else subprocess.DEVNULL)
+    assert proc.returncode == code
+
+
 _CLI_PROBE = """
 import runpy, sys
 sys.argv = ["pspin"] + {argv!r}
@@ -636,7 +673,8 @@ _PROBES = {
     "import": ("import pspin", [], False),
     "help": (_CLI_PROBE.format(argv=["--help"]), [], True),
     "intersect": (_CLI_PROBE.format(argv=["intersect", "--p", "3", "--genus", "2"]), [], True),
-    "airy-quad": (_CLI_PROBE.format(argv=["verify", "airy-quad"]), ["mpmath", "numpy"], True),
+    "airy-quad": (_CLI_PROBE.format(argv=["verify", "airy-quad"]), ["numpy"], True),
+    "mc": (_CLI_PROBE.format(argv=["verify", "mc", "--samples", "1000"]), ["numpy"], True),
     "binet": (_CLI_PROBE.format(argv=["verify", "binet", "--z", "2"]), ["numpy"], True),
     "density": (_CLI_PROBE.format(argv=["density", "--e-min", "5", "--e-max", "6", "--samples", "3"]),
                 [], True),
@@ -662,6 +700,15 @@ def test_sympy_stays_unimported(probe, allowed, cli):
     else:
         # a bare import loads no submodule: names are imported from their module
         assert submodules == []
+
+
+def test_airy_quad_runs_without_mpmath():
+    # Ai(0) and Ai'(0) come from pspin's own Stirling series, not mpmath's Gamma
+    script = "import sys\nsys.modules['mpmath'] = None\n" + _CLI_PROBE.format(
+        argv=["verify", "airy-quad"])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "airy-quad: 54/54 identities pass" in proc.stdout
 
 
 def _package_imports(top: str) -> list[str]:
@@ -737,3 +784,81 @@ class TestGoldenVariants:
         assert run("intersect", "--p", "9", "--genus", "1", "--points", "2",
                    "--golden") == 2
         assert "no bundled reference table" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the grammar as a whole: argv drawn from each subcommand's options, extremes
+# included, each bounded so that a draw does little work (p <= 9, genus <= 3,
+# --samples <= 200, --n <= 4 past the refusals) and starts no process or thread
+# ---------------------------------------------------------------------------
+
+_HUGE = str(10**30)
+_REALS = ["0", "-1", "0.5", "2", "1e-300", "-1e-300", "1e300", "-1e300", "nan", "inf", "-inf",
+          "1/0", _HUGE]
+
+
+def _one(values):
+    return st.sampled_from(values).map(lambda v: [v])
+
+
+def _several(values, most):
+    return st.lists(st.sampled_from(values), max_size=most)  # [] is argparse's refusal
+
+
+_GENUS = _one(["-1", "0", "1", "2", "3", _HUGE, "-" + _HUGE, "nan", "1/0"])
+_SWEEP_OPTIONS = {
+    "--p": _one(["-3", "0", "2", "3", "4", "9", _HUGE, "nan", "1/0"]),
+    "--genus": _GENUS,
+    "--a-values": _several(_REALS, 3),
+    "--tol": _one(_REALS),
+    "--z": _one(_REALS),
+    "--n": _one(["-1", "0", "1", "2", "4", _HUGE]),
+    "--eigenvalues": _several(_REALS, 4),
+    "--s": _several(_REALS, 3),
+    "--samples": _one(["-1", "0", "2", "3", "200", _HUGE]),
+    "--seed": _one(["-1", "0", "7", str(2**128), _HUGE]),
+    "--output": _one(["out.txt", "sub/out.txt", ".", "sub/.."]),
+}
+_SWEEP_GRAMMAR = {
+    ("intersect",): {
+        "--p": _one(["symbolic", "-1/2", "-3", "-1", "0", "1", "2", "3", "4", "9", "7/3",
+                     "1/0", "nan", "1e-300", "1e300", _HUGE]),
+        "--genus": _GENUS,
+        "--points": _one(["0", "1", "2", "3"]),
+        "--format": _one(["json", "csv", "text", "xml"]),
+        "--output": _SWEEP_OPTIONS["--output"],
+        "--golden": st.just([]),
+    },
+    **{("verify", check): {opt: _SWEEP_OPTIONS[opt] for opt in options + ("--output",)}
+       for check, (_, options) in _VERIFY_CHECKS.items()},
+    ("density",): {
+        "--e-min": _one(_REALS),
+        "--e-max": _one(_REALS),
+        "--samples": _SWEEP_OPTIONS["--samples"],
+        "--central-charge": _one(["2", "9/4", "-1/2", "0", "1/0", "nan", _HUGE]),
+        "--output": _SWEEP_OPTIONS["--output"],
+    },
+}
+_SWEEP_ARGV = st.one_of([
+    st.fixed_dictionaries({}, optional=options).map(
+        lambda drawn, head=head: [*head, *(t for opt, vals in drawn.items() for t in (opt, *vals))])
+    for head, options in _SWEEP_GRAMMAR.items()
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SWEEP_ARGV)
+def test_grammar_sweep_keeps_documented_exits(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with mock.patch.dict(os.environ, {"PSPIN_OUTPUT_DIR": tmp}), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own refusals, exit 2
+                code = exc.code
+        left = sorted(str(path.relative_to(tmp)) for path in Path(tmp).rglob("*"))
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code in (2, 3):  # exit 1 may leave the report that records the failure
+        assert left == [], (argv, left)

@@ -439,6 +439,13 @@ class TestFiniteN:
             finite_n_evaluate(FiniteNSource(len(eigs), eigs), s)
         assert cause in str(info.value)
 
+    @pytest.mark.parametrize("s", [[1e300], [1e300, 1.0]], ids=["one", "two"])
+    def test_infinite_factor_raises(self, s):
+        # s^2 overflows to inf and exp(inf) raises nothing, so no OverflowError is caught
+        with pytest.raises(NumericError) as info:
+            finite_n_evaluate(FiniteNSource(1, (0.0,)), s)
+        assert str(info.value) == "U(s) overflows a float: its factor e^(sum s^2/2N) is e^inf"
+
     def test_non_finite_inputs_usage_error(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(UsageError):

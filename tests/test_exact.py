@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pspin.airy import CONTOUR, REAL, _moment, phi_deriv_zero
 from pspin.exact import (
     CycloA,
     DomainError,
@@ -39,7 +40,8 @@ class TestGammaNormalize:
         assert x != y
         assert x.gammas == ((F(1, 3), 1), (F(2, 3), 1)) and not y.gammas
         with mpmath.workdps(40):
-            assert abs(x.numeric(40) - y.numeric(40)) < mpmath.mpf(10) ** -40 * abs(y.numeric(40))
+            xv, yv = mpmath.mpf(str(x.numeric(40))), mpmath.mpf(str(y.numeric(40)))
+            assert abs(xv - yv) < mpmath.mpf(10) ** -40 * abs(yv)
         assert x.surd != y.surd
 
     def test_gamma_pole_rejected(self):
@@ -67,7 +69,7 @@ class TestGammaNormalize:
                 m = rng.choice([-1, 1])
                 x = x * ES.gamma(q, m)
                 raw *= mpmath.gamma(mpmath.mpf(q.numerator) / q.denominator) ** m
-            got = x.numeric(40)
+            got = mpmath.mpf(str(x.numeric(40)))
             assert abs(got - raw) <= 1e-12 * abs(raw)
 
     def test_render_stable(self):
@@ -75,6 +77,53 @@ class TestGammaNormalize:
         assert x.render() == "-5/12 * pi^-2 * sqrt(3) * Gamma(1/3)"
         assert ES().render() == "0"
         assert ES.rational_power(4, F(1, 4)).render() == ES.sqrt(2).render()
+
+
+def _mp_value(x: ES, dps: int):
+    """x's value from mpmath's own pi, powers and Gamma, at dps digits."""
+    with mpmath.workdps(dps):
+        v = mpmath.mpf(x.rational.numerator) / x.rational.denominator * mpmath.pi ** x.pi_pow
+        for prime, e in x.radical:
+            v *= mpmath.power(prime, mpmath.mpf(e.numerator) / e.denominator)
+        for q, m in x.gammas:
+            v *= mpmath.gamma(mpmath.mpf(q.numerator) / q.denominator) ** m
+        return v
+
+
+_NUMERIC_FORMS = {
+    "moment": [_moment(p, k) for p in range(3, 13) for k in range(p)],
+    "phi_deriv_zero": [phi_deriv_zero(p, k, mode) for p in range(3, 10)
+                       for k in range(p + 2) for mode in (REAL, CONTOUR)],
+    "pi_power": [ES.pi(k).scale(F(-7, 3)) for k in range(-2, 3)],
+    "radicals": [
+        ES.rational_power(12, F(5, 7)) * ES.rational_power(F(5, 3), F(-2, 9)),
+        ES.sqrt(F(7, 2)) * ES.rational_power(11, F(-3, 4)) * ES.gamma(F(1, 12), -2),
+        ES.rational_power(2, F(1, 2)) * ES.rational_power(3, F(1, 3)) * ES.pi(-1),
+        ES.rational_power(F(1, 97), F(31, 32)).scale(-5) * ES.gamma(F(11, 12), 3),
+    ],
+}
+
+
+class TestNumeric:
+    # ExactScalar.numeric sums Stirling's series in decimal; mpmath is the reference
+    @pytest.mark.parametrize("prec", [30, 40, 50])
+    @pytest.mark.parametrize("kind", list(_NUMERIC_FORMS))
+    def test_matches_mpmath_to_one_unit(self, kind, prec):
+        for x in _NUMERIC_FORMS[kind]:
+            got = x.numeric(prec)
+            assert len(got.as_tuple().digits) <= prec
+            want = _mp_value(x, prec + 20)
+            if not want:
+                assert got == 0
+                continue
+            ulp = mpmath.mpf(10) ** (got.adjusted() - prec + 1)
+            with mpmath.workdps(prec + 20):
+                assert abs(mpmath.mpf(str(got)) - want) <= ulp, (x, prec)
+
+    def test_airy_quad_boundary_floats(self):
+        # the Ai(0) and Ai'(0) that verify airy-quad reads, bit for bit
+        assert float(phi_deriv_zero(3, 0, CONTOUR).numeric(30)) == 0.3550280538878172
+        assert float(phi_deriv_zero(3, 1, CONTOUR).numeric(30)) == -0.2588194037928068
 
 
 class TestExactArithmetic:

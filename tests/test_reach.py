@@ -36,6 +36,7 @@ UNREACHED = {
     "tautology.TautologyReport.failures": "benchmark: p-sweep's string and dilaton ops",
     "exact.ExactScalar.render": "benchmark: the grade prefactors exact-deep pins",
     "oracle.ai_deriv": "the tests' hook on the quadrature oracle's Ai (airy.py docstring)",
+    "cli._warn": "failing commands only: the exit-code tests of test_cli.py",
 }
 
 # equality, hash, repr (``record_repr`` included) and str, and exception constructors
