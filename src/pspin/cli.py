@@ -159,9 +159,14 @@ def _verify_cancellation(args) -> tuple[bool, dict]:
         return False, {"p": args.p, "g_max": args.genus, "pass": False}
 
 
-def _check_tol(tol: float) -> None:
+def _check_tol(tol: float, failed: tuple | list = ()) -> None:
+    """Refuse a --tol that is not positive or is below 2^-52 max(|lhs|, |rhs|) for every FAIL."""
     if not tol > 0:  # also rejects NaN
         raise UsageError(f"--tol must be positive, got {tol}")
+    res = [2**-52 * max(abs(x), abs(y)) if abs(x - y) < math.inf else 0 for x, y in failed]
+    if res and all(tol < r for r in res):
+        raise UsageError(f"--tol {tol} is below the float resolution of every failing "
+                         f"comparison (the finest is {min(res):.3e})")
 
 
 # (n, b, c) of the p=3 product moments that ``verify airy-quad`` checks
@@ -198,6 +203,7 @@ def _verify_airy_quad(args) -> tuple[bool, dict]:
             reports.append(rep)
             ok = ok and rep["pass"]
     fails = [r for r in reports if not r["pass"]]
+    _check_tol(tol, [(r["lhs"], r["rhs"]) for r in fails])
     print(f"airy-quad: {len(reports) - len(fails)}/{len(reports)} identities pass at tol {tol}")
     for r in fails:
         print(f"  FAIL {r['identity']} a={r['parameters']['a']}: |diff|={r['abs_diff']:.3e}")
@@ -236,6 +242,7 @@ def _verify_binet(args) -> tuple[bool, dict]:
     _check_tol(args.tol)
     lhs, rhs, diff = density_mod.binet_check(args.z)
     ok = diff <= args.tol
+    _check_tol(args.tol, [] if ok else [(lhs, rhs)])
     print(f"binet z={args.z}: lhs={lhs:.12f} rhs={rhs:.12f} |diff|={diff:.3e} "
           f"({'PASS' if ok else 'FAIL'} at {args.tol})")
     return ok, {"z": args.z, "lhs": lhs, "rhs": rhs, "diff": diff}

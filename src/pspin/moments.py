@@ -4,19 +4,18 @@ A product symbol M(n, b, c) stands for the (possibly formal) integral
 
     int_0^inf y^n phi^{(b)}(y) phi^{(c)}(-a y) dy
 
-with a treated as a formal variable; the single-factor integrals S(n, d) of
-y^n phi^{(d)}(y) or y^n phi^{(d)}(-a y) that its rules produce are nodes of
-the same rewrite graph.  Repeated use of the derivative rewrite
+with a treated as a formal variable.  Repeated use of the derivative rewrite
 phi^{(p-1)}(y) = y phi(y) + c0 together with integration by parts (boundary
 terms at infinity set to zero by regularization) reduces every such symbol to
 
 * boundary products  phi^{(i)}(0) phi^{(j)}(0)  with coefficients in Q(a),
 * irreducible cross terms T_c = int phi(y) phi^{(c)}(-a y) dy,
-* rewrite-constant leftovers (single-factor integrals), tracked separately;
-  c0 multiplies only these terminal atoms, so c0 = 0 is c0 = 1 without them.
+* rewrite-constant leftovers (single-factor integrals, each unrolled in one
+  loop), tracked separately; c0 multiplies only these terminal atoms, so
+  c0 = 0 is c0 = 1 without them.
 
-The product symbols form cycles, and solving them is what produces the
-characteristic (1 + a^p) denominators; the single-factor nodes form none.
+The product symbols, the only nodes of the rewrite graph, form cycles, and
+solving them is what produces the characteristic (1 + a^p) denominators.
 Every multiplier a rule applies is a monomial c a^j, carried as the pair
 (c, j); every stored coefficient is a ``CycloA``, N(a)/(1+a^p)^m.  Each
 cycle is a ring of p+1 symbols, each linking once into it, whose links must
@@ -39,10 +38,6 @@ from functools import lru_cache
 from .airy import reduce_order_at_zero
 from .exact import CycloA, DomainError, ExactScalar, LaurentP, UsageError, record_repr
 
-# graph nodes
-#   ('M', n, b, c)           product symbol
-#   ('S', side, n, d)        int y^n phi^{(d)}(y) dy (side 1), int y^n phi^{(d)}(-a y) dy (side 2)
-#   ('Z', k)                 int_0^inf y^k dy, whose vector is its ('zdiv', k) atom
 # resolved atom kinds
 #   ('bdry', i, j)           phi^{(i)}(0) phi^{(j)}(0), i <= j
 #   ('irr', c)               T_c = M(0, 0, c), irreducible cross term
@@ -52,7 +47,7 @@ from .exact import CycloA, DomainError, ExactScalar, LaurentP, UsageError, recor
 #   ('zdiv', k)              int_0^inf y^k dy, scaleless leftover
 
 Atom = tuple
-Node = tuple
+Node = tuple  # ('M', n, b, c): the product symbol M(n, b, c), the only graph node
 Mono = tuple[Fraction, int]  # (c, j) stands for the multiplier c a^j
 Links = list[tuple[Mono, Node]]
 Term = tuple  # (c, j, k, vec) stands for c a^j (1+a^p)^k times the atom vector vec
@@ -165,33 +160,19 @@ class MomentEngine:
         """One rewrite step: (links, rhs).
 
         links are the ((c, j), node) pairs into the rewrite graph, each
-        coefficient the monomial c a^j, single-factor links first; rhs names
-        the step's terminal atoms, read only.
+        coefficient the monomial c a^j and each node a product symbol; rhs
+        names the step's terminal atoms, read only.
         """
-        kind, *idx = node
+        _, n, b, c = node
         p = self.p
-        if kind == "Z":
-            return [], {("zdiv", idx[0]): self._one}
-        if kind == "S":  # s a^j: 1 on side 1, the chain-rule factor -1/a on side 2
-            side, n, d = idx
-            s, j = (1, 0) if side == 1 else (-1, -1)
-            if d >= 1 and n == 0:
-                return [], {("sing", d - 1): CycloA(p, {j: -s})}
-            if d >= 1:  # integrate by parts
-                return [((-s * n, j), ("S", side, n - 1, d - 1))], {}
-            if n >= 1:  # y phi = phi^{(p-1)} - 1
-                return [((s, j), ("S", side, n - 1, p - 1)), ((-s, j), ("Z", n - 1))], {}
-            return [], {("omega",): CycloA.var(p, j)}
-        n, b, c = idx
         if b >= p:  # derivative rewrite, side 1 (k >= 1)
             k = b - (p - 1)
             return [((k, 0), ("M", n, k - 1, c)), ((1, 0), ("M", n + 1, k, c))], {}
         if c >= p:  # derivative rewrite, side 2 (k >= 1)
             k = c - (p - 1)
             return [((k, 0), ("M", n, b, k - 1)), ((-1, 1), ("M", n + 1, b, k))], {}
-        if c == p - 1 and b == 0:
-            # phi^{(p-1)}(-ay) = -a y phi(-ay) + 1
-            return [((1, 0), ("S", 1, n, 0)), ((-1, 1), ("M", n + 1, 0, 0))], {}
+        if c == p - 1 and b == 0:  # phi^{(p-1)}(-ay) = -a y phi(-ay) + 1
+            return [((-1, 1), ("M", n + 1, 0, 0))], self._single(1, n, 0)
         if b >= 1:  # integrate the side-1 factor by parts
             up = ((1, 1), ("M", n, b - 1, c + 1))
             if n:
@@ -199,16 +180,23 @@ class MomentEngine:
             bdry = self._bdry_vector(b - 1, c)
             return [up], {atom: v.times_monomial(Fraction(-1)) for atom, v in bdry.items()}
         if n >= 1:  # b == 0: raise through y phi = phi^{(p-1)} - 1
-            return [((-1, 0), ("S", 2, n - 1, c)), ((1, 0), ("M", n - 1, p - 1, c))], {}
+            return [((1, 0), ("M", n - 1, p - 1, c))], self._single(2, n - 1, c, -1)
         return [], {("irr", c): self._one}
 
-    # -- closure + SCC solve ---------------------------------------------------
-
-    def reduce(self, sym: MomentSymbol) -> dict[Atom, CycloA]:
-        """Fixed point of sym as an atom vector (the engine's memo entry; read only)."""
-        if sym.p != self.p:
-            raise UsageError("symbol p does not match engine p")
-        return self._reduce_node(("M", sym.n, sym.b, sym.c))
+    def _single(self, side: int, n: int, d: int, c: int = 1, e: int = 0) -> dict[Atom, CycloA]:
+        """c a^e int y^n phi^{(d)}(y) dy (side 1), or of phi^{(d)}(-a y) (side 2), in one
+        loop of steps s a^j (1, or -1/a on side 2), deepest atom first.  No memo:
+        each call serves one product symbol, which the rewrite graph memoizes."""
+        s, j, atoms = (1, 0, []) if side == 1 else (-1, -1, [])
+        while n:  # c a^e multiplies int y^n phi^{(d)}
+            e += j
+            if d:  # integrate by parts
+                c, n, d = -s * n * c, n - 1, d - 1
+            else:  # y phi = phi^{(p-1)} - 1, whose -1 leaves int y^{n-1} dy
+                atoms.append((("zdiv", n - 1), -s * c, e))
+                c, n, d = s * c, n - 1, self.p - 1
+        atoms.append((("sing", d - 1), -s * c, e + j) if d else (("omega",), c, e + j))
+        return {atom: self._one.times_monomial(c, e) for atom, c, e in reversed(atoms)}
 
     def _bdry_vector(self, i: int, j: int) -> dict[Atom, CycloA]:
         """Canonical form of a boundary product phi^{(i)}(0) phi^{(j)}(0).
@@ -226,15 +214,20 @@ class MomentEngine:
         kind = "bdry" if len(orders) == 2 else "sing" if orders else "const"
         return {(kind, *orders): self._one.times_monomial(scale)}
 
-    def _reduce_node(self, root: Node) -> dict[Atom, CycloA]:
-        """Tarjan's SCC pass over the unreduced nodes reachable from root.
+    # -- closure + SCC solve ---------------------------------------------------
 
+    def reduce(self, sym: MomentSymbol) -> dict[Atom, CycloA]:
+        """Fixed point of sym as an atom vector (the engine's memo entry; read only).
+
+        One Tarjan SCC pass over the unreduced nodes reachable from sym.
         rule() runs on a node's first visit.  Tarjan closes components in
         reverse topological order and each is solved as it closes, so every
         link leaving a component is memoized by then, and a node that is
         seen but not yet memoized is on Tarjan's stack.
         """
-        memo = self._memo
+        if sym.p != self.p:
+            raise UsageError("symbol p does not match engine p")
+        root, memo = ("M", sym.n, sym.b, sym.c), self._memo
         hit = memo.get(root)
         if hit is not None:
             return hit

@@ -5,9 +5,9 @@ orientation: it integrates the phi^{(c)}(-a y) factor by parts and raises
 c = 0 through y phi(-ay) = -(phi^{(p-1)}(-ay) - 1)/a, so its rewrite rings
 close at -a^-p where the library's close at -a^p.  The two orientations walk
 different graphs, so agreement of their fixed points is a confluence check.
-Its product rules link the library's single-factor ('S', side, n, d) nodes,
-whose rules it keeps.  Like the library engine it reduces at c0 = 1 and
-projects to c0 = 0.
+Its product rules put the library's single-factor vectors (``_single``) in
+their rhs, as the library's do.  Like the library engine it reduces at
+c0 = 1 and projects to c0 = 0.
 
 ``ref_pair_weight`` derives a two-point pair weight by multiplying the
 boundary values and spin factors as ``ExactScalar`` tokens and testing the
@@ -35,12 +35,12 @@ class MirrorEngine(MomentEngine):
 
     def rule(self, node):
         p = self.p
-        if node[0] != "M" or node[2] >= p or node[3] >= p:
+        if node[2] >= p or node[3] >= p:
             return super().rule(node)
         _, n, b, c = node
         if b == p - 1 and c == 0:
             # phi^{(p-1)}(y) = y phi(y) + 1
-            return [((1, 0), ("S", 2, n, 0)), ((1, 0), ("M", n + 1, 0, 0))], {}
+            return [((1, 0), ("M", n + 1, 0, 0))], self._single(2, n, 0)
         if c >= 1:  # integrate the side-2 factor by parts
             if n == 0:
                 bdry = self._bdry_vector(b, c - 1)
@@ -51,7 +51,7 @@ class MirrorEngine(MomentEngine):
             links.append(((1, -1), ("M", n, b + 1, c - 1)))
             return links, rhs
         if n >= 1:  # c == 0: raise through y phi(-ay) = -(phi^{(p-1)}(-ay) - 1)/a
-            return [((1, -1), ("S", 1, n - 1, b)), ((-1, -1), ("M", n - 1, b, p - 1))], {}
+            return [((-1, -1), ("M", n - 1, b, p - 1))], self._single(1, n - 1, b, 1, -1)
         if b >= 1:
             # normalize mirror irreducibles M(0,b,0) into the library's T basis
             return [], dict(reduce_moment(MomentSymbol(0, b, 0, p)))

@@ -5,6 +5,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from pspin import golden
 from pspin.cli import _VERIFY_CHECKS, build_parser, main
 from pspin.correlators import TauCorrelator, one_point_table, two_point_table
+from pspin.exact import UsageError
 from pspin.moments import CancellationError, ReductionCycleError
 
 
@@ -443,6 +445,28 @@ class TestVerify:
         monkeypatch.setattr("pspin.cli.quad_moment", no_quadrature)
         for tol in ("-1", "0", "nan"):
             assert run("verify", "airy-quad", "--tol", tol) == 2, tol
+
+    @pytest.mark.parametrize("argv", [["binet", "--z", "1e-14"], ["airy-quad", "--tol", "1e-300"],
+                                      ["binet", "--z", "2", "--tol", "1e-300"]])
+    def test_tol_below_float_resolution_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        # each FAIL is at most an ulp or so of the values compared (psi(1e-14) is
+        # about -1e14, one ulp 1.6e-2), so it says nothing about the identity
+        monkeypatch.setenv("PSPIN_OUTPUT_DIR", str(tmp_path))
+        assert run("verify", *argv, "--output", "report.json") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: --tol ") and "float resolution" in captured.err
+        assert captured.out == "" and not list(tmp_path.iterdir())
+
+    def test_tol_resolution_rule(self):
+        from pspin.cli import _check_tol
+
+        with pytest.raises(UsageError, match="the finest is 2.220e-02"):
+            _check_tol(1e-6, [(-1e14, -1e14 + 0.015625)])
+        # a FAIL at or above its resolution, with or without another one below, is a verdict
+        for failed in ([], [(1.0, 1.5)], [(-1e14, -1e14 + 0.015625), (1.0, 1.5)],
+                       [(1.0, 0.5)], [(math.inf, 1.0)], [(math.nan, 1.0)], [(1e14, math.nan)]):
+            tol = 2**-52 if failed == [(1.0, 0.5)] else 1e-6
+            _check_tol(tol, failed)
 
     def test_airy_quad_nonpositive_ratio_usage_error(self, monkeypatch):
         def no_quadrature(*args):

@@ -455,9 +455,8 @@ ATOM_KINDS = {"bdry", "irr", "sing", "const", "omega", "zdiv"}
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6])
 def test_rule_links_are_product_symbols(p):
-    """Over the closure of the genus-2 grade symbols, rule links only ('M', n, b, c),
-    ('S', side, n, d) and ('Z', k) nodes, each with a monomial coefficient c a^j
-    given as the pair (c, j)."""
+    """Over the closure of the genus-2 grade symbols, rule links only ('M', n, b, c)
+    nodes, each with a monomial coefficient c a^j given as the pair (c, j)."""
     roots = {("M", sym.n, sym.b, sym.c) for _, _, sym in grade_contributions(p, 2)}
     for engine in (MomentEngine, MirrorEngine):
         eng = engine(p)
@@ -469,7 +468,8 @@ def test_rule_links_are_product_symbols(p):
             seen.add(node)
             links, rhs = eng.rule(node)
             for (c, j), nxt in links:
-                assert len(nxt) == {"M": 4, "S": 4, "Z": 2}[nxt[0]], (engine, node, nxt)
+                assert nxt[0] == "M" and len(nxt) == 4, (engine, node, nxt)
+                assert all(isinstance(i, int) and i >= 0 for i in nxt[1:]), (engine, nxt)
                 assert isinstance(c, (int, F)) and c and isinstance(j, int), (node, c, j)
                 stack.append(nxt)
             assert {atom[0] for atom in rhs} <= ATOM_KINDS, (engine, node)
@@ -527,34 +527,39 @@ def test_single_kernel_moment_closed_form(p):
 
     engine = MomentEngine(p)
     for m in range(1, p):
-        vec = engine._reduce_node(("S", 1, m, 0))
+        vec = engine._single(1, m, 0)
         got = {atom: c for atom, c in vec.items() if atom[0] != "zdiv"}
         assert got == {("sing", p - 1 - m): CycloA(p, {0: (-1) ** m * factorial(m - 1)})}, m
 
 
 def test_deep_single_factor_reductions():
-    """int y^n phi(y) dy far past any recursion limit: the rewrite pass is a loop.
+    """int y^n phi(y) dy and int y^n phi(-a y) dy far past any recursion limit:
+    the single-factor chain is a loop, linear in its depth.
 
-    The expected vector unrolls the side-1 recurrence top-down, one chain of
-    steps, and lists its atoms in the engine's order (deepest first).
+    The expected vector unrolls the recurrence top-down, one chain of steps,
+    each with the factor s a^j (1 on side 1, -1/a on side 2), and lists its
+    atoms in the engine's order (deepest first).
     """
-    engine = MomentEngine(3)
-    for n in (1500, 3000):
-        coeff, m, d, atoms = 1, n, 0, []
-        while m >= 1 or d >= 1:
-            if m == 0:  # int phi^{(d)} dy = -phi^{(d-1)}(0)
-                atoms.append((("sing", d - 1), -coeff))
-                break
-            if d >= 1:  # int y^m phi^{(d)} dy = -m int y^{m-1} phi^{(d-1)} dy
-                coeff, m, d = -m * coeff, m - 1, d - 1
-            else:  # y^m phi = y^{m-1} (phi^{(p-1)} - 1)
-                atoms.append((("zdiv", m - 1), -coeff))
-                m, d = m - 1, 2
-        else:
-            atoms.append((("omega",), coeff))
-        got = engine._reduce_node(("S", 1, n, 0))
-        assert len(got) == len(atoms) == n // 3 + 1
-        assert list(got.items()) == [(atom, CycloA(3, {0: c})) for atom, c in reversed(atoms)]
+    for p, side in [(3, 1), (3, 2), (5, 1), (5, 2)]:
+        s, j = (1, 0) if side == 1 else (-1, -1)
+        engine = MomentEngine(p)
+        for n in (1499, 3000):  # the chain ends on ("sing", d - 1), then on ("omega",)
+            coeff, e, m, d, atoms = 1, 0, n, 0, []
+            while m >= 1 or d >= 1:
+                if m == 0:  # int phi^{(d)} dy = -phi^{(d-1)}(0)
+                    atoms.append((("sing", d - 1), -s * coeff, e + j))
+                    break
+                if d >= 1:  # int y^m phi^{(d)} dy = -m int y^{m-1} phi^{(d-1)} dy
+                    coeff, e, m, d = -s * m * coeff, e + j, m - 1, d - 1
+                else:  # y^m phi = y^{m-1} (phi^{(p-1)} - 1)
+                    atoms.append((("zdiv", m - 1), -s * coeff, e + j))
+                    coeff, e, m, d = s * coeff, e + j, m - 1, p - 1
+            else:
+                atoms.append((("omega",), coeff, e + j))
+            got = engine._single(side, n, 0)
+            assert len(got) == len(atoms) == -(-n // p) + 1, (p, side, n)
+            want = [(atom, CycloA(p, {e: c})) for atom, c, e in reversed(atoms)]
+            assert list(got.items()) == want, (p, side, n)
 
 
 def test_library_path_has_no_general_product(monkeypatch):
@@ -584,8 +589,8 @@ class ZeroConstantEngine(MomentEngine):
     """The c0 = 0 rules: a single-factor integral and a boundary factor that
     reduces to the rewrite constant both vanish."""
 
-    def rule(self, node):
-        return ([], {}) if node[0] in ("S", "Z") else super().rule(node)
+    def _single(self, side, n, d, c=1, e=0):
+        return {}
 
     def _bdry_vector(self, i, j):
         return {atom: c for atom, c in super()._bdry_vector(i, j).items() if atom[0] == "bdry"}
