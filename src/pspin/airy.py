@@ -17,8 +17,9 @@ two-point table, so the two-point grades and series take no mode.
   from real mode only through the vanishing rewrite constant.
 
 Nothing here evaluates a kernel numerically: the quadrature oracle
-(``oracle.quad_moment``) evaluates Ai with its own ``_airy`` and ``_rewrite``
-helpers, and the tests check them through ``oracle.ai_deriv``.
+(``oracle.quad_moment``) evaluates Ai in plain floats, ``_airy`` giving Ai
+and Ai' at a list of points and ``_rewrite`` the higher derivatives by
+Ai'' = x Ai, and the tests check both through ``oracle.ai_deriv``.
 """
 
 from __future__ import annotations

@@ -3,12 +3,21 @@
 Nothing here touches the exact engine's reduction rules; identities are
 evaluated from the defining integrals and the random-matrix measure directly,
 so agreement with the engine is a genuine two-route check.
+
+The quadrature layer (Gauss-Legendre rules, Ai and the Airy moments) works in
+plain floats and ``math``, and sums with ``math.fsum``, which rounds
+correctly and needs no BLAS; only the Monte Carlo sampler imports numpy.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+from decimal import Context, Decimal, localcontext
 from functools import cache, lru_cache
-from math import ceil, gamma, isfinite, pi, sqrt
+from itertools import repeat
+from math import ceil, cos, exp, fsum, gamma, isfinite, isnan, pi, sqrt
+from operator import mul
 
 from .exact import DomainError, UsageError
 
@@ -33,40 +42,79 @@ def check_size(count: float, cap: int = _MAX_ENTRIES, unit: str = "array entries
 # composite Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
+_NEWTON_DIGITS = Context(prec=36)
+
+
+def _newton_step(n: int, x):
+    """(P_n(x) / P_n'(x), P_n'(x)) by the three-term recurrence, in x's own arithmetic."""
+    p0, p1 = 1, x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    slope = n * (x * p1 - p0) / (x * x - 1)
+    return p1 / slope, slope
+
 
 @cache
-def _legendre(nodes: int):
-    import numpy as np
+def _legendre(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Ascending nodes and weights of the nodes-point Gauss-Legendre rule on
+    [-1, 1], for an even number of nodes.
 
-    return np.polynomial.legendre.leggauss(nodes)
+    Each root x > 0 of P_nodes is found by Newton's method in floats from
+    cos(pi (i + 3/4) / (nodes + 1/2)), then refined by two Newton steps in
+    36-digit decimal, where its weight 2 / ((1 - x^2) P'(x)^2) is taken too;
+    the negative roots are the mirror images.  So each node and weight is the
+    float nearest its exact value, up to ties within 1e-30 of a rounding
+    boundary.
+    """
+    half = []  # (x, w) for the roots x > 0, descending
+    for i in range(nodes // 2):
+        x = cos(pi * (i + 0.75) / (nodes + 0.5))
+        step = 1.0
+        while abs(step) > 1e-10:
+            step = _newton_step(nodes, x)[0]
+            x -= step
+        with localcontext(_NEWTON_DIGITS):
+            d = Decimal(x)
+            for _ in range(2):
+                step, slope = _newton_step(nodes, d)
+                d -= step
+            half.append((float(d), float(2 / ((1 - d * d) * slope * slope))))
+    rule = [(-x, w) for x, w in half] + half[::-1]
+    return tuple(x for x, _ in rule), tuple(w for _, w in rule)
 
 
-def _panel_rule(edges, nodes: int):
-    """Points and weights of the nodes-point Gauss-Legendre rule on each panel."""
-    import numpy as np
-
-    edges = np.asarray(edges, dtype=float)
+@lru_cache(maxsize=16)
+def _panel_rule(edges: tuple, nodes: int) -> tuple[array, array]:
+    """Points and weights of the nodes-point Gauss-Legendre rule on each panel,
+    as arrays of doubles."""
     check_size((len(edges) - 1) * nodes)
     t, w = _legendre(nodes)
-    half = (edges[1:] - edges[:-1])[:, None] / 2
-    return ((edges[:-1, None] + half) + half * t).ravel(), (half * w).ravel()
+    points, weights = array("d"), array("d")
+    for lo, hi in zip(edges, edges[1:]):
+        half = (hi - lo) / 2
+        mid = lo + half
+        points.extend([mid + half * u for u in t])
+        weights.extend([half * v for v in w])
+    return points, weights
 
 
-def gauss_legendre(values, edges, nodes: int, tol: float) -> float:
+def gauss_legendre(values, edges: tuple, nodes: int, tol: float, relative: bool = False) -> float:
     """Certified integral over the panels [edges[i], edges[i+1]].
 
-    values(x, m) gives the integrand at the points x of the m-point rule
-    (m lets a caller cache tables per rule).  The integral is computed with
-    nodes and 2 nodes per panel and the 2 nodes value returned; a difference
-    above tol, or a NaN, raises NumericError.
+    values(x, m) gives the integrand at the points x of the m-point
+    rule (m lets a caller cache tables per rule).  The integral is computed
+    with nodes and 2 nodes per panel and the 2 nodes value returned; a
+    difference above tol (above tol * max(1, |integral|) when relative), or a
+    NaN, raises NumericError.
     """
     q = []
     for m in (nodes, 2 * nodes):
         x, w = _panel_rule(edges, m)
-        q.append(float(w @ values(x, m)))
+        q.append(fsum(map(mul, w, values(x, m))))
     err = abs(q[1] - q[0])
-    if not err <= tol:
-        raise NumericError(f"quadrature error estimate {err:.3g} exceeds tol {tol:.3g}")
+    bound = tol * max(1.0, abs(q[1])) if relative else tol
+    if not err <= bound:
+        raise NumericError(f"quadrature error estimate {err:.3g} exceeds tol {bound:.3g}")
     return q[1]
 
 
@@ -74,7 +122,7 @@ def gauss_legendre(values, edges, nodes: int, tol: float) -> float:
 # the Airy function Ai on the real line
 # ---------------------------------------------------------------------------
 
-_TAYLOR_TERMS = 24  # steps of at most min(0.5, 1/sqrt|x|): terms fall like 1/k!
+_TAYLOR_EPS = 2.0**-60  # Taylor terms below this share of the scale are dropped
 _ASYMPTOTIC_FROM = 12.0  # DLMF 9.7.5-6 carry full precision for x >= 12 (e^{-2 zeta} ~ 1e-24)
 _ASYMPTOTIC_TERMS = 25
 _LANDING_RTOL = 1e-13
@@ -84,20 +132,35 @@ _LANDING_RTOL = 1e-13
 _AI_ZERO = (1 / (3 ** (2 / 3) * gamma(2 / 3)), -1 / (3 ** (1 / 3) * gamma(1 / 3)))
 
 
-def _taylor(x0, t, y, dy):
-    """(y, y') at x0 + t for the solution of y'' = x y with y, y' given at x0.
+def _taylor(x0: float, y: float, dy: float, r: float) -> list:
+    """Taylor coefficients at x0, highest degree first, of the solution of
+    y'' = x y with y, y' given at x0, for offsets up to r.
 
-    y(x0 + t) = sum_k c_k t^k with c_0 = y, c_1 = y' and
-    (k+2)(k+1) c_{k+2} = x0 c_k + c_{k-1}.  Works elementwise on arrays.
+    c_0 = y, c_1 = y' and k (k-1) c_k = x0 c_{k-2} + c_{k-3}, so with
+    e_k = |c_k| r^k, e_{k+1} <= q_k max(e_{k-1}, e_{k-2}) for
+    q_k = (|x0| r^2 + r^3) / (k (k+1)).  The series stops once three terms in
+    a row have e_k <= 2^-60 (|y| + |y'| r) and q_k <= 1/2, so the dropped tail
+    is below 2^-58 of that scale.
     """
-    prev, c, nxt = 0.0, y, dy  # c_{k-1}, c_k, c_{k+1} at k = 0
-    val, slope = y + dy * t, dy
-    power = t  # t^{k+1}
-    for k in range(2, _TAYLOR_TERMS):
-        prev, c, nxt = c, nxt, (x0 * c + prev) / (k * (k - 1))
-        slope = slope + k * nxt * power
-        power = power * t
-        val = val + nxt * power
+    eps = _TAYLOR_EPS * (abs(y) + abs(dy) * r)
+    growth = abs(x0) * r * r + r**3
+    coeffs = [y, dy]
+    e2, e1, e0 = 0.0, abs(y), abs(dy) * r  # e_{k-2}, e_{k-1}, e_k at k = 1
+    k = 1
+    while e0 > eps or e1 > eps or e2 > eps or growth > k * (k + 1) / 2:
+        k += 1
+        before = coeffs[k - 3] if k > 2 else 0.0
+        coeffs.append((x0 * coeffs[k - 2] + before) / (k * (k - 1)))
+        e2, e1, e0 = e1, e0, abs(coeffs[k]) * r**k
+    return coeffs[::-1]
+
+
+def _horner(coeffs: list, t: float) -> tuple[float, float]:
+    """(p(t), p'(t)) for the polynomial p with coeffs, highest degree first."""
+    val = slope = 0.0
+    for c in coeffs:
+        slope = slope * t + val
+        val = val * t + c
     return val, slope
 
 
@@ -107,25 +170,18 @@ def _step(x: float) -> float:
     return min(0.5, 1 / sqrt(abs(x) + 0.5))
 
 
-def _walk(grid, y: float, dy: float):
+def _walk(grid: list, y: float, dy: float) -> tuple[list, list]:
     """(Ai, Ai') along grid, stepped from the values y, dy at grid[0]."""
-    import numpy as np
-
-    x0, t = grid[:-1], np.diff(grid)
-    ya, dya = _taylor(x0, t, 1.0, 0.0)  # transfer matrix columns of each step
-    yb, dyb = _taylor(x0, t, 0.0, 1.0)
     vals, slopes = [y], [dy]
-    for p, q, r, s in zip(ya.tolist(), yb.tolist(), dya.tolist(), dyb.tolist()):
-        y, dy = p * y + q * dy, r * y + s * dy
+    for x0, x1 in zip(grid, grid[1:]):
+        y, dy = _horner(_taylor(x0, y, dy, abs(x1 - x0)), x1 - x0)
         vals.append(y)
         slopes.append(dy)
-    return np.array(vals), np.array(slopes)
+    return vals, slopes
 
 
-def _asymptotic(x):
+def _asymptotic(x: float) -> tuple[float, float]:
     """(Ai, Ai') for x >= 12 from the series of DLMF 9.7.5-6."""
-    import numpy as np
-
     zeta = 2 / 3 * x**1.5
     u, su, sv = 1.0, 1.0, 1.0
     for k in range(1, _ASYMPTOTIC_TERMS):
@@ -133,7 +189,7 @@ def _asymptotic(x):
         sign = (-1) ** k / zeta**k
         su = su + sign * u
         sv = sv - sign * (6 * k + 1) / (6 * k - 1) * u
-    scale = np.exp(-zeta) / (2 * sqrt(pi))
+    scale = exp(-zeta) / (2 * sqrt(pi))
     quarter = x**0.25
     return scale / quarter * su, -scale * quarter * sv
 
@@ -145,14 +201,10 @@ def _positive_walk():
     Stepping toward 0 follows the growing direction of Ai, so errors stay
     relative; the walk must land on the closed-form Ai(0), Ai'(0).
     """
-    import numpy as np
-
-    points = [_ASYMPTOTIC_FROM]
-    while points[-1] > 0:
-        points.append(max(0.0, points[-1] - _step(points[-1])))
-    grid = np.array(points)
-    y, dy = _asymptotic(grid[0])
-    vals, slopes = _walk(grid, float(y), float(dy))
+    grid = [_ASYMPTOTIC_FROM]
+    while grid[-1] > 0:
+        grid.append(max(0.0, grid[-1] - _step(grid[-1])))
+    vals, slopes = _walk(grid, *_asymptotic(grid[0]))
     for got, want in zip((vals[-1], slopes[-1]), _AI_ZERO):
         if not abs(got - want) <= _LANDING_RTOL * abs(want):
             raise NumericError(f"Airy walk landed on {got!r}, not {want!r}")
@@ -165,73 +217,63 @@ def _negative_walk(depth: int):
 
     Both solutions oscillate on this side, so neither direction is preferred.
     """
-    import numpy as np
-
-    points = [0.0]
-    while points[-1] > -depth:
-        points.append(points[-1] - _step(points[-1]))
-    grid = np.array(points)
+    grid = [0.0]
+    while grid[-1] > -depth:
+        grid.append(grid[-1] - _step(grid[-1]))
     return tuple(v[::-1] for v in (grid, *_walk(grid, *_AI_ZERO)))
 
 
-def _negative(x):
-    depth = -x.min()
-    # a walk takes about 1/min(0.5, 1/sqrt(|x| + 0.5)) steps per unit length
-    check_size(2 * depth + 2 / 3 * (depth + 0.5) ** 1.5, _MAX_STEPS, "Airy walk steps")
-    return _from_grid(x, *_negative_walk(max(1, ceil(depth))))
-
-
-def _from_grid(x, grid, vals, slopes):
+def _from_grid(x: float, grid, vals, slopes) -> tuple[float, float]:
     """Taylor step from the nearest point of an ascending grid."""
-    import numpy as np
-
-    i = np.clip(np.searchsorted(grid, x), 1, len(grid) - 1)
+    i = min(max(bisect_left(grid, x), 1), len(grid) - 1)
     i -= (x - grid[i - 1]) < (grid[i] - x)
-    return _taylor(grid[i], x - grid[i], vals[i], slopes[i])
+    t = x - grid[i]
+    return _horner(_taylor(grid[i], vals[i], slopes[i], abs(t)), t)
 
 
-def _airy(x):
-    """(Ai(x), Ai'(x)) elementwise for an array x of finite reals.
+def _airy(xs) -> tuple[list, list]:
+    """(Ai(x), Ai'(x)) as two lists, for the finite reals x in xs.
 
     x <= 0 steps forward from the closed forms at 0; 0 < x < 12 steps from
     the walk down from 12; x >= 12 uses the asymptotic series.
     """
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
+    xs = list(xs)
+    if any(map(isnan, xs)):
         raise NumericError("Airy function of NaN")
-    ai, aip = np.empty_like(x), np.empty_like(x)
-    for part, values in (
-        (x <= 0, _negative),
-        ((x > 0) & (x < _ASYMPTOTIC_FROM), lambda v: _from_grid(v, *_positive_walk())),
-        (x >= _ASYMPTOTIC_FROM, _asymptotic),
-    ):
-        if part.any():
-            ai[part], aip[part] = values(x[part])
-    return ai, aip
+    depth = -min(xs, default=0.0)
+    negative = None
+    if depth >= 0:
+        # a walk takes about 1/min(0.5, 1/sqrt(|x| + 0.5)) steps per unit length
+        check_size(2 * depth + 2 / 3 * (depth + 0.5) ** 1.5, _MAX_STEPS, "Airy walk steps")
+        negative = _negative_walk(max(1, ceil(depth)))
+    pairs = [
+        _from_grid(x, *negative) if x <= 0
+        else _from_grid(x, *_positive_walk()) if x < _ASYMPTOTIC_FROM
+        else _asymptotic(x)
+        for x in xs
+    ]
+    return [v for v, _ in pairs], [s for _, s in pairs]
 
 
-def _rewrite(y, ai, aip, order: int):
-    """Ai^{(order)}(y) from Ai, Ai' and Ai^{(m+2)} = y Ai^{(m)} + m Ai^{(m-1)}."""
+def _rewrite(xs, ai, aip, order: int) -> list:
+    """Ai^{(k)} at the points xs for k = 0..order, from Ai, Ai' there and
+    Ai^{(m+2)} = x Ai^{(m)} + m Ai^{(m-1)}; orders past 1 are arrays of doubles."""
     vals = [ai, aip]
-    for k in range(2, order + 1):
-        m = k - 2
-        prev = vals[m - 1] if m >= 1 else 0.0
-        vals.append(y * vals[m] + m * prev)
-    return vals[order]
+    for m in range(order - 1):
+        prev = vals[m - 1] if m else repeat(0.0)
+        vals.append(array("d", [x * v + m * u for x, v, u in zip(xs, vals[m], prev)]))
+    return vals
 
 
 def ai_deriv(y, order: int):
-    """Ai^{(order)}(y) elementwise, from Ai, Ai' and the rewrite Ai'' = y Ai.
+    """Ai^{(order)}(y), from Ai, Ai' and the rewrite Ai'' = y Ai.
 
-    A float y gives a numpy float; an array gives an array.
+    A float y gives a float; a sequence of floats gives a list.
     """
-    import numpy as np
-
-    ai, aip = _airy(np.atleast_1d(y))
-    out = _rewrite(np.asarray(y, dtype=float), ai, aip, order)
-    return out if np.ndim(y) else out[0]
+    if isinstance(y, (int, float)):
+        return ai_deriv([y], order)[0]
+    xs = [float(v) for v in y]
+    return list(_rewrite(xs, *_airy(xs), order)[order])
 
 
 # ---------------------------------------------------------------------------
@@ -246,23 +288,59 @@ _MOMENT_NODES = 12
 _PANEL_PHASE = 4.0  # radians of Ai(-a y) per panel
 
 
-def _moment_edges(a: float):
+def _moment_panels(a: float) -> int:
     """Uniform panels on [0, Y]; Ai(-a y) turns at rate a^{3/2} sqrt(y) <= a^{3/2} sqrt(Y)."""
-    import numpy as np
-
     panels = _MOMENT_UPPER * max(2.0, a**1.5 * sqrt(_MOMENT_UPPER) / _PANEL_PHASE)
     check_size(3 * _MOMENT_NODES * panels)
-    return np.linspace(0.0, _MOMENT_UPPER, ceil(panels) + 1)
+    return ceil(panels)
+
+
+@cache
+def _moment_edges(panels: int) -> tuple:
+    """panels + 1 edges i * (Y / panels) from 0, Y itself last, as numpy's linspace gives them."""
+    step = _MOMENT_UPPER / panels
+    return tuple(i * step for i in range(panels)) + (_MOMENT_UPPER,)
+
+
+def _airy_table(panels: int, scale: float) -> dict:
+    """{m: [Ai^{(k)}(scale y) for k = 0..3]} as arrays of doubles at the
+    points y of the m-point rules, m = 12 and 24, on the moment panels.
+
+    Ai is expanded once per panel, about scale times its midpoint, and the
+    expansion serves the points of both rules in that panel.
+    """
+    edges = _moment_edges(panels)
+    centers = [scale * (lo + (hi - lo) / 2) for lo, hi in zip(edges, edges[1:])]
+    rules = {m: array("d", [scale * y for y in _panel_rule(edges, m)[0]])
+             for m in (_MOMENT_NODES, 2 * _MOMENT_NODES)}
+    ai, aip = {m: array("d") for m in rules}, {m: array("d") for m in rules}
+    for j, (x0, y, dy) in enumerate(zip(centers, *_airy(centers))):
+        coeffs = _taylor(x0, y, dy, abs(scale) * (edges[j + 1] - edges[j]) / 2)
+        for m, xs in rules.items():
+            for x in xs[j * m:(j + 1) * m]:
+                v, s = _horner(coeffs, x - x0)
+                ai[m].append(v)
+                aip[m].append(s)
+    return {m: _rewrite(xs, ai[m], aip[m], 3) for m, xs in rules.items()}
+
+
+@lru_cache(maxsize=4)
+def _positive_table(panels: int) -> dict:
+    """Ai^{(b)}(y) at the rule points: every a with the same panel count shares it."""
+    return _airy_table(panels, 1.0)
+
+
+@lru_cache(maxsize=32)
+def _powers(panels: int, nodes: int, n: int) -> array:
+    """y^n at the points y of the nodes-point rule on the moment panels."""
+    return array("d", [y**n for y in _panel_rule(_moment_edges(panels), nodes)[0]])
 
 
 @lru_cache(maxsize=8)
-def _moment_table(a: float, nodes: int):
-    """(Ai, Ai') at the points y of the nodes-point rule and at -a y.
-
-    Bounded: callers take all their moments at one a before the next.
-    """
-    y, _ = _panel_rule(_moment_edges(a), nodes)
-    return _airy(y), _airy(-a * y)
+def _negative_table(a: float) -> dict:
+    """Ai^{(c)}(-a y) at the rule points.  Bounded: callers take all their
+    moments at one a before the next."""
+    return _airy_table(_moment_panels(a), -a)
 
 
 def quad_moment(n: int, b: int, c: int, a: float, tol: float = 1e-9) -> float:
@@ -271,19 +349,21 @@ def quad_moment(n: int, b: int, c: int, a: float, tol: float = 1e-9) -> float:
     Derivative orders count differentiation of Ai with respect to its own
     argument, evaluated at -a y.  Convergence relies on the decay of the
     first factor at +infinity (p=3 oscillatory kernel only); the second
-    factor is polynomially bounded for y >= 0.  Points, weights and Airy
-    values are cached per (a, rule), so all moments at one a share them.
+    factor is polynomially bounded for y >= 0.  Points, weights, powers of y
+    and Airy values are cached per panel count and per a, so all moments at
+    one a share them.
     """
     if n > 8 or b > 3 or c > 3:
         raise UsageError("quadrature oracle restricted to n <= 8, b,c <= 3")
     if a <= 0:
         raise DomainError("a > 0 required")
+    panels = _moment_panels(a)
+    pos, neg = _positive_table(panels), _negative_table(a)
 
     def values(y, nodes):
-        pos, neg = _moment_table(a, nodes)
-        return y**n * _rewrite(y, *pos, b) * _rewrite(-a * y, *neg, c)
+        return map(mul, _powers(panels, nodes, n), map(mul, pos[nodes][b], neg[nodes][c]))
 
-    return gauss_legendre(values, _moment_edges(a), _MOMENT_NODES, tol)
+    return gauss_legendre(values, _moment_edges(panels), _MOMENT_NODES, tol)
 
 
 # ---------------------------------------------------------------------------

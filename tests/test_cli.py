@@ -425,6 +425,24 @@ class TestVerify:
         assert run("verify", "mc", "--s", "0", "--samples", "2") == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("z, line", [
+        ("1e-12", "lhs=-1000000000000.577270507812 rhs=-1000000000000.577148437500 |diff|=1.221e-04"),
+        ("1e-16", "lhs=-10000000000000000.000000000000 rhs=-10000000000000000.000000000000 "
+                  "|diff|=0.000e+00"),
+        ("1e-30", "lhs=-999999999999999879147136483328.000000000000 "
+                  "rhs=-999999999999999879147136483328.000000000000 |diff|=0.000e+00"),
+        ("1e-100", "lhs=-1000000000000000015902891109759918046836080856394528138978132755774783877217038"
+                   "1060813469985856815104.000000000000 rhs=-1000000000000000015902891109759918046836080"
+                   "8563945281389781327557747838772170381060813469985856815104.000000000000 "
+                   "|diff|=0.000e+00"),
+    ])
+    def test_binet_tiny_z_passes(self, z, line, capsys):
+        # all four exited 3, "quadrature error estimate ... exceeds tol 1e-09": the
+        # integral is about 1/(2z), and at 1e-12 its two rules still differ by one
+        # ulp of it, which the bound 1e-9 max(1, |integral|) accepts
+        assert run("verify", "binet", "--z", z, "--tol", "1") == 0
+        assert capsys.readouterr().out == f"binet z={float(z)}: {line} (PASS at 1.0)\n"
+
     def test_binet_nonpositive_z_usage_error(self):
         assert run("verify", "binet", "--z", "0") == 2
 
@@ -446,11 +464,11 @@ class TestVerify:
         for tol in ("-1", "0", "nan"):
             assert run("verify", "airy-quad", "--tol", tol) == 2, tol
 
-    @pytest.mark.parametrize("argv", [["binet", "--z", "1e-14"], ["airy-quad", "--tol", "1e-300"],
-                                      ["binet", "--z", "2", "--tol", "1e-300"]])
+    @pytest.mark.parametrize("argv", [["binet", "--z", "1e-13"], ["airy-quad", "--tol", "1e-300"],
+                                      ["binet", "--z", "10", "--tol", "1e-300"]])
     def test_tol_below_float_resolution_usage_error(self, argv, tmp_path, monkeypatch, capsys):
-        # each FAIL is at most an ulp or so of the values compared (psi(1e-14) is
-        # about -1e14, one ulp 1.6e-2), so it says nothing about the identity
+        # each FAIL is at most an ulp or so of the values compared (psi(1e-13) is
+        # about -1e13, one ulp 2.0e-3), so it says nothing about the identity
         monkeypatch.setenv("PSPIN_OUTPUT_DIR", str(tmp_path))
         assert run("verify", *argv, "--output", "report.json") == 2
         captured = capsys.readouterr()
@@ -697,9 +715,9 @@ _PROBES = {
     "import": ("import pspin", [], False),
     "help": (_CLI_PROBE.format(argv=["--help"]), [], True),
     "intersect": (_CLI_PROBE.format(argv=["intersect", "--p", "3", "--genus", "2"]), [], True),
-    "airy-quad": (_CLI_PROBE.format(argv=["verify", "airy-quad"]), ["numpy"], True),
+    "airy-quad": (_CLI_PROBE.format(argv=["verify", "airy-quad"]), [], True),
     "mc": (_CLI_PROBE.format(argv=["verify", "mc", "--samples", "1000"]), ["numpy"], True),
-    "binet": (_CLI_PROBE.format(argv=["verify", "binet", "--z", "2"]), ["numpy"], True),
+    "binet": (_CLI_PROBE.format(argv=["verify", "binet", "--z", "2"]), [], True),
     "density": (_CLI_PROBE.format(argv=["density", "--e-min", "5", "--e-max", "6", "--samples", "3"]),
                 [], True),
 }
@@ -733,6 +751,19 @@ def test_airy_quad_runs_without_mpmath():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "airy-quad: 54/54 identities pass" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["verify", "airy-quad", "--a-values", "0.5", "2", "7"], "airy-quad: 54/54 identities pass"),
+    (["verify", "binet", "--z", "2"], "binet z=2.0: lhs=0.422784335098 rhs=0.422784335098 "
+                                      "|diff|=0.000e+00 (PASS at 1e-06)\n"),
+], ids=["airy-quad", "binet"])
+def test_quadrature_runs_without_numpy(argv, line):
+    # Gauss-Legendre rules, Ai and the Binet kernel are plain floats and math
+    script = "import sys\nsys.modules['numpy'] = None\n" + _CLI_PROBE.format(argv=argv)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(line)
 
 
 def _package_imports(top: str) -> list[str]:

@@ -174,14 +174,22 @@ class TestBinet:
             with pytest.raises(DomainError):
                 binet_check(z)
 
-    def test_integrand_on_arrays(self):
-        import numpy as np
-
-        s = np.array([0.0, 5e-4, 0.5, 3.0, 800.0])
-        assert list(exp_kernel_integrand(s)) == [exp_kernel_integrand(float(v)) for v in s]
+    def test_integrand_pointwise(self):
+        # one float in, one float out, on both sides of the series switch
+        for v in (5e-4, 0.5, 3.0):
+            assert isinstance(exp_kernel_integrand(v), float) and 0 < exp_kernel_integrand(v) < 0.5
+        assert exp_kernel_integrand(0.0) == 0.0
         assert exp_kernel_integrand(800.0) == 0.5 - 1 / 800.0
         with pytest.raises(DomainError):
-            exp_kernel_integrand(np.array([1.0, -1.0]))
+            exp_kernel_integrand(-1.0)
+
+    @pytest.mark.parametrize("z", [1e-12, 1e-16, 1e-20, 1e-30, 1e-32, 1e-100])
+    def test_small_z_certified_relative_to_the_integral(self, z):
+        # the integral is about 1/(2z); its quadrature error is held to 1e-9 of it.
+        # At 1e-12, 1e-20 and 1e-32 the 16- and 32-point sums differ by one ulp of
+        # the integral, which an absolute 1e-9 would refuse
+        lhs, rhs, diff = binet_check(z)
+        assert diff <= 2 * 2**-52 * abs(lhs)
 
     def test_known_values(self):
         lhs, _, _ = binet_check(2.0)

@@ -147,6 +147,106 @@ def test_quad_moment_matches_scipy(a):
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (n, b, c)
 
 
+class TestGaussLegendre:
+    @staticmethod
+    def reference(n):
+        """Nodes and weights 2 / ((1 - x^2) P_n'(x)^2) at 40 digits, Newton from leggauss's nodes."""
+        with mpmath.workdps(40):
+            rows = []
+            for x0 in np.polynomial.legendre.leggauss(n)[0].tolist():
+                x = mpmath.mpf(x0)
+                for _ in range(3):
+                    slope = n * (x * mpmath.legendre(n, x) - mpmath.legendre(n - 1, x)) / (x * x - 1)
+                    x -= mpmath.legendre(n, x) / slope
+                rows.append((float(x), float(2 / ((1 - x * x) * slope * slope))))
+        return rows
+
+    @pytest.mark.parametrize("n", [12, 16, 24, 32])
+    def test_matches_leggauss(self, n):
+        nodes, weights = oracle._legendre(n)
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+        assert all(abs(x - y) <= 4 * np.spacing(abs(y)) for x, y in zip(nodes, want_nodes))
+        # leggauss rescales its weights to sum to 2, which leaves them up to
+        # 6.7 * 2^-52 off at n = 24; against a 40-digit reference they are within 4 ulp
+        assert all(abs(w - v) <= 8 * 2**-52 for w, v in zip(weights, want_weights))
+        for (x, w), (rx, rw) in zip(zip(nodes, weights), self.reference(n)):
+            assert abs(x - rx) <= 4 * np.spacing(abs(rx)) and abs(w - rw) <= 4 * np.spacing(rw)
+
+    @pytest.mark.parametrize("n", [12, 16, 24, 32])
+    def test_exact_to_rounding(self, n):
+        # an n-point rule integrates x^k exactly for k < 2n; rounding the nodes moves
+        # x^k by at most k/2 ulp, so the sum stays within (k + 2) ulp of 2/(k+1)
+        nodes, weights = oracle._legendre(n)
+        for k in range(0, 2 * n - 1, 2):
+            got = math.fsum(w * x**k for x, w in zip(nodes, weights))
+            assert abs(got - 2 / (k + 1)) <= (k + 2) * np.spacing(2 / (k + 1)), k
+            assert math.fsum(w * x ** (k + 1) for x, w in zip(nodes, weights)) == 0.0
+
+    def test_relative_certificate(self):
+        # 12 and 24 points disagree by err on one panel of scale / (x + 0.01), whose
+        # integral is 4.6 scale: the relative bound tol max(1, |integral|) is the
+        # absolute one while the integral is at most 1, and scales with it above
+        edges = (0.0, 1.0)
+
+        def kernel(scale):
+            return lambda xs, _: [scale / (x + 0.01) for x in xs]
+
+        coarse, fine = (math.fsum(map(lambda x, w: w / (x + 0.01), *oracle._panel_rule(edges, m)))
+                        for m in (12, 24))
+        err = abs(fine - coarse)
+        assert err > 0
+        for scale, share, relative, passes in ((1.0, 0.99, False, False), (1.0, 0.99, True, True),
+                                               (0.1, 0.99, True, False), (0.1, 1.01, True, True),
+                                               (1e6, 0.99, True, True), (1e6, 0.99, False, False)):
+            tol = share * err * scale
+            if passes:
+                got = oracle.gauss_legendre(kernel(scale), edges, 12, tol, relative=relative)
+                assert abs(got - scale * math.log(101.0)) <= 2 * err * scale
+            else:
+                with pytest.raises(NumericError):
+                    oracle.gauss_legendre(kernel(scale), edges, 12, tol, relative=relative)
+
+
+# quad_moment(n, b, c, a) of CLI_SYMBOLS at the default ratios, as float.hex,
+# from the numpy quadrature that preceded the pure-float one
+RECORDED_MOMENTS = {
+    0.5: (
+        '0x1.8e7b470bbb360p+0', '0x1.5c8e90b8a772ap-3', '-0x1.5c8e90b8a772ap-4',
+        '0x1.76c73fc3e94fcp-6', '-0x1.e590448116e47p-2', '0x1.2a2ca49f223cap-4',
+        '0x1.4e8df66fd3578p+3', '-0x1.4e8df66fd3578p+1', '0x1.4e8df66fd3578p+0',
+        '-0x1.4e8df66fd3578p-3', '0x1.4e8df66fd3576p-1', '-0x1.4e8df66fd3577p-2',
+        '-0x1.f5d4f1a7bd036p-4', '0x1.f5d4f1a7bd032p-4', '-0x1.b800000000000p-59',
+        '0x1.f5d4f1a7bd034p-4', '0x1.f5d4f1a7bd032p-4', '0x1.f5d4f1a7bd038p-5',
+        '0x1.29b0d8b25aa2cp-3', '-0x1.0bf9184d4e0d4p-4',
+    ),
+    0.8: (
+        '0x1.489c88c793364p-4', '0x1.f4272953d8f9cp-4', '-0x1.901f544313fb0p-4',
+        '-0x1.5441b5338fbf6p-5', '-0x1.962b23bab49cap-3', '0x1.ae1380d3d510ap-3',
+        '-0x1.2fbc82c7c55dap+2', '0x1.1025d56f69292p-3', '0x1.542f4acb43731p+0',
+        '-0x1.69f4e0fd22e72p-2', '0x1.7d01c468c66c6p-3', '-0x1.30ce36ba3856cp-3',
+        '-0x1.800e11c1ad636p-5', '0x1.800e11c1ad632p-5', '0x1.400bb976bb27fp-4',
+        '0x1.0009612bc8ecdp-3', '0x1.c0106a0c9f9e5p-4', '0x1.6673880a194bcp-6',
+        '0x1.2c261cdae027ep-3', '-0x1.2bf06b37c36bfp-5',
+    ),
+    1.0: (
+        '-0x1.0223d6a9155a6p-2', '0x1.4deb10aef4d12p-4', '-0x1.4deb10aef4d13p-4',
+        '-0x1.0223d6a9155a6p-4', '-0x1.e57984bab3becp-5', '0x1.7b8237d7c24a0p-3',
+        '-0x1.a76babe5877acp+1', '0x1.1a47c7ee5a51ep-1', '0x1.1a47c7ee5a51cp-1',
+        '-0x1.1a47c7ee5a51dp-2', '0x1.1500000000000p-55', '-0x1.b800000000000p-56',
+        '-0x1.2380000000000p-55', '0x1.0000000000000p-56', '0x1.785fb53dcdc26p-4',
+        '0x1.785fb53dcdc29p-4', '0x1.785fb53dcdc26p-4', '0x1.7800000000000p-56',
+        '0x1.208c7f3450fd6p-3', '-0x1.2f1ce8177ddafp-6',
+    ),
+}
+
+
+@pytest.mark.parametrize("a", sorted(RECORDED_MOMENTS))
+def test_quad_moment_matches_recorded(a):
+    for (n, b, c), text in zip(CLI_SYMBOLS, RECORDED_MOMENTS[a]):
+        want = float.fromhex(text)
+        assert abs(quad_moment(n, b, c, a) - want) <= 1e-13 * max(1.0, abs(want)), (n, b, c)
+
+
 class TestMonteCarlo:
     def test_bit_reproducible(self):
         cfg = McConfig(3, (0.5, -0.5, 1.0), (0.4,), sample_count=500, rng_seed=42)
