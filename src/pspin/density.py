@@ -14,9 +14,8 @@ offset), against the simplified coset-model density
 The digamma psi is evaluated here, in ``decimal`` at 45 digits: shifted to
 |w| >= 20, then summed by its Stirling series, whose coefficients
 B_2g/(2g) = -zeta(1-2g) are the p = -1 one-point intersection numbers with
-their sign flipped (``stirling_coefficients``).  The same coefficients give
-ln Gamma, so ``gamma_decimal`` evaluates the Gamma tokens of
-``ExactScalar.numeric`` at any precision.
+their sign flipped (``stirling_coefficients``).  The series serves psi alone:
+the Gamma tokens of ``ExactScalar.numeric`` come from ``exact``'s own series.
 """
 
 from __future__ import annotations
@@ -99,7 +98,7 @@ def stirling_coefficients() -> tuple[Fraction, ...]:
 
     Each equals -zeta(1-2g), minus the p = -1 one-point intersection number
     <tau_{1,0}>_g, so the density's series is the p = -1 continuation of the
-    intersection numbers.
+    intersection numbers.  Only the digamma (``_re_digamma``) sums them.
     """
     return tuple(bernoulli_std(2 * g) / (2 * g) for g in range(1, _STIRLING_TERMS + 1))
 
@@ -141,47 +140,6 @@ def _re_digamma(x: float, y: float) -> float:
     series = sub(mul(sr, ur), mul(si, ui))
     # Re psi(w) = ln|w| - Re 1/(2w) - Re(series)
     return float(sub(sub(div(sub(ctx.ln(r), div(a, r)), 2), series), shift))
-
-
-@lru_cache(maxsize=None)
-def _gamma_shift(digits: int) -> int:
-    """The least N at which ln Gamma's first omitted Stirling term,
-    |B_34|/(34*33 N^33), is below 10^-digits."""
-    g = _STIRLING_TERMS + 1
-    bound = abs(bernoulli_std(2 * g)) * 10**digits / (2 * g * (2 * g - 1))
-    n = 1
-    while n ** (2 * g - 1) <= bound:
-        n += 1
-    return n
-
-
-def gamma_decimal(q: Fraction, ctx: Context) -> Decimal:
-    """Gamma(q) for rational q > 0 at the precision of ctx, with no Gamma routine.
-
-    Gamma(q) = (N-1)! exp(S(q+N) - S(N)) / prod_{i<N} (q+i), where
-    S(w) = (w - 1/2) ln w - w + sum_g c_g / ((2g-1) w^(2g-1)) is ln Gamma(w)
-    less its (1/2) ln 2 pi, which cancels, and c_g = B_2g/(2g) are
-    ``stirling_coefficients``.  The shift N makes the first omitted term
-    smaller than one unit in ctx's last digit; the factorial over the product
-    is an exact rational.
-    """
-    add, sub, mul, div = ctx.add, ctx.subtract, ctx.multiply, ctx.divide
-    n = _gamma_shift(ctx.prec)
-    # highest genus first for Horner's rule in 1/w^2
-    coeffs = [div(c.numerator, c.denominator * (2 * g - 1))
-              for g, c in reversed(list(enumerate(stirling_coefficients(), 1)))]
-
-    def stirling(w: Decimal) -> Decimal:
-        u = div(1, mul(w, w))
-        acc = Decimal(0)
-        for d in coeffs:
-            acc = add(mul(acc, u), d)
-        return add(sub(mul(sub(w, Decimal("0.5")), ctx.ln(w)), w), div(acc, w))
-
-    a, b = q.numerator, q.denominator
-    ratio = Fraction(factorial(n - 1) * b**n, math.prod(a + i * b for i in range(n)))
-    shifted = stirling(div(a + n * b, b))
-    return mul(div(ratio.numerator, ratio.denominator), ctx.exp(sub(shifted, stirling(Decimal(n)))))
 
 
 _BINET_NODES = 16

@@ -25,9 +25,9 @@ tokens the spin factors do not cancel raises CalibrationError, decided and
 reported on integers with no scalar built (``twopoint._pair_weight``), and a
 cross term or residue that does not cancel raises CancellationError.  The
 numeric value is preserved by construction.  ``ExactScalar.numeric`` returns
-it as a ``decimal.Decimal``, with no library beyond the standard one: the
-Gamma tokens and pi come from Stirling's series in ``density``.  The tests
-check both against mpmath.
+it as a ``decimal.Decimal``, with no library beyond the standard one and no
+other pspin module: the Gamma tokens and pi = Gamma(1/2)^2 come from ``_gamma``.
+The tests check both against mpmath.
 """
 
 from __future__ import annotations
@@ -173,21 +173,19 @@ class ExactScalar:
 
         Computed in ``decimal`` at prec + 15 digits: the rational is divided
         exactly, each prime^e is exp(e ln prime), each Gamma token comes from
-        ``density.gamma_decimal`` and pi^k is Gamma(1/2)^(2k).
+        ``_gamma`` and pi^k is Gamma(1/2)^(2k).
         """
         from decimal import Context
-
-        from .density import gamma_decimal
 
         ctx = Context(prec=prec + 15)
         v = ctx.divide(self.rational.numerator, self.rational.denominator)
         if self.pi_pow:
-            v = ctx.multiply(v, ctx.power(gamma_decimal(Fraction(1, 2), ctx), 2 * self.pi_pow))
+            v = ctx.multiply(v, ctx.power(_gamma(Fraction(1, 2), ctx), 2 * self.pi_pow))
         for prime, e in self.radical:
             v = ctx.multiply(v, ctx.exp(ctx.divide(ctx.multiply(e.numerator, ctx.ln(prime)),
                                                    e.denominator)))
         for q, m in self.gammas:
-            v = ctx.multiply(v, ctx.power(gamma_decimal(q, ctx), m))
+            v = ctx.multiply(v, ctx.power(_gamma(q, ctx), m))
         return Context(prec=prec).plus(v)
 
     # -- rendering ------------------------------------------------------------
@@ -216,6 +214,27 @@ class ExactScalar:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
+
+
+def _gamma(q: Fraction, ctx):
+    """Gamma(q) for rational 0 < q <= 1 at the precision of ctx, as a ``Decimal``.
+
+    Gamma(q) = x^q e^-x sum_k x^k / (q (q+1) ... (q+k)) + Gamma(q, x), and for
+    x = floor(2.303 prec) + 3 the dropped tail Gamma(q, x) <= e^-x is below one
+    unit in the last digit of Gamma(q) >= 1.  The terms are positive; they are
+    summed in integer units of 10^-prec until one rounds down to zero.
+    """
+    a, b = q.numerator, q.denominator
+    x = int(2.303 * ctx.prec) + 3
+    unit = 10**ctx.prec
+    term = total = unit * b // a
+    k = 0
+    while term:
+        k += 1
+        term = term * x * b // (a + k * b)
+        total += term
+    scale = ctx.exp(ctx.subtract(ctx.divide(ctx.multiply(a, ctx.ln(x)), b), x))
+    return ctx.multiply(ctx.divide(total, unit), scale)
 
 
 def _norm_radical(rad: dict[int, Fraction]) -> tuple[Fraction, tuple[tuple[int, Fraction], ...]]:

@@ -16,7 +16,7 @@ from bisect import bisect_left
 from decimal import Context, Decimal, localcontext
 from functools import cache, lru_cache
 from itertools import repeat
-from math import ceil, cos, exp, fsum, gamma, isfinite, isnan, pi, sqrt
+from math import ceil, cos, exp, fsum, isfinite, isnan, pi, sqrt
 from operator import mul
 
 from .exact import DomainError, UsageError
@@ -128,8 +128,8 @@ _ASYMPTOTIC_TERMS = 25
 _LANDING_RTOL = 1e-13
 
 
-# Ai(0) = 1/(3^{2/3} Gamma(2/3)) and Ai'(0) = -1/(3^{1/3} Gamma(1/3))
-_AI_ZERO = (1 / (3 ** (2 / 3) * gamma(2 / 3)), -1 / (3 ** (1 / 3) * gamma(1 / 3)))
+# Ai(0) = 1/(3^{2/3} Gamma(2/3)) and Ai'(0) = -1/(3^{1/3} Gamma(1/3)), correctly rounded
+_AI_ZERO = (0.3550280538878172, -0.2588194037928068)
 
 
 def _taylor(x0: float, y: float, dy: float, r: float) -> list:
@@ -211,7 +211,6 @@ def _positive_walk():
     return grid[::-1], vals[::-1], slopes[::-1]
 
 
-@lru_cache(maxsize=8)
 def _negative_walk(depth: int):
     """Grid on [-depth, 0], ascending, with (Ai, Ai') stepped from Ai(0), Ai'(0).
 
@@ -297,7 +296,8 @@ def _moment_panels(a: float) -> int:
 
 @cache
 def _moment_edges(panels: int) -> tuple:
-    """panels + 1 edges i * (Y / panels) from 0, Y itself last, as numpy's linspace gives them."""
+    """panels + 1 edges i * (Y / panels) from 0, Y itself last.  Recorded quadrature
+    values depend on these floats; i * Y / panels differs at some panel counts."""
     step = _MOMENT_UPPER / panels
     return tuple(i * step for i in range(panels)) + (_MOMENT_UPPER,)
 

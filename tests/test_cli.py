@@ -745,7 +745,7 @@ def test_sympy_stays_unimported(probe, allowed, cli):
 
 
 def test_airy_quad_runs_without_mpmath():
-    # Ai(0) and Ai'(0) come from pspin's own Stirling series, not mpmath's Gamma
+    # Ai(0) and Ai'(0) come from pspin's own Gamma series (exact._gamma), not mpmath's Gamma
     script = "import sys\nsys.modules['mpmath'] = None\n" + _CLI_PROBE.format(
         argv=["verify", "airy-quad"])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

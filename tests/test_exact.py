@@ -1,9 +1,15 @@
 """Exact scalar canonicalization and Laurent/rational-function arithmetic."""
 
 import functools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from decimal import Context
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -17,6 +23,7 @@ from pspin.exact import (
     ExactScalar as ES,
     LaurentP,
     PoleError,
+    _gamma,
     _norm_radical,
     _terms_text,
 )
@@ -105,7 +112,7 @@ _NUMERIC_FORMS = {
 
 
 class TestNumeric:
-    # ExactScalar.numeric sums Stirling's series in decimal; mpmath is the reference
+    # ExactScalar.numeric evaluates in decimal (exact._gamma); mpmath is the reference
     @pytest.mark.parametrize("prec", [30, 40, 50])
     @pytest.mark.parametrize("kind", list(_NUMERIC_FORMS))
     def test_matches_mpmath_to_one_unit(self, kind, prec):
@@ -124,6 +131,37 @@ class TestNumeric:
         # the Ai(0) and Ai'(0) that verify airy-quad reads, bit for bit
         assert float(phi_deriv_zero(3, 0, CONTOUR).numeric(30)) == 0.3550280538878172
         assert float(phi_deriv_zero(3, 1, CONTOUR).numeric(30)) == -0.2588194037928068
+
+
+class TestGammaSeries:
+    # exact._gamma, the one Gamma evaluator, rounded to prec from prec + 15 digits
+    @pytest.mark.parametrize("prec", [30, 45, 65])
+    def test_matches_mpmath_to_one_unit(self, prec):
+        ctx = Context(prec=prec + 15)
+        cases = [(q, _gamma(q, ctx), mpmath.gamma)
+                 for q in sorted({F(a, b) for b in range(1, 14) for a in range(1, b + 1)})]
+        cases.append((F(1, 2), ctx.power(_gamma(F(1, 2), ctx), 2), lambda x: mpmath.pi))
+        for q, value, want in cases:
+            got = Context(prec=prec).plus(value)
+            ulp = mpmath.mpf(10) ** (got.adjusted() - prec + 1)
+            with mpmath.workdps(prec + 20):
+                exact = want(mpmath.mpf(q.numerator) / q.denominator)
+                assert abs(mpmath.mpf(str(got)) - exact) <= ulp, (q, prec)
+
+    def test_airy_values_load_no_numeric_module(self):
+        # ExactScalar.numeric needs no pspin module beyond exact
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = ("import json, sys\n"
+                 "from pspin.airy import CONTOUR, phi_deriv_zero\n"
+                 "[phi_deriv_zero(3, k, CONTOUR).numeric(30) for k in (0, 1)]\n"
+                 "print(json.dumps(sorted(m for m in sys.modules if m.startswith('pspin'))))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        loaded = json.loads(out)
+        assert "pspin.exact" in loaded
+        assert "pspin.density" not in loaded and "pspin.oracle" not in loaded
 
 
 class TestExactArithmetic:

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import airy
 
 from pspin import oracle
+from pspin.airy import CONTOUR, phi_deriv_zero
 from pspin.correlators import FiniteNSource, finite_n_evaluate
 from pspin.exact import DomainError, UsageError
 from pspin.oracle import (
@@ -93,8 +94,9 @@ class TestAiryValues:
         assert np.max(np.abs(ai_deriv(x, 1) - aip)) <= 3e-14
 
     def test_scalar_and_closed_forms_at_zero(self):
-        assert ai_deriv(0.0, 0) == 1 / (3 ** (2 / 3) * math.gamma(2 / 3))
-        assert ai_deriv(0.0, 1) == -1 / (3 ** (1 / 3) * math.gamma(1 / 3))
+        # the correctly rounded Ai(0), Ai'(0): the exact closed forms at 30 digits
+        assert ai_deriv(0.0, 0) == float(phi_deriv_zero(3, 0, CONTOUR).numeric(30))
+        assert ai_deriv(0.0, 1) == float(phi_deriv_zero(3, 1, CONTOUR).numeric(30))
         assert ai_deriv(0.0, 2) == 0.0
         assert np.ndim(ai_deriv(1.5, 3)) == 0
 
