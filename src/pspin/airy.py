@@ -25,7 +25,6 @@ Ai'' = x Ai, and the tests check both through ``oracle.ai_deriv``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import DomainError, ExactScalar, UsageError
 
@@ -42,7 +41,6 @@ def mode_constant(kernel_mode: str) -> Fraction:
     raise UsageError(f"unknown kernel_mode {kernel_mode!r}")
 
 
-@lru_cache(maxsize=None)
 def _moment(p: int, k: int) -> ExactScalar:
     """int_0^inf u^k e^{-u^p/p} du = p^{(k+1)/p - 1} Gamma((k+1)/p), exact."""
     e = Fraction(k + 1, p) - 1

@@ -416,7 +416,3 @@ def main(argv=None) -> int:
         _warn(f"error: cannot write stdout: {exc}")
         return EXIT_INTERNAL
     return code
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

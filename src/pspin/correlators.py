@@ -48,14 +48,6 @@ class TauCorrelator:
         # p: Fraction, or "symbolic"; value: Fraction, or LaurentP in symbolic runs
         self.p, self.genus, self.marks, self.value = p, genus, marks, value
 
-    def __eq__(self, other):
-        if other.__class__ is not TauCorrelator:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __hash__(self):
-        return hash((self.p, self.genus, self.marks, self.value))
-
     __repr__ = record_repr
 
     def selection_ok(self) -> bool:
@@ -127,17 +119,14 @@ def two_point_low_value(p: int, g: int, m: int) -> Fraction | None:
     return calibration_constant(2) * two_point_low_orders(p, g).get(m, 0)
 
 
-# p = -3: the labels admissible on the positive-p side of each genus family
-_P_MINUS_3_LABELS = {1: (1, 0), 2: (3, 2), 3: (6, 1)}
-
-
 def one_point_table(p, g_max: int) -> list[TauCorrelator]:
     """One-point table at a rational p < 0 or p >= 2, or at p = 'symbolic'.
 
     The label at integer p >= 2 is the admissible one (a genus without one is
     skipped).  At p = -1 it is tau_{1,0} for every genus (orbifold Euler
-    characteristics), at p = -3 the positive-p label for g <= 3, and
-    elsewhere the continued family tau_{2g-1,2g-2}.  Zero values are kept.
+    characteristics), at p = -3 and genus 3 the positive-p label tau_{6,1},
+    and elsewhere the continued family tau_{2g-1,2g-2}, which at p = -3 is
+    the positive-p label for g = 1, 2.  Zero values are kept.
     """
     kappa1 = calibration_constant(1)
     out: list[TauCorrelator] = []
@@ -155,8 +144,8 @@ def one_point_table(p, g_max: int) -> list[TauCorrelator]:
                 continue
         elif pf == -1:
             label = (1, 0)
-        elif pf == -3 and g in _P_MINUS_3_LABELS:
-            label = _P_MINUS_3_LABELS[g]
+        elif pf == -3 and g == 3:
+            label = (6, 1)
         else:
             label = (2 * g - 1, 2 * g - 2)  # continued label family
         out.append(TauCorrelator(pf, g, (label,), kappa1 * one_point_value(pf, g, j=label[1])))
@@ -197,9 +186,9 @@ def general_p_interpolate(
 ) -> LaurentP:
     """Recover value(p) = poly(p)/p^den_power from exact integer-p samples.
 
-    Uses num_degree+1 nodes; remaining samples and any held_out points are
-    verified exactly.  A mismatch (or an interpolant exceeding num_degree)
-    raises DegreeInsufficientError.
+    Uses num_degree+1 nodes, so the interpolant's degree is at most
+    num_degree; remaining samples and any held_out points are verified
+    exactly, and a mismatch raises DegreeInsufficientError.
     """
     if len(samples) < num_degree + 1:
         raise UsageError(
@@ -209,10 +198,6 @@ def general_p_interpolate(
     nodes = items[: num_degree + 1]
     rest = items[num_degree + 1 :]
     poly = lagrange_polynomial([(p, v * p**den_power) for p, v in nodes])
-    if poly.degree() > num_degree:
-        raise DegreeInsufficientError(
-            f"interpolant degree {poly.degree()} exceeds bound {num_degree}"
-        )
     checks = rest + [
         (Fraction(p), Fraction(v)) for p, v in (held_out or {}).items()
     ]

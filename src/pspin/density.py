@@ -184,8 +184,6 @@ class DensityConfig:
 
     @staticmethod
     def linspace(e_min: float, e_max: float, n: int) -> "DensityConfig":
-        if e_min <= 0:
-            raise DomainError("E grid must be strictly positive (pole at E=0)")
         if n < 3:
             # two points fit the two affine parameters exactly: nothing is compared
             raise UsageError("density grid needs at least 3 samples")

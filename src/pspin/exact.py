@@ -97,9 +97,6 @@ class ExactScalar:
             return NotImplemented
         return self.rational == other.rational and self.surd == other.surd
 
-    def __hash__(self):
-        return hash((self.rational, self.pi_pow, self.radical, self.gammas))
-
     __repr__ = record_repr
 
     # -- constructors (ExactScalar() is zero) --------------------------------
@@ -119,9 +116,7 @@ class ExactScalar:
         b = Fraction(base)
         e = Fraction(exp)
         if b <= 0:
-            if b != 0 and e.denominator == 1:
-                return ExactScalar(b ** int(e))
-            raise DomainError(f"fractional power of non-positive base {b}")
+            raise DomainError(f"power of non-positive base {b}")
         rad = {prime: e * mult for prime, mult in _factorize(b.numerator)}
         rad.update((q, -e * m) for q, m in _factorize(b.denominator))  # coprime to the numerator
         rat, radical = _norm_radical(rad)
@@ -211,9 +206,6 @@ class ExactScalar:
             token = f"Gamma({q.numerator}/{q.denominator})"
             parts.append(token if m == 1 else f"{token}^{m}")
         return " * ".join(parts)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()
 
 
 def _gamma(q: Fraction, ctx):
@@ -548,13 +540,5 @@ class Monomial:
 
     def __init__(self, slots: tuple[tuple[int, int], ...]):
         self.slots = slots
-
-    def __eq__(self, other):
-        if other.__class__ is not Monomial:
-            return NotImplemented
-        return self.slots == other.slots
-
-    def __hash__(self):
-        return hash((self.slots,))
 
     __repr__ = record_repr

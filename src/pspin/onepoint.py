@@ -36,11 +36,10 @@ def genus_coefficient(g: int) -> LaurentP:
     Each [y^g] T^K/K! (``tail_power``) is a polynomial in p and each
     Gamma-shift factor i - (2g-1)/p is a Laurent polynomial, so the whole sum
     is a Laurent polynomial in p, summed with one reduction (``LaurentP.dot``).
+    Genus g >= 1 only: the one-point terms start at genus 1.
     """
-    if g < 0:
-        raise UsageError("genus must be >= 0")
-    if g == 0:
-        return LaurentP.const(1)
+    if g < 1:
+        raise UsageError("genus must be >= 1")
     shifts = [LaurentP.const(1)]  # Gamma(K + (1-2g)/p) / Gamma(1 + (1-2g)/p), K = 1..g
     for K in range(1, g):
         shifts.append(shifts[-1] * LaurentP({0: K, -1: 1 - 2 * g}))
@@ -72,12 +71,10 @@ def selection_rule(p, genus: int, marks) -> bool:
 
 
 def admissible_one_point_label(p: int, g: int) -> tuple[int, int] | None:
-    """The unique (n, j) with (p+1)(2g-1) = p n + j + 1, 0 <= j <= p-2.
+    """The unique (n, j) with (p+1)(2g-1) = p n + j + 1, 0 <= j <= p-2, at integer p >= 2.
 
     That is the one-point solution of ``selection_rule``.
     """
-    if p < 2:
-        return None
     j = (2 * g - 2) % p
     if j > p - 2:
         return None

@@ -78,9 +78,8 @@ def _insertion_report(
     """Check each entry <inserted tau_{n,j}>_g against <tau_{n-shift,j}>_g.
 
     Partners with n < shift are passed over before any lookup.
-    compare(entry, partner_key, partner_value) returns (rhs_keys, lhs, rhs) to
-    record, or None to try the entry's next inserted mark; an entry records
-    at most once.
+    compare(entry, partner_key, partner_value) returns the (rhs_keys, lhs,
+    rhs) to record; an entry records once, at its first inserted mark.
     """
     report = TautologyReport()
     for e in two_point:
@@ -91,9 +90,8 @@ def _insertion_report(
             n, j = others[0][0] - shift, others[0][1]
             g = f"_g{e.genus}"
             found = compare(e, f"tau({n},{j}){g}", one_point_value(p, e.genus, j=j))
-            if found is not None:
-                report.record(f"{identity} g={e.genus}", _mark_str(e.marks) + g, *found)
-                break
+            report.record(f"{identity} g={e.genus}", _mark_str(e.marks) + g, *found)
+            break
     return report
 
 
@@ -113,11 +111,14 @@ def dilaton_check(two_point: list[TauCorrelator], p: int) -> TautologyReport:
     """<tau_{1,0} X>_g / <X>_g = 2g - 2 + k as a ratio identity.
 
     Run over two-point entries containing tau_{1,0} whose partner exists in
-    the one-point table (k = 1 remaining insertion).
+    the one-point table (k = 1 remaining insertion).  No partner is zero:
+    the genus-g one-point term vanishes at an integer p >= 3 only at
+    p = 2g - 1 (closed forms through g = 4), where the partner's spin would be
+    p - 1, outside the table.  A zero partner would raise ZeroDivisionError
+    (exit 3), never pass silently.
     """
-    def compare(e, key, partner):
-        if partner == 0:
-            return None
-        return (f"(2g-2+1) * {key}",), Fraction(e.value) / partner, Fraction(2 * e.genus - 2 + 1)
-
-    return _insertion_report(two_point, p, "dilaton", (1, 0), 0, compare)
+    return _insertion_report(
+        two_point, p, "dilaton", (1, 0), 0,
+        lambda e, key, partner: ((f"(2g-2+1) * {key}",), Fraction(e.value) / partner,
+                                 Fraction(2 * e.genus - 2 + 1)),
+    )

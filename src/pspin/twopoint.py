@@ -136,14 +136,16 @@ two_point_grade.cache_info = _assembled_grade.cache_info
 
 
 def grade_monomial(p: int, g: int, m: int) -> Monomial | None:
-    """Monomial s1^(m/p) s2^(2g + (2g-m)/p) when both slots are fractional."""
+    """Monomial s1^(m/p) s2^(2g + (2g-m)/p) when both slots are fractional.
+
+    m is an a-power of the genus-g grade, 0 <= m <= 2g(p+1) (the boundary
+    and rewrite-constant sectors alike), so both exponents are >= 0.
+    """
     f1 = m % p
     f2 = (2 * g - m) % p
     if f1 == 0 or f2 == 0:
         return None
     e2_num = 2 * g * p + (2 * g - m)  # p * exponent of s2
-    if m < 0 or e2_num < 0:
-        return None
     return Monomial(((m // p, f1), ((e2_num - f2) // p, f2)))
 
 

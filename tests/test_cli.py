@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import errno
 import functools
 import io
 import json
@@ -139,6 +140,11 @@ class TestIntersect:
     def test_zero_p_usage_error(self, capsys):
         assert run("intersect", "--p", "0", "--genus", "1") == 2
         assert capsys.readouterr().err == "usage error: --p must be nonzero\n"
+
+    def test_one_point_p_between_0_and_2_usage_error(self, capsys):
+        assert run("intersect", "--p", "3/2", "--genus", "2", "--points", "1") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "usage error: positive one-point tables need p >= 2\n"
 
     def test_mixed_surd_classes_exit_3(self, monkeypatch, capsys):
         # two boundary pairs on one a-power: (0, 0) cannot normalize to a rational
@@ -378,6 +384,11 @@ class TestVerify:
         monkeypatch.setattr("pspin.cli.mc_trace_moments", lambda cfg: (1.27, 0.0))
         assert run("verify", "mc", "--samples", "2") == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_mc_three_insertions_usage_error(self, capsys):
+        assert run("verify", "mc", "--s", "0.1", "0.2", "0.3") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "usage error: one or two insertions supported\n"
 
     def test_mc_seed_out_of_range_usage_error(self):
         for seed in ("-1", str(2**128)):
@@ -619,6 +630,21 @@ def test_refused_output_leaves_no_directory(output, tmp_path, monkeypatch):
     (tmp_path / "afile").write_text("")
     assert run("verify", "string", "--output", output) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "empty"]
+
+
+def test_write_cut_short_usage_error(tmp_path, monkeypatch, capsys):
+    # a device that fills mid-write: exit 2 with one usage line, as for a refused open
+    monkeypatch.setenv("PSPIN_OUTPUT_DIR", str(tmp_path))
+
+    def cut_short(path, text, encoding=None):
+        path.touch()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", cut_short)
+    assert run("verify", "string", "--output", "sub/r.json") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"usage error: cannot write {tmp_path / 'sub' / 'r.json'}: "
+                   "[Errno 28] No space left on device"], err
 
 
 @pytest.mark.parametrize("spaced,joined", [

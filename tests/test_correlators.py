@@ -27,11 +27,12 @@ from pspin.correlators import (
     two_point_table,
 )
 from pspin.density import bernoulli_leading
-from pspin.exact import LaurentP, UsageError
+from pspin.exact import DomainError, LaurentP, UsageError
 from pspin.moments import assemble_grade
 from pspin.oracle import NumericError
 from pspin.onepoint import (
     admissible_one_point_label,
+    gamma_ratio_at,
     genus_coefficient,
     one_point_series,
     one_point_term,
@@ -60,6 +61,17 @@ class TestCalibration:
         # one constant per marked-point count, from the designated anchors
         assert calibration_constant(1) == 1
         assert calibration_constant(2) == -1
+        with pytest.raises(UsageError, match="calibration defined for 1 or 2 marked points"):
+            calibration_constant(3)
+
+    def test_one_point_anchor_checked(self, monkeypatch):
+        # a genus-1 coefficient that is no constant multiple of (p-1)/24 is refused
+        from pspin import correlators
+        from pspin.twopoint import CalibrationError
+
+        monkeypatch.setattr(correlators, "one_point_series", lambda g_max: [LaurentP.var(2)])
+        with pytest.raises(CalibrationError, match="one-point calibration is not constant: p\\^2"):
+            calibration_constant.__wrapped__(1)
 
     def test_non_rational_residue_raises(self):
         from pspin.twopoint import CalibrationError, _pair_weight
@@ -133,6 +145,8 @@ class TestOnePoint:
     def test_genus_below_one_raises(self, g):
         with pytest.raises(UsageError, match="genus must be >= 1"):
             one_point_value(3, g, 0)
+        with pytest.raises(UsageError, match="genus must be >= 1"):
+            genus_coefficient(g)
 
     @pytest.mark.parametrize("p, j", [(4, 6), (4, 3), (4, -1), (3, 2), (2, 1)])
     def test_spin_outside_range_raises(self, p, j):
@@ -144,6 +158,24 @@ class TestOnePoint:
         # negative and non-integer p have no spin range: j = 2 > p - 2 stays valid
         assert one_point_value(-3, 2, 2) == F(1, 144)
         assert one_point_value(F(7, 2), 2, 2) == F(1, 2016)
+
+    @pytest.mark.parametrize("p, labels", [
+        (F(-1, 2), [(1, 0), (3, 2), (5, 4), (7, 6)]),
+        (F(5, 2), [(1, 0), (3, 2), (5, 4), (7, 6)]),
+        (-3, [(1, 0), (3, 2), (6, 1), (7, 6)]),
+    ], ids=["-1_2", "5_2", "-3"])
+    def test_continued_labels(self, p, labels):
+        # the family tau_{2g-1,2g-2}; p = -3 takes the positive-p tau_{6,1} at genus 3
+        assert [e.marks for e in one_point_table(p, 4)] == [(label,) for label in labels]
+
+    @pytest.mark.parametrize("p, g, j, message", [
+        (0, 2, 0, "p must be nonzero"),
+        (3, 2, 1, r"label j=1 not admissible at p=3 \(non-integer shift\)"),
+        (3, 2, -1, "Gamma-ratio pole at p=3, g=2, j=-1"),
+    ], ids=["zero-p", "shift", "pole"])
+    def test_gamma_ratio_refusals(self, p, g, j, message):
+        with pytest.raises(DomainError, match=message):
+            gamma_ratio_at(p, g, j)
 
     def test_p2_is_witten_kdv(self):
         # p=2 labels are tau(3g-2, 0), valued 1/(24^g g!) (Witten's KdV case)
@@ -296,6 +328,14 @@ class TestInterpolation:
             f = general_p_interpolate(samples, num_degree=5, den_power=2)
             assert f == target, m
 
+    def test_too_few_samples_usage_error(self):
+        with pytest.raises(UsageError, match="need at least 3 samples, got 2"):
+            general_p_interpolate({3: F(1), 4: F(2)}, 2, 0)
+
+    def test_duplicate_nodes_usage_error(self):
+        with pytest.raises(UsageError, match="interpolation nodes must be distinct"):
+            lagrange_polynomial([(F(3), F(1)), (3, F(2))])
+
     def test_held_out_validation(self):
         samples = {p: two_point_low_value(p, 1, 1) for p in (3, 4)}
         held = {11: two_point_low_value(11, 1, 1)}
@@ -445,6 +485,10 @@ class TestFiniteN:
         with pytest.raises(NumericError) as info:
             finite_n_evaluate(FiniteNSource(1, (0.0,)), s)
         assert str(info.value) == "U(s) overflows a float: its factor e^(sum s^2/2N) is e^inf"
+
+    def test_three_insertions_usage_error(self):
+        with pytest.raises(UsageError, match="finite-N evaluation supports 1 or 2 insertions"):
+            finite_n_evaluate(FiniteNSource(2, (0.5, -0.5)), [0.1, 0.2, 0.3])
 
     def test_non_finite_inputs_usage_error(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -690,7 +734,6 @@ def test_pair_weights_build_no_exact_scalar_product(monkeypatch):
     grade's display prefactor.  A pair that leaves an irrational residue is
     refused and reported on integers too, with no ExactScalar built.
     """
-    from pspin import airy
     from pspin.exact import ExactScalar
 
     def refuse(*args):
@@ -717,7 +760,7 @@ def test_pair_weights_build_no_exact_scalar_product(monkeypatch):
     monkeypatch.setattr(ExactScalar, "rational_power", staticmethod(counting_rational_power))
     monkeypatch.setattr(ExactScalar, "scale", counting_scale)
     for cached in (twopoint._pair_weight, twopoint._assembled_grade, twopoint._low_orders,
-                   moments._engine, airy._moment):
+                   moments._engine):
         cached.cache_clear()
     cases = [(3, 3), (5, 2), (9, 2)]
     for p, g in cases:

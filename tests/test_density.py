@@ -13,6 +13,7 @@ from pspin.correlators import one_point_table
 from pspin.density import (
     DensityConfig,
     bernoulli_leading,
+    bernoulli_std,
     binet_check,
     blackhole_density_compare,
     central_charge_negative_branch,
@@ -20,7 +21,7 @@ from pspin.density import (
     large_p_check,
     zeta_identity,
 )
-from pspin.exact import DomainError, LaurentP
+from pspin.exact import DomainError, LaurentP, UsageError
 from pspin.onepoint import one_point_series
 from pspin.oracle import NumericError
 
@@ -54,6 +55,12 @@ class TestBernoulliLeading:
         assert bernoulli_leading(1) == F(1, 24)
         assert bernoulli_leading(2) == F(1, 2880)   # (1/30)/(24*4)
         assert bernoulli_leading(3) == F(1, 181440)  # (1/42)/(720*6)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="Bernoulli index must be >= 0"):
+            bernoulli_std(-1)
+        with pytest.raises(UsageError, match="g >= 1 required"):
+            bernoulli_leading(0)
 
     def test_zeta_identity_symbolic(self):
         # zeta(2g) summed directly, to the one-point cap
@@ -264,6 +271,19 @@ class TestBlackholeComparison:
         assert abs(rep.beta + math.pi / 2) < 1e-9
         # keeping the dropped pole term is a visible (reported) deviation
         assert rep.max_residual_full > 1e-2
+
+    def test_residual_with_pole_term(self):
+        # max |Re psi(iE) - pi/2 - 1/(2E) - (alpha x + beta)| with x = -(2/pi) Re psi(iE),
+        # psi from mpmath and alpha, beta from the fit
+        cfg = DensityConfig.linspace(0.5, 20.0, 40)
+        rep = blackhole_density_compare(cfg)
+        with mpmath.workdps(30):
+            want = 0.0
+            for e in cfg.e_grid:
+                psi = float(mpmath.re(mpmath.digamma(mpmath.mpc(0, e))))
+                x = -(2.0 / math.pi) * psi
+                want = max(want, abs(psi - math.pi / 2.0 - 1.0 / (2.0 * e) - (rep.alpha * x + rep.beta)))
+        assert rep.max_residual_full == pytest.approx(want, rel=1e-12)
 
     def test_tiny_e_fit(self):
         # at E = 1e-300 the pole term 1/(2E) is 5e299: the pole-free fit must

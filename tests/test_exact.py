@@ -23,6 +23,7 @@ from pspin.exact import (
     ExactScalar as ES,
     LaurentP,
     PoleError,
+    UsageError,
     _gamma,
     _norm_radical,
     _terms_text,
@@ -170,6 +171,11 @@ class TestExactArithmetic:
         assert ES.sqrt(8) == ES.sqrt(2).scale(2)
         assert ES.rational_power(3, F(5, 3)) == ES.rational_power(3, F(2, 3)).scale(3)
 
+    @pytest.mark.parametrize("base, exp", [(0, F(1, 2)), (-2, 3), (F(-1, 3), F(1, 2))])
+    def test_non_positive_base_rejected(self, base, exp):
+        with pytest.raises(DomainError, match="power of non-positive base"):
+            ES.rational_power(base, exp)
+
 
 
 class TestLaurentAndRatP:
@@ -197,6 +203,11 @@ class TestLaurentAndRatP:
         # any divisor other than a monomial c*p^k leaves the type
         with pytest.raises(DomainError):
             (p ** 2 - LaurentP.const(4)) / (p - LaurentP.const(2))
+        with pytest.raises(DomainError):
+            (p - LaurentP.const(1)) ** -1
+        assert p.scale(2) ** -2 == LaurentP({-2: F(1, 4)})
+        with pytest.raises(ZeroDivisionError, match="zero Laurent polynomial"):
+            p / LaurentP()
 
     def test_eval_multiplicative(self):
         p = LaurentP.var()
@@ -520,6 +531,14 @@ class TestRepr:
 
     def test_cyclo(self):
         assert repr(CycloA(3, {1: -2}, 1)) == "CycloA(-2*a/(a**3 + 1), p=3)"
+
+
+def test_cyclo_refusals():
+    with pytest.raises(UsageError, match="power of a denominator must be >= 0"):
+        CycloA(3, {0: 1}, -1)
+    with pytest.raises(PoleError, match="coefficient pole at a=-1") as exc:
+        CycloA(3, {0: 1}, 2).eval(-1)
+    assert exc.value.order == 2
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from pspin.airy import CONTOUR, REAL, phi_deriv_zero
-from pspin.exact import CycloA, ExactScalar as ES, LaurentP, UsageError
+from pspin.exact import CycloA, DomainError, ExactScalar as ES, LaurentP, UsageError
 from pspin.moments import (
     CancellationError,
     MomentEngine,
@@ -448,6 +448,25 @@ class TestBoundaryAtoms:
 def test_moment_symbol_refuses_bad_p(p):
     with pytest.raises(UsageError, match="integer p >= 3"):
         reduce_moment(MomentSymbol(1, 1, 0, p), F(0))
+
+
+@pytest.mark.parametrize("n, b, c", [(-1, 0, 0), (1, -1, 0), (1, 0, -2)])
+def test_moment_symbol_refuses_negative_index(n, b, c):
+    with pytest.raises(UsageError, match="moment symbol indices must be >= 0"):
+        MomentSymbol(n, b, c, 3)
+
+
+def test_engine_refuses_other_p():
+    with pytest.raises(UsageError, match="symbol p does not match engine p"):
+        _engine(3).reduce(MomentSymbol(1, 1, 0, 4))
+
+
+def test_poly_coeffs_refusals():
+    with pytest.raises(DomainError, match="not a Laurent polynomial in a"):
+        poly_coeffs(CycloA(3, {0: 1}, 1))
+    with pytest.raises(DomainError, match="negative a-power"):
+        poly_coeffs(CycloA(3, {-1: 2, 0: 1}))
+    assert poly_coeffs(CycloA(3, {-1: 2, 0: 1}), allow_negative=True) == {-1: 2, 0: 1}
 
 
 ATOM_KINDS = {"bdry", "irr", "sing", "const", "omega", "zdiv"}

@@ -4,9 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from pspin import tautology
 from pspin.correlators import TauCorrelator, one_point_table, two_point_table
 from pspin.exact import UsageError
 from pspin.tautology import (
+    TautologyReport,
     dilaton_check,
     selection_rule,
     string_check,
@@ -66,6 +68,9 @@ class TestStringEquation:
             assert "PASS" in report.render()
             assert report.to_dict()["passed"]
 
+    def test_empty_report_renders(self):
+        assert TautologyReport().render() == "no applicable checks"
+
 
 class TestDilaton:
     @pytest.mark.parametrize("p", range(3, 8))
@@ -74,6 +79,12 @@ class TestDilaton:
         report = dilaton_check(table, p)
         assert report.checked
         assert report.all_passed, report.render()
+
+    def test_zero_partner_raises(self, monkeypatch):
+        # no table entry has a zero one-point partner; a planted one is an error, not a skip
+        monkeypatch.setattr(tautology, "one_point_value", lambda p, g, j: F(0))
+        with pytest.raises(ZeroDivisionError):
+            dilaton_check(two_point_table(3, 1), 3)
 
     def test_genus_zero_entry_raises(self):
         entry = TauCorrelator(F(3), 0, ((1, 0), (1, 0)), F(1))
@@ -92,6 +103,12 @@ def test_scaled_entry_is_the_failure(check, marks, lhs_key, difference):
     report = check(table, 3)
     assert not report.all_passed
     assert [(c.lhs_key, c.difference) for c in report.failures()] == [(lhs_key, difference)]
+
+
+def test_correlator_repr():
+    (entry,) = one_point_table(3, 1)
+    assert repr(entry) == ("TauCorrelator(p=Fraction(3, 1), genus=1, marks=((1, 0),), "
+                           "value=Fraction(1, 12))")
 
 
 class TestNegativeP:
